@@ -47,7 +47,7 @@ from .instances import (
     write_instance,
 )
 from .model import Instance
-from .oracle import BRUTE_FORCE_MAX_N, brute_force_optimum, suboptimality_gaps
+from .oracle import BRUTE_FORCE_MAX_N, exact_optimum, suboptimality_gaps
 
 __all__ = ["main"]
 
@@ -160,7 +160,7 @@ def _cmd_gen(args) -> int:
 
 
 def _oracle_report(inst: Instance) -> str:
-    opt = brute_force_optimum(inst)
+    opt = exact_optimum(inst)
     lines = [
         f"n = {inst.n}",
         f"k = {inst.k}",
@@ -325,6 +325,8 @@ def _cmd_run(args) -> int:
 
     inst, inst_meta = _resolve_instance(args)
     tuning = _resolve_tuning(args)
+    # regret_min always runs est_reg; record that, not the --estimator default
+    estimator = "reg" if args.mode == "regret" else args.estimator
     payloads = [
         (
             args.mode,
@@ -337,7 +339,7 @@ def _cmd_run(args) -> int:
             args.delta,
             args.eps,
             args.horizon,
-            args.estimator,
+            estimator,
             (tuning.c0, tuning.c2, tuning.tau_scale, tuning.rough_tau_scale, tuning.ci_scale),
             args.curve_out is not None and rep == args.curve_rep,
         )
@@ -381,7 +383,7 @@ def _cmd_run(args) -> int:
             "horizon": args.horizon,
             "reps": args.reps,
             "master_seed": args.seed,
-            "estimator": args.estimator,
+            "estimator": estimator,
             "tuning": {
                 "c0": tuning.c0,
                 "c2": tuning.c2,

@@ -2,21 +2,30 @@
 
 The environment owns the hidden instance and a private RNG stream.  Every
 ``offer`` consumes exactly one time step; ``sample_epochs`` runs whole
-exploration epochs in a vectorized batch with exact step accounting; and
+exploration epochs in one batch with exact step accounting; and
 ``advance`` replays a fixed assortment for many steps at once (exploitation,
 where outcomes do not feed any estimator).
 
 Epoch law used by the batch sampler.  One epoch offers ``Z ∪ S`` repeatedly
-until the outcome lands in ``Z ∪ {0}``.  Writing ``nu_i = v_i / (1 + V_Z)``
-with ``V_Z = sum_{j in Z} v_j``, the per-item purchase counts
-``x_i`` (i in S) collected before the stop are independent geometric
-variables on {0, 1, ...} with success probability ``1 / (1 + nu_i)``
-(mean ``nu_i``), the stopping outcome is independent of all counts and is
-distributed over ``Z ∪ {0}`` proportionally to ``v_c`` (weight 1 for the
-no-purchase option), and the epoch length is ``1 + sum_i x_i``.  This is the
-standard product-form factorization of a race of exponentials observed at
-geometric times; the step-level ``offer`` path and the batch path are
-distributionally identical (and tested against each other).
+until the outcome lands in ``Z ∪ {0}``.  Write ``V_Z = sum_{j in Z} v_j``,
+``V_S = sum_{i in S} v_i`` and ``nu_i = v_i / (1 + V_Z)``.  Each step stops the
+epoch with probability ``q = (1 + V_Z) / (1 + V_Z + V_S)``, so the epoch's
+total purchase count ``sum_i x_i`` is geometric on {0, 1, ...} with mean
+``sum_i nu_i``, and each purchase is item ``i`` with probability
+``v_i / V_S``.  Each item's marginal count ``x_i`` is therefore geometric with
+mean ``nu_i``, but the counts are jointly negative-multinomial, not
+independent: ``Cov(x_i, x_j) = nu_i nu_j``.  The stop outcome is independent
+of all counts and is distributed over ``Z ∪ {0}`` proportionally to ``v_c``
+(weight 1 for the no-purchase option), and the epoch length is
+``1 + sum_i x_i``.
+
+Over ``T`` epochs the batch sampler draws only sufficient statistics: the
+purchase total ``M ~ NegBin(T, q)``, the item counts
+``Multinomial(M, v_S / V_S)`` and the stop counts
+``Multinomial(T, (1, v_Z) / (1 + V_Z))``; the batch takes ``T + M`` steps, so
+its cost does not depend on ``T``.  A batch that overruns the step budget is
+refined exactly, never redrawn.  The step-level ``offer`` path and the batch
+path are distributionally identical (and tested against each other).
 
 Determinism: a replication's entire outcome sequence is a pure function of
 ``(master_seed, replication_index)`` via `fork_stream`.  The RNG algorithm
@@ -31,8 +40,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .model import Assortment, Instance, revenue, validate_assortment
-from .oracle import BRUTE_FORCE_MAX_N, OptimumSolution, brute_force_optimum, fractional_optimum
-from .model import reduce_params
+from .oracle import OptimumSolution, exact_optimum
 
 __all__ = [
     "RNG_ALGORITHM_ID",
@@ -44,13 +52,12 @@ __all__ = [
 ]
 
 #: Pinned RNG recipe: numpy PCG64 seeded from
-#: ``SeedSequence(master_seed, spawn_key=(replication_index,))``.
-RNG_ALGORITHM_ID = "numpy-pcg64-seedseq-spawnkey-v1"
+#: ``SeedSequence(master_seed, spawn_key=(replication_index,))``, consumed by
+#: the sufficient-statistic epoch sampler.
+RNG_ALGORITHM_ID = "numpy-pcg64-seedseq-spawnkey-v2"
 
-#: Upper bound on elements drawn per vectorized chunk (memory guard).  Fixed
-#: constant so the draw sequence is a deterministic function of the call
-#: sequence.
-_CHUNK_ELEMENTS = 1 << 22
+#: numpy's hypergeometric sampler requires both of its counts below this.
+_HYPERGEOM_LIMIT = 10**9
 
 
 class HorizonExhausted(RuntimeError):
@@ -170,14 +177,7 @@ class Environment:
         self.rewards = inst.r.copy()
         self.rewards.setflags(write=False)
         self.ledger = RegretLedger(n=inst.n)
-        if inst.n <= BRUTE_FORCE_MAX_N:
-            self._solution = brute_force_optimum(inst)
-        else:
-            self._solution = fractional_optimum(
-                {i: float(inst.r[i - 1]) for i in inst.items()},
-                reduce_params(inst, ()),
-                inst.k,
-            )
+        self._solution = exact_optimum(inst)
         # Per-assortment cache of (cumulative outcome weights, per-step regret,
         # 0-based indices); bounded, cleared wholesale when full.
         self._offer_cache: dict = {}
@@ -281,6 +281,9 @@ class Environment:
         disjoint with ``|z ∪ s| <= k``.  Statistics of completed epochs are
         returned; when the step budget runs out, the in-flight epoch's steps
         are consumed but its statistics are discarded (``truncated=True``).
+        With ``collect=True`` the per-epoch detail is drawn after, and
+        conditioned on, the aggregates, which therefore do not depend on
+        ``collect``.
         """
         tz = validate_assortment(z, self.n)
         ts = validate_assortment(s, self.n)
@@ -298,85 +301,98 @@ class Environment:
 
         v_z = self._inst.v[np.asarray(tz, dtype=int) - 1] if tz else np.zeros(0)
         v_s = self._inst.v[np.asarray(ts, dtype=int) - 1] if ts else np.zeros(0)
-        vz_total = float(v_z.sum())
-        nu = v_s / (1.0 + vz_total)
-        p_success = 1.0 / (1.0 + nu)  # per-item geometric stop probability
-        # Stop outcome over Z ∪ {0}: weight 1 for no-purchase, v_c otherwise.
-        stop_cum = np.cumsum(np.concatenate(([1.0], v_z)))
+        stop_weights = np.concatenate(([1.0], v_z))  # no-purchase, then Z
         stop_rewards = np.concatenate(
             ([0.0], self._inst.r[np.asarray(tz, dtype=int) - 1] if tz else np.zeros(0))
         )
+        q = stop_weights.sum() / (stop_weights.sum() + v_s.sum())
 
         budget = self.steps_remaining  # None = unlimited
-        x_sums = np.zeros(len(ts), dtype=np.int64)
-        z_sum = 0.0
-        done = 0
+        # Under a budget, an overflowing draw is refined by a hypergeometric
+        # draw, so epochs go in chunks whose expected steps (chunk / q) stay
+        # far below numpy's limit on its counts.
+        chunk = epochs if budget is None else max(1, int(q * _HYPERGEOM_LIMIT) // 10)
+        done = 0  # completed epochs
+        bought = 0  # purchases within completed epochs
         used = 0
         truncated = False
-        xs: List[np.ndarray] = []
-        zs: List[np.ndarray] = []
-        lens: List[np.ndarray] = []
+        while done < epochs:
+            t = min(epochs - done, chunk)
+            m = int(self._rng.negative_binomial(t, q))
+            if budget is None or used + t + m <= budget:
+                done += t
+                bought += m
+                used += t + m
+                continue
+            # The budget ends inside this chunk.  Its first t + m - 1 steps are
+            # a uniform arrangement of t - 1 stops and m purchases, so the
+            # stops within the budget are hypergeometric; given k of them, the
+            # last stop sits at the maximum of k uniforms (Beta(k, 1)), and the
+            # purchases after it belong to the cut-off epoch.
+            room = budget - used
+            k = int(self._rng.hypergeometric(t - 1, m, room))
+            tail = (
+                int(self._rng.binomial(room - k, 1.0 - self._rng.beta(k, 1.0)))
+                if k
+                else room
+            )
+            done += k
+            bought += room - k - tail
+            used = budget
+            truncated = True
+            break
 
-        chunk_rows = max(1, _CHUNK_ELEMENTS // max(1, len(ts)))
-        while done < epochs and not truncated:
-            want = min(epochs - done, chunk_rows)
-            if budget is not None:
-                # each epoch takes >= 1 step, so at most this many can start
-                want = min(want, budget - used)
-                if want <= 0:
-                    truncated = True
-                    break
-            if len(ts):
-                x = (
-                    self._rng.geometric(p=np.broadcast_to(p_success, (want, len(ts))))
-                    - 1
-                ).astype(np.int64)
-                lengths = 1 + x.sum(axis=1)
-            else:
-                x = np.zeros((want, 0), dtype=np.int64)
-                lengths = np.ones(want, dtype=np.int64)
-            u = self._rng.random(want) * stop_cum[-1]
-            stop_j = np.searchsorted(stop_cum, u, side="right")
-            z_vals = stop_rewards[stop_j]
-
-            if budget is not None:
-                cum_len = np.cumsum(lengths)
-                fit = int(np.searchsorted(cum_len, budget - used, side="right"))
-                if fit < want:
-                    # complete `fit` epochs; the next epoch is cut short and
-                    # consumes whatever budget remains.
-                    truncated = True
-                    x, lengths, z_vals = x[:fit], lengths[:fit], z_vals[:fit]
-                    used = budget
-                else:
-                    used += int(cum_len[-1]) if want else 0
-            else:
-                used += int(lengths.sum())
-
-            x_sums += x.sum(axis=0)
-            z_sum += float(z_vals.sum())
-            done += len(lengths)
-            if collect and len(lengths):
-                xs.append(x)
-                zs.append(z_vals)
-                lens.append(lengths)
-
+        x_sums = _multinomial(self._rng, bought, v_s)
+        stop_counts = _multinomial(self._rng, done, stop_weights)
         self.ledger.record(offered_idx, regret, used)
-        truncated = truncated or done < epochs
         batch = EpochBatch(
             requested=epochs,
             epochs=done,
             steps=used,
             x_sums=x_sums,
-            z_sum=z_sum,
+            z_sum=float(stop_counts @ stop_rewards),
             truncated=truncated,
         )
         if collect:
-            batch.x = (
-                np.concatenate(xs, axis=0) if xs else np.zeros((0, len(ts)), dtype=np.int64)
+            # Per-epoch detail conditioned on the aggregates: given the
+            # totals, the per-epoch purchase totals are a uniform composition
+            # of `bought` into `done` parts, and the item labels and the stop
+            # outcomes are uniform shuffles of their counts.
+            totals = _composition(self._rng, bought, done)
+            labels = self._rng.permutation(np.repeat(np.arange(len(ts)), x_sums))
+            owner = np.repeat(np.arange(done), totals)
+            batch.x = np.bincount(
+                owner * len(ts) + labels, minlength=done * len(ts)
+            ).reshape(done, len(ts))
+            stops = self._rng.permutation(
+                np.repeat(np.arange(len(stop_weights)), stop_counts)
             )
-            batch.z_values = np.concatenate(zs) if zs else np.zeros(0)
-            batch.lengths = (
-                np.concatenate(lens) if lens else np.zeros(0, dtype=np.int64)
-            )
+            batch.z_values = stop_rewards[stops]
+            batch.lengths = 1 + totals
         return batch
+
+
+def _composition(rng: np.random.Generator, total: int, parts: int) -> np.ndarray:
+    """Uniformly random composition of ``total`` into ``parts`` parts >= 0.
+
+    Stars and bars: ``parts - 1`` bar positions chosen among
+    ``total + parts - 1`` slots; part sizes are the gaps between bars.
+    """
+    if parts == 0:
+        return np.zeros(0, dtype=np.int64)
+    slots = total + parts - 1
+    bars = np.sort(rng.choice(slots, size=parts - 1, replace=False))
+    return np.diff(bars, prepend=-1, append=slots) - 1
+
+
+def _multinomial(rng: np.random.Generator, count: int, weights: np.ndarray) -> np.ndarray:
+    """Split ``count`` draws over categories proportional to ``weights``.
+
+    Zero-weight categories get exactly zero: only positive weights enter the
+    draw, so a zero weight never picks up rounding leftovers.
+    """
+    out = np.zeros(len(weights), dtype=np.int64)
+    positive = weights > 0
+    if count and positive.any():
+        out[positive] = rng.multinomial(count, weights[positive] / weights[positive].sum())
+    return out

@@ -42,6 +42,7 @@ __all__ = [
     "select_f",
     "fractional_optimum",
     "brute_force_optimum",
+    "exact_optimum",
     "suboptimality_gaps",
     "revenue_margin",
     "lower_bound_instance",
@@ -190,6 +191,16 @@ def brute_force_optimum(inst: Instance) -> OptimumSolution:
             if cand < best_s:
                 best_s = cand
     return OptimumSolution(s_star=best_s, theta_star=best_rev)
+
+
+def exact_optimum(inst: Instance) -> OptimumSolution:
+    """The instance's optimum: brute force up to ``BRUTE_FORCE_MAX_N`` items,
+    the fractional oracle beyond."""
+    if inst.n <= BRUTE_FORCE_MAX_N:
+        return brute_force_optimum(inst)
+    return fractional_optimum(
+        {i: float(inst.r[i - 1]) for i in inst.items()}, reduce_params(inst, ()), inst.k
+    )
 
 
 def suboptimality_gaps(inst: Instance) -> Dict[int, float]:

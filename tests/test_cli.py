@@ -10,7 +10,7 @@ import pytest
 from mnlbandit.cli import CSV_COLUMNS, RESULTS_FORMAT, SUMMARY_COLUMNS, main
 from mnlbandit.env import stream_digest
 from mnlbandit.instances import read_instance
-from mnlbandit.oracle import brute_force_optimum
+from mnlbandit.oracle import brute_force_optimum, exact_optimum
 
 
 def run_cli(*argv):
@@ -96,6 +96,20 @@ class TestOracle:
 
     def test_missing_file_is_a_runtime_error(self, tmp_path):
         assert run_cli("oracle", "--instance", str(tmp_path / "nope.inst")) == 2
+
+    def test_reports_beyond_the_brute_force_limit(self, tmp_path, capsys):
+        out = str(tmp_path / "lb.inst")
+        assert run_cli(
+            "gen", "--family", "lower-bound", "--n", "30", "--k", "2",
+            "--gaps", ",".join(["0.01"] * 28), "--out", out,
+        ) == 0
+        assert run_cli("oracle", "--instance", out) == 0
+        report = capsys.readouterr().out
+        opt = exact_optimum(read_instance(out)[0])
+        assert "n = 30" in report
+        assert f"theta_star = {format(opt.theta_star, '.17g')}" in report
+        assert "s_star = " + ", ".join(str(i) for i in opt.s_star) in report
+        assert "gap." not in report  # gaps need enumeration, so n <= 24 only
 
 
 class TestRunValidation:
@@ -262,6 +276,22 @@ class TestRunPac:
             assert run_cli(*argv) == 0
             assert len(read_rows(out)) == 1
 
+    def test_paper_tuning_runs_to_completion(self, tmp_path, monkeypatch):
+        # the README instance at the paper's own constants (about 4e8 steps
+        # per replication)
+        monkeypatch.setenv("MNL_THREADS", "1")
+        inst_path = str(tmp_path / "inst.txt")
+        assert run_cli("gen", "--family", "uniform", "--n", "8", "--k", "3",
+                       "--seed", "7", "--out", inst_path) == 0
+        out = tmp_path / "paper.csv"
+        assert run_cli(
+            "run", "--instance", inst_path, "--mode", "pac", "--seed", "1234",
+            "--reps", "2", "--tuning", "paper", "--out", str(out),
+        ) == 0
+        rows = read_rows(out)
+        assert len(rows) == 2
+        assert all(row["status"] == "ok" for row in rows)
+
     def test_run_mode_oracle_prints_or_writes(self, tmp_path, capsys):
         argv = [
             "run", "--family", "uniform", "--n", "4", "--k", "2",
@@ -301,6 +331,19 @@ class TestRunRegret:
         # the row total and the curve tail sum the same segments in a
         # different order; they agree to float accumulation error
         np.testing.assert_allclose(float(rows[0]["regret"]), values[-1], rtol=1e-9)
+
+
+    def test_sidecar_records_the_estimator_that_ran(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MNL_THREADS", "1")
+        out = str(tmp_path / "r.csv")
+        assert run_cli(
+            "run", "--family", "uniform", "--n", "4", "--k", "2",
+            "--gen-seed", "5", "--mode", "regret", "--horizon", "2000",
+            "--seed", "99", "--tuning", "desk", "--estimator", "adaptive",
+            "--out", out,
+        ) == 0
+        with open(out + ".meta.json") as fh:
+            assert json.load(fh)["config"]["estimator"] == "reg"
 
 
 class TestSummarize:

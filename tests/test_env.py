@@ -1,5 +1,7 @@
 """Tests for the seeded simulator, step accounting, and the regret ledger."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,6 +15,7 @@ from mnlbandit.env import (
     fork_stream,
     stream_digest,
 )
+from mnlbandit.estimators import ExploreState, explore
 from mnlbandit.model import Instance, choice_probabilities, reduce_params, revenue
 from mnlbandit.oracle import brute_force_optimum
 
@@ -44,7 +47,7 @@ class TestForkStream:
         assert len(digests) == 1000
 
     def test_algorithm_id_is_pinned(self):
-        assert RNG_ALGORITHM_ID == "numpy-pcg64-seedseq-spawnkey-v1"
+        assert RNG_ALGORITHM_ID == "numpy-pcg64-seedseq-spawnkey-v2"
 
     def test_streams_feed_statistically_consistent_outcomes(self):
         # First outcome of 1000 independent replication streams on a single
@@ -351,3 +354,118 @@ class TestSampleEpochs:
         np.testing.assert_array_equal(
             env.ledger.per_item_offer_counts, [batch.steps, batch.steps, 0]
         )
+
+    def test_paper_scale_batch_is_exact_and_fast(self):
+        inst = Instance(n=3, k=3, r=[1.0, 0.5, 0.2], v=[0.5, 0.3, 0.8])
+        env = Environment(inst, fork_stream(17, 0))
+        start = time.perf_counter()
+        batch = env.sample_epochs((1,), (2, 3), 10**11)
+        assert time.perf_counter() - start < 1.0
+        assert batch.epochs == 10**11 and not batch.truncated
+        assert batch.steps == batch.epochs + int(batch.x_sums.sum())
+        assert env.ledger.steps == batch.steps
+        np.testing.assert_array_equal(
+            env.ledger.per_item_offer_counts, [batch.steps] * 3
+        )
+        per_step = env.oracle_solution().theta_star - revenue(inst, (1, 2, 3))
+        np.testing.assert_allclose(
+            env.ledger.cum_regret, per_step * batch.steps, rtol=1e-12
+        )
+        # Under a budget the batch goes in chunks small enough for numpy's
+        # hypergeometric sampler; the cut still spends the budget exactly.
+        horizon = 15 * 10**10  # the batch needs about 1.7e11 steps
+        env = Environment(inst, fork_stream(17, 1), horizon=horizon)
+        start = time.perf_counter()
+        batch = env.sample_epochs((1,), (2, 3), 10**11)
+        assert time.perf_counter() - start < 1.0
+        assert batch.truncated and 0 < batch.epochs < 10**11
+        assert batch.steps == env.ledger.steps == horizon
+        assert batch.epochs + int(batch.x_sums.sum()) <= horizon
+
+    def test_zero_weight_tracked_items(self):
+        inst = Instance(n=3, k=3, r=[1.0, 0.5, 0.2], v=[0.0, 0.4, 0.0])
+        env = Environment(inst, fork_stream(18, 0))
+        batch = env.sample_epochs((), (1, 2), 5000, collect=True)
+        assert batch.x_sums[0] == 0 and batch.x_sums[1] > 0
+        assert np.all(batch.x[:, 0] == 0)
+        assert batch.steps == batch.epochs + int(batch.x_sums.sum())
+        # only weightless items tracked: every epoch stops at its first step
+        batch = env.sample_epochs((2,), (1, 3), 300, collect=True)
+        assert batch.steps == batch.epochs == 300
+        np.testing.assert_array_equal(batch.x_sums, [0, 0])
+        np.testing.assert_array_equal(batch.lengths, np.ones(300))
+
+
+def _explore_epochs(env, z, s, epochs):
+    """Step-level reference: per-epoch lengths and item counts via ``explore``."""
+    state = ExploreState(z_stop=z, record_lengths=True)
+    x = np.zeros((epochs, len(s)), dtype=np.int64)
+    for e in range(epochs):
+        before = [state.n.get(i, 0) for i in s]
+        explore(env, state, s)
+        x[e] = [state.n[i] - b for i, b in zip(s, before)]
+    return np.array(state.epoch_lengths), x
+
+
+def _stats_with_se(lengths, x):
+    """P(length = 1), Var(length), Cov(x_1, x_2) and their standard errors."""
+    n = len(lengths)
+    first = (lengths == 1).astype(float)
+    sq = (lengths - lengths.mean()) ** 2
+    cross = (x[:, 0] - x[:, 0].mean()) * (x[:, 1] - x[:, 1].mean())
+    per_epoch = (first, sq, cross)
+    return (
+        np.array([v.mean() for v in per_epoch]),
+        np.array([v.std() / np.sqrt(n) for v in per_epoch]),
+    )
+
+
+class TestEpochLaw:
+    def test_batch_matches_step_level_joint_law(self):
+        # v = (1, 1), Z empty: the stop probability per step is q = 1/3, so
+        # P(length = 1) = 1/3, Var(length) = (1 - q) / q^2 = 6, and the
+        # item counts are negative-multinomial with Cov(x_1, x_2) =
+        # nu_1 nu_2 = 1 (independent geometrics would give 0).
+        inst = Instance(n=2, k=2, r=[1.0, 0.5], v=[1.0, 1.0])
+        batch = Environment(inst, fork_stream(21, 0)).sample_epochs(
+            (), (1, 2), 200_000, collect=True
+        )
+        got, se_got = _stats_with_se(batch.lengths, batch.x)
+        ref, se_ref = _stats_with_se(
+            *_explore_epochs(Environment(inst, fork_stream(22, 0)), (), (1, 2), 20_000)
+        )
+        truth = np.array([1.0 / 3.0, 6.0, 1.0])
+        assert np.all(np.abs(got - ref) <= 4 * np.hypot(se_got, se_ref))
+        assert np.all(np.abs(got - truth) <= 4 * se_got)
+        assert np.all(np.abs(ref - truth) <= 4 * se_ref)
+
+    def test_truncated_batch_matches_step_level_law(self):
+        # Under a budget of B = 23 steps for T = 12 epochs (about 25 steps
+        # expected), about half the batches are cut: compare the laws of
+        # completed epochs, their purchases and the steps spent with
+        # `explore`.
+        inst = Instance(n=3, k=3, r=[1.0, 0.5, 0.7], v=[0.9, 0.6, 0.4])
+        budget, epochs, reps = 23, 12, 4000
+        batch_rows, step_rows = [], []
+        for rep in range(reps):
+            env = Environment(inst, fork_stream(23, rep), horizon=budget)
+            b = env.sample_epochs((3,), (1, 2), epochs)
+            batch_rows.append((b.epochs, int(b.x_sums.sum()), b.steps))
+            env = Environment(inst, fork_stream(24, rep), horizon=budget)
+            state = ExploreState(z_stop=(3,))
+            try:
+                while state.t_z < epochs:
+                    explore(env, state, (1, 2))
+            except HorizonExhausted:
+                pass
+            step_rows.append((state.t_z, sum(state.n.values()), env.ledger.steps))
+        batch_rows, step_rows = np.array(batch_rows), np.array(step_rows)
+        for col in range(3):
+            values = np.union1d(batch_rows[:, col], step_rows[:, col])
+            table = np.array(
+                [[np.sum(rows[:, col] == v) for v in values] for rows in (batch_rows, step_rows)]
+            )
+            sparse = table.sum(axis=0) < 10  # pool rare values into one cell
+            if sparse.any():
+                table = np.column_stack([table[:, ~sparse], table[:, sparse].sum(axis=1)])
+            assert stats.chi2_contingency(table).pvalue > 0.001
