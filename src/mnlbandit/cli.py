@@ -47,7 +47,7 @@ from .instances import (
     write_instance,
 )
 from .model import Instance
-from .oracle import BRUTE_FORCE_MAX_N, exact_optimum, suboptimality_gaps
+from .oracle import exact_optimum, suboptimality_gaps
 
 __all__ = ["main"]
 
@@ -167,10 +167,9 @@ def _oracle_report(inst: Instance) -> str:
         f"theta_star = {format(opt.theta_star, '.17g')}",
         "s_star = " + (", ".join(str(i) for i in opt.s_star) if opt.s_star else "(empty)"),
     ]
-    if inst.n <= BRUTE_FORCE_MAX_N:
-        gaps = suboptimality_gaps(inst)
-        for i in sorted(gaps):
-            lines.append(f"gap.{i} = {format(gaps[i], '.17g')}")
+    gaps = suboptimality_gaps(inst)
+    for i in sorted(gaps):
+        lines.append(f"gap.{i} = {format(gaps[i], '.17g')}")
     return "\n".join(lines) + "\n"
 
 

@@ -37,7 +37,7 @@ from .estimators import (
     est_rough,
 )
 from .model import Assortment, Instance, ReducedParams, revenue
-from .oracle import brute_force_optimum, fractional_optimum
+from .oracle import exact_optimum, fractional_optimum
 
 __all__ = [
     "PhaseState",
@@ -407,7 +407,7 @@ def uniform_random_regret(
     be simulated: draw the per-step assortment indices and sum the revenue
     shortfalls.
     """
-    opt = brute_force_optimum(inst)
+    opt = exact_optimum(inst)
     choices = list(combinations(range(1, inst.n + 1), inst.k))
     revenues = np.array([revenue(inst, s) for s in choices])
     draws = rng.integers(0, len(choices), size=horizon)

@@ -26,11 +26,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import Instance
-from .oracle import (
-    BRUTE_FORCE_MAX_N,
-    lower_bound_instance,
-    revenue_margin,
-)
+from .oracle import lower_bound_instance, revenue_margin
 
 __all__ = [
     "FAMILIES",
@@ -72,11 +68,6 @@ def generate_instance(
         return lower_bound_instance(n, k, gaps)
     if seed is None:
         raise ValueError(f"the {family} family needs a seed")
-    if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(
-            "random families need the uniqueness check, which enumerates "
-            f"assortments; n must be <= {BRUTE_FORCE_MAX_N}"
-        )
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     for _ in range(_MAX_REDRAWS):
         r = rng.uniform(0.0, 1.0, size=n)

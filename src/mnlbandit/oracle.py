@@ -1,29 +1,32 @@
 """Exact assortment-optimization oracles.
 
-Two routes to the optimum ``max_{|S| <= K} R(S, v)``:
+Every oracle entry point solves ``max_{|S0| <= K} R(S0, nu, zeta)``, the
+reduced revenue problem (``zeta = 0`` and ``nu = v`` for a whole instance),
+with one kernel, ``_solve``: Dinkelbach's iteration for fractional programs
+(Dinkelbach 1967, "On nonlinear fractional programming"), whose inner step is
+the capacity-constrained top-positive-score selection of Rusmevichientong,
+Shen & Shmoys (2010, Oper. Res. 58(6)).
 
-* ``brute_force_optimum`` — exhaustive enumeration (reference oracle, small n);
-* ``fractional_optimum`` — fixed-point binary search on the reduced problem,
-  polynomial in n, exact to the bracket tolerance.
+For a revenue level ``theta``, ``R(S0) >= theta`` holds exactly when
+``zeta + sum_{i in S0} nu_i (r_i - theta) >= theta``, so the set that
+maximizes the score sum at ``theta`` -- the top-``K`` strictly positive
+scores ``nu_i (r_i - theta)`` -- has revenue above ``theta`` unless
+``theta`` is already optimal.  Starting from ``theta = zeta`` (the empty
+set), the iteration sets ``theta`` to the revenue of that selection until it
+stops improving.  ``theta`` strictly increases, so no set is selected twice
+and the iteration ends after finitely many selections (a handful in
+practice) with the selection at ``theta*``, an optimal set, and its exact
+revenue.
 
-The fractional route rests on two facts.  First, for any candidate revenue
-level ``theta`` the map
-
-    g(theta) = zeta + max_{|S0| <= M} sum_{i in S0} nu_i * (r_i - theta)
-
-is nonincreasing in ``theta`` (each summand is nonincreasing and the max of
-nonincreasing functions is nonincreasing), ``g(0) >= zeta >= 0`` and
-``g(1) = zeta <= 1``, so ``g`` has a unique fixed point ``theta* in [0, 1]``;
-``theta*`` equals the optimal reduced revenue and the maximizing ``S0`` at
-``theta*`` is an optimal assortment.  Second, the inner max is solved by the
-capacity-constrained top-positive-score selection ``select_f``.
+``brute_force_optimum`` enumerates every assortment; it is the reference the
+tests compare the kernel against, and is guarded to ``n <= 24``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
@@ -31,10 +34,7 @@ from .model import (
     Assortment,
     Instance,
     ReducedParams,
-    reduce_params,
     reduced_revenue,
-    revenue,
-    validate_assortment,
 )
 
 __all__ = [
@@ -52,10 +52,6 @@ __all__ = [
 #: be astronomically large.
 BRUTE_FORCE_MAX_N = 24
 
-#: Fixed-point bracket tolerance and iteration cap for the binary search.
-FRACTIONAL_TOL = 1e-12
-FRACTIONAL_MAX_ITER = 80
-
 
 @dataclass(frozen=True)
 class OptimumSolution:
@@ -70,6 +66,38 @@ class OptimumSolution:
     theta_star: float
 
 
+def _top_positive(scores: np.ndarray, capacity: int) -> np.ndarray:
+    """Ascending positions of the top-``capacity`` strictly positive scores,
+    breaking score ties toward the smaller position."""
+    pos = np.flatnonzero(scores > 0.0)
+    if pos.size > capacity:
+        pos = np.sort(pos[np.argsort(-scores[pos], kind="stable")[:capacity]])
+    return pos
+
+
+def _solve(
+    nu: np.ndarray, r: np.ndarray, zeta: float, capacity: int
+) -> np.ndarray:
+    """Optimal pending set of the reduced problem, as ascending positions.
+
+    Dinkelbach's iteration (module docstring): the result is the
+    ``_top_positive`` selection at the optimal revenue ``theta*``.
+    """
+    theta = zeta
+    while True:
+        s = _top_positive(nu * (r - theta), capacity)
+        value = (zeta + (nu * r)[s].sum()) / (1.0 + nu[s].sum())
+        if not value > theta:
+            return s
+        theta = value
+
+
+def _revenue(inst: Instance, ix: np.ndarray) -> float:
+    """Revenue of the 0-based ascending positions ``ix``, rounded exactly as
+    ``brute_force_optimum`` rounds it."""
+    return float((inst.v * inst.r)[ix].sum() / (1.0 + inst.v[ix].sum()))
+
+
 def select_f(
     scores: Mapping[int, float], capacity: int
 ) -> Assortment:
@@ -81,12 +109,9 @@ def select_f(
     """
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
-    positive = [(item, s) for item, s in scores.items() if s > 0.0]
-    # Sort by descending score, then ascending id: a stable, total order that
-    # makes the top-`capacity` cut deterministic under ties.
-    positive.sort(key=lambda p: (-p[1], p[0]))
-    chosen = sorted(item for item, _ in positive[:capacity])
-    return tuple(chosen)
+    items = sorted(scores)
+    chosen = _top_positive(np.array([scores[i] for i in items], dtype=float), capacity)
+    return tuple(items[j] for j in chosen)
 
 
 def fractional_optimum(
@@ -97,11 +122,9 @@ def fractional_optimum(
     """Exact optimum of the reduced revenue over pending assortments.
 
     Solves ``max_{S0 subset of params.nu keys, |S0| <= capacity}
-    R(S0, nu, zeta)`` by binary search for the fixed point of ``g`` (module
-    docstring), then selects the assortment via ``select_f`` at the bracket
-    midpoint and recomputes its reduced revenue exactly.  The empty set
-    (revenue ``zeta``) is always admissible, so the returned revenue is
-    >= ``zeta``.
+    R(S0, nu, zeta)`` with ``_solve`` and recomputes the selected set's
+    reduced revenue with ``reduced_revenue``.  The empty set (revenue
+    ``zeta``) is always admissible, so the returned revenue is >= ``zeta``.
     """
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
@@ -109,42 +132,10 @@ def fractional_optimum(
     for i in items:
         if i not in rewards:
             raise ValueError(f"item {i} has a weight but no reward")
-
     nu = np.array([params.nu[i] for i in items], dtype=float)
     r = np.array([rewards[i] for i in items], dtype=float)
-
-    def g(theta: float) -> float:
-        if len(items) == 0 or capacity == 0:
-            return params.zeta
-        scores = nu * (r - theta)
-        pos = scores[scores > 0.0]
-        if pos.size > capacity:
-            pos = np.sort(pos)[-capacity:]
-        return params.zeta + float(pos.sum())
-
-    lo, hi = 0.0, 1.0
-    for _ in range(FRACTIONAL_MAX_ITER):
-        if hi - lo <= FRACTIONAL_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if g(mid) >= mid:
-            lo = mid
-        else:
-            hi = mid
-
-    theta_mid = 0.5 * (lo + hi)
-    scores = {i: params.nu[i] * (rewards[i] - theta_mid) for i in items}
-    s0 = select_f(scores, capacity)
-    theta_star = reduced_revenue(rewards, params, s0)
-    return OptimumSolution(s_star=s0, theta_star=float(theta_star))
-
-
-def _enumerate_assortments(n: int, k: int):
-    """All assortments of size 0..k over items 1..n, sizes ascending."""
-    items = range(1, n + 1)
-    yield ()
-    for size in range(1, k + 1):
-        yield from combinations(items, size)
+    s0 = tuple(items[j] for j in _solve(nu, r, params.zeta, capacity))
+    return OptimumSolution(s_star=s0, theta_star=float(reduced_revenue(rewards, params, s0)))
 
 
 def _revenue_table(inst: Instance):
@@ -194,72 +185,60 @@ def brute_force_optimum(inst: Instance) -> OptimumSolution:
 
 
 def exact_optimum(inst: Instance) -> OptimumSolution:
-    """The instance's optimum: brute force up to ``BRUTE_FORCE_MAX_N`` items,
-    the fractional oracle beyond."""
-    if inst.n <= BRUTE_FORCE_MAX_N:
-        return brute_force_optimum(inst)
-    return fractional_optimum(
-        {i: float(inst.r[i - 1]) for i in inst.items()}, reduce_params(inst, ()), inst.k
-    )
+    """The instance's optimum, for any ``n``, by ``_solve``.
+
+    Tie-break rule: ``s_star`` is ``select_f``'s selection at ``theta*`` --
+    the items with strictly positive score ``v_i (r_i - theta*)``, the top
+    ``k`` of them, and among equal scores the smaller id.  An item with
+    ``r_i = theta*`` scores 0 and is left out even where adding it keeps the
+    revenue at ``theta*``; ``brute_force_optimum``'s lexicographic rule can
+    pick such a set instead, at the same revenue.
+    """
+    s = _solve(inst.v, inst.r, 0.0, inst.k)
+    return OptimumSolution(s_star=tuple(int(j) + 1 for j in s), theta_star=_revenue(inst, s))
 
 
 def suboptimality_gaps(inst: Instance) -> Dict[int, float]:
-    """Per-item suboptimality gaps by exhaustive enumeration.
+    """Per-item suboptimality gaps, one ``_solve`` per item.
 
     With ``theta*`` the optimal revenue and ``S*`` the optimal assortment:
 
     * for ``i`` outside ``S*``: ``gap_i = theta* - max_{|S|<=k, i in S} R(S)``
-      (the best one can do while forced to include i);
+      (the best one can do while forced to include i: reduce by ``{i}`` and
+      solve at capacity ``k - 1``);
     * for ``i`` in ``S*``: ``gap_i = theta* - max_{|S|<=k, i not in S} R(S)``
-      (the best one can do while forced to exclude i).
+      (the best one can do while forced to exclude i: drop ``i`` and solve
+      at capacity ``k``).
 
     The empty assortment is admissible in the exclusion maxima.  Gaps are
     >= 0, and equal 0 only in degenerate tied instances.
     """
-    if inst.n > BRUTE_FORCE_MAX_N:
-        raise ValueError(
-            f"gap enumeration refused for n = {inst.n} > {BRUTE_FORCE_MAX_N}"
-        )
-    opt = brute_force_optimum(inst)
-    in_opt = set(opt.s_star)
-    # best_with[j] over assortments containing item j+1 (-inf until seen);
-    # best_without[j] over assortments excluding it (empty set counts: 0).
-    best_with = np.full(inst.n, -np.inf)
-    best_without = np.zeros(inst.n)
-    for idx, rev in _revenue_table(inst):
-        member = np.zeros((idx.shape[0], inst.n), dtype=bool)
-        rows = np.repeat(np.arange(idx.shape[0]), idx.shape[1])
-        member[rows, idx.ravel()] = True
-        with_max = np.where(member, rev[:, None], -np.inf).max(axis=0)
-        without_max = np.where(member, -np.inf, rev[:, None]).max(axis=0)
-        np.maximum(best_with, with_max, out=best_with)
-        np.maximum(best_without, without_max, out=best_without)
+    v, r, k = inst.v, inst.r, inst.k
+    star = _solve(v, r, 0.0, k)
+    theta = _revenue(inst, star)
     gaps: Dict[int, float] = {}
-    for i in inst.items():
-        bound = best_without[i - 1] if i in in_opt else best_with[i - 1]
-        gaps[i] = float(opt.theta_star - bound)
+    for i in range(inst.n):
+        rest = np.delete(np.arange(inst.n), i)
+        if i in star:
+            s = rest[_solve(v[rest], r[rest], 0.0, k)]
+        else:  # reduced by {i}: zeta = R({i}), nu = v / (1 + v_i)
+            w = 1.0 + v[i]
+            s = rest[_solve(v[rest] / w, r[rest], v[i] * r[i] / w, k - 1)]
+            s = np.sort(np.append(s, i))
+        gaps[i + 1] = float(theta - _revenue(inst, s))
     return gaps
 
 
 def revenue_margin(inst: Instance) -> float:
     """Gap between the best and second-best assortment revenues.
 
-    Enumerates every assortment of size <= k (so ``n <= 24``) and returns
-    ``theta* - max{R(S) : S != S*}``.  A healthy margin makes "the" optimum
-    well defined for benchmarking; generators reject near-tied draws.
+    Returns ``theta* - max{R(S) : S != S*}``, the smallest suboptimality gap:
+    every ``S != S*`` differs from ``S*`` in some item ``i``, so its revenue
+    is bounded by the maximum behind ``gap_i``.  Tied optima give 0.  A
+    healthy margin makes "the" optimum well defined for benchmarking;
+    generators reject near-tied draws.
     """
-    if inst.n > BRUTE_FORCE_MAX_N:
-        raise ValueError(
-            f"margin enumeration refused for n = {inst.n} > {BRUTE_FORCE_MAX_N}"
-        )
-    # All revenues including the empty assortment; the two largest values
-    # (counting duplicates separately) give best and runner-up.  Ties for the
-    # top therefore yield margin 0, which is what callers screen against.
-    all_rev = [np.array([0.0])]
-    all_rev.extend(rev for _, rev in _revenue_table(inst))
-    flat = np.concatenate(all_rev)
-    top_two = np.partition(flat, len(flat) - 2)[-2:]
-    return float(top_two.max() - top_two.min())
+    return min(suboptimality_gaps(inst).values())
 
 
 def lower_bound_instance(

@@ -1,0 +1,48 @@
+"""Enumeration references for the per-item gaps and the revenue margin.
+
+Both enumerate every assortment of size <= k (keep ``n`` small); the tests
+require ``suboptimality_gaps`` and ``revenue_margin`` to agree with them bit
+for bit on instances without tied assortments.
+"""
+
+from typing import Dict
+
+import numpy as np
+
+from mnlbandit.model import Instance
+from mnlbandit.oracle import _revenue_table, brute_force_optimum
+
+
+def enumerated_gaps(inst: Instance) -> Dict[int, float]:
+    """``suboptimality_gaps`` by exhaustive enumeration."""
+    opt = brute_force_optimum(inst)
+    in_opt = set(opt.s_star)
+    # best_with[j] over assortments containing item j+1 (-inf until seen);
+    # best_without[j] over assortments excluding it (empty set counts: 0).
+    best_with = np.full(inst.n, -np.inf)
+    best_without = np.zeros(inst.n)
+    for idx, rev in _revenue_table(inst):
+        member = np.zeros((idx.shape[0], inst.n), dtype=bool)
+        rows = np.repeat(np.arange(idx.shape[0]), idx.shape[1])
+        member[rows, idx.ravel()] = True
+        with_max = np.where(member, rev[:, None], -np.inf).max(axis=0)
+        without_max = np.where(member, -np.inf, rev[:, None]).max(axis=0)
+        np.maximum(best_with, with_max, out=best_with)
+        np.maximum(best_without, without_max, out=best_without)
+    gaps: Dict[int, float] = {}
+    for i in inst.items():
+        bound = best_without[i - 1] if i in in_opt else best_with[i - 1]
+        gaps[i] = float(opt.theta_star - bound)
+    return gaps
+
+
+def enumerated_margin(inst: Instance) -> float:
+    """``revenue_margin`` by exhaustive enumeration."""
+    # All revenues including the empty assortment; the two largest values
+    # (counting duplicates separately) give best and runner-up.  Ties for the
+    # top therefore yield margin 0.
+    all_rev = [np.array([0.0])]
+    all_rev.extend(rev for _, rev in _revenue_table(inst))
+    flat = np.concatenate(all_rev)
+    top_two = np.partition(flat, len(flat) - 2)[-2:]
+    return float(top_two.max() - top_two.min())

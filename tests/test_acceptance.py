@@ -161,9 +161,10 @@ def test_criterion_04_epoch_moments():
             if abs(state.bar_nu(i) - nu) > 3 * se:
                 bad.append(f"config {idx}: weight of item {i}")
 
-        # epoch length minus one: sum of the independent geometrics
+        # epoch length minus one: the total purchase count, geometric with
+        # mean sum(nu) (the item counts are jointly negative-multinomial)
         nus = [params.nu[i] for i in tracked]
-        se_len = math.sqrt(sum(nu * (1.0 + nu) for nu in nus) / epochs)
+        se_len = math.sqrt(sum(nus) * (1.0 + sum(nus)) / epochs)
         mean_len = float(np.mean(state.epoch_lengths))
         if abs((mean_len - 1.0) - sum(nus)) > 3 * se_len:
             bad.append(f"config {idx}: epoch length")

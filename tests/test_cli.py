@@ -109,7 +109,10 @@ class TestOracle:
         assert "n = 30" in report
         assert f"theta_star = {format(opt.theta_star, '.17g')}" in report
         assert "s_star = " + ", ".join(str(i) for i in opt.s_star) in report
-        assert "gap." not in report  # gaps need enumeration, so n <= 24 only
+        gaps = [line for line in report.splitlines() if line.startswith("gap.")]
+        assert [line.split(" = ")[0] for line in gaps] == [f"gap.{i}" for i in range(1, 31)]
+        for line in gaps[2:]:
+            assert abs(float(line.split(" = ")[1]) - 0.01) <= 1e-12
 
 
 class TestRunValidation:

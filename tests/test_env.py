@@ -289,7 +289,8 @@ class TestSampleEpochs:
 
     def test_moments_match_the_epoch_law(self):
         # Purchase counts are geometric with mean nu_i, the stop reward has
-        # mean zeta = R(Z, v), and epoch length minus one has mean sum(nu).
+        # mean zeta = R(Z, v), and epoch length minus one, the total purchase
+        # count, is geometric with mean sum(nu).
         inst = Instance(
             n=6, k=6, r=[1.0, 0.7, 0.5, 0.9, 0.2, 0.4],
             v=[0.5, 0.3, 0.8, 0.6, 0.9, 0.2],
@@ -312,7 +313,7 @@ class TestSampleEpochs:
         z_bar = batch.z_values.mean()
         assert abs(z_bar - zeta) <= 4 * np.sqrt(var_z / epochs)
         e_bar = (batch.lengths - 1).mean()
-        se_e = np.sqrt((nu * (1 + nu)).sum() / epochs)
+        se_e = np.sqrt(nu.sum() * (1 + nu.sum()) / epochs)
         assert abs(e_bar - nu.sum()) <= 4 * se_e
         assert env.ledger.steps == batch.steps
 

@@ -65,9 +65,10 @@ class TestGenerate:
         inst = generate_instance("lower-bound", 4, 2, gaps=[0.01, 0.02])
         assert inst.n == 4 and inst.k == 2
 
-    def test_enumeration_guard(self):
-        with pytest.raises(ValueError):
-            generate_instance("uniform", 25, 3, seed=1)
+    def test_wide_instances_generate(self):
+        inst = generate_instance("uniform", 60, 10, seed=1)
+        assert inst.n == 60 and inst.k == 10
+        assert revenue_margin(inst) >= UNIQUENESS_MARGIN
 
 
 class TestFormat:

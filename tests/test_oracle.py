@@ -15,15 +15,15 @@ from mnlbandit.model import (
 )
 from mnlbandit.oracle import (
     BRUTE_FORCE_MAX_N,
-    FRACTIONAL_MAX_ITER,
-    FRACTIONAL_TOL,
     brute_force_optimum,
+    exact_optimum,
     fractional_optimum,
     lower_bound_instance,
     revenue_margin,
     select_f,
     suboptimality_gaps,
 )
+from oracle_reference import enumerated_gaps, enumerated_margin
 
 
 def random_instance(rng, n_max=8, k_max=None):
@@ -138,11 +138,6 @@ class TestFractionalOptimum:
             ).theta_star
             assert bumped_nu >= base - 1e-10
 
-    def test_bracket_constants(self):
-        assert FRACTIONAL_TOL == 1e-12
-        assert FRACTIONAL_MAX_ITER == 80
-        assert 2.0 ** (-FRACTIONAL_MAX_ITER) < FRACTIONAL_TOL
-
 
 class TestBruteForceOptimum:
     def test_single_unit_item(self):
@@ -160,10 +155,6 @@ class TestBruteForceOptimum:
         )
         with pytest.raises(ValueError):
             brute_force_optimum(inst)
-        with pytest.raises(ValueError):
-            suboptimality_gaps(inst)
-        with pytest.raises(ValueError):
-            revenue_margin(inst)
 
     def test_ties_break_lexicographically(self):
         inst = Instance(n=3, k=1, r=[0.8, 0.8, 0.8], v=[0.6, 0.6, 0.6])
@@ -187,6 +178,39 @@ class TestBruteForceOptimum:
             )
             np.testing.assert_allclose(bf.theta_star, fr.theta_star, atol=1e-9)
             assert bf.s_star == fr.s_star
+
+
+class TestExactOptimum:
+    def test_matches_the_enumeration_references_bit_for_bit(self):
+        rng = np.random.default_rng(28)
+        for _ in range(2000):
+            inst = random_instance(rng, n_max=10)
+            assert exact_optimum(inst) == brute_force_optimum(inst)
+            assert revenue_margin(inst) == enumerated_margin(inst)
+            assert suboptimality_gaps(inst) == enumerated_gaps(inst)
+
+    def test_equal_items_break_toward_smaller_ids(self):
+        inst = Instance(n=5, k=2, r=[0.3, 0.9, 0.9, 0.9, 0.9], v=[0.4, 0.5, 0.5, 0.5, 0.5])
+        opt = exact_optimum(inst)
+        assert opt.s_star == (2, 3)
+        assert opt == brute_force_optimum(inst)
+
+    def test_an_item_at_the_optimal_revenue_is_left_out(self):
+        # R({2}) = R({1, 2}) = 1/2 = r_1: item 1 scores 0 at theta* = 1/2.
+        inst = Instance(n=2, k=2, r=[0.5, 1.0], v=[0.5, 1.0])
+        opt, bf = exact_optimum(inst), brute_force_optimum(inst)
+        assert opt.s_star == (2,)
+        assert bf.s_star == (1, 2)
+        assert revenue(inst, opt.s_star) == revenue(inst, bf.s_star) == opt.theta_star == 0.5
+
+    def test_solves_beyond_the_brute_force_limit(self):
+        inst = lower_bound_instance(60, 10, [0.001] * 50)
+        opt = exact_optimum(inst)
+        assert opt.s_star == tuple(range(1, 11))
+        np.testing.assert_allclose(opt.theta_star, 0.5, atol=1e-12)
+        gaps = suboptimality_gaps(inst)
+        np.testing.assert_allclose([gaps[i] for i in range(11, 61)], 0.001, atol=1e-12)
+        np.testing.assert_allclose(revenue_margin(inst), 0.001, atol=1e-12)
 
 
 class TestSuboptimalityGaps:
