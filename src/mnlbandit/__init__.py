@@ -69,7 +69,6 @@ from .driver import (
     pac_exact,
     regret_min,
     sar_mnl,
-    uniform_random_regret,
 )
 from .instances import (
     FAMILIES,
@@ -126,7 +125,6 @@ __all__ = [
     "pac_exact",
     "regret_min",
     "sar_mnl",
-    "uniform_random_regret",
     "FAMILIES",
     "generate_instance",
     "read_instance",

@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -186,22 +187,12 @@ def _cmd_oracle(args) -> int:
 
 def _resolve_tuning(args) -> Tuning:
     base = DESK_TUNING if args.tuning == "desk" else PAPER_TUNING
-    overrides = {}
-    if args.tau_scale is not None:
-        overrides["tau_scale"] = args.tau_scale
-    if args.rough_tau_scale is not None:
-        overrides["rough_tau_scale"] = args.rough_tau_scale
-    if args.ci_scale is not None:
-        overrides["ci_scale"] = args.ci_scale
-    if overrides:
-        base = Tuning(
-            c0=base.c0,
-            c2=base.c2,
-            tau_scale=overrides.get("tau_scale", base.tau_scale),
-            rough_tau_scale=overrides.get("rough_tau_scale", base.rough_tau_scale),
-            ci_scale=overrides.get("ci_scale", base.ci_scale),
-        )
-    return base
+    overrides = {
+        name: getattr(args, name)
+        for name in ("tau_scale", "rough_tau_scale", "ci_scale")
+        if getattr(args, name) is not None
+    }
+    return replace(base, **overrides)
 
 
 def _resolve_instance(args) -> Tuple[Instance, Dict[str, str]]:
@@ -221,42 +212,41 @@ def _resolve_instance(args) -> Tuple[Instance, Dict[str, str]]:
     return inst, meta
 
 
-def _replicate(payload: tuple) -> Tuple[Dict[str, str], Optional[List[float]]]:
-    """Run one replication (top-level so worker processes can pickle it)."""
-    (
-        mode,
-        n,
-        k,
-        r,
-        v,
-        master_seed,
-        rep,
-        delta,
-        eps,
-        horizon,
-        estimator,
-        tuning_tuple,
-        want_curve,
-    ) = payload
-    inst = Instance(n=n, k=k, r=np.array(r), v=np.array(v))
-    tuning = Tuning(*tuning_tuple)
-    rng = fork_stream(master_seed, rep)
-    env = Environment(inst, rng, horizon=horizon if mode == "regret" else None)
+@dataclass(frozen=True)
+class RunJob:
+    """Everything a replication needs besides its index."""
 
-    if mode == "pac":
-        if estimator == "adaptive":
-            result = pac_exact(env, delta, tuning)
+    inst: Instance
+    mode: str
+    master_seed: int
+    delta: float
+    eps: Optional[float]
+    horizon: Optional[int]
+    estimator: str
+    tuning: Tuning
+    curve_rep: Optional[int]  # the replication whose regret curve is kept
+
+
+def _replicate(job: RunJob, rep: int) -> Tuple[Dict[str, str], Optional[List[float]]]:
+    """Run one replication."""
+    tuning = job.tuning
+    rng = fork_stream(job.master_seed, rep)
+    env = Environment(job.inst, rng, horizon=job.horizon if job.mode == "regret" else None)
+
+    if job.mode == "pac":
+        if job.estimator == "adaptive":
+            result = pac_exact(env, job.delta, tuning)
         else:
-            fn = {"naive": est_naive, "reduced": est_reduced, "reg": est_reg}[estimator]
+            fn = {"naive": est_naive, "reduced": est_reduced, "reg": est_reg}[job.estimator]
 
             def phase_est(e, a, b, dk, eh):
                 return fn(e, a, b, dk, eh, tuning)
 
-            result = sar_mnl(env, delta, phase_est)
-    elif mode == "pac-eps":
-        result = pac_eps(env, delta, eps, tuning)
+            result = sar_mnl(env, job.delta, phase_est)
+    elif job.mode == "pac-eps":
+        result = pac_eps(env, job.delta, job.eps, tuning)
     else:  # regret
-        result = regret_min(env, horizon, tuning)
+        result = regret_min(env, job.horizon, tuning)
 
     status = "ok"
     if result.aborted:
@@ -265,7 +255,7 @@ def _replicate(payload: tuple) -> Tuple[Dict[str, str], Optional[List[float]]]:
         status = "horizon"
     row = {
         "replication": str(rep),
-        "seed": str(stream_digest(master_seed, rep)),
+        "seed": str(stream_digest(job.master_seed, rep)),
         "steps": str(result.steps),
         "success": "1" if result.success else "0",
         "set_size": str(len(result.assortment)),
@@ -273,8 +263,22 @@ def _replicate(payload: tuple) -> Tuple[Dict[str, str], Optional[List[float]]]:
         "regret": repr(result.final_regret) if result.final_regret is not None else "",
         "status": status,
     }
-    curve = env.ledger.curve().tolist() if want_curve else None
+    curve = env.ledger.curve().tolist() if rep == job.curve_rep else None
     return row, curve
+
+
+#: The job of a pool worker, received once when the worker starts, so that the
+#: worker's environments share one instance, hence one optimum and plan table.
+_worker_job: Optional[RunJob] = None
+
+
+def _start_worker(job: RunJob) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _replicate_in_worker(rep: int) -> Tuple[Dict[str, str], Optional[List[float]]]:
+    return _replicate(_worker_job, rep)
 
 
 def _worker_count(reps: int) -> int:
@@ -326,32 +330,31 @@ def _cmd_run(args) -> int:
     tuning = _resolve_tuning(args)
     # regret_min always runs est_reg; record that, not the --estimator default
     estimator = "reg" if args.mode == "regret" else args.estimator
-    payloads = [
-        (
-            args.mode,
-            inst.n,
-            inst.k,
-            inst.r.tolist(),
-            inst.v.tolist(),
-            args.seed,
-            rep,
-            args.delta,
-            args.eps,
-            args.horizon,
-            estimator,
-            (tuning.c0, tuning.c2, tuning.tau_scale, tuning.rough_tau_scale, tuning.ci_scale),
-            args.curve_out is not None and rep == args.curve_rep,
-        )
-        for rep in range(args.reps)
-    ]
+    job = RunJob(
+        inst=inst,
+        mode=args.mode,
+        master_seed=args.seed,
+        delta=args.delta,
+        eps=args.eps,
+        horizon=args.horizon,
+        estimator=estimator,
+        tuning=tuning,
+        curve_rep=args.curve_rep if args.curve_out is not None else None,
+    )
 
     workers = _worker_count(args.reps)
     if workers == 1:
-        outcomes = [_replicate(p) for p in payloads]
+        outcomes = [_replicate(job, rep) for rep in range(args.reps)]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker, initargs=(job,)
+        ) as pool:
             outcomes = list(
-                pool.map(_replicate, payloads, chunksize=max(1, args.reps // (4 * workers)))
+                pool.map(
+                    _replicate_in_worker,
+                    range(args.reps),
+                    chunksize=max(1, args.reps // (4 * workers)),
+                )
             )
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

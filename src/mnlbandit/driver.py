@@ -22,10 +22,7 @@ upper ends), so the pinned set never exceeds the capacity — asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, List, Optional, Tuple
-
-import numpy as np
 
 from .env import Environment, HorizonExhausted
 from .estimators import (
@@ -36,8 +33,8 @@ from .estimators import (
     est_reg,
     est_rough,
 )
-from .model import Assortment, Instance, ReducedParams, revenue
-from .oracle import exact_optimum, fractional_optimum
+from .model import Assortment, ReducedParams
+from .oracle import fractional_optimum
 
 __all__ = [
     "PhaseState",
@@ -47,7 +44,6 @@ __all__ = [
     "pac_exact",
     "pac_eps",
     "regret_min",
-    "uniform_random_regret",
     "PHASE_CAP",
 ]
 
@@ -397,18 +393,3 @@ def regret_min(
         final_regret=env.ledger.cum_regret,
     )
 
-
-def uniform_random_regret(
-    inst: Instance, horizon: int, rng: np.random.Generator
-) -> float:
-    """Cumulative pseudo-regret of offering a uniform random size-k set each step.
-
-    Pseudo-regret depends only on the offered sets, so no purchases need to
-    be simulated: draw the per-step assortment indices and sum the revenue
-    shortfalls.
-    """
-    opt = exact_optimum(inst)
-    choices = list(combinations(range(1, inst.n + 1), inst.k))
-    revenues = np.array([revenue(inst, s) for s in choices])
-    draws = rng.integers(0, len(choices), size=horizon)
-    return float((opt.theta_star - revenues[draws]).sum())

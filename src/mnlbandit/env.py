@@ -34,6 +34,7 @@ identifier is pinned in `RNG_ALGORITHM_ID` and echoed by the CLI metadata.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
@@ -58,6 +59,11 @@ RNG_ALGORITHM_ID = "numpy-pcg64-seedseq-spawnkey-v2"
 
 #: numpy's hypergeometric sampler requires both of its counts below this.
 _HYPERGEOM_LIMIT = 10**9
+
+#: Instance -> (its optimum, its plan table): what every environment on one
+#: instance shares, so a process builds each once however many replications
+#: it runs.  Entries go when their instance does.
+_PER_INSTANCE: "weakref.WeakKeyDictionary[Instance, tuple]" = weakref.WeakKeyDictionary()
 
 
 class HorizonExhausted(RuntimeError):
@@ -152,8 +158,8 @@ class Environment:
     """Seeded MNL market simulator with exclusive ownership semantics.
 
     The instance's weights are hidden from algorithms: only ``n``, ``k`` and
-    the reward vector are exposed.  The optimal solution is computed once at
-    construction for regret accounting and success evaluation; accessors
+    the reward vector are exposed.  The optimal solution is computed once per
+    instance for regret accounting and success evaluation; accessors
     ``oracle_solution`` / ``true_revenue`` are evaluation scaffolding and
     must not be consulted by estimation or driver logic.
 
@@ -177,10 +183,12 @@ class Environment:
         self.rewards = inst.r.copy()
         self.rewards.setflags(write=False)
         self.ledger = RegretLedger(n=inst.n)
-        self._solution = exact_optimum(inst)
-        # Per-assortment cache of (cumulative outcome weights, per-step regret,
-        # 0-based indices); bounded, cleared wholesale when full.
-        self._offer_cache: dict = {}
+        shared = _PER_INSTANCE.get(inst)
+        if shared is None:
+            shared = _PER_INSTANCE[inst] = (exact_optimum(inst), {})
+        # The optimum, and the per-(S, Z) table of `_Plan`s (bounded, cleared
+        # wholesale when full), are shared by every environment on `inst`.
+        self._solution, self._offer_cache = shared
 
     # -- evaluation scaffolding (not for algorithm use) ---------------------
 
@@ -214,19 +222,14 @@ class Environment:
             return None
         return self._horizon - self.ledger.steps
 
-    def _cached(self, key: Tuple[Tuple[int, ...], Tuple[int, ...]]):
-        entry = self._offer_cache.get(key)
-        if entry is None:
-            offered = tuple(sorted(set(key[0]) | set(key[1])))
-            idx = np.asarray(offered, dtype=int) - 1
-            w = self._inst.v[idx]
-            cum = np.cumsum(np.concatenate(([1.0], w)))
-            regret = self._solution.theta_star - revenue(self._inst, offered)
+    def _cached(self, key: Tuple[Assortment, Assortment]) -> "_Plan":
+        """The plan of a validated ``(S, Z)`` key, built on first use."""
+        plan = self._offer_cache.get(key)
+        if plan is None:
             if len(self._offer_cache) >= 4096:
                 self._offer_cache.clear()
-            entry = (offered, idx, w, cum, regret)
-            self._offer_cache[key] = entry
-        return entry
+            plan = self._offer_cache[key] = _Plan.build(self._inst, self._solution, *key)
+        return plan
 
     # -- single step --------------------------------------------------------
 
@@ -243,11 +246,11 @@ class Environment:
             raise ValueError(f"assortment size {len(t)} exceeds capacity {self.k}")
         if self._horizon is not None and self.ledger.steps >= self._horizon:
             raise HorizonExhausted("step budget exhausted")
-        offered, idx, w, cum, regret = self._cached((t, ()))
-        u = self._rng.random() * cum[-1]
-        j = int(np.searchsorted(cum, u, side="right"))
-        self.ledger.record(idx, regret, 1)
-        return 0 if j == 0 else offered[j - 1]
+        plan = self._cached((t, ()))
+        u = self._rng.random() * plan.cum[-1]
+        j = int(np.searchsorted(plan.cum, u, side="right"))
+        self.ledger.record(plan.idx, plan.regret, 1)
+        return 0 if j == 0 else plan.offered[j - 1]
 
     # -- exploitation -------------------------------------------------------
 
@@ -263,8 +266,8 @@ class Environment:
         remaining = self.steps_remaining
         if remaining is not None and steps > remaining:
             raise HorizonExhausted("step budget exhausted")
-        _, idx, _, _, regret = self._cached((t, ()))
-        self.ledger.record(idx, regret, steps)
+        plan = self._cached((t, ()))
+        self.ledger.record(plan.idx, plan.regret, steps)
 
     # -- vectorized epochs ---------------------------------------------------
 
@@ -285,40 +288,22 @@ class Environment:
         conditioned on, the aggregates, which therefore do not depend on
         ``collect``.
         """
-        tz = validate_assortment(z, self.n)
-        ts = validate_assortment(s, self.n)
-        if set(tz) & set(ts):
-            raise ValueError("stopping set and tracked set must be disjoint")
-        if len(tz) + len(ts) > self.k:
-            raise ValueError(
-                f"offered size {len(tz) + len(ts)} exceeds capacity {self.k}"
-            )
+        try:
+            plan = self._offer_cache[(s, z)]
+        except (KeyError, TypeError):  # a key not seen yet, or not a tuple pair
+            plan = self._epoch_plan(z, s)
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
-
-        _, _, _, _, regret = self._cached((ts, tz))
-        offered_idx = np.asarray(sorted(tz + ts), dtype=int) - 1
-
-        v_z = self._inst.v[np.asarray(tz, dtype=int) - 1] if tz else np.zeros(0)
-        v_s = self._inst.v[np.asarray(ts, dtype=int) - 1] if ts else np.zeros(0)
-        stop_weights = np.concatenate(([1.0], v_z))  # no-purchase, then Z
-        stop_rewards = np.concatenate(
-            ([0.0], self._inst.r[np.asarray(tz, dtype=int) - 1] if tz else np.zeros(0))
-        )
-        q = stop_weights.sum() / (stop_weights.sum() + v_s.sum())
-
+        rng = self._rng
         budget = self.steps_remaining  # None = unlimited
-        # Under a budget, an overflowing draw is refined by a hypergeometric
-        # draw, so epochs go in chunks whose expected steps (chunk / q) stay
-        # far below numpy's limit on its counts.
-        chunk = epochs if budget is None else max(1, int(q * _HYPERGEOM_LIMIT) // 10)
+        chunk = epochs if budget is None else plan.chunk
         done = 0  # completed epochs
         bought = 0  # purchases within completed epochs
         used = 0
         truncated = False
         while done < epochs:
             t = min(epochs - done, chunk)
-            m = int(self._rng.negative_binomial(t, q))
+            m = int(rng.negative_binomial(t, plan.q))
             if budget is None or used + t + m <= budget:
                 done += t
                 bought += m
@@ -330,9 +315,9 @@ class Environment:
             # last stop sits at the maximum of k uniforms (Beta(k, 1)), and the
             # purchases after it belong to the cut-off epoch.
             room = budget - used
-            k = int(self._rng.hypergeometric(t - 1, m, room))
+            k = int(rng.hypergeometric(t - 1, m, room))
             tail = (
-                int(self._rng.binomial(room - k, 1.0 - self._rng.beta(k, 1.0)))
+                int(rng.binomial(room - k, 1.0 - rng.beta(k, 1.0)))
                 if k
                 else room
             )
@@ -342,15 +327,15 @@ class Environment:
             truncated = True
             break
 
-        x_sums = _multinomial(self._rng, bought, v_s)
-        stop_counts = _multinomial(self._rng, done, stop_weights)
-        self.ledger.record(offered_idx, regret, used)
+        x_sums = plan.items.draw(rng, bought)
+        stop_counts = plan.stops.draw(rng, done)
+        self.ledger.record(plan.idx, plan.regret, used)
         batch = EpochBatch(
             requested=epochs,
             epochs=done,
             steps=used,
             x_sums=x_sums,
-            z_sum=float(stop_counts @ stop_rewards),
+            z_sum=float(stop_counts @ plan.stop_rewards),
             truncated=truncated,
         )
         if collect:
@@ -358,18 +343,29 @@ class Environment:
             # totals, the per-epoch purchase totals are a uniform composition
             # of `bought` into `done` parts, and the item labels and the stop
             # outcomes are uniform shuffles of their counts.
-            totals = _composition(self._rng, bought, done)
-            labels = self._rng.permutation(np.repeat(np.arange(len(ts)), x_sums))
+            tracked = plan.items.size
+            totals = _composition(rng, bought, done)
+            labels = rng.permutation(np.repeat(np.arange(tracked), x_sums))
             owner = np.repeat(np.arange(done), totals)
             batch.x = np.bincount(
-                owner * len(ts) + labels, minlength=done * len(ts)
-            ).reshape(done, len(ts))
-            stops = self._rng.permutation(
-                np.repeat(np.arange(len(stop_weights)), stop_counts)
-            )
-            batch.z_values = stop_rewards[stops]
+                owner * tracked + labels, minlength=done * tracked
+            ).reshape(done, tracked)
+            stops = rng.permutation(np.repeat(np.arange(plan.stops.size), stop_counts))
+            batch.z_values = plan.stop_rewards[stops]
             batch.lengths = 1 + totals
         return batch
+
+    def _epoch_plan(self, z: Iterable[int], s: Iterable[int]) -> "_Plan":
+        """Validate a ``(Z, S)`` pair, then return its plan."""
+        tz = validate_assortment(z, self.n)
+        ts = validate_assortment(s, self.n)
+        if set(tz) & set(ts):
+            raise ValueError("stopping set and tracked set must be disjoint")
+        if len(tz) + len(ts) > self.k:
+            raise ValueError(
+                f"offered size {len(tz) + len(ts)} exceeds capacity {self.k}"
+            )
+        return self._cached((ts, tz))
 
 
 def _composition(rng: np.random.Generator, total: int, parts: int) -> np.ndarray:
@@ -385,14 +381,76 @@ def _composition(rng: np.random.Generator, total: int, parts: int) -> np.ndarray
     return np.diff(bars, prepend=-1, append=slots) - 1
 
 
-def _multinomial(rng: np.random.Generator, count: int, weights: np.ndarray) -> np.ndarray:
-    """Split ``count`` draws over categories proportional to ``weights``.
+@dataclass(frozen=True)
+class _Split:
+    """Multinomial split of a count over fixed category weights.
 
     Zero-weight categories get exactly zero: only positive weights enter the
-    draw, so a zero weight never picks up rounding leftovers.
+    draw, so a zero weight never picks up rounding leftovers.  The mask and
+    the normalised probabilities are computed once, when the plan is built.
     """
-    out = np.zeros(len(weights), dtype=np.int64)
-    positive = weights > 0
-    if count and positive.any():
-        out[positive] = rng.multinomial(count, weights[positive] / weights[positive].sum())
-    return out
+
+    size: int
+    mask: Optional[np.ndarray]  # positive weights; None when all are
+    probs: Optional[np.ndarray]  # None when no weight is positive
+
+    @classmethod
+    def of(cls, weights: np.ndarray) -> "_Split":
+        positive = weights > 0
+        probs = weights[positive] / weights[positive].sum() if positive.any() else None
+        return cls(len(weights), None if positive.all() else positive, probs)
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        if not count or self.probs is None:
+            return np.zeros(self.size, dtype=np.int64)
+        drawn = rng.multinomial(count, self.probs)
+        if self.mask is None:
+            return drawn
+        out = np.zeros(self.size, dtype=np.int64)
+        out[self.mask] = drawn
+        return out
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What ``offer``, ``advance`` and ``sample_epochs`` need of one offered
+    pair: tracked set ``S`` and stopping set ``Z`` (``Z`` empty for a plain
+    offer), validated by the caller."""
+
+    offered: Assortment  # S ∪ Z, ascending
+    idx: np.ndarray  # its 0-based indices
+    cum: np.ndarray  # cumulative outcome weights, no-purchase first
+    regret: float  # per-step pseudo-regret of offering S ∪ Z
+    q: float  # an epoch's per-step stop probability
+    chunk: int  # epochs per negative-binomial draw under a step budget
+    items: _Split  # purchases over S
+    stops: _Split  # stops over no-purchase, then Z
+    stop_rewards: np.ndarray
+
+    @classmethod
+    def build(
+        cls, inst: Instance, solution: OptimumSolution, ts: Assortment, tz: Assortment
+    ) -> "_Plan":
+        offered = tuple(sorted(set(ts) | set(tz)))
+        idx = np.asarray(offered, dtype=int) - 1
+        v_z = inst.v[np.asarray(tz, dtype=int) - 1] if tz else np.zeros(0)
+        v_s = inst.v[np.asarray(ts, dtype=int) - 1] if ts else np.zeros(0)
+        stop_weights = np.concatenate(([1.0], v_z))  # no-purchase, then Z
+        stop_rewards = np.concatenate(
+            ([0.0], inst.r[np.asarray(tz, dtype=int) - 1] if tz else np.zeros(0))
+        )
+        q = stop_weights.sum() / (stop_weights.sum() + v_s.sum())
+        return cls(
+            offered=offered,
+            idx=idx,
+            cum=np.cumsum(np.concatenate(([1.0], inst.v[idx]))),
+            regret=solution.theta_star - revenue(inst, offered),
+            q=q,
+            # Under a budget, an overflowing draw is refined by a
+            # hypergeometric draw, so epochs go in chunks whose expected steps
+            # (chunk / q) stay far below numpy's limit on its counts.
+            chunk=max(1, int(q * _HYPERGEOM_LIMIT) // 10),
+            items=_Split.of(v_s),
+            stops=_Split.of(stop_weights),
+            stop_rewards=stop_rewards,
+        )

@@ -46,8 +46,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .env import Environment, EpochBatch, HorizonExhausted
-from .model import Assortment, ReducedParams, validate_assortment
-from .oracle import fractional_optimum
+from .model import Assortment, validate_assortment
+from .oracle import _solve
 
 __all__ = [
     "Tuning",
@@ -280,15 +280,26 @@ def ci_theta(
     The reduced optimum is nondecreasing in ``zeta`` and in every ``nu_i``
     whose reward side can only help (formally: raising any parameter never
     lowers the constrained optimum), so solving at the lower ends bounds it
-    from below and at the upper ends from above.
+    from below and at the upper ends from above.  Each end is the oracle's
+    ``_solve`` on arrays, with the revenue recomputed on the chosen set by
+    ``reduced_revenue``'s expression, so it equals ``fractional_optimum``'s
+    ``theta_star`` bit for bit.
     """
-    lo = fractional_optimum(
-        rewards, ReducedParams(zeta_lo, {i: nu_lo[i] for i in items}), capacity
-    ).theta_star
-    hi = fractional_optimum(
-        rewards, ReducedParams(zeta_hi, {i: nu_hi[i] for i in items}), capacity
-    ).theta_star
-    return (float(lo), float(hi))
+    if capacity < 0:
+        raise ValueError("capacity must be >= 0")
+    items = sorted(items)
+    r = [rewards[i] for i in items]
+    r_arr = np.array(r, dtype=float)
+
+    def plug_in(nu_end: Mapping[int, float], zeta: float) -> float:
+        nu = [nu_end[i] for i in items]
+        num, den = zeta, 1.0
+        for j in _solve(np.array(nu, dtype=float), r_arr, zeta, capacity).tolist():
+            num += nu[j] * r[j]
+            den += nu[j]
+        return float(num / den)
+
+    return (plug_in(nu_lo, zeta_lo), plug_in(nu_hi, zeta_hi))
 
 
 def ci_xi(

@@ -80,6 +80,11 @@ class Instance:
         self.r.setflags(write=False)
         self.v.setflags(write=False)
 
+    def __reduce__(self):
+        # Unpickle through the constructor: the copy is validated and its
+        # arrays are read-only, as the original's are.
+        return (Instance, (self.n, self.k, self.r, self.v))
+
     def items(self) -> range:
         """All item ids, 1..n."""
         return range(1, self.n + 1)

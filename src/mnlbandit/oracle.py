@@ -69,9 +69,10 @@ class OptimumSolution:
 def _top_positive(scores: np.ndarray, capacity: int) -> np.ndarray:
     """Ascending positions of the top-``capacity`` strictly positive scores,
     breaking score ties toward the smaller position."""
-    pos = np.flatnonzero(scores > 0.0)
+    pos = (scores > 0.0).nonzero()[0]
     if pos.size > capacity:
-        pos = np.sort(pos[np.argsort(-scores[pos], kind="stable")[:capacity]])
+        pos = pos[(-scores[pos]).argsort(kind="stable")[:capacity]]
+        pos.sort()
     return pos
 
 
@@ -84,9 +85,10 @@ def _solve(
     ``_top_positive`` selection at the optimal revenue ``theta*``.
     """
     theta = zeta
+    nu_r = nu * r
     while True:
         s = _top_positive(nu * (r - theta), capacity)
-        value = (zeta + (nu * r)[s].sum()) / (1.0 + nu[s].sum())
+        value = (zeta + nu_r[s].sum()) / (1.0 + nu[s].sum())
         if not value > theta:
             return s
         theta = value

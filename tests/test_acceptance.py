@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from mnlbandit.cli import main as cli_main
-from mnlbandit.driver import pac_eps, pac_exact, regret_min, uniform_random_regret
+from mnlbandit.driver import pac_eps, pac_exact, regret_min
 from mnlbandit.env import Environment, fork_stream
 from mnlbandit.estimators import (
     DESK_TUNING,
@@ -32,6 +32,7 @@ from mnlbandit.oracle import (
     lower_bound_instance,
     suboptimality_gaps,
 )
+from baselines import uniform_random_regret
 
 
 def _report(num, label, ok, detail=""):
@@ -362,7 +363,7 @@ def test_criterion_11_reproducibility(tmp_path, monkeypatch):
             "--reps", "4", "--tuning", "desk", "--out", str(out),
         ])
         assert code == 0
-        return open(out, "rb").read()
+        return out.read_bytes()
 
     def run_regret(out, curve):
         monkeypatch.setenv("MNL_THREADS", "1")
@@ -373,7 +374,7 @@ def test_criterion_11_reproducibility(tmp_path, monkeypatch):
             "--out", str(out), "--curve-out", str(curve),
         ])
         assert code == 0
-        return open(out, "rb").read() + open(curve, "rb").read()
+        return out.read_bytes() + curve.read_bytes()
 
     pac_a = run_pac(tmp_path / "a.csv", 1)
     pac_b = run_pac(tmp_path / "b.csv", 1)

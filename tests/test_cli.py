@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ class TestGen:
                 "gen", "--family", "dense", "--n", "4", "--k", "2",
                 "--seed", "3", "--out", out,
             ) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_lower_bound_needs_gaps(self, tmp_path):
         out = str(tmp_path / "lb.inst")
@@ -231,7 +232,7 @@ class TestRunPac:
         assert run_cli(
             *self.pac_args(tmp_path, "r.csv", ci_scale="0.05")
         ) == 0
-        meta = json.load(open(str(out) + ".meta.json"))
+        meta = json.loads(Path(str(out) + ".meta.json").read_text())
         assert meta["format"] == RESULTS_FORMAT
         assert "created_utc" in meta
         assert meta["config"]["mode"] == "pac"
@@ -240,7 +241,7 @@ class TestRunPac:
         assert meta["config"]["tuning"]["tau_scale"] == 2e-6  # desk base kept
         assert meta["config"]["instance"]["n"] == 4
         # timestamps never contaminate the CSV itself
-        assert "created" not in open(out).read()
+        assert "created" not in out.read_text()
 
     def test_byte_identical_across_reruns_and_worker_counts(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MNL_THREADS", "1")
@@ -248,9 +249,9 @@ class TestRunPac:
         assert run_cli(*self.pac_args(tmp_path, "b.csv")) == 0
         monkeypatch.setenv("MNL_THREADS", "2")
         assert run_cli(*self.pac_args(tmp_path, "c.csv")) == 0
-        a = open(tmp_path / "a.csv", "rb").read()
-        assert a == open(tmp_path / "b.csv", "rb").read()
-        assert a == open(tmp_path / "c.csv", "rb").read()
+        a = (tmp_path / "a.csv").read_bytes()
+        assert a == (tmp_path / "b.csv").read_bytes()
+        assert a == (tmp_path / "c.csv").read_bytes()
 
     def test_instance_file_source(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MNL_THREADS", "1")
@@ -304,7 +305,7 @@ class TestRunPac:
         assert "theta_star" in capsys.readouterr().out
         out = str(tmp_path / "report.txt")
         assert run_cli(*argv, "--out", out) == 0
-        assert "theta_star" in open(out).read()
+        assert "theta_star" in Path(out).read_text()
 
 
 class TestRunRegret:
@@ -400,7 +401,7 @@ class TestSummarize:
         self.write_results(b, [self.row(0, 40, 0, 2)])
         out = str(tmp_path / "summary.csv")
         assert run_cli("summarize", "--results", a, b, "--out", out) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("a.csv,") and lines[2].startswith("b.csv,")
 

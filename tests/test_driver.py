@@ -11,7 +11,6 @@ from mnlbandit.driver import (
     pac_exact,
     regret_min,
     sar_mnl,
-    uniform_random_regret,
 )
 from mnlbandit.env import Environment, fork_stream
 from mnlbandit.estimators import DESK_TUNING, EstimateSet, Schedule, Tuning
@@ -23,6 +22,7 @@ from mnlbandit.oracle import (
     lower_bound_instance,
     suboptimality_gaps,
 )
+from baselines import uniform_random_regret
 
 STUB_SCHEDULE = Schedule(c0=196, c2=1024, delta=0.1, tau=1)
 
