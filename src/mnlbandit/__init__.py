@@ -58,7 +58,6 @@ from .estimators import (
     est_reduced,
     est_reg,
     est_rough,
-    explore,
     explore_epochs,
 )
 from .driver import (
@@ -116,7 +115,6 @@ __all__ = [
     "est_reduced",
     "est_reg",
     "est_rough",
-    "explore",
     "explore_epochs",
     "PhaseState",
     "RunResult",

@@ -26,13 +26,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
 from .driver import pac_eps, pac_exact, regret_min, sar_mnl
-from .env import RNG_ALGORITHM_ID, Environment, fork_stream, stream_digest
+from .env import RNG_ALGORITHM_ID, Environment, fork_stream, generator_digest
 from .estimators import (
     DESK_TUNING,
     PAPER_TUNING,
@@ -238,11 +239,7 @@ def _replicate(job: RunJob, rep: int) -> Tuple[Dict[str, str], Optional[List[flo
             result = pac_exact(env, job.delta, tuning)
         else:
             fn = {"naive": est_naive, "reduced": est_reduced, "reg": est_reg}[job.estimator]
-
-            def phase_est(e, a, b, dk, eh):
-                return fn(e, a, b, dk, eh, tuning)
-
-            result = sar_mnl(env, job.delta, phase_est)
+            result = sar_mnl(env, job.delta, partial(fn, tuning=tuning))
     elif job.mode == "pac-eps":
         result = pac_eps(env, job.delta, job.eps, tuning)
     else:  # regret
@@ -255,7 +252,7 @@ def _replicate(job: RunJob, rep: int) -> Tuple[Dict[str, str], Optional[List[flo
         status = "horizon"
     row = {
         "replication": str(rep),
-        "seed": str(stream_digest(job.master_seed, rep)),
+        "seed": str(generator_digest(rng)),
         "steps": str(result.steps),
         "success": "1" if result.success else "0",
         "set_size": str(len(result.assortment)),

@@ -1,9 +1,10 @@
 """Successive accept-reject drivers: exact PAC, approximate PAC, regret.
 
-The core loop maintains a pinned set ``A`` (accepted into the answer) and a
-pending set ``B``; phase ``k`` estimates score intervals for ``B`` at
-accuracy target ``eps_k = 2^-k`` and confidence ``delta_k = delta / (3 k^2)``
-(so the budgets sum to at most ``delta`` over all phases), then
+All three drivers run one loop, `sar_mnl`.  It maintains a pinned set ``A``
+(accepted into the answer) and a pending set ``B``; phase ``k`` estimates
+score intervals for ``B`` at accuracy target ``eps_k = 2^-k`` and confidence
+``delta_k = delta / (3 k^2)`` (so the budgets sum to at most ``delta`` over
+all phases), then
 
 * accepts pending items whose score interval is strictly positive,
 * rejects those whose interval is strictly negative, and
@@ -13,15 +14,25 @@ accuracy target ``eps_k = 2^-k`` and confidence ``delta_k = delta / (3 k^2)``
   ``beta`` ((M+1)-th largest upper end: only items whose lower end beats it
   can claim a top-M slot).
 
-The loop ends when the capacity is filled or nothing is pending.  Under
-valid intervals at most ``M`` items are ever accepted per phase (an accepted
-item's upper end exceeds ``beta``, placing it in the strict top ``M`` of the
-upper ends), so the pinned set never exceeds the capacity — asserted.
+The loop has three exits:
+
+* the capacity is filled or nothing is pending;
+* a completion hook returns the pending items to accept after a phase's
+  estimate (`pac_eps`'s optimistic completion);
+* the step budget runs out inside an estimate (`HorizonExhausted`), which
+  returns the pinned set so far (`regret_min`).
+
+A run that takes ``phase_cap`` phases (`PHASE_CAP` for every driver) without
+an exit aborts with the pinned set so far.  Under valid intervals at most
+``M`` items are ever accepted per phase (an accepted item's upper end exceeds
+``beta``, placing it in the strict top ``M`` of the upper ends), so the
+pinned set never exceeds the capacity — asserted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 from .env import Environment, HorizonExhausted
@@ -54,6 +65,10 @@ PHASE_CAP = 60
 #: An estimator suitable for the accept-reject loop:
 #: (env, pinned, pending, delta_k, eps) -> EstimateSet.
 PhaseEstimator = Callable[[Environment, Assortment, Assortment, float, float], EstimateSet]
+
+#: A completion hook: (k, phase estimate, pending, residual capacity) -> the
+#: pending items to accept, ending the run, or None to go on.
+Completion = Callable[[int, EstimateSet, Assortment, int], Optional[Assortment]]
 
 
 @dataclass(frozen=True)
@@ -132,14 +147,19 @@ def sar_mnl(
     delta: float,
     estimator: PhaseEstimator,
     phase_cap: int = PHASE_CAP,
+    complete: Optional[Completion] = None,
 ) -> RunResult:
     """Successive accept-reject until the capacity is filled.
 
     Phase ``k`` uses ``delta_k = delta / (3 k^2)`` and accuracy target
     ``eps_k / 2`` with ``eps_k = 2^-k``.  Returns the pinned set when the
     residual capacity hits zero or nothing is pending; an empty answer is
-    legal (every item can be harmful).  Exceeding ``phase_cap`` aborts with
-    ``aborted=True`` and the best pinned set so far.
+    legal (every item can be harmful).  When ``complete`` returns a set, the
+    phase accepts it (no rejections, no rank thresholds) and the run ends.
+    A step budget spent mid-phase ends the run with ``horizon_hit=True`` and
+    the pinned set so far; the cut-off phase is not recorded.  Exceeding
+    ``phase_cap`` aborts with ``aborted=True`` and the pinned set so far.
+    ``steps`` counts the steps of this call; ``success`` is an exact match.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
@@ -147,17 +167,24 @@ def sar_mnl(
     b: Tuple[int, ...] = tuple(range(1, env.n + 1))
     phases: List[PhaseState] = []
     start = env.ledger.steps
-    aborted = True
+    aborted = horizon_hit = False
     for k in range(1, phase_cap + 1):
         m = min(env.k - len(a), len(b))
         if m == 0:
-            aborted = False
             break
         eps_k = 2.0 ** (-k)
         delta_k = delta / (3.0 * k * k)
         phase_start = env.ledger.steps
-        est = estimator(env, a, b, delta_k, eps_k / 2.0)
-        b_acc, b_rej, alpha, beta = accept_reject(est, b, m)
+        try:
+            est = estimator(env, a, b, delta_k, eps_k / 2.0)
+        except HorizonExhausted:
+            horizon_hit = True
+            break
+        done = None if complete is None else complete(k, est, b, m)
+        if done is None:
+            b_acc, b_rej, alpha, beta = accept_reject(est, b, m)
+        else:
+            b_acc, b_rej, alpha, beta = done, (), None, None
         phases.append(
             PhaseState(
                 k=k,
@@ -178,16 +205,17 @@ def sar_mnl(
         dropped = set(b_acc) | set(b_rej)
         b = tuple(i for i in b if i not in dropped)
         assert len(a) <= env.k
-        if not b:
-            aborted = False
+        if done is not None or not b:
             break
-    success = a == env.oracle_solution().s_star
+    else:
+        aborted = True
     return RunResult(
         assortment=a,
         steps=env.ledger.steps - start,
         phases=tuple(phases),
-        success=success,
+        success=a == env.oracle_solution().s_star,
         aborted=aborted,
+        horizon_hit=horizon_hit,
     )
 
 
@@ -198,22 +226,13 @@ def pac_exact(
 
     Spends ``delta / 2`` on one rough pass (upper weight estimates feeding
     the adaptive estimator's layer assignment) and ``delta / 2`` on the
-    accept-reject loop with the adaptive estimator.
+    accept-reject loop with the adaptive estimator.  ``steps`` includes the
+    rough pass.
     """
     start = env.ledger.steps
     rough = est_rough(env, delta / 2.0, tuning)
-
-    def estimator(e: Environment, a, b, dk, eps):
-        return est_adaptive(e, a, b, dk, eps, rough, tuning)
-
-    res = sar_mnl(env, delta / 2.0, estimator)
-    return RunResult(
-        assortment=res.assortment,
-        steps=env.ledger.steps - start,
-        phases=res.phases,
-        success=res.success,
-        aborted=res.aborted,
-    )
+    res = sar_mnl(env, delta / 2.0, partial(est_adaptive, rough=rough, tuning=tuning))
+    return replace(res, steps=env.ledger.steps - start)
 
 
 def pac_eps(
@@ -223,10 +242,9 @@ def pac_eps(
 
     Runs the exact-PAC loop but stops early: at the first phase ``k`` whose
     predecessor's accuracy ``eps_{k-1} = 2^-(k-1)`` is at most ``eps / 3``,
-    the phase's estimates are computed once more and the answer is the
-    pinned set plus the best pending assortment under the *upper* parameter
-    estimates (optimistic completion).  Success means the returned set's
-    true revenue is within ``eps`` of optimal.
+    the answer is the pinned set plus the best pending assortment under the
+    phase's *upper* parameter estimates (optimistic completion).  Success
+    means the returned set's true revenue is within ``eps`` of optimal.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -234,84 +252,18 @@ def pac_eps(
         raise ValueError("delta must lie in (0, 1)")
     start = env.ledger.steps
     rough = est_rough(env, delta / 2.0, tuning)
-    sar_delta = delta / 2.0
-    a: Tuple[int, ...] = ()
-    b: Tuple[int, ...] = tuple(range(1, env.n + 1))
-    phases: List[PhaseState] = []
-    aborted = True
-    returned: Tuple[int, ...] = ()
-    for k in range(1, PHASE_CAP + 1):
-        m = min(env.k - len(a), len(b))
-        if m == 0:
-            returned = a
-            aborted = False
-            break
-        eps_k = 2.0 ** (-k)
-        delta_k = sar_delta / (3.0 * k * k)
-        phase_start = env.ledger.steps
-        if 2.0 ** (-(k - 1)) <= eps / 3.0:
-            # Terminal phase: estimate once more, then complete optimistically.
-            est = est_adaptive(env, a, b, delta_k, eps_k / 2.0, rough, tuning)
-            rewards = {i: float(env.rewards[i - 1]) for i in b}
-            sol = fractional_optimum(
-                rewards,
-                ReducedParams(est.zeta_hi, {i: est.nu_hi[i] for i in b}),
-                m,
-            )
-            returned = tuple(sorted(a + sol.s_star))
-            phases.append(
-                PhaseState(
-                    k=k,
-                    a_set=a,
-                    b_set=b,
-                    eps_k=eps_k,
-                    delta_k=delta_k,
-                    m=m,
-                    alpha=None,
-                    beta=None,
-                    b_acc=sol.s_star,
-                    b_rej=(),
-                    steps=env.ledger.steps - phase_start,
-                    max_width=est.max_width(),
-                )
-            )
-            aborted = False
-            break
-        est = est_adaptive(env, a, b, delta_k, eps_k / 2.0, rough, tuning)
-        b_acc, b_rej, alpha, beta = accept_reject(est, b, m)
-        phases.append(
-            PhaseState(
-                k=k,
-                a_set=a,
-                b_set=b,
-                eps_k=eps_k,
-                delta_k=delta_k,
-                m=m,
-                alpha=alpha,
-                beta=beta,
-                b_acc=b_acc,
-                b_rej=b_rej,
-                steps=env.ledger.steps - phase_start,
-                max_width=est.max_width(),
-            )
-        )
-        a = tuple(sorted(a + b_acc))
-        dropped = set(b_acc) | set(b_rej)
-        b = tuple(i for i in b if i not in dropped)
-        assert len(a) <= env.k
-        if not b:
-            returned = a
-            aborted = False
-            break
-    opt = env.oracle_solution().theta_star
-    success = (opt - env.true_revenue(returned)) <= eps
-    return RunResult(
-        assortment=returned,
-        steps=env.ledger.steps - start,
-        phases=tuple(phases),
-        success=success,
-        aborted=aborted,
-    )
+
+    def complete(k: int, est: EstimateSet, b: Assortment, m: int) -> Optional[Assortment]:
+        if 2.0 ** (-(k - 1)) > eps / 3.0:
+            return None
+        rewards = {i: float(env.rewards[i - 1]) for i in b}
+        upper = ReducedParams(est.zeta_hi, {i: est.nu_hi[i] for i in b})
+        return fractional_optimum(rewards, upper, m).s_star
+
+    estimator = partial(est_adaptive, rough=rough, tuning=tuning)
+    res = sar_mnl(env, delta / 2.0, estimator, complete=complete)
+    shortfall = env.oracle_solution().theta_star - env.true_revenue(res.assortment)
+    return replace(res, steps=env.ledger.steps - start, success=shortfall <= eps)
 
 
 def regret_min(
@@ -320,76 +272,25 @@ def regret_min(
     """Minimize cumulative pseudo-regret over exactly ``horizon`` steps.
 
     Runs the accept-reject loop with the full-assortment (regret) estimator
-    at confidence ``delta = 1 / horizon``; if identification finishes early,
-    the identified assortment is offered for every remaining step.  If the
-    budget dies mid-estimator, the in-flight epoch's steps are consumed
-    (statistics discarded) and the best pinned set so far is returned.  The
-    run always consumes the budget exactly.
+    at confidence ``delta = 1 / horizon``; if identification finishes early
+    (or aborts), the pinned assortment is offered for every remaining step.
+    If the budget dies mid-estimator, the in-flight epoch's steps are
+    consumed (statistics discarded) and the best pinned set so far is
+    returned.  The run always consumes the budget exactly.
     """
-    if horizon < env.n:
-        raise ValueError("horizon must be at least the number of items")
+    if horizon < max(env.n, 2):  # delta = 1 / horizon must lie below 1
+        raise ValueError("horizon must be at least 2 and at least the number of items")
     if env.horizon is None:
         env.set_horizon(horizon)
     elif env.horizon != horizon:
         raise ValueError("environment horizon disagrees with the requested one")
     if env.ledger.steps:
         raise ValueError("regret runs require a fresh environment")
-    delta = 1.0 / horizon
-
-    a: Tuple[int, ...] = ()
-    b: Tuple[int, ...] = tuple(range(1, env.n + 1))
-    phases: List[PhaseState] = []
-    aborted = False
-    horizon_hit = False
-    try:
-        for k in range(1, PHASE_CAP + 1):
-            m = min(env.k - len(a), len(b))
-            if m == 0:
-                break
-            eps_k = 2.0 ** (-k)
-            delta_k = delta / (3.0 * k * k)
-            phase_start = env.ledger.steps
-            est = est_reg(env, a, b, delta_k, eps_k / 2.0, tuning)
-            b_acc, b_rej, alpha, beta = accept_reject(est, b, m)
-            phases.append(
-                PhaseState(
-                    k=k,
-                    a_set=a,
-                    b_set=b,
-                    eps_k=eps_k,
-                    delta_k=delta_k,
-                    m=m,
-                    alpha=alpha,
-                    beta=beta,
-                    b_acc=b_acc,
-                    b_rej=b_rej,
-                    steps=env.ledger.steps - phase_start,
-                    max_width=est.max_width(),
-                )
-            )
-            a = tuple(sorted(a + b_acc))
-            dropped = set(b_acc) | set(b_rej)
-            b = tuple(i for i in b if i not in dropped)
-            assert len(a) <= env.k
-            if not b:
-                break
-        else:
-            aborted = True
-    except HorizonExhausted:
-        horizon_hit = True
-
-    exploit = env.steps_remaining or 0
+    res = sar_mnl(env, 1.0 / horizon, partial(est_reg, tuning=tuning))
+    exploit = env.steps_remaining
     if exploit:
-        env.advance(a, exploit)
+        env.advance(res.assortment, exploit)
     assert env.ledger.steps == horizon, "regret run must consume the budget exactly"
-    return RunResult(
-        assortment=a,
-        steps=horizon,
-        phases=tuple(phases),
-        success=a == env.oracle_solution().s_star,
-        aborted=aborted,
-        horizon_hit=horizon_hit,
-        exploit_steps=exploit,
-        final_regret=env.ledger.cum_regret,
+    return replace(
+        res, steps=horizon, exploit_steps=exploit, final_regret=env.ledger.cum_regret
     )
-

@@ -83,8 +83,12 @@ def fork_stream(master_seed: int, replication_index: int) -> np.random.Generator
 
 def stream_digest(master_seed: int, replication_index: int) -> int:
     """Deterministic 64-bit digest identifying a replication's stream."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(replication_index,))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return generator_digest(fork_stream(master_seed, replication_index))
+
+
+def generator_digest(rng: np.random.Generator) -> int:
+    """The `stream_digest` of a stream made by `fork_stream`, from its seed."""
+    return int(rng.bit_generator.seed_seq.generate_state(1, dtype=np.uint64)[0])
 
 
 @dataclass
@@ -95,8 +99,9 @@ class EpochBatch:
     step budget ran out), ``steps`` the exact number of time steps consumed
     (including a final partial epoch when truncated — its statistics are
     discarded but its steps still count), ``x_sums[j]`` the total purchase
-    count of the j-th item of ``s`` over completed epochs, and ``z_sum`` the
-    summed stop rewards over completed epochs.
+    count of the j-th item of ``s`` over completed epochs (``tracked[j]``, the
+    validated ``s``), and ``z_sum`` the summed stop rewards over completed
+    epochs.
     """
 
     requested: int
@@ -105,6 +110,7 @@ class EpochBatch:
     x_sums: np.ndarray
     z_sum: float
     truncated: bool
+    tracked: Assortment = ()
     # Optional per-epoch detail (collect=True): one row/entry per completed epoch.
     x: Optional[np.ndarray] = None
     z_values: Optional[np.ndarray] = None
@@ -337,6 +343,7 @@ class Environment:
             x_sums=x_sums,
             z_sum=float(stop_counts @ plan.stop_rewards),
             truncated=truncated,
+            tracked=plan.tracked,
         )
         if collect:
             # Per-epoch detail conditioned on the aggregates: given the
@@ -418,6 +425,7 @@ class _Plan:
     offer), validated by the caller."""
 
     offered: Assortment  # S ∪ Z, ascending
+    tracked: Assortment  # S, ascending
     idx: np.ndarray  # its 0-based indices
     cum: np.ndarray  # cumulative outcome weights, no-purchase first
     regret: float  # per-step pseudo-regret of offering S ∪ Z
@@ -442,6 +450,7 @@ class _Plan:
         q = stop_weights.sum() / (stop_weights.sum() + v_s.sum())
         return cls(
             offered=offered,
+            tracked=ts,
             idx=idx,
             cum=np.cumsum(np.concatenate(([1.0], inst.v[idx]))),
             regret=solution.theta_star - revenue(inst, offered),

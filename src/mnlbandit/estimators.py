@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
     "DESK_TUNING",
     "Schedule",
     "ExploreState",
-    "explore",
     "explore_epochs",
     "ci_zeta",
     "ci_nu",
@@ -169,39 +168,6 @@ class ExploreState:
         return self.n.get(item, 0) / t if t else 0.0
 
 
-def explore(env: Environment, state: ExploreState, s: Sequence[int]) -> int:
-    """Run ONE exploration epoch step by step; return its length.
-
-    Reference implementation of the epoch primitive: offers
-    ``state.z_stop ∪ s`` repeatedly via ``env.offer`` until the outcome lands
-    in the stopping set or is a no-purchase, then commits the epoch's
-    statistics to ``state``.  If the step budget dies mid-epoch the partial
-    statistics are discarded (the consumed steps remain on the ledger) and
-    `HorizonExhausted` propagates.
-    """
-    ts = validate_assortment(s, env.n)
-    if set(ts) & set(state.z_stop):
-        raise ValueError("tracked set must be disjoint from the stopping set")
-    offered = tuple(sorted(state.z_stop + ts))
-    stop = set(state.z_stop)
-    x = {i: 0 for i in ts}
-    length = 0
-    while True:
-        c = env.offer(offered)
-        length += 1
-        if c == 0 or c in stop:
-            z = 0.0 if c == 0 else float(env.rewards[c - 1])
-            state.n_z += z
-            state.t_z += 1
-            for i in ts:
-                state.n[i] = state.n.get(i, 0) + x[i]
-                state.t[i] = state.t.get(i, 0) + 1
-            if state.record_lengths:
-                state.epoch_lengths.append(length)
-            return length
-        x[c] += 1
-
-
 def explore_epochs(
     env: Environment, state: ExploreState, s: Sequence[int], epochs: int
 ) -> EpochBatch:
@@ -211,11 +177,10 @@ def explore_epochs(
     Raises `HorizonExhausted` (after committing what completed) if the step
     budget ran out before all requested epochs finished.
     """
-    ts = validate_assortment(s, env.n)
-    batch = env.sample_epochs(state.z_stop, ts, epochs, collect=state.record_lengths)
+    batch = env.sample_epochs(state.z_stop, s, epochs, collect=state.record_lengths)
     state.n_z += batch.z_sum
     state.t_z += batch.epochs
-    for j, i in enumerate(ts):
+    for j, i in enumerate(batch.tracked):
         state.n[i] = state.n.get(i, 0) + int(batch.x_sums[j])
         state.t[i] = state.t.get(i, 0) + batch.epochs
     if state.record_lengths and batch.lengths is not None:

@@ -1,5 +1,7 @@
 """Tests for the accept-reject drivers."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from mnlbandit.driver import (
     sar_mnl,
 )
 from mnlbandit.env import Environment, fork_stream
-from mnlbandit.estimators import DESK_TUNING, EstimateSet, Schedule, Tuning
+from mnlbandit.estimators import DESK_TUNING, EstimateSet, Schedule, Tuning, est_reg
 from mnlbandit.instances import generate_instance
 from mnlbandit.model import Instance, ReducedParams, reduce_params, revenue
 from mnlbandit.oracle import (
@@ -23,6 +25,7 @@ from mnlbandit.oracle import (
     suboptimality_gaps,
 )
 from baselines import uniform_random_regret
+import driver_reference
 
 STUB_SCHEDULE = Schedule(c0=196, c2=1024, delta=0.1, tau=1)
 
@@ -313,6 +316,12 @@ class TestRegretMin:
         with pytest.raises(ValueError):
             regret_min(env2, 600, DESK_TUNING)
 
+    def test_one_step_horizon_rejected(self):
+        # delta = 1 / horizon must lie below 1, even where n = 1 allows it.
+        inst = Instance(n=1, k=1, r=[1.0], v=[0.5])
+        with pytest.raises(ValueError):
+            regret_min(Environment(inst, fork_stream(1, 0)), 1, DESK_TUNING)
+
     def test_used_environment_rejected(self):
         inst = generate_instance("uniform", 4, 2, seed=5)
         env = Environment(inst, fork_stream(1, 0))
@@ -362,6 +371,120 @@ class TestRegretMin:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+def _wide_phase(env, a, b, delta_k, eps, *args, **kwargs):
+    """`wide_estimator` taking the adaptive or regret estimator's arguments."""
+    return wide_estimator(env, a, b, delta_k, eps)
+
+
+class TestSharedExits:
+    """Every driver leaves `sar_mnl` by the same exits."""
+
+    def test_pac_exact_aborts_at_the_phase_cap(self, monkeypatch):
+        monkeypatch.setattr("mnlbandit.driver.est_adaptive", _wide_phase)
+        env = Environment(generate_instance("uniform", 5, 2, seed=3), fork_stream(1, 0))
+        res = pac_exact(env, 0.1, DESK_TUNING)
+        assert res.aborted and not res.horizon_hit and not res.success
+        assert len(res.phases) == PHASE_CAP == 60
+        assert res.assortment == ()
+        assert res.steps == env.ledger.steps > 0  # the rough pass
+
+    def test_pac_eps_aborts_at_the_phase_cap(self, monkeypatch):
+        monkeypatch.setattr("mnlbandit.driver.est_adaptive", _wide_phase)
+        env = Environment(generate_instance("uniform", 5, 2, seed=3), fork_stream(1, 0))
+        # 2^-(k-1) <= eps/3 first at k = 66: no completion within the cap.
+        res = pac_eps(env, 0.1, 1e-19, DESK_TUNING)
+        assert res.aborted and not res.horizon_hit and not res.success
+        assert len(res.phases) == PHASE_CAP
+        assert all(p.alpha is not None for p in res.phases)  # no completion
+        assert res.assortment == ()
+        assert res.steps == env.ledger.steps > 0
+
+    def test_regret_aborts_then_exploits_the_pinned_set(self, monkeypatch):
+        def pin_item_one(env, a, b, delta_k, eps, tuning):
+            return make_est(b, {i: (0.5, 1.0) if i == 1 else (-1.0, 0.4) for i in b})
+
+        monkeypatch.setattr("mnlbandit.driver.est_reg", pin_item_one)
+        inst = generate_instance("uniform", 5, 2, seed=3)
+        env = Environment(inst, fork_stream(1, 0))
+        horizon = 1000
+        res = regret_min(env, horizon, DESK_TUNING)
+        assert res.aborted and not res.horizon_hit
+        assert len(res.phases) == PHASE_CAP
+        assert res.phases[0].b_acc == (1,) and res.assortment == (1,)
+        assert res.steps == res.exploit_steps == env.ledger.steps == horizon
+        per_step = env.oracle_solution().theta_star - revenue(inst, (1,))
+        assert env.ledger._segments == [[per_step, horizon]]
+        assert res.final_regret == env.ledger.cum_regret == per_step * horizon
+
+    def test_sar_mnl_returns_the_pinned_set_when_the_budget_ends(self):
+        inst = generate_instance("uniform", 6, 3, seed=8)
+        estimator = partial(est_reg, tuning=DESK_TUNING)
+        free = sar_mnl(Environment(inst, fork_stream(91, 0)), 0.01, estimator)
+        first = free.phases[0]
+        assert first.b_acc and len(free.phases) > 1
+        # A budget that ends one step into the second phase's estimate.
+        env = Environment(inst, fork_stream(91, 0), horizon=first.steps + 1)
+        res = sar_mnl(env, 0.01, estimator)
+        assert res.horizon_hit and not res.aborted
+        assert res.phases == (first,)
+        assert res.assortment == first.b_acc
+        assert res.steps == env.ledger.steps == first.steps + 1
+
+
+def _reference_instances():
+    return (
+        generate_instance("uniform", 6, 3, seed=8),
+        generate_instance("uniform", 8, 3, seed=7),
+        generate_instance("uniform", 10, 4, seed=14618),
+        lower_bound_instance(4, 2, [0.01, 0.01]),
+    )
+
+
+def _assert_same_run(new, old, env_new, env_old):
+    assert new == old
+    assert env_new.ledger.steps == env_old.ledger.steps
+    assert env_new.ledger.cum_regret == env_old.ledger.cum_regret
+    assert env_new.ledger._segments == env_old.ledger._segments
+    assert env_new._rng.bit_generator.state == env_old._rng.bit_generator.state
+
+
+class TestMatchesReferenceLoops:
+    """The drivers on `sar_mnl` against their own-loop bodies (`driver_reference`)."""
+
+    def test_pac_eps(self):
+        completed_oversubscribed = exact = 0
+        for eps in (0.99, 0.1, 0.04):
+            for inst in _reference_instances():
+                for rep in range(3):
+                    envs = [Environment(inst, fork_stream(90, rep)) for _ in range(2)]
+                    new = pac_eps(envs[0], 0.1, eps, DESK_TUNING)
+                    old = driver_reference.pac_eps(envs[1], 0.1, eps, DESK_TUNING)
+                    _assert_same_run(new, old, *envs)
+                    last = new.phases[-1]
+                    if 2.0 ** (1 - last.k) <= eps / 3.0:
+                        completed_oversubscribed += len(last.b_set) > last.m
+                    else:
+                        exact += 1
+        # Loose eps ends in the completion hook, with the rank thresholds reset;
+        # tight eps never reaches it.
+        assert completed_oversubscribed >= 6 and exact >= 12
+
+    def test_regret_min(self):
+        outcomes = set()
+        for horizon in (50, 3000, 30000, 200000):
+            for inst in _reference_instances():
+                for rep in range(2):
+                    envs = [Environment(inst, fork_stream(91, rep)) for _ in range(2)]
+                    new = regret_min(envs[0], horizon, DESK_TUNING)
+                    old = driver_reference.regret_min(envs[1], horizon, DESK_TUNING)
+                    _assert_same_run(new, old, *envs)
+                    if new.horizon_hit:
+                        outcomes.add("cut, pinned" if new.assortment else "cut, empty")
+                    else:
+                        outcomes.add("exploited" if new.exploit_steps else "no room")
+        assert {"cut, pinned", "cut, empty", "exploited"} <= outcomes
 
 
 class TestUniformRandomRegret:

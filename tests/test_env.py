@@ -15,9 +15,10 @@ from mnlbandit.env import (
     fork_stream,
     stream_digest,
 )
-from mnlbandit.estimators import ExploreState, explore
+from mnlbandit.estimators import ExploreState
 from mnlbandit.model import Instance, choice_probabilities, reduce_params, revenue
 from mnlbandit.oracle import brute_force_optimum
+from explore_reference import explore
 
 
 def make_env(seed=0, rep=0, horizon=None, inst=None):

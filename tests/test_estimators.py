@@ -27,11 +27,11 @@ from mnlbandit.estimators import (
     est_reduced,
     est_reg,
     est_rough,
-    explore,
     explore_epochs,
 )
 from mnlbandit.model import Instance, ReducedParams, reduce_params
 from mnlbandit.oracle import fractional_optimum
+from explore_reference import explore
 
 # Fast-but-valid profile for coverage runs: tiny epoch budgets, exact
 # confidence radii (ci_scale=1), so the intervals keep their guarantees
@@ -357,6 +357,30 @@ class TestExplore:
         explore_epochs(env, state, (1, 2), 300)
         assert len(state.epoch_lengths) == 300
         assert sum(state.epoch_lengths) == env.ledger.steps
+
+    def test_batch_route_accepts_any_sequence_of_ids(self):
+        inst = Instance(n=4, k=3, r=[1.0, 0.6, 0.4, 0.8], v=[0.5, 0.7, 0.2, 0.9])
+        runs = []
+        for s in ((2, 3), [2, 3], np.array([2, 3]), (np.int64(2), np.int64(3))):
+            env = make_env(inst, seed=56)
+            state = ExploreState(z_stop=(1,), record_lengths=True)
+            explore_epochs(env, state, s, 500)
+            runs.append((state, env.ledger.steps))
+        assert all(run == runs[0] for run in runs[1:])
+        assert all(type(i) is int for state, _ in runs for i in state.n)
+
+    def test_batch_route_rejects_invalid_sets_before_any_step(self):
+        inst = Instance(n=3, k=2, r=[1.0] * 3, v=[0.5] * 3)
+        env = make_env(inst, seed=57)
+        explore_epochs(env, ExploreState(z_stop=(1,)), (2,), 10)  # a cached key
+        steps, rng_state = env.ledger.steps, env._rng.bit_generator.state
+        for bad in ((3, 2), [3, 2], (2, 2), (0,), (4,), (1, 2), (2, 3)):
+            state = ExploreState(z_stop=(1,))
+            with pytest.raises(ValueError):
+                explore_epochs(env, state, bad, 10)
+            assert state == ExploreState(z_stop=(1,))
+        assert env.ledger.steps == steps
+        assert env._rng.bit_generator.state == rng_state
 
 
 class TestEstNaive:
