@@ -229,6 +229,8 @@ def pac_exact(
     accept-reject loop with the adaptive estimator.  ``steps`` includes the
     rough pass.
     """
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
     start = env.ledger.steps
     rough = est_rough(env, delta / 2.0, tuning)
     res = sar_mnl(env, delta / 2.0, partial(est_adaptive, rough=rough, tuning=tuning))

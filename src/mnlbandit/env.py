@@ -81,13 +81,9 @@ def fork_stream(master_seed: int, replication_index: int) -> np.random.Generator
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def stream_digest(master_seed: int, replication_index: int) -> int:
-    """Deterministic 64-bit digest identifying a replication's stream."""
-    return generator_digest(fork_stream(master_seed, replication_index))
-
-
 def generator_digest(rng: np.random.Generator) -> int:
-    """The `stream_digest` of a stream made by `fork_stream`, from its seed."""
+    """Deterministic 64-bit digest of a stream made by `fork_stream`, from its
+    seed: it identifies the replication whose stream it is."""
     return int(rng.bit_generator.seed_seq.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -111,10 +107,6 @@ class EpochBatch:
     z_sum: float
     truncated: bool
     tracked: Assortment = ()
-    # Optional per-epoch detail (collect=True): one row/entry per completed epoch.
-    x: Optional[np.ndarray] = None
-    z_values: Optional[np.ndarray] = None
-    lengths: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -282,7 +274,6 @@ class Environment:
         z: Iterable[int],
         s: Iterable[int],
         epochs: int,
-        collect: bool = False,
     ) -> EpochBatch:
         """Run up to ``epochs`` exploration epochs of ``(Z, S)`` in batch.
 
@@ -290,9 +281,6 @@ class Environment:
         disjoint with ``|z ∪ s| <= k``.  Statistics of completed epochs are
         returned; when the step budget runs out, the in-flight epoch's steps
         are consumed but its statistics are discarded (``truncated=True``).
-        With ``collect=True`` the per-epoch detail is drawn after, and
-        conditioned on, the aggregates, which therefore do not depend on
-        ``collect``.
         """
         try:
             plan = self._offer_cache[(s, z)]
@@ -336,7 +324,7 @@ class Environment:
         x_sums = plan.items.draw(rng, bought)
         stop_counts = plan.stops.draw(rng, done)
         self.ledger.record(plan.idx, plan.regret, used)
-        batch = EpochBatch(
+        return EpochBatch(
             requested=epochs,
             epochs=done,
             steps=used,
@@ -345,22 +333,6 @@ class Environment:
             truncated=truncated,
             tracked=plan.tracked,
         )
-        if collect:
-            # Per-epoch detail conditioned on the aggregates: given the
-            # totals, the per-epoch purchase totals are a uniform composition
-            # of `bought` into `done` parts, and the item labels and the stop
-            # outcomes are uniform shuffles of their counts.
-            tracked = plan.items.size
-            totals = _composition(rng, bought, done)
-            labels = rng.permutation(np.repeat(np.arange(tracked), x_sums))
-            owner = np.repeat(np.arange(done), totals)
-            batch.x = np.bincount(
-                owner * tracked + labels, minlength=done * tracked
-            ).reshape(done, tracked)
-            stops = rng.permutation(np.repeat(np.arange(plan.stops.size), stop_counts))
-            batch.z_values = plan.stop_rewards[stops]
-            batch.lengths = 1 + totals
-        return batch
 
     def _epoch_plan(self, z: Iterable[int], s: Iterable[int]) -> "_Plan":
         """Validate a ``(Z, S)`` pair, then return its plan."""
@@ -373,19 +345,6 @@ class Environment:
                 f"offered size {len(tz) + len(ts)} exceeds capacity {self.k}"
             )
         return self._cached((ts, tz))
-
-
-def _composition(rng: np.random.Generator, total: int, parts: int) -> np.ndarray:
-    """Uniformly random composition of ``total`` into ``parts`` parts >= 0.
-
-    Stars and bars: ``parts - 1`` bar positions chosen among
-    ``total + parts - 1`` slots; part sizes are the gaps between bars.
-    """
-    if parts == 0:
-        return np.zeros(0, dtype=np.int64)
-    slots = total + parts - 1
-    bars = np.sort(rng.choice(slots, size=parts - 1, replace=False))
-    return np.diff(bars, prepend=-1, append=slots) - 1
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,15 @@ each tracked item's purchase count ``x_i`` has mean
 mean ``sum_{i in S} nu_i`` — so empirical epoch averages estimate the
 *reduced* parameters relative to ``Z`` directly, without knowing ``v``.
 
+One epoch-exploration kernel, ``_estimate``, serves the four refinement
+procedures.  Each is a group plan over it: a list of tracked sets, each
+explored for a number of ``tau``-epoch units, plus the confidence divisor
+and whether the estimate is *reduced* (stopping at the pinned set) or *raw*
+(no stopping set, stop-reward term pinned to 0).  The naive and reduced
+procedures explore items one at a time, the adaptive one in weight layers,
+and the regret one in full assortments.  The rough procedure offers each
+item alone and keeps only the upper weight ends.
+
 Confidence intervals:
 
 * the stop-reward mean uses a Hoeffding radius
@@ -146,8 +155,7 @@ class ExploreState:
 
     ``n_z / t_z`` estimate the stop-reward mean, and ``n[i] / t[i]`` estimate
     item i's reduced weight; ``t[i]`` counts the epochs in which i was
-    tracked.  ``epoch_lengths`` records individual epoch lengths when
-    ``record_lengths`` is set (diagnostics only — the counters never need it).
+    tracked.
     """
 
     z_stop: Assortment = ()
@@ -155,8 +163,6 @@ class ExploreState:
     t_z: int = 0
     n: Dict[int, int] = field(default_factory=dict)
     t: Dict[int, int] = field(default_factory=dict)
-    epoch_lengths: List[int] = field(default_factory=list)
-    record_lengths: bool = False
 
     def bar_zeta(self) -> float:
         """Empirical stop-reward mean (0 before any epoch)."""
@@ -177,14 +183,12 @@ def explore_epochs(
     Raises `HorizonExhausted` (after committing what completed) if the step
     budget ran out before all requested epochs finished.
     """
-    batch = env.sample_epochs(state.z_stop, s, epochs, collect=state.record_lengths)
+    batch = env.sample_epochs(state.z_stop, s, epochs)
     state.n_z += batch.z_sum
     state.t_z += batch.epochs
     for j, i in enumerate(batch.tracked):
         state.n[i] = state.n.get(i, 0) + int(batch.x_sums[j])
         state.t[i] = state.t.get(i, 0) + batch.epochs
-    if state.record_lengths and batch.lengths is not None:
-        state.epoch_lengths.extend(int(v) for v in batch.lengths)
     if batch.truncated:
         raise HorizonExhausted(
             f"step budget exhausted after {batch.epochs}/{epochs} epochs"
@@ -369,51 +373,87 @@ class EstimateSet:
         return max(self.width(i) for i in self.items)
 
 
-def _rewards_map(env: Environment, items: Sequence[int]) -> Dict[int, float]:
-    return {i: float(env.rewards[i - 1]) for i in items}
 
 
-def _finish(
+# ---------------------------------------------------------------------------
+# Estimation procedures
+# ---------------------------------------------------------------------------
+
+
+def _sets(
+    env: Environment, a: Sequence[int], b: Sequence[int]
+) -> Tuple[Assortment, Assortment]:
+    """The validated pinned and pending sets, which must be disjoint."""
+    ta = validate_assortment(a, env.n)
+    tb = validate_assortment(b, env.n)
+    if set(ta) & set(tb):
+        raise ValueError("pinned and pending sets must be disjoint")
+    return ta, tb
+
+
+def _residual(env: Environment, ta: Assortment, tb: Assortment) -> int:
+    """``M = min(k - |a|, |b|)`` for a nonempty pending set; at least 1."""
+    if not tb:
+        raise ValueError("pending set must be nonempty")
+    m_cap = min(env.k - len(ta), len(tb))
+    if m_cap < 1:
+        raise ValueError("pinned set already fills the capacity")
+    return m_cap
+
+
+def _estimate(
     env: Environment,
-    items: Sequence[int],
-    state: ExploreState,
-    schedule: Schedule,
+    ta: Assortment,
+    tb: Assortment,
+    delta0: float,
+    eps: float,
     tuning: Tuning,
-    capacity: int,
-    zeta_bounds: Optional[Tuple[float, float]],
-    scored: Sequence[int],
-    epochs: int,
-    steps: int,
+    divisor: float,
+    groups: Sequence[Tuple[Assortment, int]],
+    reduced: bool,
     plan: Optional[object] = None,
-    extra_nu_items: Sequence[int] = (),
 ) -> EstimateSet:
-    """Assemble the interval set from a populated exploration state."""
-    if zeta_bounds is None:
-        zeta_lo, zeta_hi = ci_zeta(state, schedule.delta, tuning)
+    """The kernel of the refinement procedures: explore, then bound.
+
+    With ``delta = delta0 / (divisor n)`` and ``tau = ceil(c2 c0
+    log(2/delta) / eps^2)``, each group ``(s, units)`` is explored in turn
+    for ``units * tau`` epochs.  A *reduced* estimate stops at the pinned set
+    ``ta``, estimates the stop reward and the reduced weights of ``tb``, and
+    bounds the revenue at capacity ``min(k - |a|, |b|)``; a *raw* one stops
+    at nothing, pins the stop-reward term to 0, estimates the raw weights of
+    ``ta ∪ tb`` and bounds the revenue at capacity ``min(k, |a| + |b|)``.
+    Scores are returned for the pending items ``tb``.
+    """
+    delta = delta0 / (divisor * env.n)
+    tau = _refinement_tau(delta, eps, tuning)
+    schedule = Schedule(c0=tuning.c0, c2=tuning.c2, delta=delta, tau=tau)
+    if reduced:
+        stop, weighed = ta, tb
+        capacity = _residual(env, ta, tb) if tb else 0
     else:
-        zeta_lo, zeta_hi = zeta_bounds
+        stop, weighed = (), tuple(sorted(ta + tb))
+        capacity = min(env.k, len(weighed))
+    state = ExploreState(z_stop=stop)
+    start = env.ledger.steps
+    epochs = sum(explore_epochs(env, state, s, u * tau).epochs for s, u in groups)
+    zeta_lo, zeta_hi = ci_zeta(state, delta, tuning) if reduced else (0.0, 0.0)
     nu_lo: Dict[int, float] = {}
     nu_hi: Dict[int, float] = {}
-    for i in list(items) + list(extra_nu_items):
-        nu_lo[i], nu_hi[i] = ci_nu(state, i, schedule.delta, tuning)
-    rewards = _rewards_map(env, list(items) + list(extra_nu_items))
+    rewards: Dict[int, float] = {}
+    for i in weighed:
+        nu_lo[i], nu_hi[i] = ci_nu(state, i, delta, tuning)
+        rewards[i] = float(env.rewards[i - 1])
     theta_lo, theta_hi = ci_theta(
-        rewards,
-        sorted(nu_lo),
-        nu_lo,
-        nu_hi,
-        zeta_lo,
-        zeta_hi,
-        capacity,
+        rewards, weighed, nu_lo, nu_hi, zeta_lo, zeta_hi, capacity
     )
     xi_lo: Dict[int, float] = {}
     xi_hi: Dict[int, float] = {}
-    for i in scored:
+    for i in tb:
         xi_lo[i], xi_hi[i] = ci_xi(
             rewards[i], (nu_lo[i], nu_hi[i]), (theta_lo, theta_hi)
         )
     return EstimateSet(
-        items=tuple(sorted(scored)),
+        items=tb,
         zeta_lo=zeta_lo,
         zeta_hi=zeta_hi,
         nu_lo=nu_lo,
@@ -424,19 +464,9 @@ def _finish(
         xi_hi=xi_hi,
         schedule=schedule,
         epochs=epochs,
-        steps=steps,
+        steps=env.ledger.steps - start,
         plan=plan,
     )
-
-
-def _check_disjoint(a: Sequence[int], b: Sequence[int]) -> None:
-    if set(a) & set(b):
-        raise ValueError("pinned and pending sets must be disjoint")
-
-
-# ---------------------------------------------------------------------------
-# Estimation procedures
-# ---------------------------------------------------------------------------
 
 
 def est_naive(
@@ -456,32 +486,9 @@ def est_naive(
     true capacity ``k``, with the stop-reward term pinned to 0 (nothing is
     reduced away).  Scores are returned for the pending items ``b``.
     """
-    ta = validate_assortment(a, env.n)
-    tb = validate_assortment(b, env.n)
-    _check_disjoint(ta, tb)
-    items = tuple(sorted(ta + tb))
-    delta = delta0 / (15.0 * env.n)
-    tau = _refinement_tau(delta, eps, tuning)
-    schedule = Schedule(c0=tuning.c0, c2=tuning.c2, delta=delta, tau=tau)
-    state = ExploreState(z_stop=())
-    start = env.ledger.steps
-    epochs = 0
-    for i in items:
-        batch = explore_epochs(env, state, (i,), env.k * tau)
-        epochs += batch.epochs
-    capacity = min(env.k, len(items))
-    return _finish(
-        env,
-        items,
-        state,
-        schedule,
-        tuning,
-        capacity,
-        zeta_bounds=(0.0, 0.0),
-        scored=tb,
-        epochs=epochs,
-        steps=env.ledger.steps - start,
-    )
+    ta, tb = _sets(env, a, b)
+    groups = [((i,), env.k) for i in sorted(ta + tb)]
+    return _estimate(env, ta, tb, delta0, eps, tuning, 15.0, groups, reduced=False)
 
 
 def est_rough(
@@ -525,29 +532,17 @@ def est_adaptive(
     min(k - |a|, |b|)`` is the residual capacity and the revenue interval's
     assortment bound.
     """
-    ta = validate_assortment(a, env.n)
-    tb = validate_assortment(b, env.n)
-    _check_disjoint(ta, tb)
-    if not tb:
-        raise ValueError("pending set must be nonempty")
-    m_cap = min(env.k - len(ta), len(tb))
-    if m_cap < 1:
-        raise ValueError("pinned set already fills the capacity")
+    ta, tb = _sets(env, a, b)
+    m_cap = _residual(env, ta, tb)
     for i in ta + tb:
         if i not in rough:
             raise ValueError(f"missing rough estimate for item {i}")
 
-    delta = delta0 / (15.0 * env.n)
-    tau = _refinement_tau(delta, eps, tuning)
-    schedule = Schedule(c0=tuning.c0, c2=tuning.c2, delta=delta, tau=tau)
-
     denom = 1.0 + sum(rough[j] for j in ta)
-    nu_tilde = {i: rough[i] / denom for i in tb}
-
     depth = max(0, math.ceil(math.log2(m_cap)))
     layer_items: List[List[int]] = [[] for _ in range(depth + 1)]
     for i in tb:
-        x = nu_tilde[i]
+        x = rough[i] / denom
         layer = depth
         for lv in range(depth):
             if x > 2.0 ** (-(lv + 1)):
@@ -569,26 +564,9 @@ def est_adaptive(
         widths=widths,
         groups=tuple(groups),
     )
-
-    state = ExploreState(z_stop=ta)
-    start = env.ledger.steps
-    epochs = 0
-    for lv, group in groups:
-        assert len(ta) + len(group) <= env.k
-        batch = explore_epochs(env, state, group, widths[lv] * tau)
-        epochs += batch.epochs
-    return _finish(
-        env,
-        tb,
-        state,
-        schedule,
-        tuning,
-        m_cap,
-        zeta_bounds=None,
-        scored=tb,
-        epochs=epochs,
-        steps=env.ledger.steps - start,
-        plan=plan,
+    explored = [(group, widths[lv]) for lv, group in groups]
+    return _estimate(
+        env, ta, tb, delta0, eps, tuning, 15.0, explored, reduced=True, plan=plan
     )
 
 
@@ -609,37 +587,9 @@ def est_reduced(
     An empty pending set is legal and consumes nothing: the result scores no
     items and carries only the trivial intervals.
     """
-    ta = validate_assortment(a, env.n)
-    tb = validate_assortment(b, env.n)
-    _check_disjoint(ta, tb)
-    delta = delta0 / (15.0 * env.n)
-    tau = _refinement_tau(delta, eps, tuning)
-    schedule = Schedule(c0=tuning.c0, c2=tuning.c2, delta=delta, tau=tau)
-    state = ExploreState(z_stop=ta)
-    if not tb:
-        return _finish(
-            env, (), state, schedule, tuning, 0, None, (), 0, 0
-        )
-    m_cap = min(env.k - len(ta), len(tb))
-    if m_cap < 1:
-        raise ValueError("pinned set already fills the capacity")
-    start = env.ledger.steps
-    epochs = 0
-    for i in tb:
-        batch = explore_epochs(env, state, (i,), env.k * tau)
-        epochs += batch.epochs
-    return _finish(
-        env,
-        tb,
-        state,
-        schedule,
-        tuning,
-        m_cap,
-        zeta_bounds=None,
-        scored=tb,
-        epochs=epochs,
-        steps=env.ledger.steps - start,
-    )
+    ta, tb = _sets(env, a, b)
+    groups = [((i,), env.k) for i in tb]
+    return _estimate(env, ta, tb, delta0, eps, tuning, 15.0, groups, reduced=True)
 
 
 def est_reg(
@@ -663,48 +613,17 @@ def est_reg(
 
     ``delta = delta0 / (13 n)``; ``tau = ceil(c2 c0 log(2/delta) / eps^2)``.
     """
-    ta = validate_assortment(a, env.n)
-    tb = validate_assortment(b, env.n)
-    _check_disjoint(ta, tb)
-    if not tb:
-        raise ValueError("pending set must be nonempty")
-    m_cap = min(env.k - len(ta), len(tb))
-    if m_cap < 1:
-        raise ValueError("pinned set already fills the capacity")
-    delta = delta0 / (13.0 * env.n)
-    tau = _refinement_tau(delta, eps, tuning)
-    schedule = Schedule(c0=tuning.c0, c2=tuning.c2, delta=delta, tau=tau)
-
-    pending = list(tb)
+    ta, tb = _sets(env, a, b)
+    m_cap = _residual(env, ta, tb)
     groups: List[Tuple[int, ...]] = []
-    for pos in range(0, len(pending), m_cap):
-        chunk = pending[pos : pos + m_cap]
+    for pos in range(0, len(tb), m_cap):
+        chunk = list(tb[pos : pos + m_cap])
         if len(chunk) < m_cap:
-            pad = [i for i in pending if i not in chunk][: m_cap - len(chunk)]
+            pad = [i for i in tb if i not in chunk][: m_cap - len(chunk)]
             chunk = sorted(chunk + pad)
         groups.append(tuple(chunk))
     plan = GroupPlan(size=m_cap, groups=tuple(groups))
-
-    state = ExploreState(z_stop=())
-    start = env.ledger.steps
-    epochs = 0
-    for group in groups:
-        offered = tuple(sorted(ta + group))
-        assert len(offered) == min(env.k, len(ta) + len(tb))
-        batch = explore_epochs(env, state, offered, env.k * tau)
-        epochs += batch.epochs
-    capacity = min(env.k, len(ta) + len(tb))
-    return _finish(
-        env,
-        tb,
-        state,
-        schedule,
-        tuning,
-        capacity,
-        zeta_bounds=(0.0, 0.0),
-        scored=tb,
-        epochs=epochs,
-        steps=env.ledger.steps - start,
-        plan=plan,
-        extra_nu_items=ta,
+    offered = [(tuple(sorted(ta + group)), env.k) for group in groups]
+    return _estimate(
+        env, ta, tb, delta0, eps, tuning, 13.0, offered, reduced=False, plan=plan
     )

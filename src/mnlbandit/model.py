@@ -19,7 +19,7 @@ the implicit outside option is index 0.  Internally, numpy arrays are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -28,11 +28,8 @@ __all__ = [
     "ReducedParams",
     "Assortment",
     "validate_assortment",
-    "choice_probabilities",
     "revenue",
-    "reduce_params",
     "reduced_revenue",
-    "advantage_scores",
 ]
 
 #: An assortment is a strictly increasing tuple of 1-indexed item ids.
@@ -114,21 +111,6 @@ def _idx(s: Assortment) -> np.ndarray:
     return np.asarray(s, dtype=int) - 1
 
 
-def choice_probabilities(inst: Instance, s: Iterable[int]) -> Dict[int, float]:
-    """Purchase probability map over ``s ∪ {0}`` when ``s`` is offered.
-
-    ``P(c) = v_c / (1 + sum_{j in s} v_j)``, with the no-purchase option 0
-    carrying weight 1.  Probabilities sum to 1 exactly up to float rounding.
-    """
-    t = validate_assortment(s, inst.n)
-    w = inst.v[_idx(t)]
-    denom = 1.0 + float(w.sum())
-    probs = {0: 1.0 / denom}
-    for item, weight in zip(t, w):
-        probs[item] = float(weight) / denom
-    return probs
-
-
 def revenue(inst: Instance, s: Iterable[int]) -> float:
     """Expected revenue ``R(s, v)`` of offering ``s``; 0 for the empty set."""
     t = validate_assortment(s, inst.n)
@@ -166,24 +148,6 @@ class ReducedParams:
                 raise ValueError(f"nu[{item}] must lie in [0, 1]")
 
 
-def reduce_params(inst: Instance, a: Iterable[int]) -> ReducedParams:
-    """Reduce the instance relative to pinned set ``a``.
-
-    Returns ``ReducedParams`` with ``zeta = R(a, v)`` and ``nu`` defined for
-    every item outside ``a``.
-    """
-    ta = validate_assortment(a, inst.n)
-    zeta = revenue(inst, ta)
-    denom = 1.0 + float(inst.v[_idx(ta)].sum())
-    pinned = set(ta)
-    nu = {
-        i: float(inst.v[i - 1]) / denom
-        for i in inst.items()
-        if i not in pinned
-    }
-    return ReducedParams(zeta=zeta, nu=nu)
-
-
 def reduced_revenue(
     rewards: Mapping[int, float], params: ReducedParams, s0: Iterable[int]
 ) -> float:
@@ -199,16 +163,3 @@ def reduced_revenue(
         num += params.nu[i] * rewards[i]
         den += params.nu[i]
     return num / den
-
-
-def advantage_scores(inst: Instance, theta: float) -> Dict[int, float]:
-    """Scores ``u_i = v_i * (r_i - theta)`` for every item.
-
-    At ``theta = theta*`` (the optimal revenue) the capacity-constrained
-    top-positive-score selection recovers the optimal assortment, and the
-    scores of its members sum to ``theta*``.
-    """
-    return {
-        i: float(inst.v[i - 1]) * (float(inst.r[i - 1]) - theta)
-        for i in inst.items()
-    }

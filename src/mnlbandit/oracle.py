@@ -39,7 +39,6 @@ from .model import (
 
 __all__ = [
     "OptimumSolution",
-    "select_f",
     "fractional_optimum",
     "brute_force_optimum",
     "exact_optimum",
@@ -98,22 +97,6 @@ def _revenue(inst: Instance, ix: np.ndarray) -> float:
     """Revenue of the 0-based ascending positions ``ix``, rounded exactly as
     ``brute_force_optimum`` rounds it."""
     return float((inst.v * inst.r)[ix].sum() / (1.0 + inst.v[ix].sum()))
-
-
-def select_f(
-    scores: Mapping[int, float], capacity: int
-) -> Assortment:
-    """Capacity-constrained positive-score selection.
-
-    Returns the items with strictly positive score, keeping at most
-    ``capacity`` of them — the ones with the largest scores, breaking score
-    ties in favor of the smaller item id.  The result is sorted ascending.
-    """
-    if capacity < 0:
-        raise ValueError("capacity must be >= 0")
-    items = sorted(scores)
-    chosen = _top_positive(np.array([scores[i] for i in items], dtype=float), capacity)
-    return tuple(items[j] for j in chosen)
 
 
 def fractional_optimum(
@@ -189,9 +172,10 @@ def brute_force_optimum(inst: Instance) -> OptimumSolution:
 def exact_optimum(inst: Instance) -> OptimumSolution:
     """The instance's optimum, for any ``n``, by ``_solve``.
 
-    Tie-break rule: ``s_star`` is ``select_f``'s selection at ``theta*`` --
-    the items with strictly positive score ``v_i (r_i - theta*)``, the top
-    ``k`` of them, and among equal scores the smaller id.  An item with
+    Tie-break rule: ``s_star`` is the ``_top_positive`` selection at
+    ``theta*`` -- the items with strictly positive score
+    ``v_i (r_i - theta*)``, the top ``k`` of them, and among equal scores the
+    smaller id.  An item with
     ``r_i = theta*`` scores 0 and is left out even where adding it keeps the
     revenue at ``theta*``; ``brute_force_optimum``'s lexicographic rule can
     pick such a set instead, at the same revenue.

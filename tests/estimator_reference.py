@@ -1,0 +1,351 @@
+"""Frozen reference of the four refinement estimators, as they were before
+they shared one estimation kernel.
+
+``est_naive``, ``est_adaptive``, ``est_reduced`` and ``est_reg`` below are the
+earlier bodies, each with its own validation, schedule, exploration loop and
+call of the twelve-argument ``_finish``.  The tests require the kernel-based
+estimators to return equal `EstimateSet`s (or raise the same error), to
+spend the same steps and regret, and to leave the generator in the same
+state, so the two draw the same numbers in the same order.
+"""
+
+import math
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from mnlbandit.env import Environment
+from mnlbandit.estimators import (
+    PAPER_TUNING,
+    EstimateSet,
+    ExploreState,
+    GroupPlan,
+    LayerPlan,
+    Schedule,
+    Tuning,
+    _refinement_tau,
+    ci_nu,
+    ci_theta,
+    ci_xi,
+    ci_zeta,
+    explore_epochs,
+)
+from mnlbandit.model import validate_assortment
+
+
+def _rewards_map(env: Environment, items: Sequence[int]) -> Dict[int, float]:
+    return {i: float(env.rewards[i - 1]) for i in items}
+
+
+def _finish(
+    env: Environment,
+    items: Sequence[int],
+    state: ExploreState,
+    schedule: Schedule,
+    tuning: Tuning,
+    capacity: int,
+    zeta_bounds: Optional[Tuple[float, float]],
+    scored: Sequence[int],
+    epochs: int,
+    steps: int,
+    plan: Optional[object] = None,
+    extra_nu_items: Sequence[int] = (),
+) -> EstimateSet:
+    """Assemble the interval set from a populated exploration state."""
+    if zeta_bounds is None:
+        zeta_lo, zeta_hi = ci_zeta(state, schedule.delta, tuning)
+    else:
+        zeta_lo, zeta_hi = zeta_bounds
+    nu_lo: Dict[int, float] = {}
+    nu_hi: Dict[int, float] = {}
+    for i in list(items) + list(extra_nu_items):
+        nu_lo[i], nu_hi[i] = ci_nu(state, i, schedule.delta, tuning)
+    rewards = _rewards_map(env, list(items) + list(extra_nu_items))
+    theta_lo, theta_hi = ci_theta(
+        rewards,
+        sorted(nu_lo),
+        nu_lo,
+        nu_hi,
+        zeta_lo,
+        zeta_hi,
+        capacity,
+    )
+    xi_lo: Dict[int, float] = {}
+    xi_hi: Dict[int, float] = {}
+    for i in scored:
+        xi_lo[i], xi_hi[i] = ci_xi(
+            rewards[i], (nu_lo[i], nu_hi[i]), (theta_lo, theta_hi)
+        )
+    return EstimateSet(
+        items=tuple(sorted(scored)),
+        zeta_lo=zeta_lo,
+        zeta_hi=zeta_hi,
+        nu_lo=nu_lo,
+        nu_hi=nu_hi,
+        theta_lo=theta_lo,
+        theta_hi=theta_hi,
+        xi_lo=xi_lo,
+        xi_hi=xi_hi,
+        schedule=schedule,
+        epochs=epochs,
+        steps=steps,
+        plan=plan,
+    )
+
+
+def _check_disjoint(a: Sequence[int], b: Sequence[int]) -> None:
+    if set(a) & set(b):
+        raise ValueError("pinned and pending sets must be disjoint")
+
+
+# ---------------------------------------------------------------------------
+# Estimation procedures
+# ---------------------------------------------------------------------------
+
+
+def est_naive(
+    env: Environment,
+    a: Sequence[int],
+    b: Sequence[int],
+    delta0: float,
+    eps: float,
+    tuning: Tuning = PAPER_TUNING,
+) -> EstimateSet:
+    """Singleton exploration of every item, no reduction.
+
+    Each item of ``a ∪ b`` is offered alone (empty stopping set) for
+    ``k * tau`` epochs with ``tau = ceil(c2 c0 log(2/delta) / eps^2)`` and
+    ``delta = delta0 / (15 n)``.  The raw weights are estimated directly;
+    the revenue interval maximizes over assortments of ``a ∪ b`` under the
+    true capacity ``k``, with the stop-reward term pinned to 0 (nothing is
+    reduced away).  Scores are returned for the pending items ``b``.
+    """
+    ta = validate_assortment(a, env.n)
+    tb = validate_assortment(b, env.n)
+    _check_disjoint(ta, tb)
+    items = tuple(sorted(ta + tb))
+    delta = delta0 / (15.0 * env.n)
+    tau = _refinement_tau(delta, eps, tuning)
+    schedule = Schedule(c0=tuning.c0, c2=tuning.c2, delta=delta, tau=tau)
+    state = ExploreState(z_stop=())
+    start = env.ledger.steps
+    epochs = 0
+    for i in items:
+        batch = explore_epochs(env, state, (i,), env.k * tau)
+        epochs += batch.epochs
+    capacity = min(env.k, len(items))
+    return _finish(
+        env,
+        items,
+        state,
+        schedule,
+        tuning,
+        capacity,
+        zeta_bounds=(0.0, 0.0),
+        scored=tb,
+        epochs=epochs,
+        steps=env.ledger.steps - start,
+    )
+
+
+def est_adaptive(
+    env: Environment,
+    a: Sequence[int],
+    b: Sequence[int],
+    delta0: float,
+    eps: float,
+    rough: Mapping[int, float],
+    tuning: Tuning = PAPER_TUNING,
+) -> EstimateSet:
+    """Layered exploration of the pending items relative to the pinned set.
+
+    Pending items are bucketed by their rough *reduced* weight
+    ``rough_i / (1 + sum_{j in a} rough_j)`` into dyadic layers; layer ``i``
+    is explored in consecutive groups of ``d_i = min(2^i, M)`` items, each
+    for ``d_i * tau`` epochs, with the pinned set as the stopping set.
+    Heavier items (small layer index) get smaller groups — their epochs are
+    long and informative — while light items share long batches.  ``M =
+    min(k - |a|, |b|)`` is the residual capacity and the revenue interval's
+    assortment bound.
+    """
+    ta = validate_assortment(a, env.n)
+    tb = validate_assortment(b, env.n)
+    _check_disjoint(ta, tb)
+    if not tb:
+        raise ValueError("pending set must be nonempty")
+    m_cap = min(env.k - len(ta), len(tb))
+    if m_cap < 1:
+        raise ValueError("pinned set already fills the capacity")
+    for i in ta + tb:
+        if i not in rough:
+            raise ValueError(f"missing rough estimate for item {i}")
+
+    delta = delta0 / (15.0 * env.n)
+    tau = _refinement_tau(delta, eps, tuning)
+    schedule = Schedule(c0=tuning.c0, c2=tuning.c2, delta=delta, tau=tau)
+
+    denom = 1.0 + sum(rough[j] for j in ta)
+    nu_tilde = {i: rough[i] / denom for i in tb}
+
+    depth = max(0, math.ceil(math.log2(m_cap)))
+    layer_items: List[List[int]] = [[] for _ in range(depth + 1)]
+    for i in tb:
+        x = nu_tilde[i]
+        layer = depth
+        for lv in range(depth):
+            if x > 2.0 ** (-(lv + 1)):
+                layer = lv
+                break
+        layer_items[layer].append(i)
+    widths = tuple(min(2 ** lv, m_cap) for lv in range(depth + 1))
+
+    groups: List[Tuple[int, Tuple[int, ...]]] = []
+    for lv, members in enumerate(layer_items):
+        members = sorted(members)
+        d = widths[lv]
+        for pos in range(0, len(members), d):
+            groups.append((lv, tuple(members[pos : pos + d])))
+
+    plan = LayerPlan(
+        depth=depth,
+        layers=tuple(tuple(sorted(ms)) for ms in layer_items),
+        widths=widths,
+        groups=tuple(groups),
+    )
+
+    state = ExploreState(z_stop=ta)
+    start = env.ledger.steps
+    epochs = 0
+    for lv, group in groups:
+        assert len(ta) + len(group) <= env.k
+        batch = explore_epochs(env, state, group, widths[lv] * tau)
+        epochs += batch.epochs
+    return _finish(
+        env,
+        tb,
+        state,
+        schedule,
+        tuning,
+        m_cap,
+        zeta_bounds=None,
+        scored=tb,
+        epochs=epochs,
+        steps=env.ledger.steps - start,
+        plan=plan,
+    )
+
+
+def est_reduced(
+    env: Environment,
+    a: Sequence[int],
+    b: Sequence[int],
+    delta0: float,
+    eps: float,
+    tuning: Tuning = PAPER_TUNING,
+) -> EstimateSet:
+    """Singleton exploration of pending items relative to the pinned set.
+
+    Like the adaptive estimator but without layering: every pending item is
+    explored alone (stopping set = pinned set) for ``k * tau`` epochs.
+    Simpler, and costlier by roughly the capacity factor on dense instances.
+
+    An empty pending set is legal and consumes nothing: the result scores no
+    items and carries only the trivial intervals.
+    """
+    ta = validate_assortment(a, env.n)
+    tb = validate_assortment(b, env.n)
+    _check_disjoint(ta, tb)
+    delta = delta0 / (15.0 * env.n)
+    tau = _refinement_tau(delta, eps, tuning)
+    schedule = Schedule(c0=tuning.c0, c2=tuning.c2, delta=delta, tau=tau)
+    state = ExploreState(z_stop=ta)
+    if not tb:
+        return _finish(
+            env, (), state, schedule, tuning, 0, None, (), 0, 0
+        )
+    m_cap = min(env.k - len(ta), len(tb))
+    if m_cap < 1:
+        raise ValueError("pinned set already fills the capacity")
+    start = env.ledger.steps
+    epochs = 0
+    for i in tb:
+        batch = explore_epochs(env, state, (i,), env.k * tau)
+        epochs += batch.epochs
+    return _finish(
+        env,
+        tb,
+        state,
+        schedule,
+        tuning,
+        m_cap,
+        zeta_bounds=None,
+        scored=tb,
+        epochs=epochs,
+        steps=env.ledger.steps - start,
+    )
+
+
+def est_reg(
+    env: Environment,
+    a: Sequence[int],
+    b: Sequence[int],
+    delta0: float,
+    eps: float,
+    tuning: Tuning = PAPER_TUNING,
+) -> EstimateSet:
+    """Full-assortment exploration for regret-sensitive phases.
+
+    Pending items are covered by groups of exactly ``M = min(k - |a|, |b|)``
+    items (the last group padded with the smallest remaining pending items),
+    and each group is offered *together with the pinned set* as one
+    assortment of size ``min(k, |a| + |b|)`` for ``k * tau`` epochs with an
+    empty stopping set — so every offered set is large and (once the pinned
+    set is good) cheap in regret.  Raw weights are estimated for pinned and
+    pending items alike; the revenue interval maximizes over ``a ∪ b`` under
+    the true capacity with the stop-reward term pinned to 0.
+
+    ``delta = delta0 / (13 n)``; ``tau = ceil(c2 c0 log(2/delta) / eps^2)``.
+    """
+    ta = validate_assortment(a, env.n)
+    tb = validate_assortment(b, env.n)
+    _check_disjoint(ta, tb)
+    if not tb:
+        raise ValueError("pending set must be nonempty")
+    m_cap = min(env.k - len(ta), len(tb))
+    if m_cap < 1:
+        raise ValueError("pinned set already fills the capacity")
+    delta = delta0 / (13.0 * env.n)
+    tau = _refinement_tau(delta, eps, tuning)
+    schedule = Schedule(c0=tuning.c0, c2=tuning.c2, delta=delta, tau=tau)
+
+    pending = list(tb)
+    groups: List[Tuple[int, ...]] = []
+    for pos in range(0, len(pending), m_cap):
+        chunk = pending[pos : pos + m_cap]
+        if len(chunk) < m_cap:
+            pad = [i for i in pending if i not in chunk][: m_cap - len(chunk)]
+            chunk = sorted(chunk + pad)
+        groups.append(tuple(chunk))
+    plan = GroupPlan(size=m_cap, groups=tuple(groups))
+
+    state = ExploreState(z_stop=())
+    start = env.ledger.steps
+    epochs = 0
+    for group in groups:
+        offered = tuple(sorted(ta + group))
+        assert len(offered) == min(env.k, len(ta) + len(tb))
+        batch = explore_epochs(env, state, offered, env.k * tau)
+        epochs += batch.epochs
+    capacity = min(env.k, len(ta) + len(tb))
+    return _finish(
+        env,
+        tb,
+        state,
+        schedule,
+        tuning,
+        capacity,
+        zeta_bounds=(0.0, 0.0),
+        scored=tb,
+        epochs=epochs,
+        steps=env.ledger.steps - start,
+        plan=plan,
+        extra_nu_items=ta,
+    )

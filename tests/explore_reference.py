@@ -39,7 +39,5 @@ def explore(env: Environment, state: ExploreState, s: Sequence[int]) -> int:
             for i in ts:
                 state.n[i] = state.n.get(i, 0) + x[i]
                 state.t[i] = state.t.get(i, 0) + 1
-            if state.record_lengths:
-                state.epoch_lengths.append(length)
             return length
         x[c] += 1

@@ -1,16 +1,34 @@
-"""Enumeration references for the per-item gaps and the revenue margin.
+"""Enumeration references for the per-item gaps and the revenue margin, and
+the score selection on item ids.
 
-Both enumerate every assortment of size <= k (keep ``n`` small); the tests
-require ``suboptimality_gaps`` and ``revenue_margin`` to agree with them bit
-for bit on instances without tied assortments.
+Both references enumerate every assortment of size <= k (keep ``n`` small);
+the tests require ``suboptimality_gaps`` and ``revenue_margin`` to agree with
+them bit for bit on instances without tied assortments.  ``select_f`` is the
+oracle's top-positive selection keyed by item id.
 """
 
-from typing import Dict
+from typing import Dict, Mapping
 
 import numpy as np
 
-from mnlbandit.model import Instance
-from mnlbandit.oracle import _revenue_table, brute_force_optimum
+from mnlbandit.model import Assortment, Instance
+from mnlbandit.oracle import _revenue_table, _top_positive, brute_force_optimum
+
+
+def select_f(
+    scores: Mapping[int, float], capacity: int
+) -> Assortment:
+    """Capacity-constrained positive-score selection.
+
+    Returns the items with strictly positive score, keeping at most
+    ``capacity`` of them — the ones with the largest scores, breaking score
+    ties in favor of the smaller item id.  The result is sorted ascending.
+    """
+    if capacity < 0:
+        raise ValueError("capacity must be >= 0")
+    items = sorted(scores)
+    chosen = _top_positive(np.array([scores[i] for i in items], dtype=float), capacity)
+    return tuple(items[j] for j in chosen)
 
 
 def enumerated_gaps(inst: Instance) -> Dict[int, float]:

@@ -17,8 +17,8 @@ from mnlbandit.model import revenue, validate_assortment
 _HYPERGEOM_LIMIT = 10**9
 
 
-def sample_epochs(env, z, s, epochs, collect=False):
-    """``env.sample_epochs(z, s, epochs, collect)``, the earlier way."""
+def sample_epochs(env, z, s, epochs):
+    """``env.sample_epochs(z, s, epochs)``, the earlier way."""
     tz = validate_assortment(z, env.n)
     ts = validate_assortment(s, env.n)
     if set(tz) & set(ts):
@@ -73,7 +73,7 @@ def sample_epochs(env, z, s, epochs, collect=False):
     x_sums = _multinomial(env._rng, bought, v_s)
     stop_counts = _multinomial(env._rng, done, stop_weights)
     env.ledger.record(offered_idx, regret, used)
-    batch = EpochBatch(
+    return EpochBatch(
         requested=epochs,
         epochs=done,
         steps=used,
@@ -81,27 +81,6 @@ def sample_epochs(env, z, s, epochs, collect=False):
         z_sum=float(stop_counts @ stop_rewards),
         truncated=truncated,
     )
-    if collect:
-        totals = _composition(env._rng, bought, done)
-        labels = env._rng.permutation(np.repeat(np.arange(len(ts)), x_sums))
-        owner = np.repeat(np.arange(done), totals)
-        batch.x = np.bincount(
-            owner * len(ts) + labels, minlength=done * len(ts)
-        ).reshape(done, len(ts))
-        stops = env._rng.permutation(
-            np.repeat(np.arange(len(stop_weights)), stop_counts)
-        )
-        batch.z_values = stop_rewards[stops]
-        batch.lengths = 1 + totals
-    return batch
-
-
-def _composition(rng, total, parts):
-    if parts == 0:
-        return np.zeros(0, dtype=np.int64)
-    slots = total + parts - 1
-    bars = np.sort(rng.choice(slots, size=parts - 1, replace=False))
-    return np.diff(bars, prepend=-1, append=slots) - 1
 
 
 def _multinomial(rng, count, weights):

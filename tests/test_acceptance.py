@@ -25,7 +25,7 @@ from mnlbandit.estimators import (
     explore_epochs,
 )
 from mnlbandit.instances import generate_instance
-from mnlbandit.model import Instance, advantage_scores, reduce_params, revenue
+from mnlbandit.model import Instance, revenue
 from mnlbandit.oracle import (
     brute_force_optimum,
     fractional_optimum,
@@ -33,6 +33,8 @@ from mnlbandit.oracle import (
     suboptimality_gaps,
 )
 from baselines import uniform_random_regret
+from epoch_detail import epoch_detail
+from model_reference import advantage_scores, reduce_params
 
 
 def _report(num, label, ok, detail=""):
@@ -142,8 +144,8 @@ def test_criterion_04_epoch_moments():
     bad = []
     for idx, (z_set, tracked) in enumerate(configs):
         env = Environment(inst, fork_stream(1004, idx))
-        state = ExploreState(z_stop=z_set, record_lengths=True)
-        explore_epochs(env, state, tracked, epochs)
+        state = ExploreState(z_stop=z_set)
+        _, lengths = epoch_detail(env, explore_epochs(env, state, tracked, epochs))
         params = reduce_params(inst, z_set)
 
         # stop-reward mean: exact variance of the categorical stop outcome
@@ -166,7 +168,7 @@ def test_criterion_04_epoch_moments():
         # mean sum(nu) (the item counts are jointly negative-multinomial)
         nus = [params.nu[i] for i in tracked]
         se_len = math.sqrt(sum(nus) * (1.0 + sum(nus)) / epochs)
-        mean_len = float(np.mean(state.epoch_lengths))
+        mean_len = float(np.mean(lengths))
         if abs((mean_len - 1.0) - sum(nus)) > 3 * se_len:
             bad.append(f"config {idx}: epoch length")
     _report(

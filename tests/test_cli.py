@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from mnlbandit.cli import CSV_COLUMNS, RESULTS_FORMAT, SUMMARY_COLUMNS, main
-from mnlbandit.env import stream_digest
 from mnlbandit.instances import read_instance
 from mnlbandit.oracle import brute_force_optimum, exact_optimum
+from stream_reference import stream_digest
 
 
 def run_cli(*argv):
@@ -188,6 +188,36 @@ class TestRunValidation:
             "--gen-seed", "5", "--mode", "pac", "--seed", "1",
             "--out", str(tmp_path / "r.csv"), "--tuning", "desk",
         ) == 1
+
+    @pytest.mark.parametrize("delta", ["1.5", "1.0"])
+    def test_pac_delta_outside_the_unit_interval(self, tmp_path, capsys, monkeypatch, delta):
+        monkeypatch.setenv("MNL_THREADS", "1")
+        assert run_cli(
+            "run", "--family", "uniform", "--n", "4", "--k", "2",
+            "--gen-seed", "5", "--mode", "pac", "--delta", delta, "--seed", "1",
+            "--out", str(tmp_path / "r.csv"), "--tuning", "desk",
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: delta must lie in (0, 1)")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # a regret horizon above 2^63 overflows the ledger's offer counts
+            ("--family", "uniform", "--n", "10", "--k", "4", "--gen-seed", "14618",
+             "--mode", "regret", "--horizon", "10000000000000000000"),
+            # paper constants at gaps of 1e-9 overflow a purchase-count draw
+            ("--family", "lower-bound", "--n", "6", "--k", "2",
+             "--gaps", "1e-9,1e-9,1e-9,1e-9", "--mode", "pac", "--tuning", "paper"),
+        ],
+    )
+    def test_overflow_is_a_runtime_error(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.setenv("MNL_THREADS", "1")
+        assert run_cli("run", *args, "--seed", "1", "--reps", "1",
+                       "--out", str(tmp_path / "r.csv")) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate") == 1

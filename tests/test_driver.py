@@ -17,7 +17,7 @@ from mnlbandit.driver import (
 from mnlbandit.env import Environment, fork_stream
 from mnlbandit.estimators import DESK_TUNING, EstimateSet, Schedule, Tuning, est_reg
 from mnlbandit.instances import generate_instance
-from mnlbandit.model import Instance, ReducedParams, reduce_params, revenue
+from mnlbandit.model import Instance, ReducedParams, revenue
 from mnlbandit.oracle import (
     brute_force_optimum,
     fractional_optimum,
@@ -25,6 +25,7 @@ from mnlbandit.oracle import (
     suboptimality_gaps,
 )
 from baselines import uniform_random_regret
+from model_reference import reduce_params
 import driver_reference
 
 STUB_SCHEDULE = Schedule(c0=196, c2=1024, delta=0.1, tau=1)
@@ -230,6 +231,13 @@ class TestPacExact:
         np.testing.assert_allclose(
             res.phases[0].delta_k, 0.05 / 3.0, rtol=1e-15
         )
+
+    @pytest.mark.parametrize("delta", [1.5, 1.0, 0.0, -0.1])
+    def test_delta_validated_before_any_step(self, delta):
+        env = Environment(generate_instance("uniform", 5, 2, seed=11), fork_stream(78, 1))
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            pac_exact(env, delta, DESK_TUNING)
+        assert env.ledger.steps == 0
 
     def test_identifies_on_pinned_seed(self):
         inst = generate_instance("uniform", 6, 3, seed=8)

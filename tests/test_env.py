@@ -13,12 +13,14 @@ from mnlbandit.env import (
     RegretLedger,
     RNG_ALGORITHM_ID,
     fork_stream,
-    stream_digest,
 )
 from mnlbandit.estimators import ExploreState
-from mnlbandit.model import Instance, choice_probabilities, reduce_params, revenue
+from mnlbandit.model import Instance, revenue
 from mnlbandit.oracle import brute_force_optimum
+from epoch_detail import epoch_detail
 from explore_reference import explore
+from model_reference import choice_probabilities, reduce_params
+from stream_reference import stream_digest
 
 
 def make_env(seed=0, rep=0, horizon=None, inst=None):
@@ -278,15 +280,15 @@ class TestSampleEpochs:
     def test_deterministic_and_collect_invariant(self):
         env_a = make_env(seed=11)
         env_b = make_env(seed=11)
-        a = env_a.sample_epochs((1,), (2, 3), 500, collect=False)
-        b = env_b.sample_epochs((1,), (2, 3), 500, collect=True)
+        a = env_a.sample_epochs((1,), (2, 3), 500)
+        b = env_b.sample_epochs((1,), (2, 3), 500)
+        x, lengths = epoch_detail(env_b, b)
         np.testing.assert_array_equal(a.x_sums, b.x_sums)
         assert a.z_sum == b.z_sum and a.steps == b.steps
-        assert b.x.shape == (500, 2)
-        assert b.lengths.sum() == b.steps
-        np.testing.assert_array_equal(b.x.sum(axis=0), b.x_sums)
-        np.testing.assert_allclose(b.z_values.sum(), b.z_sum, rtol=1e-12)
-        np.testing.assert_array_equal(b.lengths, 1 + b.x.sum(axis=1))
+        assert x.shape == (500, 2)
+        assert lengths.sum() == b.steps
+        np.testing.assert_array_equal(x.sum(axis=0), b.x_sums)
+        np.testing.assert_array_equal(lengths, 1 + x.sum(axis=1))
 
     def test_moments_match_the_epoch_law(self):
         # Purchase counts are geometric with mean nu_i, the stop reward has
@@ -299,11 +301,12 @@ class TestSampleEpochs:
         env = Environment(inst, fork_stream(12, 0))
         z, s = (1, 2), (3, 4)
         epochs = 20_000
-        batch = env.sample_epochs(z, s, epochs, collect=True)
+        batch = env.sample_epochs(z, s, epochs)
+        x, lengths = epoch_detail(env, batch)
         params = reduce_params(inst, z)
         nu = np.array([params.nu[i] for i in s])
         zeta = params.zeta
-        x_bar = batch.x.mean(axis=0)
+        x_bar = x.mean(axis=0)
         se_x = np.sqrt(nu * (1 + nu) / epochs)
         assert np.all(np.abs(x_bar - nu) <= 4 * se_x)
         probs = choice_probabilities(inst, z)
@@ -311,9 +314,9 @@ class TestSampleEpochs:
         mean_z = sum(probs[c] * stop_r[c] for c in probs)
         var_z = sum(probs[c] * (stop_r[c] - mean_z) ** 2 for c in probs)
         np.testing.assert_allclose(mean_z, zeta, rtol=1e-12)
-        z_bar = batch.z_values.mean()
+        z_bar = batch.z_sum / batch.epochs
         assert abs(z_bar - zeta) <= 4 * np.sqrt(var_z / epochs)
-        e_bar = (batch.lengths - 1).mean()
+        e_bar = (lengths - 1).mean()
         se_e = np.sqrt(nu.sum() * (1 + nu.sum()) / epochs)
         assert abs(e_bar - nu.sum()) <= 4 * se_e
         assert env.ledger.steps == batch.steps
@@ -387,26 +390,29 @@ class TestSampleEpochs:
     def test_zero_weight_tracked_items(self):
         inst = Instance(n=3, k=3, r=[1.0, 0.5, 0.2], v=[0.0, 0.4, 0.0])
         env = Environment(inst, fork_stream(18, 0))
-        batch = env.sample_epochs((), (1, 2), 5000, collect=True)
+        batch = env.sample_epochs((), (1, 2), 5000)
+        x, _ = epoch_detail(env, batch)
         assert batch.x_sums[0] == 0 and batch.x_sums[1] > 0
-        assert np.all(batch.x[:, 0] == 0)
+        assert np.all(x[:, 0] == 0)
         assert batch.steps == batch.epochs + int(batch.x_sums.sum())
         # only weightless items tracked: every epoch stops at its first step
-        batch = env.sample_epochs((2,), (1, 3), 300, collect=True)
+        batch = env.sample_epochs((2,), (1, 3), 300)
+        _, lengths = epoch_detail(env, batch)
         assert batch.steps == batch.epochs == 300
         np.testing.assert_array_equal(batch.x_sums, [0, 0])
-        np.testing.assert_array_equal(batch.lengths, np.ones(300))
+        np.testing.assert_array_equal(lengths, np.ones(300))
 
 
 def _explore_epochs(env, z, s, epochs):
     """Step-level reference: per-epoch lengths and item counts via ``explore``."""
-    state = ExploreState(z_stop=z, record_lengths=True)
+    state = ExploreState(z_stop=z)
+    lengths = np.zeros(epochs, dtype=np.int64)
     x = np.zeros((epochs, len(s)), dtype=np.int64)
     for e in range(epochs):
         before = [state.n.get(i, 0) for i in s]
-        explore(env, state, s)
+        lengths[e] = explore(env, state, s)
         x[e] = [state.n[i] - b for i, b in zip(s, before)]
-    return np.array(state.epoch_lengths), x
+    return lengths, x
 
 
 def _stats_with_se(lengths, x):
@@ -429,10 +435,9 @@ class TestEpochLaw:
         # item counts are negative-multinomial with Cov(x_1, x_2) =
         # nu_1 nu_2 = 1 (independent geometrics would give 0).
         inst = Instance(n=2, k=2, r=[1.0, 0.5], v=[1.0, 1.0])
-        batch = Environment(inst, fork_stream(21, 0)).sample_epochs(
-            (), (1, 2), 200_000, collect=True
-        )
-        got, se_got = _stats_with_se(batch.lengths, batch.x)
+        env = Environment(inst, fork_stream(21, 0))
+        x, lengths = epoch_detail(env, env.sample_epochs((), (1, 2), 200_000))
+        got, se_got = _stats_with_se(lengths, x)
         ref, se_ref = _stats_with_se(
             *_explore_epochs(Environment(inst, fork_stream(22, 0)), (), (1, 2), 20_000)
         )

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from mnlbandit.env import Environment, HorizonExhausted, fork_stream
+from mnlbandit.instances import generate_instance
 from mnlbandit.estimators import (
     DESK_TUNING,
     EstimateSet,
@@ -29,9 +30,12 @@ from mnlbandit.estimators import (
     est_rough,
     explore_epochs,
 )
-from mnlbandit.model import Instance, ReducedParams, reduce_params
+from mnlbandit.model import Instance, ReducedParams
 from mnlbandit.oracle import fractional_optimum
+from epoch_detail import epoch_detail
 from explore_reference import explore
+from model_reference import reduce_params
+import estimator_reference
 
 # Fast-but-valid profile for coverage runs: tiny epoch budgets, exact
 # confidence radii (ci_scale=1), so the intervals keep their guarantees
@@ -259,12 +263,11 @@ class TestExplore:
     def test_zero_weight_items_stop_immediately(self):
         inst = Instance(n=2, k=2, r=[1.0, 1.0], v=[0.0, 0.0])
         env = make_env(inst, seed=50)
-        state = ExploreState(record_lengths=True)
+        state = ExploreState()
         length = explore(env, state, (1, 2))
         assert length == 1
         assert state.t_z == 1 and state.n_z == 0.0
         assert state.n == {1: 0, 2: 0} and state.t == {1: 1, 2: 1}
-        assert state.epoch_lengths == [1]
 
     def test_overlap_with_stopping_set_rejected(self):
         inst = Instance(n=3, k=3, r=[1.0] * 3, v=[0.5] * 3)
@@ -353,17 +356,17 @@ class TestExplore:
     def test_batch_route_records_lengths_when_asked(self):
         inst = Instance(n=2, k=2, r=[1.0, 0.5], v=[0.5, 0.3])
         env = make_env(inst, seed=55)
-        state = ExploreState(record_lengths=True)
-        explore_epochs(env, state, (1, 2), 300)
-        assert len(state.epoch_lengths) == 300
-        assert sum(state.epoch_lengths) == env.ledger.steps
+        state = ExploreState()
+        _, lengths = epoch_detail(env, explore_epochs(env, state, (1, 2), 300))
+        assert len(lengths) == 300
+        assert sum(lengths) == env.ledger.steps
 
     def test_batch_route_accepts_any_sequence_of_ids(self):
         inst = Instance(n=4, k=3, r=[1.0, 0.6, 0.4, 0.8], v=[0.5, 0.7, 0.2, 0.9])
         runs = []
         for s in ((2, 3), [2, 3], np.array([2, 3]), (np.int64(2), np.int64(3))):
             env = make_env(inst, seed=56)
-            state = ExploreState(z_stop=(1,), record_lengths=True)
+            state = ExploreState(z_stop=(1,))
             explore_epochs(env, state, s, 500)
             runs.append((state, env.ledger.steps))
         assert all(run == runs[0] for run in runs[1:])
@@ -718,3 +721,122 @@ class TestEstimateSet:
         )
         np.testing.assert_allclose(est.width(1), 0.2, rtol=1e-15)
         np.testing.assert_allclose(est.max_width(), 0.5, rtol=1e-15)
+
+
+class TestMatchesReferenceEstimators:
+    """The kernel-based estimators against their earlier, separate bodies
+    (``estimator_reference``): same result or error, same steps and regret,
+    same generator state afterwards."""
+
+    PAIRS = {
+        "naive": (est_naive, estimator_reference.est_naive),
+        "reduced": (est_reduced, estimator_reference.est_reduced),
+        "reg": (est_reg, estimator_reference.est_reg),
+        "adaptive": (est_adaptive, estimator_reference.est_adaptive),
+    }
+    CUSTOM = Tuning(c0=50, c2=300, tau_scale=3e-5, rough_tau_scale=0.05, ci_scale=0.1)
+
+    def _outcome(self, name, which, inst, seed, horizon, args, tuning, rough):
+        env = Environment(inst, fork_stream(seed, 0), horizon=horizon)
+        fn = self.PAIRS[name][which]
+        try:
+            if name == "adaptive":
+                if rough is None:
+                    rough = est_rough(env, 0.2, tuning)
+                out = fn(env, *args, rough=rough, tuning=tuning)
+            else:
+                out = fn(env, *args, tuning=tuning)
+        except (ValueError, HorizonExhausted) as exc:
+            out = (type(exc), str(exc))
+        ledger = (env.ledger.steps, env.ledger.cum_regret, env.ledger._segments)
+        return out, ledger, env._rng.bit_generator.state
+
+    def _check(self, name, inst, seed, args, tuning=DESK_TUNING, horizon=None, rough=None):
+        got = self._outcome(name, 0, inst, seed, horizon, args, tuning, rough)
+        want = self._outcome(name, 1, inst, seed, horizon, args, tuning, rough)
+        assert got == want, (name, args)
+        return got[0], got[1][0]  # the outcome and the steps spent
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(606)
+        seen = set()
+        for case in range(240):
+            n = int(rng.integers(2, 9))
+            if case % 2:
+                k = int(rng.integers(1, n // 2 + 1))
+                gaps = rng.uniform(1e-3, 1.0 / (16 * k), n - k)
+                inst = generate_instance("lower-bound", n, k, gaps=gaps)
+            else:
+                k = int(rng.integers(1, n + 1))
+                inst = generate_instance("uniform", n, k, seed=case)
+            items = [int(i) for i in rng.permutation(np.arange(1, n + 1))]
+            cut = int(rng.integers(0, k + 1))
+            a = tuple(sorted(items[:cut]))
+            b = tuple(sorted(items[cut : cut + int(rng.integers(0, n - cut + 1))]))
+            name = ("naive", "reduced", "reg", "adaptive")[case % 4]
+            tuning = self.CUSTOM if case % 3 == 0 else DESK_TUNING
+            horizon = int(rng.integers(50, 20000)) if case % 5 == 0 else None
+            delta0 = float(rng.uniform(0.01, 0.5))
+            eps = float(rng.choice([0.5, 0.25, 0.125, 0.0625]))
+            out, _ = self._check(name, inst, case, (a, b, delta0, eps), tuning, horizon)
+            if isinstance(out, EstimateSet):
+                seen.add("estimate")
+                if name == "adaptive" and sum(map(bool, out.plan.layers)) > 1:
+                    seen.add("multi-layer")
+                if name == "reg" and len(b) % out.plan.size:
+                    seen.add("padded")
+                if not b:
+                    seen.add(f"empty-{name}")
+            elif out[0] is HorizonExhausted:
+                seen.add("horizon")
+            else:
+                seen.add("error")
+        assert seen >= {"estimate", "multi-layer", "padded", "horizon", "error"}
+
+    def test_named_cases(self):
+        inst = generate_instance("uniform", 7, 3, seed=11)
+        hard = generate_instance("lower-bound", 6, 2, gaps=[0.01, 0.02, 0.005, 0.03])
+        for name in ("naive", "reduced"):  # an empty pending set
+            for a in ((), (2, 5), (1, 2, 3, 4)):
+                out, steps = self._check(name, inst, 1, (a, (), 0.1, 0.25))
+                assert isinstance(out, EstimateSet) and out.items == ()
+        # seven pending items in groups of three: the last one is padded
+        out, _ = self._check("reg", inst, 2, ((), tuple(range(1, 8)), 0.1, 0.25))
+        assert out.plan.groups[-1] == (1, 2, 7)
+        out, _ = self._check("reg", hard, 3, ((1,), (2, 3, 4), 0.1, 0.125), self.CUSTOM)
+        assert out.plan.groups == ((2,), (3,), (4,))
+        # several dyadic layers, from the rough pass of the same stream
+        big = generate_instance("lower-bound", 8, 4, gaps=[0.015, 0.001, 0.01, 0.002])
+        out, _ = self._check("adaptive", big, 4, ((), tuple(range(1, 9)), 0.1, 0.25))
+        assert sum(map(bool, out.plan.layers)) > 1
+        # a step budget that runs out halfway through the estimate
+        args = ((1,), (2, 3, 4), 0.1, 0.25)
+        for name in self.PAIRS:
+            out, steps = self._check(name, inst, 5, args)
+            horizon = steps - out.steps // 2
+            out, steps = self._check(name, inst, 5, args, horizon=horizon)
+            assert out[0] is HorizonExhausted and steps == horizon
+
+    @pytest.mark.parametrize("name", ["naive", "reduced", "reg", "adaptive"])
+    @pytest.mark.parametrize(
+        "a, b, delta0, eps",
+        [
+            ((1,), (1, 2), 0.1, 0.25),  # overlapping sets
+            ((2, 1), (3,), 0.1, 0.25),  # unsorted
+            ((), (0, 2), 0.1, 0.25),  # out of range
+            ((1,), (), 0.1, 0.25),  # nothing pending
+            ((1, 2, 3), (4,), 0.1, 0.25),  # the pinned set fills the capacity
+            ((1, 2, 3), (4,), 0.1, 0.0),  # ... and a bad eps
+            ((1,), (2, 3), 0.1, 1.5),  # eps out of range
+            ((1,), (2, 3), 500.0, 0.25),  # delta above 1
+            ((), (2, 3), -0.1, 0.25),  # delta below 0
+        ],
+    )
+    def test_precondition_errors(self, name, a, b, delta0, eps):
+        inst = generate_instance("uniform", 6, 3, seed=8)
+        self._check(name, inst, 6, (a, b, delta0, eps))
+
+    def test_missing_rough_estimate(self):
+        inst = generate_instance("uniform", 6, 3, seed=8)
+        out, _ = self._check("adaptive", inst, 7, ((1,), (2, 3), 0.1, 0.25), rough={2: 0.5})
+        assert out == (ValueError, "missing rough estimate for item 1")

@@ -6,14 +6,12 @@ import pytest
 from mnlbandit.model import (
     Instance,
     ReducedParams,
-    advantage_scores,
-    choice_probabilities,
-    reduce_params,
     reduced_revenue,
     revenue,
     validate_assortment,
 )
 from mnlbandit.oracle import brute_force_optimum
+from model_reference import advantage_scores, choice_probabilities, reduce_params
 
 
 def random_instance(rng, n_max=8, k_max=None):

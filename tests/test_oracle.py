@@ -8,8 +8,6 @@ import pytest
 from mnlbandit.model import (
     Instance,
     ReducedParams,
-    advantage_scores,
-    reduce_params,
     reduced_revenue,
     revenue,
 )
@@ -20,10 +18,10 @@ from mnlbandit.oracle import (
     fractional_optimum,
     lower_bound_instance,
     revenue_margin,
-    select_f,
     suboptimality_gaps,
 )
-from oracle_reference import enumerated_gaps, enumerated_margin
+from model_reference import advantage_scores, reduce_params
+from oracle_reference import enumerated_gaps, enumerated_margin, select_f
 
 
 def random_instance(rng, n_max=8, k_max=None):

@@ -1,7 +1,8 @@
 """Differential tests of the per-key sampling plans and the array ``ci_theta``.
 
 The planned sampler must draw exactly what the earlier one drew
-(``sampler_reference``), call for call, and the array-native ``ci_theta``
+(``sampler_reference``), call for call, also when per-epoch detail
+(``epoch_detail``) is drawn after a batch, and the array-native ``ci_theta``
 must return the ``fractional_optimum`` plug-in revenues bit for bit.
 """
 
@@ -12,6 +13,7 @@ from mnlbandit.env import Environment, fork_stream
 from mnlbandit.estimators import ci_theta
 from mnlbandit.model import Instance, ReducedParams
 from mnlbandit.oracle import fractional_optimum
+from epoch_detail import epoch_detail
 from sampler_reference import sample_epochs as reference_sample_epochs
 
 
@@ -32,18 +34,22 @@ def _random_pair(rng, inst):
     return z, s
 
 
-def _assert_same_batch(new, old):
+def _assert_same_draws(new_env, old_env, z, s, epochs, detail=False):
+    """Sample one batch in each environment (and its per-epoch detail when
+    asked) and require equal results; return the new batch."""
+    new = new_env.sample_epochs(z, s, epochs)
+    old = reference_sample_epochs(old_env, z, s, epochs)
     assert (new.requested, new.epochs, new.steps, new.truncated) == (
         old.requested, old.epochs, old.steps, old.truncated,
     )
     assert new.z_sum == old.z_sum
-    for name in ("x_sums", "x", "z_values", "lengths"):
-        a, b = getattr(new, name), getattr(old, name)
-        if b is None:
-            assert a is None
-        else:
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
+    arrays = [(new.x_sums, old.x_sums)]
+    if detail:
+        arrays += zip(epoch_detail(new_env, new), epoch_detail(old_env, old))
+    for a, b in arrays:
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    return new
 
 
 class TestSamplerMatchesReference:
@@ -59,11 +65,8 @@ class TestSamplerMatchesReference:
             for call in range(8):  # repeated pairs hit the plan table
                 z, s = pairs[int(rng.integers(0, len(pairs)))]
                 epochs = int(rng.integers(1, 400))
-                collect = bool(rng.random() < 0.5)
-                _assert_same_batch(
-                    new.sample_epochs(z, s, epochs, collect=collect),
-                    reference_sample_epochs(old, z, s, epochs, collect=collect),
-                )
+                detail = bool(rng.random() < 0.5)
+                _assert_same_draws(new, old, z, s, epochs, detail)
             assert new._rng.bit_generator.state == old._rng.bit_generator.state
             assert new.ledger.steps == old.ledger.steps
             assert new.ledger.cum_regret == old.ledger.cum_regret
@@ -80,8 +83,7 @@ class TestSamplerMatchesReference:
             new = Environment(inst, fork_stream(seed, 1), horizon=3 * 10**8)
             old = Environment(inst, fork_stream(seed, 1), horizon=3 * 10**8)
             for epochs in (10**7, 10**10, 5):
-                batch = new.sample_epochs(z, s, epochs)
-                _assert_same_batch(batch, reference_sample_epochs(old, z, s, epochs))
+                batch = _assert_same_draws(new, old, z, s, epochs)
             assert batch.truncated and batch.epochs == 0
             assert new._rng.bit_generator.state == old._rng.bit_generator.state
 
@@ -90,10 +92,7 @@ class TestSamplerMatchesReference:
         new = Environment(inst, fork_stream(3, 0))
         old = Environment(inst, fork_stream(3, 0))
         for z, s in [([1], [2, 5]), ((np.int64(1),), (np.int64(2), np.int64(5)))]:
-            _assert_same_batch(
-                new.sample_epochs(z, s, 50, collect=True),
-                reference_sample_epochs(old, z, s, 50, collect=True),
-            )
+            _assert_same_draws(new, old, z, s, 50, detail=True)
         assert new._rng.bit_generator.state == old._rng.bit_generator.state
 
 
