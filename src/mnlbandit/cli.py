@@ -10,8 +10,9 @@ Subcommands
 Determinism: with a fixed ``--seed``, results CSVs are byte-identical across
 runs and across worker counts (rows are computed in independent per-index
 streams and written in replication order).  Timestamps appear only in the
-JSON sidecar, never in the CSV.  ``MNL_THREADS`` caps worker processes
-(default: machine parallelism).
+JSON sidecar, never in the CSV.  Replications run in this process until a
+worker pool's projected saving exceeds its start-up cost; ``MNL_THREADS``
+caps the pool's processes (default: machine parallelism).
 
 Exit codes: 0 = success, 1 = usage error, 2 = runtime failure.
 """
@@ -23,7 +24,7 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -68,6 +69,15 @@ CSV_COLUMNS = (
     "status",
 )
 RESULTS_FORMAT = "mnlbandit-results-v1"
+
+#: The largest ``--horizon``: step counts are numpy ``int64``.
+MAX_HORIZON = 2**63 - 1
+
+#: Seconds a worker pool costs before it saves any: importing
+#: ``concurrent.futures``, forking the workers and shutting them down.  On a
+#: 2-CPU Xeon VM the import took 17-25 ms and a first 2-worker pool 11-15 ms;
+#: the constant rounds their sum up to cover the pool's per-task traffic.
+POOL_STARTUP_S = 0.05
 
 
 class UsageError(Exception):
@@ -143,6 +153,28 @@ def _parse_gaps(text: str) -> Tuple[float, ...]:
         return tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise UsageError(f"malformed --gaps list: {exc}") from exc
+
+
+def _import_numpy_random() -> None:
+    """Import ``numpy.random`` for ``run`` without loading OpenSSL.
+
+    ``numpy.random`` imports ``secrets`` (entropy for unseeded generators),
+    whose ``hmac`` loads OpenSSL through ``_hashlib``: 3.4 MB resident and
+    about 8 ms on a 2-CPU Xeon VM, in a process whose streams are all seeded
+    and which hashes nothing.  ``_hashlib`` is hidden for that one import, so
+    ``hashlib`` and ``hmac`` fall back to CPython's built-in hashes; both are
+    then forgotten, so that a later import gets the usual modules.  This acts
+    only if no module of the package touched ``numpy.random`` at import time
+    (``tests/test_cli.py`` checks that ``import mnlbandit.cli`` does not).
+    """
+    if "numpy.random" in sys.modules or "_hashlib" in sys.modules:
+        return
+    sys.modules["_hashlib"] = None  # type: ignore[assignment]
+    try:
+        import numpy.random  # noqa: F401
+    finally:
+        for name in ("_hashlib", "hashlib", "hmac"):
+            sys.modules.pop(name, None)
 
 
 def _cmd_gen(args) -> int:
@@ -228,7 +260,11 @@ class RunJob:
     curve_rep: Optional[int]  # the replication whose regret curve is kept
 
 
-def _replicate(job: RunJob, rep: int) -> Tuple[Dict[str, str], Optional[List[float]]]:
+#: One replication's CSV row and, for ``RunJob.curve_rep``, its regret curve.
+Outcome = Tuple[Dict[str, str], Optional[List[float]]]
+
+
+def _replicate(job: RunJob, rep: int) -> Outcome:
     """Run one replication."""
     tuning = job.tuning
     rng = fork_stream(job.master_seed, rep)
@@ -274,7 +310,7 @@ def _start_worker(job: RunJob) -> None:
     _worker_job = job
 
 
-def _replicate_in_worker(rep: int) -> Tuple[Dict[str, str], Optional[List[float]]]:
+def _replicate_in_worker(rep: int) -> Outcome:
     return _replicate(_worker_job, rep)
 
 
@@ -290,6 +326,55 @@ def _worker_count(reps: int) -> int:
     else:
         cap = os.cpu_count() or 1
     return max(1, min(cap, reps))
+
+
+def _pool_size(rep_s: float, left: int, workers: int) -> int:
+    """Processes to run ``left`` more replications of about ``rep_s`` seconds
+    each: a pool of ``w = min(workers, left)`` once its projected saving,
+    ``rep_s × left × (1 − 1/w)``, exceeds ``POOL_STARTUP_S``; else this one."""
+    w = min(workers, left)
+    return w if w > 1 and rep_s * left * (1 - 1 / w) > POOL_STARTUP_S else 1
+
+
+def _run_replications(job: RunJob, reps: int, workers: int) -> Tuple[List[Outcome], int]:
+    """Run replications ``0 .. reps-1``; return their outcomes in order and the
+    number of processes that ran them at once (1, or the pool's size).
+
+    Replication 0 runs in this process, which so pays the one-off costs
+    (``numpy.random``, the instance's optimum and plan table) once; forked
+    workers inherit them.  Its time, an overestimate of a warm replication's,
+    decides whether a pool starts at once; after that the mean time of the
+    warm replications decides (``_pool_size``).
+    """
+    start = time.perf_counter()
+    outcomes = [_replicate(job, 0)]
+    warm_start = time.perf_counter()
+    rep_s = warm_start - start
+    while len(outcomes) < reps:
+        done = len(outcomes)
+        if done > 1:
+            rep_s = (time.perf_counter() - warm_start) / (done - 1)
+        pool_size = _pool_size(rep_s, reps - done, workers)
+        if pool_size > 1:
+            return outcomes + _run_in_pool(job, range(done, reps), pool_size), pool_size
+        outcomes.append(_replicate(job, done))
+    return outcomes, 1
+
+
+def _run_in_pool(job: RunJob, indices: range, workers: int) -> List[Outcome]:
+    # imported here so that runs too short to repay a pool never load it
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_start_worker, initargs=(job,)
+    ) as pool:
+        return list(
+            pool.map(
+                _replicate_in_worker,
+                indices,
+                chunksize=max(1, len(indices) // (4 * workers)),
+            )
+        )
 
 
 def _cmd_run(args) -> int:
@@ -317,11 +402,15 @@ def _cmd_run(args) -> int:
             raise UsageError("--horizon is required for mode=regret")
         if args.estimator not in ("adaptive", "reg"):
             raise UsageError("mode=regret uses the reg estimator")
+        if args.horizon > MAX_HORIZON:
+            raise ValueError(f"--horizon {args.horizon} exceeds the limit {MAX_HORIZON}")
     if args.curve_out is not None:
         if args.mode != "regret":
             raise UsageError("--curve-out applies only to mode=regret")
         if not (0 <= args.curve_rep < args.reps):
             raise UsageError("--curve-rep must name one of the replications")
+    max_workers = _worker_count(args.reps)
+    _import_numpy_random()
 
     inst, inst_meta = _resolve_instance(args)
     tuning = _resolve_tuning(args)
@@ -339,20 +428,9 @@ def _cmd_run(args) -> int:
         curve_rep=args.curve_rep if args.curve_out is not None else None,
     )
 
-    workers = _worker_count(args.reps)
-    if workers == 1:
-        outcomes = [_replicate(job, rep) for rep in range(args.reps)]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_worker, initargs=(job,)
-        ) as pool:
-            outcomes = list(
-                pool.map(
-                    _replicate_in_worker,
-                    range(args.reps),
-                    chunksize=max(1, args.reps // (4 * workers)),
-                )
-            )
+    start = time.perf_counter()
+    outcomes, workers = _run_replications(job, args.reps, max_workers)
+    wall_s = time.perf_counter() - start
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS), lineterminator="\n")
@@ -371,6 +449,8 @@ def _cmd_run(args) -> int:
     sidecar = {
         "format": RESULTS_FORMAT,
         "created_utc": datetime.now(timezone.utc).isoformat(),
+        "workers": workers,
+        "wall_s": wall_s,
         "package_version": __version__,
         "python_version": sys.version.split()[0],
         "numpy_version": np.__version__,

@@ -5,11 +5,14 @@ complete (plain ``pytest`` captures them unless a check fails).
 """
 
 import csv
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
+from mnlbandit import cli
 from mnlbandit.cli import main as cli_main
 from mnlbandit.driver import pac_eps, pac_exact, regret_min
 from mnlbandit.env import Environment, fork_stream
@@ -367,23 +370,35 @@ def test_criterion_11_reproducibility(tmp_path, monkeypatch):
         assert code == 0
         return out.read_bytes()
 
-    def run_regret(out, curve):
-        monkeypatch.setenv("MNL_THREADS", "1")
+    def run_regret(out, curve, threads=1, *more):
+        monkeypatch.setenv("MNL_THREADS", str(threads))
         code = cli_main([
             "run", "--family", "uniform", "--n", "4", "--k", "2",
             "--gen-seed", "5", "--mode", "regret", "--horizon", "20000",
             "--seed", "424242", "--reps", "2", "--tuning", "desk",
-            "--out", str(out), "--curve-out", str(curve),
+            "--out", str(out), "--curve-out", str(curve), *more,
         ])
         assert code == 0
         return out.read_bytes() + curve.read_bytes()
+
+    def pool_size(out):
+        return json.loads(Path(str(out) + ".meta.json").read_text())["workers"]
 
     pac_a = run_pac(tmp_path / "a.csv", 1)
     pac_b = run_pac(tmp_path / "b.csv", 1)
     pac_c = run_pac(tmp_path / "c.csv", 2)
     reg_a = run_regret(tmp_path / "ra.csv", tmp_path / "ca.csv")
     reg_b = run_regret(tmp_path / "rb.csv", tmp_path / "cb.csv")
+    pooled = ("--reps", "4", "--curve-rep", "3")
+    reg_s = run_regret(tmp_path / "rs.csv", tmp_path / "cs.csv", 1, *pooled)
+    # a pool that costs nothing to start runs replications 1 to 3 in 2
+    # workers, the kept curve's replication among them
+    monkeypatch.setattr(cli, "POOL_STARTUP_S", 0.0)
+    pac_p = run_pac(tmp_path / "p.csv", 2)
+    reg_p = run_regret(tmp_path / "rp.csv", tmp_path / "cp.csv", 2, *pooled)
     ok = pac_a == pac_b == pac_c and reg_a == reg_b
+    ok = ok and pac_p == pac_a and reg_p == reg_s
+    ok = ok and pool_size(tmp_path / "p.csv") == pool_size(tmp_path / "rp.csv") == 2
     with open(tmp_path / "a.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     ok = ok and len(rows) == 4

@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line interface (via main(argv))."""
 
 import csv
+import itertools
 import json
 import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mnlbandit import cli
 from mnlbandit.cli import CSV_COLUMNS, RESULTS_FORMAT, SUMMARY_COLUMNS, main
 from mnlbandit.instances import read_instance
 from mnlbandit.oracle import brute_force_optimum, exact_optimum
@@ -16,6 +21,13 @@ from stream_reference import stream_digest
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def tick_clock(step_s):
+    """A stand-in for ``cli.time`` whose clock advances ``step_s`` a reading,
+    so that every replication of a run times at exactly ``step_s``."""
+    ticks = itertools.count()
+    return types.SimpleNamespace(perf_counter=lambda: next(ticks) * step_s)
 
 
 def read_rows(path):
@@ -189,6 +201,21 @@ class TestRunValidation:
             "--out", str(tmp_path / "r.csv"), "--tuning", "desk",
         ) == 1
 
+    @pytest.mark.parametrize("threads", ["zero", "0"])
+    def test_bad_thread_env_fails_before_any_replication(self, tmp_path, monkeypatch, threads):
+        def replicate(job, rep):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(cli, "_replicate", replicate)
+        monkeypatch.setenv("MNL_THREADS", threads)
+        out = tmp_path / "r.csv"
+        assert run_cli(
+            "run", "--family", "uniform", "--n", "4", "--k", "2",
+            "--gen-seed", "5", "--mode", "pac", "--seed", "1", "--reps", "3",
+            "--out", str(out), "--tuning", "desk",
+        ) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("delta", ["1.5", "1.0"])
     def test_pac_delta_outside_the_unit_interval(self, tmp_path, capsys, monkeypatch, delta):
         monkeypatch.setenv("MNL_THREADS", "1")
@@ -218,6 +245,10 @@ class TestRunValidation:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+        if "--horizon" in args:  # refused before any replication, naming both numbers
+            assert err == ("error: --horizon 10000000000000000000 exceeds the limit "
+                           "9223372036854775807\n")
+            assert not (tmp_path / "r.csv").exists()
 
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate") == 1
@@ -282,6 +313,94 @@ class TestRunPac:
         a = (tmp_path / "a.csv").read_bytes()
         assert a == (tmp_path / "b.csv").read_bytes()
         assert a == (tmp_path / "c.csv").read_bytes()
+        # a pool that costs nothing to start runs every replication after the
+        # first in 2 workers
+        monkeypatch.setenv("MNL_THREADS", "1")
+        assert run_cli(*self.pac_args(tmp_path, "d.csv", reps=6)) == 0
+        monkeypatch.setenv("MNL_THREADS", "2")
+        monkeypatch.setattr(cli, "POOL_STARTUP_S", 0.0)
+        assert run_cli(*self.pac_args(tmp_path, "e.csv", reps=6)) == 0
+        assert json.loads((tmp_path / "e.csv.meta.json").read_text())["workers"] == 2
+        d = (tmp_path / "d.csv").read_bytes()
+        assert d == (tmp_path / "e.csv").read_bytes()
+        assert d.startswith(a)
+
+    def test_short_run_starts_no_pool(self, tmp_path, monkeypatch):
+        def run_in_pool(job, indices, workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(cli, "_run_in_pool", run_in_pool)
+        monkeypatch.setattr(cli, "time", tick_clock(0.001))
+        monkeypatch.setenv("MNL_THREADS", "2")
+        assert run_cli(*self.pac_args(tmp_path, "r.csv", reps=8)) == 0
+        meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
+        assert meta["workers"] == 1
+        assert meta["wall_s"] > 0
+        assert len(read_rows(tmp_path / "r.csv")) == 8
+
+    def test_long_first_replication_starts_the_pool_at_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def run_in_pool(job, indices, workers):
+            calls.append((indices, workers))
+            return [cli._replicate(job, rep) for rep in indices]
+
+        monkeypatch.setenv("MNL_THREADS", "1")
+        assert run_cli(*self.pac_args(tmp_path, "a.csv")) == 0
+        monkeypatch.setattr(cli, "_run_in_pool", run_in_pool)
+        monkeypatch.setattr(cli, "time", tick_clock(0.1))
+        monkeypatch.setenv("MNL_THREADS", "2")
+        assert run_cli(*self.pac_args(tmp_path, "b.csv")) == 0
+        assert calls == [(range(1, 3), 2)]
+        assert json.loads((tmp_path / "b.csv.meta.json").read_text())["workers"] == 2
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("rep_s, left, workers, size", [
+        (0.001, 7, 2, 1),  # saves 3.5 ms
+        (0.009, 10, 2, 1),  # saves 45 ms
+        (0.02, 10, 2, 2),  # saves 100 ms
+        (0.2, 3, 4, 3),  # the pool is no larger than the work
+        (0.2, 1, 4, 1),  # one replication left
+        (10.0, 5, 1, 1),  # MNL_THREADS=1
+    ])
+    def test_pool_size_weighs_the_saving_against_start_up(self, rep_s, left, workers, size):
+        assert cli.POOL_STARTUP_S == 0.05
+        assert cli._pool_size(rep_s, left, workers) == size
+
+    def test_short_runs_load_neither_the_pool_nor_openssl(self, tmp_path):
+        # importing the CLI leaves numpy.random (where numpy imports it
+        # lazily) and concurrent.futures.process unloaded; a short run then
+        # loads numpy.random but neither the pool nor OpenSSL's _hashlib, a
+        # later hashlib import is the usual one, and gen loads no pool either
+        out = tmp_path / "r.csv"
+        script = (
+            "import importlib.util, itertools, sys, types\n"
+            "import numpy\n"
+            "lazy = 'numpy.random' not in sys.modules\n"
+            "from mnlbandit import cli\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
+            "assert ('numpy.random' not in sys.modules) == lazy\n"
+            "ticks = itertools.count()\n"
+            "cli.time = types.SimpleNamespace(perf_counter=lambda: next(ticks) * 0.001)\n"
+            f"assert cli.main({self.pac_args(tmp_path, 'r.csv', reps=8)!r}) == 0\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
+            "assert 'numpy.random' in sys.modules\n"
+            "assert not lazy or '_hashlib' not in sys.modules\n"
+            "import hashlib\n"
+            "assert hashlib.sha256(b'abc').hexdigest().startswith('ba7816bf')\n"
+            "if importlib.util.find_spec('_hashlib') is not None:\n"
+            "    assert '_hashlib' in sys.modules\n"
+            f"assert cli.main(['gen', '--family', 'uniform', '--n', '4', '--k', '2', "
+            f"'--seed', '5', '--out', {str(tmp_path / 'u.inst')!r}]) == 0\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, MNL_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(read_rows(out)) == 8
 
     def test_instance_file_source(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MNL_THREADS", "1")
