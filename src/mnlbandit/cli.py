@@ -54,7 +54,7 @@ from .oracle import exact_optimum, suboptimality_gaps
 
 __all__ = ["main"]
 
-MODES = ("pac", "pac-eps", "regret", "oracle")
+MODES = ("pac", "pac-eps", "regret")
 ESTIMATORS = ("naive", "reduced", "adaptive", "reg")
 
 #: Results CSV schema, bumped together with the sidecar ``format`` tag.
@@ -70,7 +70,7 @@ CSV_COLUMNS = (
 )
 RESULTS_FORMAT = "mnlbandit-results-v1"
 
-#: The largest ``--horizon``: step counts are numpy ``int64``.
+#: The largest ``--horizon``: the epoch sampler draws step counts as numpy ``int64``.
 MAX_HORIZON = 2**63 - 1
 
 #: Seconds a worker pool costs before it saves any: importing
@@ -127,7 +127,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--tau-scale", type=float)
     run.add_argument("--rough-tau-scale", type=float)
     run.add_argument("--ci-scale", type=float)
-    run.add_argument("--out", help="results CSV path (required unless mode=oracle)")
+    run.add_argument("--out", required=True, help="results CSV path")
     run.add_argument("--curve-out", help="regret-curve CSV path (mode=regret)")
     run.add_argument(
         "--curve-rep",
@@ -177,23 +177,33 @@ def _import_numpy_random() -> None:
             sys.modules.pop(name, None)
 
 
-def _cmd_gen(args) -> int:
-    meta: Dict[str, str] = {"family": args.family}
-    gaps = _parse_gaps(args.gaps) if args.gaps is not None else None
-    if args.family == "lower-bound":
+def _generate(
+    family: str, n: int, k: int, seed: Optional[int], gaps_text: Optional[str], seed_flag: str
+) -> Tuple[Instance, Dict[str, str]]:
+    """Draw an instance from its family's flags; return it and the metadata
+    that records the draw (``gen`` writes it to the file, ``run`` to the
+    sidecar).  ``seed_flag`` names the seed's flag in usage errors."""
+    meta = {"family": family}
+    gaps = _parse_gaps(gaps_text) if gaps_text is not None else None
+    if family == "lower-bound":
         if gaps is None:
             raise UsageError("the lower-bound family requires --gaps")
         meta["gaps"] = ", ".join(format(g, ".17g") for g in gaps)
     else:
-        if args.seed is None:
-            raise UsageError(f"the {args.family} family requires --seed")
-        meta["seed"] = str(args.seed)
-    inst = generate_instance(args.family, args.n, args.k, seed=args.seed, gaps=gaps)
+        if seed is None:
+            raise UsageError(f"the {family} family requires {seed_flag}")
+        meta["seed"] = str(seed)
+    return generate_instance(family, n, k, seed=seed, gaps=gaps), meta
+
+
+def _cmd_gen(args) -> int:
+    inst, meta = _generate(args.family, args.n, args.k, args.seed, args.gaps, "--seed")
     write_instance(args.out, inst, meta)
     return 0
 
 
-def _oracle_report(inst: Instance) -> str:
+def _cmd_oracle(args) -> int:
+    inst, _ = read_instance(args.instance)
     opt = exact_optimum(inst)
     lines = [
         f"n = {inst.n}",
@@ -204,12 +214,7 @@ def _oracle_report(inst: Instance) -> str:
     gaps = suboptimality_gaps(inst)
     for i in sorted(gaps):
         lines.append(f"gap.{i} = {format(gaps[i], '.17g')}")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_oracle(args) -> int:
-    inst, _ = read_instance(args.instance)
-    sys.stdout.write(_oracle_report(inst))
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -233,16 +238,7 @@ def _resolve_instance(args) -> Tuple[Instance, Dict[str, str]]:
         return read_instance(args.instance)
     if args.n is None or args.k is None:
         raise UsageError("inline generation requires --n and --k")
-    gaps = _parse_gaps(args.gaps) if args.gaps is not None else None
-    if args.family != "lower-bound" and args.gen_seed is None:
-        raise UsageError(f"the {args.family} family requires --gen-seed")
-    inst = generate_instance(
-        args.family, args.n, args.k, seed=args.gen_seed, gaps=gaps
-    )
-    meta = {"family": args.family}
-    if args.gen_seed is not None:
-        meta["seed"] = str(args.gen_seed)
-    return inst, meta
+    return _generate(args.family, args.n, args.k, args.gen_seed, args.gaps, "--gen-seed")
 
 
 @dataclass(frozen=True)
@@ -378,18 +374,6 @@ def _run_in_pool(job: RunJob, indices: range, workers: int) -> List[Outcome]:
 
 
 def _cmd_run(args) -> int:
-    if args.mode == "oracle":
-        inst, _ = _resolve_instance(args)
-        report = _oracle_report(inst)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(report)
-        else:
-            sys.stdout.write(report)
-        return 0
-
-    if args.out is None:
-        raise UsageError("--out is required for replication runs")
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
     if args.mode == "pac-eps":
@@ -579,7 +563,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, RuntimeError, OverflowError) as exc:
+    except (OSError, ValueError, RuntimeError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,9 @@
 """Simulation environment: seeded MNL buyer, step accounting, regret ledger.
 
-The environment owns the hidden instance and a private RNG stream.  Every
-``offer`` consumes exactly one time step; ``sample_epochs`` runs whole
-exploration epochs in one batch with exact step accounting; and
-``advance`` replays a fixed assortment for many steps at once (exploitation,
-where outcomes do not feed any estimator).
+The environment owns the hidden instance and a private RNG stream.
+``sample_epochs`` runs whole exploration epochs in one batch with exact step
+accounting, and ``advance`` replays a fixed assortment for many steps at once
+(exploitation, where outcomes do not feed any estimator).
 
 Epoch law used by the batch sampler.  One epoch offers ``Z ∪ S`` repeatedly
 until the outcome lands in ``Z ∪ {0}``.  Write ``V_Z = sum_{j in Z} v_j``,
@@ -24,8 +23,8 @@ purchase total ``M ~ NegBin(T, q)``, the item counts
 ``Multinomial(M, v_S / V_S)`` and the stop counts
 ``Multinomial(T, (1, v_Z) / (1 + V_Z))``; the batch takes ``T + M`` steps, so
 its cost does not depend on ``T``.  A batch that overruns the step budget is
-refined exactly, never redrawn.  The step-level ``offer`` path and the batch
-path are distributionally identical (and tested against each other).
+refined exactly, never redrawn.  The tests check the batch law against a
+step-level reference that offers one step per draw (``tests/offer_reference.py``).
 
 Determinism: a replication's entire outcome sequence is a pure function of
 ``(master_seed, replication_index)`` via `fork_stream`.  The RNG algorithm
@@ -111,32 +110,24 @@ class EpochBatch:
 
 @dataclass
 class RegretLedger:
-    """Exact pseudo-regret and offer accounting.
+    """Exact step and pseudo-regret accounting.
 
+    ``steps`` is a Python int, so it stays exact at any count.
     ``cum_regret`` accumulates ``theta_star - R(S_t, v)`` per step (pseudo
     regret — deterministic given the offered sets), is nondecreasing and
-    never exceeds ``theta_star * steps``.  ``per_item_offer_counts[i-1]``
-    counts the steps at which item ``i`` was part of the offered set, so the
-    total never exceeds ``capacity * steps``.
+    never exceeds ``theta_star * steps``.  ``_segments`` holds the per-step
+    regret as ``[regret, steps]`` runs, from which ``curve`` expands.
     """
 
-    n: int
     steps: int = 0
     cum_regret: float = 0.0
-    per_item_offer_counts: np.ndarray = field(default=None)  # type: ignore[assignment]
     _segments: List[List[float]] = field(default_factory=list, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.per_item_offer_counts is None:
-            self.per_item_offer_counts = np.zeros(self.n, dtype=np.int64)
-
-    def record(self, item_indices: np.ndarray, per_step_regret: float, steps: int) -> None:
+    def record(self, per_step_regret: float, steps: int) -> None:
         if steps <= 0:
             return
         self.steps += steps
         self.cum_regret += per_step_regret * steps
-        if item_indices.size:
-            self.per_item_offer_counts[item_indices] += steps
         if self._segments and self._segments[-1][0] == per_step_regret:
             self._segments[-1][1] += steps
         else:
@@ -180,7 +171,7 @@ class Environment:
         self.k = inst.k
         self.rewards = inst.r.copy()
         self.rewards.setflags(write=False)
-        self.ledger = RegretLedger(n=inst.n)
+        self.ledger = RegretLedger()
         shared = _PER_INSTANCE.get(inst)
         if shared is None:
             shared = _PER_INSTANCE[inst] = (exact_optimum(inst), {})
@@ -229,27 +220,6 @@ class Environment:
             plan = self._offer_cache[key] = _Plan.build(self._inst, self._solution, *key)
         return plan
 
-    # -- single step --------------------------------------------------------
-
-    def offer(self, s: Iterable[int]) -> int:
-        """Offer assortment ``s`` for one time step; return the outcome.
-
-        The outcome is the purchased item id, or 0 for no purchase.  Raises
-        on capacity violations (``|s| > k``) — this is a hard error, never a
-        silent truncation — and raises `HorizonExhausted` when the step
-        budget is spent.
-        """
-        t = validate_assortment(s, self.n)
-        if len(t) > self.k:
-            raise ValueError(f"assortment size {len(t)} exceeds capacity {self.k}")
-        if self._horizon is not None and self.ledger.steps >= self._horizon:
-            raise HorizonExhausted("step budget exhausted")
-        plan = self._cached((t, ()))
-        u = self._rng.random() * plan.cum[-1]
-        j = int(np.searchsorted(plan.cum, u, side="right"))
-        self.ledger.record(plan.idx, plan.regret, 1)
-        return 0 if j == 0 else plan.offered[j - 1]
-
     # -- exploitation -------------------------------------------------------
 
     def advance(self, s: Iterable[int], steps: int) -> None:
@@ -264,8 +234,7 @@ class Environment:
         remaining = self.steps_remaining
         if remaining is not None and steps > remaining:
             raise HorizonExhausted("step budget exhausted")
-        plan = self._cached((t, ()))
-        self.ledger.record(plan.idx, plan.regret, steps)
+        self.ledger.record(self._cached((t, ())).regret, steps)
 
     # -- vectorized epochs ---------------------------------------------------
 
@@ -323,7 +292,7 @@ class Environment:
 
         x_sums = plan.items.draw(rng, bought)
         stop_counts = plan.stops.draw(rng, done)
-        self.ledger.record(plan.idx, plan.regret, used)
+        self.ledger.record(plan.regret, used)
         return EpochBatch(
             requested=epochs,
             epochs=done,
@@ -379,14 +348,12 @@ class _Split:
 
 @dataclass(frozen=True)
 class _Plan:
-    """What ``offer``, ``advance`` and ``sample_epochs`` need of one offered
-    pair: tracked set ``S`` and stopping set ``Z`` (``Z`` empty for a plain
-    offer), validated by the caller."""
+    """What ``advance`` and ``sample_epochs`` need of one offered pair:
+    tracked set ``S`` and stopping set ``Z`` (``S`` alone for ``advance``),
+    validated by the caller.  The step-level reference sampler in
+    ``tests/offer_reference.py`` rebuilds its outcome weights itself."""
 
-    offered: Assortment  # S ∪ Z, ascending
     tracked: Assortment  # S, ascending
-    idx: np.ndarray  # its 0-based indices
-    cum: np.ndarray  # cumulative outcome weights, no-purchase first
     regret: float  # per-step pseudo-regret of offering S ∪ Z
     q: float  # an epoch's per-step stop probability
     chunk: int  # epochs per negative-binomial draw under a step budget
@@ -398,8 +365,6 @@ class _Plan:
     def build(
         cls, inst: Instance, solution: OptimumSolution, ts: Assortment, tz: Assortment
     ) -> "_Plan":
-        offered = tuple(sorted(set(ts) | set(tz)))
-        idx = np.asarray(offered, dtype=int) - 1
         v_z = inst.v[np.asarray(tz, dtype=int) - 1] if tz else np.zeros(0)
         v_s = inst.v[np.asarray(ts, dtype=int) - 1] if ts else np.zeros(0)
         stop_weights = np.concatenate(([1.0], v_z))  # no-purchase, then Z
@@ -408,11 +373,8 @@ class _Plan:
         )
         q = stop_weights.sum() / (stop_weights.sum() + v_s.sum())
         return cls(
-            offered=offered,
             tracked=ts,
-            idx=idx,
-            cum=np.cumsum(np.concatenate(([1.0], inst.v[idx]))),
-            regret=solution.theta_star - revenue(inst, offered),
+            regret=solution.theta_star - revenue(inst, tuple(sorted(set(ts) | set(tz)))),
             q=q,
             # Under a budget, an overflowing draw is refined by a
             # hypergeometric draw, so epochs go in chunks whose expected steps

@@ -35,9 +35,6 @@ __all__ = [
 #: An assortment is a strictly increasing tuple of 1-indexed item ids.
 Assortment = Tuple[int, ...]
 
-#: Default absolute tolerance for revenue / parameter comparisons.
-DEFAULT_ATOL = 1e-9
-
 
 def _as_unit_array(x: Sequence[float], name: str, n: int) -> np.ndarray:
     arr = np.array(x, dtype=float)  # always copy: the instance owns its arrays

@@ -1,7 +1,7 @@
 """Step-level exploration epoch, the reference the epoch-batch tests compare to.
 
 ``explore`` offers the epoch's set one step at a time through
-``Environment.offer``, so it draws each purchase the way a market would;
+``offer_reference.offer``, so it draws each purchase the way a market would;
 ``Environment.sample_epochs`` must reproduce its law in one batch.
 """
 
@@ -10,13 +10,14 @@ from typing import Sequence
 from mnlbandit.env import Environment
 from mnlbandit.estimators import ExploreState
 from mnlbandit.model import validate_assortment
+from offer_reference import offer
 
 
 def explore(env: Environment, state: ExploreState, s: Sequence[int]) -> int:
     """Run ONE exploration epoch step by step; return its length.
 
     Reference implementation of the epoch primitive: offers
-    ``state.z_stop ∪ s`` repeatedly via ``env.offer`` until the outcome lands
+    ``state.z_stop ∪ s`` repeatedly via ``offer`` until the outcome lands
     in the stopping set or is a no-purchase, then commits the epoch's
     statistics to ``state``.  If the step budget dies mid-epoch the partial
     statistics are discarded (the consumed steps remain on the ledger) and
@@ -30,7 +31,7 @@ def explore(env: Environment, state: ExploreState, s: Sequence[int]) -> int:
     x = {i: 0 for i in ts}
     length = 0
     while True:
-        c = env.offer(offered)
+        c = offer(env, offered)
         length += 1
         if c == 0 or c in stop:
             z = 0.0 if c == 0 else float(env.rewards[c - 1])

@@ -33,7 +33,6 @@ def sample_epochs(env, z, s, epochs):
     regret = env.oracle_solution().theta_star - revenue(
         env._inst, tuple(sorted(set(ts) | set(tz)))
     )
-    offered_idx = np.asarray(sorted(tz + ts), dtype=int) - 1
 
     v_z = env._inst.v[np.asarray(tz, dtype=int) - 1] if tz else np.zeros(0)
     v_s = env._inst.v[np.asarray(ts, dtype=int) - 1] if ts else np.zeros(0)
@@ -72,7 +71,7 @@ def sample_epochs(env, z, s, epochs):
 
     x_sums = _multinomial(env._rng, bought, v_s)
     stop_counts = _multinomial(env._rng, done, stop_weights)
-    env.ledger.record(offered_idx, regret, used)
+    env.ledger.record(regret, used)
     return EpochBatch(
         requested=epochs,
         epochs=done,

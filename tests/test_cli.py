@@ -147,6 +147,24 @@ class TestRunValidation:
             "--mode", "pac", "--seed", "1", "--out", str(tmp_path / "r.csv"),
         ) == 1
 
+    def test_inline_lower_bound_needs_gaps(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli(
+            "run", "--family", "lower-bound", "--n", "4", "--k", "2",
+            "--mode", "pac", "--seed", "1", "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err == (
+            "usage error: the lower-bound family requires --gaps\n"
+        )
+        assert not out.exists()
+
+    def test_oracle_is_not_a_run_mode(self, tmp_path):
+        assert run_cli(
+            "run", "--family", "uniform", "--n", "4", "--k", "2",
+            "--gen-seed", "5", "--mode", "oracle", "--seed", "1",
+            "--out", str(tmp_path / "r.csv"),
+        ) == 1
+
     def test_pac_eps_needs_eps_and_adaptive(self, tmp_path):
         base = (
             "run", "--family", "uniform", "--n", "4", "--k", "2",
@@ -230,7 +248,7 @@ class TestRunValidation:
     @pytest.mark.parametrize(
         "args",
         [
-            # a regret horizon above 2^63 overflows the ledger's offer counts
+            # a regret horizon above 2^63 is refused before any replication
             ("--family", "uniform", "--n", "10", "--k", "4", "--gen-seed", "14618",
              "--mode", "regret", "--horizon", "10000000000000000000"),
             # paper constants at gaps of 1e-9 overflow a purchase-count draw
@@ -249,6 +267,21 @@ class TestRunValidation:
             assert err == ("error: --horizon 10000000000000000000 exceeds the limit "
                            "9223372036854775807\n")
             assert not (tmp_path / "r.csv").exists()
+
+    def test_out_of_memory_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # the regret curve of a 1e15-step horizon asks numpy for petabytes
+        monkeypatch.setenv("MNL_THREADS", "1")
+        out = tmp_path / "r.csv"
+        assert run_cli(
+            "run", "--family", "uniform", "--n", "10", "--k", "4",
+            "--gen-seed", "14618", "--mode", "regret", "--horizon", "1000000000000000",
+            "--tuning", "desk", "--seed", "99", "--out", str(out),
+            "--curve-out", str(tmp_path / "c.csv"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate") == 1
@@ -445,16 +478,29 @@ class TestRunPac:
         assert len(rows) == 2
         assert all(row["status"] == "ok" for row in rows)
 
-    def test_run_mode_oracle_prints_or_writes(self, tmp_path, capsys):
-        argv = [
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
-            "--gen-seed", "5", "--mode", "oracle", "--seed", "1",
-        ]
-        assert run_cli(*argv) == 0
-        assert "theta_star" in capsys.readouterr().out
-        out = str(tmp_path / "report.txt")
-        assert run_cli(*argv, "--out", out) == 0
-        assert "theta_star" in Path(out).read_text()
+    def test_inline_instance_matches_gen(self, tmp_path, monkeypatch):
+        # `run` builds an inline instance as `gen` does, and its sidecar
+        # records the metadata `gen` writes to the instance file
+        monkeypatch.setenv("MNL_THREADS", "1")
+        for family, flags in (
+            ("uniform", ("--seed", "5")),
+            ("lower-bound", ("--gaps", "0.01,0.02")),
+        ):
+            inst_path = str(tmp_path / f"{family}.inst")
+            assert run_cli("gen", "--family", family, "--n", "4", "--k", "2",
+                           *flags, "--out", inst_path) == 0
+            inline_flags = ("--gen-seed", "5") if family == "uniform" else flags
+            out = str(tmp_path / f"{family}.csv")
+            assert run_cli(
+                "run", "--family", family, "--n", "4", "--k", "2", *inline_flags,
+                "--mode", "pac", "--seed", "1", "--tuning", "desk", "--out", out,
+            ) == 0
+            inst, meta = read_instance(inst_path)
+            with open(out + ".meta.json") as fh:
+                recorded = json.load(fh)["config"]["instance"]
+            assert recorded["meta"] == meta
+            assert recorded["r"] == [format(x, ".17g") for x in inst.r]
+            assert recorded["v"] == [format(x, ".17g") for x in inst.v]
 
 
 class TestRunRegret:

@@ -26,6 +26,7 @@ from mnlbandit.oracle import (
 )
 from baselines import uniform_random_regret
 from model_reference import reduce_params
+from offer_reference import offer
 import driver_reference
 
 STUB_SCHEDULE = Schedule(c0=196, c2=1024, delta=0.1, tau=1)
@@ -333,7 +334,7 @@ class TestRegretMin:
     def test_used_environment_rejected(self):
         inst = generate_instance("uniform", 4, 2, seed=5)
         env = Environment(inst, fork_stream(1, 0))
-        env.offer((1, 2))
+        offer(env, (1, 2))
         with pytest.raises(ValueError):
             regret_min(env, 100, DESK_TUNING)
 
