@@ -84,6 +84,17 @@ class UsageError(Exception):
     """Bad flags or parameter combinations (exit code 1)."""
 
 
+def _seed(text: str) -> int:
+    """A seed flag's value: a non-negative integer, as ``SeedSequence`` needs."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
@@ -97,7 +108,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--family", required=True, choices=FAMILIES)
     gen.add_argument("--n", required=True, type=int)
     gen.add_argument("--k", required=True, type=int)
-    gen.add_argument("--seed", type=int, help="generator seed (random families)")
+    gen.add_argument("--seed", type=_seed, help="generator seed (random families)")
     gen.add_argument(
         "--gaps",
         type=str,
@@ -114,14 +125,14 @@ def _build_parser() -> _Parser:
     src.add_argument("--family", choices=FAMILIES, help="generate the instance inline")
     run.add_argument("--n", type=int)
     run.add_argument("--k", type=int)
-    run.add_argument("--gen-seed", type=int, help="inline generator seed")
+    run.add_argument("--gen-seed", type=_seed, help="inline generator seed")
     run.add_argument("--gaps", type=str, help="inline lower-bound gap list")
     run.add_argument("--mode", required=True, choices=MODES)
     run.add_argument("--delta", type=float, default=0.1)
     run.add_argument("--eps", type=float)
     run.add_argument("--horizon", type=int)
     run.add_argument("--reps", type=int, default=1)
-    run.add_argument("--seed", type=int, required=True, help="master seed")
+    run.add_argument("--seed", type=_seed, required=True, help="master seed")
     run.add_argument("--estimator", choices=ESTIMATORS, default="adaptive")
     run.add_argument("--tuning", choices=("paper", "desk"), default="paper")
     run.add_argument("--tau-scale", type=float)

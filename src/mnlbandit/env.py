@@ -22,8 +22,13 @@ Over ``T`` epochs the batch sampler draws only sufficient statistics: the
 purchase total ``M ~ NegBin(T, q)``, the item counts
 ``Multinomial(M, v_S / V_S)`` and the stop counts
 ``Multinomial(T, (1, v_Z) / (1 + V_Z))``; the batch takes ``T + M`` steps, so
-its cost does not depend on ``T``.  A batch that overruns the step budget is
-refined exactly, never redrawn.  The tests check the batch law against a
+its cost does not depend on ``T``.  A split over one category is the count
+itself, and a batch whose stops all land on the no-purchase option (an empty
+``Z``, or one of zero-weight items only) has stop reward 0: neither draws, as
+numpy's multinomial draws nothing for one category, so the stream is the same
+as if both were drawn.  A batch that overruns the step budget is refined
+exactly, never redrawn.  One batch is at most ``2**63 - 1`` epochs, numpy's
+``int64`` limit.  The tests check the batch law against a
 step-level reference that offers one step per draw (``tests/offer_reference.py``).
 
 Determinism: a replication's entire outcome sequence is a pure function of
@@ -58,6 +63,9 @@ RNG_ALGORITHM_ID = "numpy-pcg64-seedseq-spawnkey-v2"
 
 #: numpy's hypergeometric sampler requires both of its counts below this.
 _HYPERGEOM_LIMIT = 10**9
+
+#: The most epochs one batch may ask for: numpy draws its counts as ``int64``.
+_DRAW_LIMIT = 2**63 - 1
 
 #: Instance -> (its optimum, its plan table): what every environment on one
 #: instance shares, so a process builds each once however many replications
@@ -250,6 +258,7 @@ class Environment:
         disjoint with ``|z ∪ s| <= k``.  Statistics of completed epochs are
         returned; when the step budget runs out, the in-flight epoch's steps
         are consumed but its statistics are discarded (``truncated=True``).
+        More than ``2**63 - 1`` epochs raise `OverflowError`.
         """
         try:
             plan = self._offer_cache[(s, z)]
@@ -257,17 +266,24 @@ class Environment:
             plan = self._epoch_plan(z, s)
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if epochs > _DRAW_LIMIT:
+            raise OverflowError(
+                f"a batch of {epochs} epochs exceeds the sampler's limit of {_DRAW_LIMIT}"
+            )
         rng = self._rng
         budget = self.steps_remaining  # None = unlimited
-        chunk = epochs if budget is None else plan.chunk
         done = 0  # completed epochs
         bought = 0  # purchases within completed epochs
         used = 0
         truncated = False
-        while done < epochs:
-            t = min(epochs - done, chunk)
+        if budget is None:  # the whole batch in one draw
+            done = epochs
+            bought = int(rng.negative_binomial(epochs, plan.q))
+            used = epochs + bought
+        while done < epochs:  # under a budget, in chunks
+            t = min(epochs - done, plan.chunk)
             m = int(rng.negative_binomial(t, plan.q))
-            if budget is None or used + t + m <= budget:
+            if used + t + m <= budget:
                 done += t
                 bought += m
                 used += t + m
@@ -291,14 +307,16 @@ class Environment:
             break
 
         x_sums = plan.items.draw(rng, bought)
-        stop_counts = plan.stops.draw(rng, done)
+        z_sum = 0.0
+        if plan.stops is not None:
+            z_sum = float(plan.stops.draw(rng, done) @ plan.stop_rewards)
         self.ledger.record(plan.regret, used)
         return EpochBatch(
             requested=epochs,
             epochs=done,
             steps=used,
             x_sums=x_sums,
-            z_sum=float(stop_counts @ plan.stop_rewards),
+            z_sum=z_sum,
             truncated=truncated,
             tracked=plan.tracked,
         )
@@ -321,27 +339,38 @@ class _Split:
     """Multinomial split of a count over fixed category weights.
 
     Zero-weight categories get exactly zero: only positive weights enter the
-    draw, so a zero weight never picks up rounding leftovers.  The mask and
-    the normalised probabilities are computed once, when the plan is built.
+    draw, so a zero weight never picks up rounding leftovers.  A split with one
+    positive weight is the count itself, at that weight's position: it draws
+    nothing, as numpy's multinomial draws nothing for one category, so the
+    stream is unchanged.  The mask, the normalised probabilities and the one
+    positive position are computed once, when the plan is built.
     """
 
     size: int
     mask: Optional[np.ndarray]  # positive weights; None when all are
-    probs: Optional[np.ndarray]  # None when no weight is positive
+    probs: Optional[np.ndarray]  # None when fewer than two weights are positive
+    only: Optional[int]  # the position of the one positive weight, if one is
 
     @classmethod
     def of(cls, weights: np.ndarray) -> "_Split":
         positive = weights > 0
-        probs = weights[positive] / weights[positive].sum() if positive.any() else None
-        return cls(len(weights), None if positive.all() else positive, probs)
+        where = positive.nonzero()[0].tolist()
+        if len(where) < 2:
+            return cls(len(weights), None, None, where[0] if where else None)
+        probs = weights[positive] / weights[positive].sum()
+        return cls(len(weights), None if positive.all() else positive, probs, None)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if not count or self.probs is None:
-            return np.zeros(self.size, dtype=np.int64)
+        out = np.zeros(self.size, dtype=np.int64)
+        if self.probs is None:  # at most one category: nothing to draw
+            if self.only is not None:
+                out[self.only] = count
+            return out
+        if not count:
+            return out
         drawn = rng.multinomial(count, self.probs)
         if self.mask is None:
             return drawn
-        out = np.zeros(self.size, dtype=np.int64)
         out[self.mask] = drawn
         return out
 
@@ -358,7 +387,9 @@ class _Plan:
     q: float  # an epoch's per-step stop probability
     chunk: int  # epochs per negative-binomial draw under a step budget
     items: _Split  # purchases over S
-    stops: _Split  # stops over no-purchase, then Z
+    # Stops over no-purchase, then Z; None when every stop is a no-purchase
+    # (Z is empty or weighs nothing), so a batch's stop reward is 0.
+    stops: Optional[_Split]
     stop_rewards: np.ndarray
 
     @classmethod
@@ -372,6 +403,7 @@ class _Plan:
             ([0.0], inst.r[np.asarray(tz, dtype=int) - 1] if tz else np.zeros(0))
         )
         q = stop_weights.sum() / (stop_weights.sum() + v_s.sum())
+        stops = _Split.of(stop_weights)
         return cls(
             tracked=ts,
             regret=solution.theta_star - revenue(inst, tuple(sorted(set(ts) | set(tz)))),
@@ -381,6 +413,6 @@ class _Plan:
             # (chunk / q) stay far below numpy's limit on its counts.
             chunk=max(1, int(q * _HYPERGEOM_LIMIT) // 10),
             items=_Split.of(v_s),
-            stops=_Split.of(stop_weights),
+            stops=None if stops.only == 0 else stops,
             stop_rewards=stop_rewards,
         )

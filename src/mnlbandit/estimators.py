@@ -184,11 +184,13 @@ def explore_epochs(
     budget ran out before all requested epochs finished.
     """
     batch = env.sample_epochs(state.z_stop, s, epochs)
+    done = batch.epochs
     state.n_z += batch.z_sum
-    state.t_z += batch.epochs
-    for j, i in enumerate(batch.tracked):
-        state.n[i] = state.n.get(i, 0) + int(batch.x_sums[j])
-        state.t[i] = state.t.get(i, 0) + batch.epochs
+    state.t_z += done
+    n, t = state.n, state.t
+    for i, x in zip(batch.tracked, batch.x_sums.tolist()):
+        n[i] = n.get(i, 0) + x
+        t[i] = t.get(i, 0) + done
     if batch.truncated:
         raise HorizonExhausted(
             f"step budget exhausted after {batch.epochs}/{epochs} epochs"
@@ -201,6 +203,33 @@ def explore_epochs(
 # ---------------------------------------------------------------------------
 
 
+def _confidence(delta: float, tuning: Tuning) -> float:
+    """``L = ci_scale * log(2/delta)``, the log factor of both radii."""
+    return tuning.ci_scale * _log_term(delta)
+
+
+def _zeta_bounds(state: ExploreState, big_l: float) -> Tuple[float, float]:
+    """`ci_zeta` at a precomputed ``L``."""
+    if state.t_z == 0:
+        return (0.0, 1.0)
+    rad = math.sqrt(big_l / (2.0 * state.t_z))
+    bar = state.bar_zeta()
+    return (max(0.0, bar - rad), min(1.0, bar + rad))
+
+
+def _nu_bounds(count: int, t: int, big_l: float) -> Tuple[float, float]:
+    """`ci_nu` of an item bought ``count`` times in ``t`` epochs, at a
+    precomputed ``L``."""
+    if t == 0:
+        return (0.0, 1.0)
+    bar = count / t
+    rad = math.sqrt(48.0 * bar * big_l / t) + 48.0 * big_l / t
+    # The empirical mean of per-epoch purchase counts can exceed 1 even
+    # though the weight itself never does, so both ends are intersected
+    # with the a-priori range [0, 1].
+    return (min(1.0, max(0.0, bar - rad)), min(1.0, bar + rad))
+
+
 def ci_zeta(state: ExploreState, delta: float, tuning: Tuning = PAPER_TUNING) -> Tuple[float, float]:
     """Two-sided Hoeffding interval for the stop-reward mean.
 
@@ -209,9 +238,7 @@ def ci_zeta(state: ExploreState, delta: float, tuning: Tuning = PAPER_TUNING) ->
     """
     if state.t_z == 0:
         return (0.0, 1.0)
-    rad = math.sqrt(tuning.ci_scale * _log_term(delta) / (2.0 * state.t_z))
-    bar = state.bar_zeta()
-    return (max(0.0, bar - rad), min(1.0, bar + rad))
+    return _zeta_bounds(state, _confidence(delta, tuning))
 
 
 def ci_nu(
@@ -226,13 +253,7 @@ def ci_nu(
     t = state.t.get(item, 0)
     if t == 0:
         return (0.0, 1.0)
-    big_l = tuning.ci_scale * _log_term(delta)
-    bar = state.bar_nu(item)
-    rad = math.sqrt(48.0 * bar * big_l / t) + 48.0 * big_l / t
-    # The empirical mean of per-epoch purchase counts can exceed 1 even
-    # though the weight itself never does, so both ends are intersected
-    # with the a-priori range [0, 1].
-    return (min(1.0, max(0.0, bar - rad)), min(1.0, bar + rad))
+    return _nu_bounds(state.n.get(item, 0), t, _confidence(delta, tuning))
 
 
 def ci_theta(
@@ -436,13 +457,15 @@ def _estimate(
     state = ExploreState(z_stop=stop)
     start = env.ledger.steps
     epochs = sum(explore_epochs(env, state, s, u * tau).epochs for s, u in groups)
-    zeta_lo, zeta_hi = ci_zeta(state, delta, tuning) if reduced else (0.0, 0.0)
+    big_l = _confidence(delta, tuning)
+    zeta_lo, zeta_hi = _zeta_bounds(state, big_l) if reduced else (0.0, 0.0)
     nu_lo: Dict[int, float] = {}
     nu_hi: Dict[int, float] = {}
     rewards: Dict[int, float] = {}
+    all_rewards = env.rewards.tolist()
     for i in weighed:
-        nu_lo[i], nu_hi[i] = ci_nu(state, i, delta, tuning)
-        rewards[i] = float(env.rewards[i - 1])
+        nu_lo[i], nu_hi[i] = _nu_bounds(state.n.get(i, 0), state.t.get(i, 0), big_l)
+        rewards[i] = all_rewards[i - 1]
     theta_lo, theta_hi = ci_theta(
         rewards, weighed, nu_lo, nu_hi, zeta_lo, zeta_hi, capacity
     )
@@ -504,11 +527,12 @@ def est_rough(
     """
     delta = delta0 / (17.0 * env.n)
     tau = _rough_tau(delta, env.k, tuning)
+    big_l = _confidence(delta, tuning)
+    state = ExploreState(z_stop=())  # its per-item counters keep items apart
     rough: Dict[int, float] = {}
     for i in range(1, env.n + 1):
-        state = ExploreState(z_stop=())
         explore_epochs(env, state, (i,), tau)
-        rough[i] = ci_nu(state, i, delta, tuning)[1]
+        rough[i] = _nu_bounds(state.n[i], state.t[i], big_l)[1]
     return rough
 
 
@@ -540,31 +564,27 @@ def est_adaptive(
 
     denom = 1.0 + sum(rough[j] for j in ta)
     depth = max(0, math.ceil(math.log2(m_cap)))
+    floors = [2.0 ** (-(lv + 1)) for lv in range(depth)]  # layers' lower ends
     layer_items: List[List[int]] = [[] for _ in range(depth + 1)]
-    for i in tb:
+    for i in tb:  # ascending, so every layer is too
         x = rough[i] / denom
-        layer = depth
-        for lv in range(depth):
-            if x > 2.0 ** (-(lv + 1)):
-                layer = lv
+        layer = 0
+        for floor in floors:
+            if x > floor:
                 break
+            layer += 1
         layer_items[layer].append(i)
-    widths = tuple(min(2 ** lv, m_cap) for lv in range(depth + 1))
-
+    widths = tuple([min(2 ** lv, m_cap) for lv in range(depth + 1)])
+    layers = tuple([tuple(members) for members in layer_items])
     groups: List[Tuple[int, Tuple[int, ...]]] = []
-    for lv, members in enumerate(layer_items):
-        members = sorted(members)
+    explored: List[Tuple[Assortment, int]] = []
+    for lv, members in enumerate(layers):
         d = widths[lv]
         for pos in range(0, len(members), d):
-            groups.append((lv, tuple(members[pos : pos + d])))
-
-    plan = LayerPlan(
-        depth=depth,
-        layers=tuple(tuple(sorted(ms)) for ms in layer_items),
-        widths=widths,
-        groups=tuple(groups),
-    )
-    explored = [(group, widths[lv]) for lv, group in groups]
+            group = members[pos : pos + d]
+            groups.append((lv, group))
+            explored.append((group, d))
+    plan = LayerPlan(depth=depth, layers=layers, widths=widths, groups=tuple(groups))
     return _estimate(
         env, ta, tb, delta0, eps, tuning, 15.0, explored, reduced=True, plan=plan
     )

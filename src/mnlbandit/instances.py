@@ -25,7 +25,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import Instance
+from .model import Instance, _check_shape
 from .oracle import lower_bound_instance, revenue_margin
 
 __all__ = [
@@ -68,6 +68,7 @@ def generate_instance(
         return lower_bound_instance(n, k, gaps)
     if seed is None:
         raise ValueError(f"the {family} family needs a seed")
+    _check_shape(n, k)  # before any draw: the sparse family divides by k
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     for _ in range(_MAX_REDRAWS):
         r = rng.uniform(0.0, 1.0, size=n)

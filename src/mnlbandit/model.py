@@ -47,6 +47,14 @@ def _as_unit_array(x: Sequence[float], name: str, n: int) -> np.ndarray:
     return arr
 
 
+def _check_shape(n: int, k: int) -> None:
+    """Require ``n >= 1`` items and a capacity ``1 <= k <= n``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not (1 <= k <= n):
+        raise ValueError("k must satisfy 1 <= k <= n")
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """A problem instance: item count, capacity, rewards and weights.
@@ -65,10 +73,7 @@ class Instance:
     v: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not (1 <= self.k <= self.n):
-            raise ValueError("k must satisfy 1 <= k <= n")
+        _check_shape(self.n, self.k)
         object.__setattr__(self, "r", _as_unit_array(self.r, "r", self.n))
         object.__setattr__(self, "v", _as_unit_array(self.v, "v", self.n))
         self.r.setflags(write=False)

@@ -94,6 +94,16 @@ class TestGen:
         ) == 2
 
 
+    def test_sparse_family_refuses_zero_capacity(self, tmp_path, capsys):
+        out = tmp_path / "x.inst"
+        assert run_cli(
+            "gen", "--family", "sparse", "--n", "3", "--k", "0",
+            "--seed", "1", "--out", str(out),
+        ) == 2
+        assert capsys.readouterr().err == "error: k must satisfy 1 <= k <= n\n"
+        assert not out.exists()
+
+
 class TestOracle:
     def test_report_matches_the_solver(self, tmp_path, capsys):
         out = str(tmp_path / "u.inst")
@@ -267,6 +277,43 @@ class TestRunValidation:
             assert err == ("error: --horizon 10000000000000000000 exceeds the limit "
                            "9223372036854775807\n")
             assert not (tmp_path / "r.csv").exists()
+
+    def test_batch_past_the_draw_limit_names_the_limit(self, tmp_path, capsys, monkeypatch):
+        # paper constants at gaps of 1e-9 ask one batch for about 1.3e19 epochs
+        monkeypatch.setenv("MNL_THREADS", "1")
+        assert run_cli(
+            "run", "--family", "lower-bound", "--n", "6", "--k", "2",
+            "--gaps", "1e-9,1e-9,1e-9,1e-9", "--mode", "pac", "--tuning", "paper",
+            "--seed", "1", "--reps", "1", "--out", str(tmp_path / "r.csv"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("error: a batch of ")
+        assert err.endswith(" epochs exceeds the sampler's limit of 9223372036854775807\n")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("run", "--family", "uniform", "--n", "4", "--k", "2", "--gen-seed", "5",
+              "--mode", "pac", "--seed", "-1"), "--seed"),
+            (("run", "--family", "uniform", "--n", "4", "--k", "2", "--gen-seed", "-1",
+              "--mode", "pac", "--seed", "1"), "--gen-seed"),
+            (("gen", "--family", "uniform", "--n", "4", "--k", "2", "--seed", "-1"),
+             "--seed"),
+        ],
+    )
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, flag):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "generate_instance", fail)
+        monkeypatch.setattr(cli, "_replicate", fail)
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: argument {flag}: expected a non-negative integer, got -1\n"
+        )
+        assert not out.exists()
 
     def test_out_of_memory_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
         # the regret curve of a 1e15-step horizon asks numpy for petabytes

@@ -272,6 +272,15 @@ class TestSampleEpochs:
         with pytest.raises(ValueError):
             env2.sample_epochs((), (1,), 0)  # epochs < 1
 
+    def test_a_batch_past_int64_is_refused_naming_the_limit(self):
+        env = make_env(seed=19)
+        before = (env.ledger.steps, env._rng.bit_generator.state)
+        # drawn stops, then a one-category split with no stops to draw
+        for z, s in [((1,), (2,)), ((), (1,))]:
+            with pytest.raises(OverflowError, match=r"\b9223372036854775807$"):
+                env.sample_epochs(z, s, 2**63)
+        assert (env.ledger.steps, env._rng.bit_generator.state) == before
+
     def test_deterministic_and_collect_invariant(self):
         env_a = make_env(seed=11)
         env_b = make_env(seed=11)

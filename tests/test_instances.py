@@ -33,6 +33,15 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_instance("lower-bound", 4, 2, seed=1)
 
+    @pytest.mark.parametrize("family", ["uniform", "dense", "sparse"])
+    @pytest.mark.parametrize(
+        "n, k, message",
+        [(3, 0, "k must satisfy"), (3, 4, "k must satisfy"), (0, 1, "n must be")],
+    )
+    def test_shape_is_checked_before_any_draw(self, family, n, k, message):
+        with pytest.raises(ValueError, match=message):
+            generate_instance(family, n, k, seed=1)
+
     def test_deterministic_in_the_seed(self):
         a = generate_instance("uniform", 6, 3, seed=42)
         b = generate_instance("uniform", 6, 3, seed=42)

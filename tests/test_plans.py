@@ -73,6 +73,32 @@ class TestSamplerMatchesReference:
             assert new.ledger.cum_regret == old.ledger.cum_regret
             assert new.ledger._segments == old.ledger._segments
 
+    @pytest.mark.parametrize("horizon", [None, 30_000], ids=["unbudgeted", "budgeted"])
+    @pytest.mark.parametrize(
+        "z, s",
+        [
+            pytest.param((), (3,), id="one-item"),
+            pytest.param((), (1, 3, 4), id="items"),
+            pytest.param((1, 4), (3,), id="one-item-with-stops"),
+            pytest.param((2, 5), (1,), id="weightless-stops"),
+            pytest.param((1,), (2, 3), id="weightless-tracked-item"),
+        ],
+    )
+    def test_draw_free_splits(self, z, s, horizon):
+        # One-category splits and weightless stopping sets draw nothing; the
+        # budgeted runs end inside a batch and then on a spent budget.
+        inst = Instance(n=5, k=3, r=[0.9, 0.7, 0.5, 0.3, 0.1], v=[0.3, 0.0, 0.8, 0.6, 0.0])
+        new = Environment(inst, fork_stream(6, 2), horizon=horizon)
+        old = Environment(inst, fork_stream(6, 2), horizon=horizon)
+        for epochs in (1, 7, 300, 5000, 10**6, 3):
+            _assert_same_draws(new, old, z, s, epochs)
+        assert new._rng.bit_generator.state == old._rng.bit_generator.state
+        assert (new.ledger.steps, new.ledger.cum_regret) == (
+            old.ledger.steps, old.ledger.cum_regret,
+        )
+        if horizon is not None:
+            assert new.ledger.steps == horizon
+
     def test_truncation_in_chunks(self):
         # A budgeted batch far beyond the budget is drawn in epoch chunks and
         # refined exactly where the budget ends.
