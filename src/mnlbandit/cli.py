@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -95,6 +96,17 @@ def _seed(text: str) -> int:
     return value
 
 
+def _scale(text: str) -> float:
+    """A tuning multiplier's value: a finite number above 0, as `Tuning` needs."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number above 0, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
@@ -135,9 +147,9 @@ def _build_parser() -> _Parser:
     run.add_argument("--seed", type=_seed, required=True, help="master seed")
     run.add_argument("--estimator", choices=ESTIMATORS, default="adaptive")
     run.add_argument("--tuning", choices=("paper", "desk"), default="paper")
-    run.add_argument("--tau-scale", type=float)
-    run.add_argument("--rough-tau-scale", type=float)
-    run.add_argument("--ci-scale", type=float)
+    run.add_argument("--tau-scale", type=_scale)
+    run.add_argument("--rough-tau-scale", type=_scale)
+    run.add_argument("--ci-scale", type=_scale)
     run.add_argument("--out", required=True, help="results CSV path")
     run.add_argument("--curve-out", help="regret-curve CSV path (mode=regret)")
     run.add_argument(
@@ -392,6 +404,8 @@ def _cmd_run(args) -> int:
             raise UsageError("--eps is required for mode=pac-eps")
         if args.estimator != "adaptive":
             raise UsageError("mode=pac-eps supports only the adaptive estimator")
+    elif args.eps is not None:
+        raise UsageError("--eps applies only to mode=pac-eps")
     if args.mode == "regret":
         if args.horizon is None:
             raise UsageError("--horizon is required for mode=regret")
@@ -399,6 +413,8 @@ def _cmd_run(args) -> int:
             raise UsageError("mode=regret uses the reg estimator")
         if args.horizon > MAX_HORIZON:
             raise ValueError(f"--horizon {args.horizon} exceeds the limit {MAX_HORIZON}")
+    elif args.horizon is not None:
+        raise UsageError("--horizon applies only to mode=regret")
     if args.curve_out is not None:
         if args.mode != "regret":
             raise UsageError("--curve-out applies only to mode=regret")
@@ -452,7 +468,8 @@ def _cmd_run(args) -> int:
         "rng_algorithm": RNG_ALGORITHM_ID,
         "config": {
             "mode": args.mode,
-            "delta": args.delta,
+            # regret_min runs at delta = 1/horizon, whatever --delta says
+            "delta": 1.0 / args.horizon if args.mode == "regret" else args.delta,
             "eps": args.eps,
             "horizon": args.horizon,
             "reps": args.reps,

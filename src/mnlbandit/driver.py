@@ -44,7 +44,7 @@ from .estimators import (
     est_reg,
     est_rough,
 )
-from .model import Assortment, ReducedParams
+from .model import Assortment
 from .oracle import fractional_optimum
 
 __all__ = [
@@ -258,9 +258,9 @@ def pac_eps(
     def complete(k: int, est: EstimateSet, b: Assortment, m: int) -> Optional[Assortment]:
         if 2.0 ** (-(k - 1)) > eps / 3.0:
             return None
-        rewards = {i: float(env.rewards[i - 1]) for i in b}
-        upper = ReducedParams(est.zeta_hi, {i: est.nu_hi[i] for i in b})
-        return fractional_optimum(rewards, upper, m).s_star
+        r = [float(env.rewards[i - 1]) for i in b]
+        s, _ = fractional_optimum([est.nu_hi[i] for i in b], r, est.zeta_hi, m)
+        return tuple(b[j] for j in s)
 
     estimator = partial(est_adaptive, rough=rough, tuning=tuning)
     res = sar_mnl(env, delta / 2.0, estimator, complete=complete)

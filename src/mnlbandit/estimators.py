@@ -40,29 +40,28 @@ with large slack and are far too conservative to simulate at desk scale, so
 ``tau_scale`` (refinement epoch counts), ``rough_tau_scale`` (rough epoch
 counts) and ``ci_scale`` (the ``log(2/delta)`` factor inside both confidence
 radii).  `PAPER_TUNING` is the exact profile; `DESK_TUNING` is a calibrated
-profile that preserves every structural property (interval validity at a
-reduced confidence level, the width-vs-phase race, relative estimator
-costs) at interactive runtimes, and is what the statistical acceptance
-checks run under.
+profile that keeps the width-vs-phase race and the relative estimator costs
+at interactive runtimes, and is what the statistical acceptance checks run
+under.  It does not keep every interval valid at one confidence level:
+``ci_scale`` shrinks both radii's ``log(2/delta)``, but only the weight
+radius carries the factor 48, so at ``ci_scale = 0.02`` the weight radius is
+about 3 sigma and the stop-reward radius about 0.6 sigma (ROADMAP item 2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .env import Environment, EpochBatch, HorizonExhausted
 from .model import Assortment, validate_assortment
-from .oracle import _solve
+from .oracle import fractional_optimum
 
 __all__ = [
     "Tuning",
     "PAPER_TUNING",
     "DESK_TUNING",
-    "Schedule",
     "ExploreState",
     "explore_epochs",
     "ci_zeta",
@@ -70,8 +69,6 @@ __all__ = [
     "ci_theta",
     "ci_xi",
     "EstimateSet",
-    "LayerPlan",
-    "GroupPlan",
     "est_naive",
     "est_rough",
     "est_adaptive",
@@ -93,35 +90,20 @@ class Tuning:
     def __post_init__(self) -> None:
         if self.c0 < 1 or self.c2 < 1:
             raise ValueError("schedule constants must be >= 1")
-        if min(self.tau_scale, self.rough_tau_scale, self.ci_scale) <= 0:
-            raise ValueError("tuning multipliers must be positive")
+        scales = (self.tau_scale, self.rough_tau_scale, self.ci_scale)
+        if not all(math.isfinite(x) and x > 0 for x in scales):
+            raise ValueError("tuning multipliers must be finite and positive")
 
 
 #: Exact constants — guarantee-faithful, impractically expensive to simulate.
 PAPER_TUNING = Tuning()
 
 #: Desk-scale profile used by the statistical acceptance checks; see module
-#: docstring.  Calibrated so that decisions carry ~3-sigma confidence and
-#: interval widths cross the phase targets around phases 4-7 for gaps in
-#: [0.0125, 0.05] (the same regime the exact constants produce, at ~10^-5 of
-#: the cost).
+#: docstring.  Calibrated so that interval widths cross the phase targets
+#: around phases 4-7 for gaps in [0.0125, 0.05] (the same regime the exact
+#: constants produce, at ~10^-5 of the cost).  Its stop-reward interval missed
+#: the truth in 278 of 728 phases with a pinned set (ROADMAP item 2).
 DESK_TUNING = Tuning(tau_scale=2e-6, rough_tau_scale=0.02, ci_scale=0.02)
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Resolved constants of one estimator invocation."""
-
-    c0: int
-    c2: int
-    delta: float
-    tau: int
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
 
 
 def _log_term(delta: float) -> float:
@@ -168,11 +150,6 @@ class ExploreState:
         """Empirical stop-reward mean (0 before any epoch)."""
         return self.n_z / self.t_z if self.t_z else 0.0
 
-    def bar_nu(self, item: int) -> float:
-        """Empirical reduced weight of ``item`` (0 before any epoch)."""
-        t = self.t.get(item, 0)
-        return self.n.get(item, 0) / t if t else 0.0
-
 
 def explore_epochs(
     env: Environment, state: ExploreState, s: Sequence[int], epochs: int
@@ -208,8 +185,9 @@ def _confidence(delta: float, tuning: Tuning) -> float:
     return tuning.ci_scale * _log_term(delta)
 
 
-def _zeta_bounds(state: ExploreState, big_l: float) -> Tuple[float, float]:
-    """`ci_zeta` at a precomputed ``L``."""
+def ci_zeta(state: ExploreState, big_l: float) -> Tuple[float, float]:
+    """Hoeffding interval for the stop-reward mean: radius ``sqrt(L / (2 t_z))``
+    at `_confidence`'s ``L``, clamped to [0, 1]; [0, 1] before any epoch."""
     if state.t_z == 0:
         return (0.0, 1.0)
     rad = math.sqrt(big_l / (2.0 * state.t_z))
@@ -217,9 +195,11 @@ def _zeta_bounds(state: ExploreState, big_l: float) -> Tuple[float, float]:
     return (max(0.0, bar - rad), min(1.0, bar + rad))
 
 
-def _nu_bounds(count: int, t: int, big_l: float) -> Tuple[float, float]:
-    """`ci_nu` of an item bought ``count`` times in ``t`` epochs, at a
-    precomputed ``L``."""
+def ci_nu(count: int, t: int, big_l: float) -> Tuple[float, float]:
+    """Bernstein-style interval for the reduced weight of an item bought
+    ``count`` times in ``t`` epochs: radius ``sqrt(48 nu_bar L / t) + 48 L / t``
+    with ``nu_bar = count / t`` at `_confidence`'s ``L``, clamped to [0, 1];
+    [0, 1] when ``t = 0``."""
     if t == 0:
         return (0.0, 1.0)
     bar = count / t
@@ -228,32 +208,6 @@ def _nu_bounds(count: int, t: int, big_l: float) -> Tuple[float, float]:
     # though the weight itself never does, so both ends are intersected
     # with the a-priori range [0, 1].
     return (min(1.0, max(0.0, bar - rad)), min(1.0, bar + rad))
-
-
-def ci_zeta(state: ExploreState, delta: float, tuning: Tuning = PAPER_TUNING) -> Tuple[float, float]:
-    """Two-sided Hoeffding interval for the stop-reward mean.
-
-    Radius ``sqrt(ci_scale * log(2/delta) / (2 t_z))``, clamped to [0, 1];
-    with no epochs yet, the trivial interval [0, 1].
-    """
-    if state.t_z == 0:
-        return (0.0, 1.0)
-    return _zeta_bounds(state, _confidence(delta, tuning))
-
-
-def ci_nu(
-    state: ExploreState, item: int, delta: float, tuning: Tuning = PAPER_TUNING
-) -> Tuple[float, float]:
-    """Bernstein-style interval for one reduced weight.
-
-    Radius ``sqrt(48 nu_bar L / t) + 48 L / t`` with
-    ``L = ci_scale * log(2/delta)``, clamped to [0, 1]; trivial [0, 1] when
-    the item has no epochs yet.
-    """
-    t = state.t.get(item, 0)
-    if t == 0:
-        return (0.0, 1.0)
-    return _nu_bounds(state.n.get(item, 0), t, _confidence(delta, tuning))
 
 
 def ci_theta(
@@ -270,26 +224,14 @@ def ci_theta(
     The reduced optimum is nondecreasing in ``zeta`` and in every ``nu_i``
     whose reward side can only help (formally: raising any parameter never
     lowers the constrained optimum), so solving at the lower ends bounds it
-    from below and at the upper ends from above.  Each end is the oracle's
-    ``_solve`` on arrays, with the revenue recomputed on the chosen set by
-    ``reduced_revenue``'s expression, so it equals ``fractional_optimum``'s
-    ``theta_star`` bit for bit.
+    from below and at the upper ends from above.  Each end is one
+    `fractional_optimum` solve over ``items`` in ascending order.
     """
-    if capacity < 0:
-        raise ValueError("capacity must be >= 0")
     items = sorted(items)
     r = [rewards[i] for i in items]
-    r_arr = np.array(r, dtype=float)
-
-    def plug_in(nu_end: Mapping[int, float], zeta: float) -> float:
-        nu = [nu_end[i] for i in items]
-        num, den = zeta, 1.0
-        for j in _solve(np.array(nu, dtype=float), r_arr, zeta, capacity).tolist():
-            num += nu[j] * r[j]
-            den += nu[j]
-        return float(num / den)
-
-    return (plug_in(nu_lo, zeta_lo), plug_in(nu_hi, zeta_hi))
+    _, lo = fractional_optimum([nu_lo[i] for i in items], r, zeta_lo, capacity)
+    _, hi = fractional_optimum([nu_hi[i] for i in items], r, zeta_hi, capacity)
+    return (lo, hi)
 
 
 def ci_xi(
@@ -319,35 +261,6 @@ def ci_xi(
 
 
 @dataclass(frozen=True)
-class LayerPlan:
-    """Weight-layer grouping used by the adaptive estimator.
-
-    Layer ``i < depth`` holds items with rough reduced weight in
-    ``(2^-(i+1), 2^-i]``; layer ``depth`` holds ``[0, 2^-depth]``.  Layer
-    ``i`` is split into consecutive groups of at most ``width[i] =
-    min(2^i, capacity)`` items, each explored for ``width[i] * tau`` epochs.
-    """
-
-    depth: int
-    layers: Tuple[Tuple[int, ...], ...]
-    widths: Tuple[int, ...]
-    groups: Tuple[Tuple[int, Tuple[int, ...]], ...]  # (layer index, items)
-
-
-@dataclass(frozen=True)
-class GroupPlan:
-    """Fixed-size grouping used by the regret estimator.
-
-    Every group has exactly ``size`` items; the last group is padded with
-    the smallest items of earlier groups when the pending set does not
-    divide evenly (padded items simply accrue extra epochs).
-    """
-
-    size: int
-    groups: Tuple[Tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class EstimateSet:
     """One estimator invocation's output: intervals plus bookkeeping.
 
@@ -366,10 +279,8 @@ class EstimateSet:
     theta_hi: float
     xi_lo: Dict[int, float]
     xi_hi: Dict[int, float]
-    schedule: Schedule
     epochs: int
     steps: int
-    plan: Optional[object] = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.zeta_lo <= self.zeta_hi <= 1.0):
@@ -392,8 +303,6 @@ class EstimateSet:
         if not self.items:
             return 0.0
         return max(self.width(i) for i in self.items)
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +341,6 @@ def _estimate(
     divisor: float,
     groups: Sequence[Tuple[Assortment, int]],
     reduced: bool,
-    plan: Optional[object] = None,
 ) -> EstimateSet:
     """The kernel of the refinement procedures: explore, then bound.
 
@@ -447,7 +355,6 @@ def _estimate(
     """
     delta = delta0 / (divisor * env.n)
     tau = _refinement_tau(delta, eps, tuning)
-    schedule = Schedule(c0=tuning.c0, c2=tuning.c2, delta=delta, tau=tau)
     if reduced:
         stop, weighed = ta, tb
         capacity = _residual(env, ta, tb) if tb else 0
@@ -458,13 +365,13 @@ def _estimate(
     start = env.ledger.steps
     epochs = sum(explore_epochs(env, state, s, u * tau).epochs for s, u in groups)
     big_l = _confidence(delta, tuning)
-    zeta_lo, zeta_hi = _zeta_bounds(state, big_l) if reduced else (0.0, 0.0)
+    zeta_lo, zeta_hi = ci_zeta(state, big_l) if reduced else (0.0, 0.0)
     nu_lo: Dict[int, float] = {}
     nu_hi: Dict[int, float] = {}
     rewards: Dict[int, float] = {}
     all_rewards = env.rewards.tolist()
     for i in weighed:
-        nu_lo[i], nu_hi[i] = _nu_bounds(state.n.get(i, 0), state.t.get(i, 0), big_l)
+        nu_lo[i], nu_hi[i] = ci_nu(state.n.get(i, 0), state.t.get(i, 0), big_l)
         rewards[i] = all_rewards[i - 1]
     theta_lo, theta_hi = ci_theta(
         rewards, weighed, nu_lo, nu_hi, zeta_lo, zeta_hi, capacity
@@ -485,10 +392,8 @@ def _estimate(
         theta_hi=theta_hi,
         xi_lo=xi_lo,
         xi_hi=xi_hi,
-        schedule=schedule,
         epochs=epochs,
         steps=env.ledger.steps - start,
-        plan=plan,
     )
 
 
@@ -532,7 +437,7 @@ def est_rough(
     rough: Dict[int, float] = {}
     for i in range(1, env.n + 1):
         explore_epochs(env, state, (i,), tau)
-        rough[i] = _nu_bounds(state.n[i], state.t[i], big_l)[1]
+        rough[i] = ci_nu(state.n[i], state.t[i], big_l)[1]
     return rough
 
 
@@ -574,20 +479,12 @@ def est_adaptive(
                 break
             layer += 1
         layer_items[layer].append(i)
-    widths = tuple([min(2 ** lv, m_cap) for lv in range(depth + 1)])
-    layers = tuple([tuple(members) for members in layer_items])
-    groups: List[Tuple[int, Tuple[int, ...]]] = []
-    explored: List[Tuple[Assortment, int]] = []
-    for lv, members in enumerate(layers):
-        d = widths[lv]
+    groups: List[Tuple[Assortment, int]] = []
+    for lv, members in enumerate(layer_items):
+        d = min(2 ** lv, m_cap)
         for pos in range(0, len(members), d):
-            group = members[pos : pos + d]
-            groups.append((lv, group))
-            explored.append((group, d))
-    plan = LayerPlan(depth=depth, layers=layers, widths=widths, groups=tuple(groups))
-    return _estimate(
-        env, ta, tb, delta0, eps, tuning, 15.0, explored, reduced=True, plan=plan
-    )
+            groups.append((tuple(members[pos : pos + d]), d))
+    return _estimate(env, ta, tb, delta0, eps, tuning, 15.0, groups, reduced=True)
 
 
 def est_reduced(
@@ -642,8 +539,5 @@ def est_reg(
             pad = [i for i in tb if i not in chunk][: m_cap - len(chunk)]
             chunk = sorted(chunk + pad)
         groups.append(tuple(chunk))
-    plan = GroupPlan(size=m_cap, groups=tuple(groups))
     offered = [(tuple(sorted(ta + group)), env.k) for group in groups]
-    return _estimate(
-        env, ta, tb, delta0, eps, tuning, 13.0, offered, reduced=False, plan=plan
-    )
+    return _estimate(env, ta, tb, delta0, eps, tuning, 13.0, offered, reduced=False)

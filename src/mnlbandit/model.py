@@ -11,25 +11,24 @@ The expected revenue of ``S`` is
 
     R(S, v) = sum_{i in S} r_i * v_i / (1 + sum_{i in S} v_i),
 
-with ``R({}) = 0``.  Items are 1-indexed in every public interface;
-the implicit outside option is index 0.  Internally, numpy arrays are
-0-indexed, so item ``i`` lives at array slot ``i - 1``.
+with ``R({}) = 0``.  The revenue reduced relative to a pinned set is defined,
+and maximized, by ``oracle.fractional_optimum``.  Items are 1-indexed in every
+public interface; the implicit outside option is index 0.  Internally, numpy
+arrays are 0-indexed, so item ``i`` lives at array slot ``i - 1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "Instance",
-    "ReducedParams",
     "Assortment",
     "validate_assortment",
     "revenue",
-    "reduced_revenue",
 ]
 
 #: An assortment is a strictly increasing tuple of 1-indexed item ids.
@@ -121,47 +120,3 @@ def revenue(inst: Instance, s: Iterable[int]) -> float:
     ix = _idx(t)
     w = inst.v[ix]
     return float(np.dot(w, inst.r[ix]) / (1.0 + w.sum()))
-
-
-@dataclass(frozen=True)
-class ReducedParams:
-    """Parameters of the revenue problem reduced relative to a pinned set A.
-
-    ``zeta = R(A, v)`` is the pinned set's own revenue and
-    ``nu[i] = v_i / (1 + sum_{j in A} v_j)`` for each pending item i (i not
-    in A).  The reduced revenue of a pending assortment ``S0`` is
-
-        R(S0, nu, zeta) = (zeta + sum_{i in S0} nu_i r_i)
-                          / (1 + sum_{i in S0} nu_i),
-
-    and for any S containing A, R(S, v) = R(S \\ A, nu, zeta).
-    """
-
-    zeta: float
-    nu: Mapping[int, float]
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.zeta <= 1.0):
-            raise ValueError("zeta must lie in [0, 1]")
-        for item, value in self.nu.items():
-            if item < 1:
-                raise ValueError("nu keys must be 1-indexed item ids")
-            if not (0.0 <= value <= 1.0) or not np.isfinite(value):
-                raise ValueError(f"nu[{item}] must lie in [0, 1]")
-
-
-def reduced_revenue(
-    rewards: Mapping[int, float], params: ReducedParams, s0: Iterable[int]
-) -> float:
-    """Reduced revenue ``R(s0, nu, zeta)`` of a pending assortment ``s0``.
-
-    ``rewards`` maps item id -> reward; every item of ``s0`` must have both a
-    reward and a reduced weight.  ``R({}, nu, zeta) = zeta``.
-    """
-    t = tuple(int(i) for i in s0)
-    num = params.zeta
-    den = 1.0
-    for i in t:
-        num += params.nu[i] * rewards[i]
-        den += params.nu[i]
-    return num / den

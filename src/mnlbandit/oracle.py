@@ -18,6 +18,10 @@ and the iteration ends after finitely many selections (a handful in
 practice) with the selection at ``theta*``, an optimal set, and its exact
 revenue.
 
+``exact_optimum`` and ``suboptimality_gaps`` solve whole instances, and
+``fractional_optimum`` one reduced problem: the estimators' revenue bounds
+and ``pac_eps``'s completion.
+
 ``brute_force_optimum`` enumerates every assortment; it is the reference the
 tests compare the kernel against, and is guarded to ``n <= 24``.
 """
@@ -26,16 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Mapping, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .model import (
-    Assortment,
-    Instance,
-    ReducedParams,
-    reduced_revenue,
-)
+from .model import Assortment, Instance
 
 __all__ = [
     "OptimumSolution",
@@ -100,27 +99,29 @@ def _revenue(inst: Instance, ix: np.ndarray) -> float:
 
 
 def fractional_optimum(
-    rewards: Mapping[int, float],
-    params: ReducedParams,
-    capacity: int,
-) -> OptimumSolution:
+    nu: Sequence[float], r: Sequence[float], zeta: float, capacity: int
+) -> Tuple[List[int], float]:
     """Exact optimum of the reduced revenue over pending assortments.
 
-    Solves ``max_{S0 subset of params.nu keys, |S0| <= capacity}
-    R(S0, nu, zeta)`` with ``_solve`` and recomputes the selected set's
-    reduced revenue with ``reduced_revenue``.  The empty set (revenue
-    ``zeta``) is always admissible, so the returned revenue is >= ``zeta``.
+    Relative to a pinned set ``A``, with ``zeta = R(A, v)`` and reduced
+    weights ``nu_i = v_i / (1 + sum_{j in A} v_j)``, every ``S ⊇ A`` has
+    ``R(S, v) = R(S0, nu, zeta) = (zeta + sum_{S0} nu_i r_i) / (1 + sum_{S0}
+    nu_i)`` with ``S0 = S \\ A``.  ``nu`` and ``r`` are aligned by position
+    (the caller's ascending ids).  Returns the ascending positions of the
+    ``_solve`` optimum at ``|S0| <= capacity`` and its revenue, recomputed on
+    that set in ascending position order; the empty set (revenue ``zeta``) is
+    admissible, so the revenue is >= ``zeta``.
     """
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
-    items = sorted(params.nu)
-    for i in items:
-        if i not in rewards:
-            raise ValueError(f"item {i} has a weight but no reward")
-    nu = np.array([params.nu[i] for i in items], dtype=float)
-    r = np.array([rewards[i] for i in items], dtype=float)
-    s0 = tuple(items[j] for j in _solve(nu, r, params.zeta, capacity))
-    return OptimumSolution(s_star=s0, theta_star=float(reduced_revenue(rewards, params, s0)))
+    if len(nu) != len(r):
+        raise ValueError("nu and r must hold one entry per pending item")
+    s = _solve(np.array(nu, dtype=float), np.array(r, dtype=float), zeta, capacity).tolist()
+    num, den = zeta, 1.0
+    for j in s:
+        num += nu[j] * r[j]
+        den += nu[j]
+    return s, float(num / den)
 
 
 def _revenue_table(inst: Instance):
@@ -264,7 +265,7 @@ def lower_bound_instance(
             f"need exactly n - k = {n - k} gaps for the non-optimal items, "
             f"got {gap_arr.shape}"
         )
-    if np.any(gap_arr <= 0.0) or np.any(gap_arr > 1.0 / (16.0 * k)):
+    if not np.all((gap_arr > 0.0) & (gap_arr <= 1.0 / (16.0 * k))):  # NaN fails
         raise ValueError("every gap must lie in (0, 1/(16 k)]")
 
     v = np.empty(n, dtype=float)

@@ -12,8 +12,8 @@ from typing import List, Tuple
 from mnlbandit.driver import PHASE_CAP, PhaseState, RunResult, accept_reject
 from mnlbandit.env import Environment, HorizonExhausted
 from mnlbandit.estimators import PAPER_TUNING, Tuning, est_adaptive, est_reg, est_rough
-from mnlbandit.model import ReducedParams
-from mnlbandit.oracle import fractional_optimum
+from model_reference import ReducedParams
+from oracle_reference import fractional_optimum
 
 
 def pac_eps(

@@ -6,7 +6,9 @@ earlier bodies, each with its own validation, schedule, exploration loop and
 call of the twelve-argument ``_finish``.  The tests require the kernel-based
 estimators to return equal `EstimateSet`s (or raise the same error), to
 spend the same steps and regret, and to leave the generator in the same
-state, so the two draw the same numbers in the same order.
+state, so the two draw the same numbers in the same order.  Since the
+estimates stopped carrying their schedule and plan records, these bodies
+pass ``delta`` to ``_finish`` in place of the schedule and build no plan.
 """
 
 import math
@@ -17,10 +19,8 @@ from mnlbandit.estimators import (
     PAPER_TUNING,
     EstimateSet,
     ExploreState,
-    GroupPlan,
-    LayerPlan,
-    Schedule,
     Tuning,
+    _confidence,
     _refinement_tau,
     ci_nu,
     ci_theta,
@@ -39,25 +39,25 @@ def _finish(
     env: Environment,
     items: Sequence[int],
     state: ExploreState,
-    schedule: Schedule,
+    delta: float,
     tuning: Tuning,
     capacity: int,
     zeta_bounds: Optional[Tuple[float, float]],
     scored: Sequence[int],
     epochs: int,
     steps: int,
-    plan: Optional[object] = None,
     extra_nu_items: Sequence[int] = (),
 ) -> EstimateSet:
     """Assemble the interval set from a populated exploration state."""
+    big_l = _confidence(delta, tuning)
     if zeta_bounds is None:
-        zeta_lo, zeta_hi = ci_zeta(state, schedule.delta, tuning)
+        zeta_lo, zeta_hi = ci_zeta(state, big_l)
     else:
         zeta_lo, zeta_hi = zeta_bounds
     nu_lo: Dict[int, float] = {}
     nu_hi: Dict[int, float] = {}
     for i in list(items) + list(extra_nu_items):
-        nu_lo[i], nu_hi[i] = ci_nu(state, i, schedule.delta, tuning)
+        nu_lo[i], nu_hi[i] = ci_nu(state.n.get(i, 0), state.t.get(i, 0), big_l)
     rewards = _rewards_map(env, list(items) + list(extra_nu_items))
     theta_lo, theta_hi = ci_theta(
         rewards,
@@ -84,10 +84,8 @@ def _finish(
         theta_hi=theta_hi,
         xi_lo=xi_lo,
         xi_hi=xi_hi,
-        schedule=schedule,
         epochs=epochs,
         steps=steps,
-        plan=plan,
     )
 
 
@@ -124,7 +122,6 @@ def est_naive(
     items = tuple(sorted(ta + tb))
     delta = delta0 / (15.0 * env.n)
     tau = _refinement_tau(delta, eps, tuning)
-    schedule = Schedule(c0=tuning.c0, c2=tuning.c2, delta=delta, tau=tau)
     state = ExploreState(z_stop=())
     start = env.ledger.steps
     epochs = 0
@@ -136,7 +133,7 @@ def est_naive(
         env,
         items,
         state,
-        schedule,
+        delta,
         tuning,
         capacity,
         zeta_bounds=(0.0, 0.0),
@@ -180,7 +177,6 @@ def est_adaptive(
 
     delta = delta0 / (15.0 * env.n)
     tau = _refinement_tau(delta, eps, tuning)
-    schedule = Schedule(c0=tuning.c0, c2=tuning.c2, delta=delta, tau=tau)
 
     denom = 1.0 + sum(rough[j] for j in ta)
     nu_tilde = {i: rough[i] / denom for i in tb}
@@ -204,13 +200,6 @@ def est_adaptive(
         for pos in range(0, len(members), d):
             groups.append((lv, tuple(members[pos : pos + d])))
 
-    plan = LayerPlan(
-        depth=depth,
-        layers=tuple(tuple(sorted(ms)) for ms in layer_items),
-        widths=widths,
-        groups=tuple(groups),
-    )
-
     state = ExploreState(z_stop=ta)
     start = env.ledger.steps
     epochs = 0
@@ -222,14 +211,13 @@ def est_adaptive(
         env,
         tb,
         state,
-        schedule,
+        delta,
         tuning,
         m_cap,
         zeta_bounds=None,
         scored=tb,
         epochs=epochs,
         steps=env.ledger.steps - start,
-        plan=plan,
     )
 
 
@@ -255,11 +243,10 @@ def est_reduced(
     _check_disjoint(ta, tb)
     delta = delta0 / (15.0 * env.n)
     tau = _refinement_tau(delta, eps, tuning)
-    schedule = Schedule(c0=tuning.c0, c2=tuning.c2, delta=delta, tau=tau)
     state = ExploreState(z_stop=ta)
     if not tb:
         return _finish(
-            env, (), state, schedule, tuning, 0, None, (), 0, 0
+            env, (), state, delta, tuning, 0, None, (), 0, 0
         )
     m_cap = min(env.k - len(ta), len(tb))
     if m_cap < 1:
@@ -273,7 +260,7 @@ def est_reduced(
         env,
         tb,
         state,
-        schedule,
+        delta,
         tuning,
         m_cap,
         zeta_bounds=None,
@@ -314,7 +301,6 @@ def est_reg(
         raise ValueError("pinned set already fills the capacity")
     delta = delta0 / (13.0 * env.n)
     tau = _refinement_tau(delta, eps, tuning)
-    schedule = Schedule(c0=tuning.c0, c2=tuning.c2, delta=delta, tau=tau)
 
     pending = list(tb)
     groups: List[Tuple[int, ...]] = []
@@ -324,7 +310,6 @@ def est_reg(
             pad = [i for i in pending if i not in chunk][: m_cap - len(chunk)]
             chunk = sorted(chunk + pad)
         groups.append(tuple(chunk))
-    plan = GroupPlan(size=m_cap, groups=tuple(groups))
 
     state = ExploreState(z_stop=())
     start = env.ledger.steps
@@ -339,13 +324,12 @@ def est_reg(
         env,
         tb,
         state,
-        schedule,
+        delta,
         tuning,
         capacity,
         zeta_bounds=(0.0, 0.0),
         scored=tb,
         epochs=epochs,
         steps=env.ledger.steps - start,
-        plan=plan,
         extra_nu_items=ta,
     )

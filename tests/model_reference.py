@@ -4,11 +4,62 @@ The library never needs them: the simulator draws outcomes from its own
 per-key plans and the estimators see only outcomes.  The tests use them as
 the ground truth that choice frequencies, epoch moments, reductions and
 scores are checked against.
+
+``ReducedParams`` and ``reduced_revenue`` are the reduced problem's earlier
+record and revenue function, kept verbatim as the reference that
+``oracle.fractional_optimum`` and ``estimators.ci_theta`` are pinned to.
 """
 
-from typing import Dict, Iterable
+from dataclasses import dataclass
+from typing import Dict, Iterable, Mapping
 
-from mnlbandit.model import Instance, ReducedParams, _idx, revenue, validate_assortment
+import numpy as np
+
+from mnlbandit.model import Instance, _idx, revenue, validate_assortment
+
+
+@dataclass(frozen=True)
+class ReducedParams:
+    """Parameters of the revenue problem reduced relative to a pinned set A.
+
+    ``zeta = R(A, v)`` is the pinned set's own revenue and
+    ``nu[i] = v_i / (1 + sum_{j in A} v_j)`` for each pending item i (i not
+    in A).  The reduced revenue of a pending assortment ``S0`` is
+
+        R(S0, nu, zeta) = (zeta + sum_{i in S0} nu_i r_i)
+                          / (1 + sum_{i in S0} nu_i),
+
+    and for any S containing A, R(S, v) = R(S \\ A, nu, zeta).
+    """
+
+    zeta: float
+    nu: Mapping[int, float]
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.zeta <= 1.0):
+            raise ValueError("zeta must lie in [0, 1]")
+        for item, value in self.nu.items():
+            if item < 1:
+                raise ValueError("nu keys must be 1-indexed item ids")
+            if not (0.0 <= value <= 1.0) or not np.isfinite(value):
+                raise ValueError(f"nu[{item}] must lie in [0, 1]")
+
+
+def reduced_revenue(
+    rewards: Mapping[int, float], params: ReducedParams, s0: Iterable[int]
+) -> float:
+    """Reduced revenue ``R(s0, nu, zeta)`` of a pending assortment ``s0``.
+
+    ``rewards`` maps item id -> reward; every item of ``s0`` must have both a
+    reward and a reduced weight.  ``R({}, nu, zeta) = zeta``.
+    """
+    t = tuple(int(i) for i in s0)
+    num = params.zeta
+    den = 1.0
+    for i in t:
+        num += params.nu[i] * rewards[i]
+        den += params.nu[i]
+    return num / den
 
 
 def choice_probabilities(inst: Instance, s: Iterable[int]) -> Dict[int, float]:

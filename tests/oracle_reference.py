@@ -1,10 +1,14 @@
-"""Enumeration references for the per-item gaps and the revenue margin, and
-the score selection on item ids.
+"""Enumeration references for the per-item gaps and the revenue margin, the
+score selection on item ids, and the dict-interface reduced solve.
 
-Both references enumerate every assortment of size <= k (keep ``n`` small);
-the tests require ``suboptimality_gaps`` and ``revenue_margin`` to agree with
-them bit for bit on instances without tied assortments.  ``select_f`` is the
-oracle's top-positive selection keyed by item id.
+Both enumeration references enumerate every assortment of size <= k (keep
+``n`` small); the tests require ``suboptimality_gaps`` and ``revenue_margin``
+to agree with them bit for bit on instances without tied assortments.
+``select_f`` is the oracle's top-positive selection keyed by item id.
+``fractional_optimum`` is the earlier dict-interface solve of one reduced
+problem, kept verbatim; the tests require the list-interface
+``oracle.fractional_optimum`` and ``estimators.ci_theta`` to match it bit for
+bit.
 """
 
 from typing import Dict, Mapping
@@ -12,7 +16,14 @@ from typing import Dict, Mapping
 import numpy as np
 
 from mnlbandit.model import Assortment, Instance
-from mnlbandit.oracle import _revenue_table, _top_positive, brute_force_optimum
+from mnlbandit.oracle import (
+    OptimumSolution,
+    _revenue_table,
+    _solve,
+    _top_positive,
+    brute_force_optimum,
+)
+from model_reference import ReducedParams, reduced_revenue
 
 
 def select_f(
@@ -64,3 +75,27 @@ def enumerated_margin(inst: Instance) -> float:
     flat = np.concatenate(all_rev)
     top_two = np.partition(flat, len(flat) - 2)[-2:]
     return float(top_two.max() - top_two.min())
+
+
+def fractional_optimum(
+    rewards: Mapping[int, float],
+    params: ReducedParams,
+    capacity: int,
+) -> OptimumSolution:
+    """Exact optimum of the reduced revenue over pending assortments.
+
+    Solves ``max_{S0 subset of params.nu keys, |S0| <= capacity}
+    R(S0, nu, zeta)`` with ``_solve`` and recomputes the selected set's
+    reduced revenue with ``reduced_revenue``.  The empty set (revenue
+    ``zeta``) is always admissible, so the returned revenue is >= ``zeta``.
+    """
+    if capacity < 0:
+        raise ValueError("capacity must be >= 0")
+    items = sorted(params.nu)
+    for i in items:
+        if i not in rewards:
+            raise ValueError(f"item {i} has a weight but no reward")
+    nu = np.array([params.nu[i] for i in items], dtype=float)
+    r = np.array([rewards[i] for i in items], dtype=float)
+    s0 = tuple(items[j] for j in _solve(nu, r, params.zeta, capacity))
+    return OptimumSolution(s_star=s0, theta_star=float(reduced_revenue(rewards, params, s0)))

@@ -18,7 +18,9 @@ from mnlbandit.driver import pac_eps, pac_exact, regret_min
 from mnlbandit.env import Environment, fork_stream
 from mnlbandit.estimators import (
     DESK_TUNING,
+    PAPER_TUNING,
     ExploreState,
+    _confidence,
     ci_nu,
     ci_zeta,
     est_adaptive,
@@ -61,13 +63,12 @@ def test_criterion_01_oracle_equivalence():
     for _ in range(1000):
         inst = _random_instance(rng)
         brute = brute_force_optimum(inst)
-        rewards = {i: float(inst.r[i - 1]) for i in inst.items()}
-        frac = fractional_optimum(rewards, reduce_params(inst, ()), inst.k)
+        s, theta = fractional_optimum(inst.v.tolist(), inst.r.tolist(), 0.0, inst.k)
         scores = advantage_scores(inst, brute.theta_star)
         score_sum = sum(scores[i] for i in brute.s_star)
         if (
-            frac.s_star != brute.s_star
-            or abs(frac.theta_star - brute.theta_star) > 1e-9
+            tuple(j + 1 for j in s) != brute.s_star
+            or abs(theta - brute.theta_star) > 1e-9
             or abs(score_sum - brute.theta_star) > 1e-9
         ):
             bad += 1
@@ -164,7 +165,7 @@ def test_criterion_04_epoch_moments():
         for i in tracked:
             nu = params.nu[i]
             se = math.sqrt(nu * (1.0 + nu) / epochs)
-            if abs(state.bar_nu(i) - nu) > 3 * se:
+            if abs(state.n[i] / state.t[i] - nu) > 3 * se:
                 bad.append(f"config {idx}: weight of item {i}")
 
         # epoch length minus one: the total purchase count, geometric with
@@ -189,11 +190,10 @@ def test_criterion_05_interval_coverage():
 
     nu, t_epochs = 0.3, 2000
     sums = rng.negative_binomial(t_epochs, 1.0 / (1.0 + nu), size=trials)
+    big_l = _confidence(delta, PAPER_TUNING)
     covered_nu = 0
     for s in sums:
-        state = ExploreState()
-        state.n[1], state.t[1] = int(s), t_epochs
-        lo, hi = ci_nu(state, 1, delta)
+        lo, hi = ci_nu(int(s), t_epochs, big_l)
         covered_nu += lo <= nu <= hi
 
     v1, r1, t_z = 0.5, 0.8, 200
@@ -204,7 +204,7 @@ def test_criterion_05_interval_coverage():
     for h in hits:
         state = ExploreState(z_stop=(1,))
         state.n_z, state.t_z = r1 * float(h), t_z
-        lo, hi = ci_zeta(state, delta)
+        lo, hi = ci_zeta(state, big_l)
         covered_z += lo <= zeta <= hi
 
     ok = covered_nu >= (1 - 13 * delta) * trials and covered_z >= (1 - delta) * trials

@@ -94,6 +94,15 @@ class TestGen:
         ) == 2
 
 
+    def test_nan_gap_fails_the_gap_check(self, tmp_path, capsys):
+        out = tmp_path / "x.inst"
+        assert run_cli(
+            "gen", "--family", "lower-bound", "--n", "4", "--k", "2",
+            "--gaps", "nan,0.01", "--out", str(out),
+        ) == 2
+        assert capsys.readouterr().err == "error: every gap must lie in (0, 1/(16 k)]\n"
+        assert not out.exists()
+
     def test_sparse_family_refuses_zero_capacity(self, tmp_path, capsys):
         out = tmp_path / "x.inst"
         assert run_cli(
@@ -312,6 +321,53 @@ class TestRunValidation:
         assert run_cli(*argv, "--out", str(out)) == 1
         assert capsys.readouterr().err == (
             f"usage error: argument {flag}: expected a non-negative integer, got -1\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--tau-scale", "--rough-tau-scale", "--ci-scale"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "oops"])
+    def test_bad_tuning_multiplier_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                    flag, value):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "generate_instance", fail)
+        monkeypatch.setattr(cli, "_replicate", fail)
+        out = tmp_path / "r.csv"
+        assert run_cli(
+            "run", "--family", "uniform", "--n", "4", "--k", "2", "--gen-seed", "5",
+            "--mode", "pac", "--seed", "1", "--tuning", "desk", f"{flag}={value}",
+            "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: argument {flag}: expected a finite number above 0, got {value!r}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, flag, value",
+        [
+            ("pac", "--eps", "0.3"),
+            ("regret", "--eps", "0.3"),
+            ("pac", "--horizon", "50"),
+            ("pac-eps", "--horizon", "50"),
+        ],
+    )
+    def test_flag_the_mode_ignores_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                    mode, flag, value):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "_replicate", fail)
+        needed = {"pac": (), "pac-eps": ("--eps", "0.3"), "regret": ("--horizon", "50")}[mode]
+        out = tmp_path / "r.csv"
+        assert run_cli(
+            "run", "--family", "uniform", "--n", "4", "--k", "2", "--gen-seed", "5",
+            "--mode", mode, *needed, flag, value, "--seed", "1", "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: {flag} applies only to mode="
+            f"{'pac-eps' if flag == '--eps' else 'regret'}\n"
         )
         assert not out.exists()
 
@@ -586,10 +642,13 @@ class TestRunRegret:
             "run", "--family", "uniform", "--n", "4", "--k", "2",
             "--gen-seed", "5", "--mode", "regret", "--horizon", "2000",
             "--seed", "99", "--tuning", "desk", "--estimator", "adaptive",
-            "--out", out,
+            "--delta", "0.5", "--out", out,
         ) == 0
         with open(out + ".meta.json") as fh:
-            assert json.load(fh)["config"]["estimator"] == "reg"
+            config = json.load(fh)["config"]
+        # the run used est_reg at delta = 1/horizon, whatever the flags said
+        assert config["estimator"] == "reg"
+        assert (config["delta"], config["horizon"], config["eps"]) == (1 / 2000, 2000, None)
 
 
 class TestSummarize:

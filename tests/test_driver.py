@@ -15,21 +15,19 @@ from mnlbandit.driver import (
     sar_mnl,
 )
 from mnlbandit.env import Environment, fork_stream
-from mnlbandit.estimators import DESK_TUNING, EstimateSet, Schedule, Tuning, est_reg
+from mnlbandit.estimators import DESK_TUNING, EstimateSet, est_reg
 from mnlbandit.instances import generate_instance
-from mnlbandit.model import Instance, ReducedParams, revenue
+from mnlbandit.model import Instance, revenue
 from mnlbandit.oracle import (
     brute_force_optimum,
-    fractional_optimum,
     lower_bound_instance,
     suboptimality_gaps,
 )
 from baselines import uniform_random_regret
-from model_reference import reduce_params
+from model_reference import ReducedParams, reduce_params
 from offer_reference import offer
+from oracle_reference import fractional_optimum
 import driver_reference
-
-STUB_SCHEDULE = Schedule(c0=196, c2=1024, delta=0.1, tau=1)
 
 
 def make_est(items, xi):
@@ -45,7 +43,6 @@ def make_est(items, xi):
         theta_hi=1.0,
         xi_lo={i: xi[i][0] for i in items},
         xi_hi={i: xi[i][1] for i in items},
-        schedule=STUB_SCHEDULE,
         epochs=0,
         steps=0,
     )

@@ -12,10 +12,7 @@ from mnlbandit.estimators import (
     DESK_TUNING,
     EstimateSet,
     ExploreState,
-    GroupPlan,
-    LayerPlan,
     PAPER_TUNING,
-    Schedule,
     Tuning,
     _refinement_tau,
     _rough_tau,
@@ -30,11 +27,11 @@ from mnlbandit.estimators import (
     est_rough,
     explore_epochs,
 )
-from mnlbandit.model import Instance, ReducedParams
-from mnlbandit.oracle import fractional_optimum
+from mnlbandit.model import Instance
 from epoch_detail import epoch_detail
 from explore_reference import explore
-from model_reference import reduce_params
+from model_reference import ReducedParams, reduce_params
+from oracle_reference import fractional_optimum
 import estimator_reference
 
 # Fast-but-valid profile for coverage runs: tiny epoch budgets, exact
@@ -45,6 +42,20 @@ COVER_TUNING = Tuning(tau_scale=1e-5, rough_tau_scale=0.02, ci_scale=1.0)
 
 def make_env(inst, seed=0, rep=0, horizon=None):
     return Environment(inst, fork_stream(seed, rep), horizon=horizon)
+
+
+def record_batches(env):
+    """Record each ``env.sample_epochs`` call as ``(Z, S, epochs)``: the plan
+    an estimator actually explored."""
+    calls = []
+    sample = env.sample_epochs
+
+    def recording(z, s, epochs):
+        calls.append((tuple(z), tuple(s), epochs))
+        return sample(z, s, epochs)
+
+    env.sample_epochs = recording
+    return calls
 
 
 def fixed_instance():
@@ -73,6 +84,10 @@ class TestTuningProfiles:
             Tuning(tau_scale=0.0)
         with pytest.raises(ValueError):
             Tuning(ci_scale=-1.0)
+        for bad in (math.nan, math.inf):
+            for name in ("tau_scale", "rough_tau_scale", "ci_scale"):
+                with pytest.raises(ValueError):
+                    Tuning(**{name: bad})
 
 
 class TestSchedules:
@@ -98,37 +113,32 @@ class TestSchedules:
             _refinement_tau(0.1, 0.0, PAPER_TUNING)
         with pytest.raises(ValueError):
             _refinement_tau(0.1, 1.5, PAPER_TUNING)
-        with pytest.raises(ValueError):
-            Schedule(c0=196, c2=1024, delta=0.1, tau=0)
 
 
 class TestExploreState:
     def test_running_means(self):
         state = ExploreState(z_stop=(1,))
-        assert state.bar_zeta() == 0.0 and state.bar_nu(2) == 0.0
+        assert state.bar_zeta() == 0.0
         state.n_z, state.t_z = 3.0, 10
-        state.n[2], state.t[2] = 7, 14
         assert state.bar_zeta() == 0.3
-        assert state.bar_nu(2) == 0.5
-        assert state.bar_nu(3) == 0.0
 
 
 class TestCiZeta:
     def test_pinned_interval(self):
         state = ExploreState()
         state.n_z, state.t_z = 200.0, 800
-        lo, hi = ci_zeta(state, 0.05, PAPER_TUNING)
+        lo, hi = ci_zeta(state, math.log(2 / 0.05))
         rad = math.sqrt(math.log(2 / 0.05) / (2 * 800))
         np.testing.assert_allclose(lo, 0.25 - rad, rtol=1e-15)
         np.testing.assert_allclose(hi, 0.25 + rad, rtol=1e-15)
 
     def test_no_data_gives_trivial_interval(self):
-        assert ci_zeta(ExploreState(), 0.1) == (0.0, 1.0)
+        assert ci_zeta(ExploreState(), math.log(2 / 0.1)) == (0.0, 1.0)
 
     def test_clamps_to_unit_interval(self):
         state = ExploreState()
         state.n_z, state.t_z = 0.0, 10
-        lo, hi = ci_zeta(state, 0.1, PAPER_TUNING)
+        lo, hi = ci_zeta(state, math.log(2 / 0.1))
         assert lo == 0.0 and 0.0 < hi <= 1.0
 
     def test_width_shrinks_with_epochs(self):
@@ -136,7 +146,7 @@ class TestCiZeta:
         for t in (100, 400, 1600):
             state = ExploreState()
             state.n_z, state.t_z = 0.25 * t, t
-            lo, hi = ci_zeta(state, 0.1, PAPER_TUNING)
+            lo, hi = ci_zeta(state, math.log(2 / 0.1))
             widths.append(hi - lo)
         assert widths[0] > widths[1] > widths[2]
         np.testing.assert_allclose(widths[0] / widths[1], 2.0, rtol=1e-12)
@@ -144,26 +154,22 @@ class TestCiZeta:
     def test_recomputation_is_bitwise_identical(self):
         state = ExploreState()
         state.n_z, state.t_z = 123.0, 777
-        assert ci_zeta(state, 0.03) == ci_zeta(state, 0.03)
+        assert ci_zeta(state, math.log(2 / 0.03)) == ci_zeta(state, math.log(2 / 0.03))
 
 
 class TestCiNu:
     def test_zero_mean_radius(self):
-        state = ExploreState()
-        state.n[1], state.t[1] = 0, 400
-        lo, hi = ci_nu(state, 1, 0.1, PAPER_TUNING)
+        lo, hi = ci_nu(0, 400, math.log(2 / 0.1))
         assert lo == 0.0
         np.testing.assert_allclose(hi, 48 * math.log(2 / 0.1) / 400, rtol=1e-15)
 
     def test_no_data_gives_trivial_interval(self):
-        assert ci_nu(ExploreState(), 5, 0.1) == (0.0, 1.0)
+        assert ci_nu(0, 0, math.log(2 / 0.1)) == (0.0, 1.0)
 
     def test_radius_formula(self):
-        state = ExploreState()
         t, bar = 100_000, 0.3
-        state.n[2], state.t[2] = int(bar * t), t
-        lo, hi = ci_nu(state, 2, 0.01, PAPER_TUNING)
         big_l = math.log(2 / 0.01)
+        lo, hi = ci_nu(int(bar * t), t, big_l)
         rad = math.sqrt(48 * bar * big_l / t) + 48 * big_l / t
         np.testing.assert_allclose(hi - lo, 2 * rad, rtol=1e-12)
 
@@ -171,9 +177,7 @@ class TestCiNu:
         # At nu = 0.3 the radius mixes sqrt(1/T) and 1/T terms, so doubling
         # T shrinks the width by a factor strictly between sqrt(2) and 2.
         def width(t):
-            state = ExploreState()
-            state.n[1], state.t[1] = int(0.3 * t), t
-            lo, hi = ci_nu(state, 1, 0.01, PAPER_TUNING)
+            lo, hi = ci_nu(int(0.3 * t), t, math.log(2 / 0.01))
             return hi - lo
 
         ratio = width(100_000) / width(200_000)
@@ -340,7 +344,7 @@ class TestExplore:
             assert state.t_z == epochs
             for i in (2, 3):
                 se = math.sqrt(params.nu[i] * (1 + params.nu[i]) / epochs)
-                assert abs(state.bar_nu(i) - params.nu[i]) <= 4 * se
+                assert abs(state.n[i] / state.t[i] - params.nu[i]) <= 4 * se
             se_z = math.sqrt(0.25 / epochs)
             assert abs(state.bar_zeta() - params.zeta) <= 4 * se_z
 
@@ -400,11 +404,13 @@ class TestEstNaive:
         inst = fixed_instance()
         env = make_env(inst, seed=61)
         tuning = Tuning(tau_scale=1e-5, ci_scale=1.0)
+        calls = record_batches(env)
         est = est_naive(env, (1,), (2, 3), 0.2, 0.5, tuning)
         assert est.items == (2, 3)
         assert set(est.nu_lo) == {1, 2, 3}
-        np.testing.assert_allclose(est.schedule.delta, 0.2 / (15 * inst.n), rtol=1e-15)
-        assert est.epochs == 3 * inst.k * est.schedule.tau
+        units = inst.k * _refinement_tau(0.2 / (15 * inst.n), 0.5, tuning)
+        assert calls == [((), (i,), units) for i in (1, 2, 3)]
+        assert est.epochs == 3 * units
         assert est.steps == env.ledger.steps
         assert (est.zeta_lo, est.zeta_hi) == (0.0, 0.0)
 
@@ -443,7 +449,8 @@ class TestEstNaive:
             env = make_env(inst, seed=63, rep=rep)
             est = est_naive(env, (), tuple(inst.items()), 0.2, 0.5, tuning)
             if expected is None:
-                expected = inst.k * est.schedule.tau * float((1.0 + inst.v).sum())
+                tau = _refinement_tau(0.2 / (15 * inst.n), 0.5, tuning)
+                expected = inst.k * tau * float((1.0 + inst.v).sum())
             assert expected / 2 <= est.steps <= expected * 2
 
 
@@ -488,25 +495,23 @@ class TestEstAdaptive:
         env = make_env(inst, seed=66)
         rough = {1: 0.5, 2: 0.9, 3: 0.3, 4: 0.15, 5: 0.01}
         tuning = Tuning(tau_scale=1e-9)  # tau = 1: the plan is what matters
+        calls = record_batches(env)
         est = est_adaptive(env, (1,), (2, 3, 4, 5), 0.1, 0.5, rough, tuning)
-        plan = est.plan
-        assert isinstance(plan, LayerPlan)
-        # reduced rough weights: 0.6, 0.2, 0.1, 1/150 against capacity 3.
-        assert plan.depth == 2
-        assert plan.layers == ((2,), (), (3, 4, 5))
-        assert plan.widths == (1, 2, 3)
-        assert plan.groups == ((0, (2,)), (2, (3, 4, 5)))
-        assert est.epochs == 1 * est.schedule.tau + 3 * est.schedule.tau
+        # reduced rough weights: 0.6, 0.2, 0.1, 1/150 against capacity 3, so
+        # layers (2,), () and (3, 4, 5), explored in groups of 1, 2 and 3.
+        assert calls == [((1,), (2,), 1), ((1,), (3, 4, 5), 3)]
+        assert est.epochs == 4
 
     def test_single_pending_item_gets_tau_epochs(self):
         inst = Instance(n=2, k=2, r=[1.0, 0.5], v=[0.5, 0.3])
         env = make_env(inst, seed=67)
         rough = {1: 0.5, 2: 0.3}
         tuning = Tuning(tau_scale=1e-6)
+        calls = record_batches(env)
         est = est_adaptive(env, (1,), (2,), 0.1, 0.5, rough, tuning)
-        assert est.plan.depth == 0
-        assert est.plan.groups == ((0, (2,)),)
-        assert est.epochs == est.schedule.tau
+        tau = _refinement_tau(0.1 / (15 * inst.n), 0.5, tuning)
+        assert calls == [((1,), (2,), tau)]
+        assert est.epochs == tau
 
     def test_preconditions(self):
         inst = fixed_instance()
@@ -529,9 +534,10 @@ class TestEstAdaptive:
         env = make_env(inst, seed=69)
         rough = {i: float(inst.v[i - 1]) for i in inst.items()}
         eps = 1.0
+        calls = record_batches(env)
         est = est_adaptive(env, (), (1, 2, 3), 0.2, eps, rough, PAPER_TUNING)
         expected_tau = math.ceil(1024 * 196 * math.log(2 / (0.2 / 45)))
-        assert est.schedule.tau == expected_tau
+        assert calls == [((), (3,), expected_tau), ((), (1, 2), 2 * expected_tau)]
         assert est.max_width() <= eps
         assert est.steps <= 120 * 3 * expected_tau
         assert est.epochs == 3 * expected_tau  # groups of widths 1 and 2
@@ -581,11 +587,13 @@ class TestEstReduced:
         inst = fixed_instance()
         env = make_env(inst, seed=73)
         tuning = Tuning(tau_scale=1e-5, ci_scale=1.0)
+        calls = record_batches(env)
         est = est_reduced(env, (1,), (2, 3), 0.2, 0.5, tuning)
         assert est.items == (2, 3)
-        assert est.epochs == 2 * inst.k * est.schedule.tau
+        units = inst.k * _refinement_tau(0.2 / (15 * inst.n), 0.5, tuning)
+        assert calls == [((1,), (2,), units), ((1,), (3,), units)]
+        assert est.epochs == 2 * units
         assert est.steps == env.ledger.steps
-        np.testing.assert_allclose(est.schedule.delta, 0.2 / (15 * inst.n), rtol=1e-15)
 
     def test_full_pinned_set_rejected_when_items_pend(self):
         env = make_env(fixed_instance(), seed=73)  # k = 2
@@ -618,48 +626,51 @@ class TestEstReg:
         inst = Instance(n=4, k=4, r=[0.9] * 4, v=[0.5] * 4)
         env = make_env(inst, seed=75)
         tuning = Tuning(tau_scale=1e-9)
-        est = est_reg(env, (1,), (2, 3, 4), 0.1, 0.5, tuning)
-        assert isinstance(est.plan, GroupPlan)
-        assert est.plan.size == 3
-        assert est.plan.groups == ((2, 3, 4),)
+        calls = record_batches(env)
+        est_reg(env, (1,), (2, 3, 4), 0.1, 0.5, tuning)
+        assert calls == [((), (1, 2, 3, 4), inst.k)]
 
     def test_last_group_padded_to_full_size(self):
         inst = Instance(n=5, k=3, r=[0.9] * 5, v=[0.5] * 5)
         env = make_env(inst, seed=76)
         tuning = Tuning(tau_scale=1e-9)
-        est = est_reg(env, (1,), (2, 3, 4, 5), 0.1, 0.5, tuning)
-        assert est.plan.size == 2
-        assert est.plan.groups == ((2, 3), (4, 5))
+        calls = record_batches(env)
+        est_reg(env, (1,), (2, 3, 4, 5), 0.1, 0.5, tuning)
+        assert [s for _, s, _ in calls] == [(1, 2, 3), (1, 4, 5)]
         env2 = make_env(inst, seed=76)
-        est2 = est_reg(env2, (), (1, 2, 3), 0.1, 0.5, tuning)
-        assert est2.plan.size == 3
-        assert est2.plan.groups == ((1, 2, 3),)
+        calls2 = record_batches(env2)
+        est_reg(env2, (), (1, 2, 3), 0.1, 0.5, tuning)
+        assert [s for _, s, _ in calls2] == [(1, 2, 3)]
         inst3 = Instance(n=5, k=4, r=[0.9] * 5, v=[0.5] * 5)
         env3 = make_env(inst3, seed=76)
-        est3 = est_reg(env3, (1,), (2, 3, 4, 5), 0.1, 0.5, tuning)
+        calls3 = record_batches(env3)
+        est_reg(env3, (1,), (2, 3, 4, 5), 0.1, 0.5, tuning)
         # capacity 3 over four pending items: the short tail is padded with
         # the smallest pending items outside it.
-        assert est3.plan.groups == ((2, 3, 4), (2, 3, 5))
+        assert [s for _, s, _ in calls3] == [(1, 2, 3, 4), (1, 2, 3, 5)]
 
     def test_groups_cover_the_pending_set(self):
         inst = Instance(n=7, k=3, r=[0.9] * 7, v=[0.5] * 7)
         env = make_env(inst, seed=77)
-        est = est_reg(env, (1,), (2, 3, 4, 5, 6, 7), 0.1, 0.5, Tuning(tau_scale=1e-9))
+        calls = record_batches(env)
+        est_reg(env, (1,), (2, 3, 4, 5, 6, 7), 0.1, 0.5, Tuning(tau_scale=1e-9))
         union = set()
-        for g in est.plan.groups:
-            assert len(g) == est.plan.size
-            union |= set(g)
-        assert union == {2, 3, 4, 5, 6, 7}
+        for z, s, _ in calls:
+            assert z == () and len(s) == inst.k and 1 in s
+            union |= set(s)
+        assert union == {1, 2, 3, 4, 5, 6, 7}
 
     def test_bookkeeping_and_pinned_stop_reward(self):
         inst = fixed_instance()
         env = make_env(inst, seed=78)
         tuning = Tuning(tau_scale=1e-5, ci_scale=1.0)
+        calls = record_batches(env)
         est = est_reg(env, (1,), (2, 3, 4), 0.2, 0.5, tuning)
         assert (est.zeta_lo, est.zeta_hi) == (0.0, 0.0)
         assert set(est.nu_lo) == {1, 2, 3, 4}  # pinned items estimated too
-        np.testing.assert_allclose(est.schedule.delta, 0.2 / (13 * inst.n), rtol=1e-15)
-        assert est.epochs == len(est.plan.groups) * inst.k * est.schedule.tau
+        units = inst.k * _refinement_tau(0.2 / (13 * inst.n), 0.5, tuning)
+        assert calls == [((), (1, 2), units), ((), (1, 3), units), ((), (1, 4), units)]
+        assert est.epochs == 3 * units
         assert est.steps == env.ledger.steps
 
     def test_preconditions(self):
@@ -690,34 +701,32 @@ class TestEstReg:
 
 class TestEstimateSet:
     def test_ordering_validation(self):
-        sched = Schedule(c0=196, c2=1024, delta=0.1, tau=1)
         with pytest.raises(ValueError):
             EstimateSet(
                 items=(1,), zeta_lo=0.5, zeta_hi=0.4, nu_lo={1: 0.1},
                 nu_hi={1: 0.2}, theta_lo=0.0, theta_hi=1.0, xi_lo={1: 0.0},
-                xi_hi={1: 0.1}, schedule=sched, epochs=0, steps=0,
+                xi_hi={1: 0.1}, epochs=0, steps=0,
             )
         with pytest.raises(ValueError):
             EstimateSet(
                 items=(1,), zeta_lo=0.0, zeta_hi=1.0, nu_lo={1: 0.3},
                 nu_hi={1: 0.2}, theta_lo=0.0, theta_hi=1.0, xi_lo={1: 0.0},
-                xi_hi={1: 0.1}, schedule=sched, epochs=0, steps=0,
+                xi_hi={1: 0.1}, epochs=0, steps=0,
             )
         with pytest.raises(ValueError):
             EstimateSet(
                 items=(1,), zeta_lo=0.0, zeta_hi=1.0, nu_lo={1: 0.1},
                 nu_hi={1: 0.2}, theta_lo=0.0, theta_hi=1.0, xi_lo={1: 0.2},
-                xi_hi={1: 0.1}, schedule=sched, epochs=0, steps=0,
+                xi_hi={1: 0.1}, epochs=0, steps=0,
             )
 
     def test_width_helpers(self):
-        sched = Schedule(c0=196, c2=1024, delta=0.1, tau=1)
         est = EstimateSet(
             items=(1, 2), zeta_lo=0.0, zeta_hi=1.0,
             nu_lo={1: 0.1, 2: 0.2}, nu_hi={1: 0.2, 2: 0.6},
             theta_lo=0.0, theta_hi=1.0,
             xi_lo={1: -0.1, 2: 0.0}, xi_hi={1: 0.1, 2: 0.5},
-            schedule=sched, epochs=0, steps=0,
+            epochs=0, steps=0,
         )
         np.testing.assert_allclose(est.width(1), 0.2, rtol=1e-15)
         np.testing.assert_allclose(est.max_width(), 0.5, rtol=1e-15)
@@ -725,8 +734,8 @@ class TestEstimateSet:
 
 class TestMatchesReferenceEstimators:
     """The kernel-based estimators against their earlier, separate bodies
-    (``estimator_reference``): same result or error, same steps and regret,
-    same generator state afterwards."""
+    (``estimator_reference``): same result or error, same explored batches,
+    same steps and regret, same generator state afterwards."""
 
     PAIRS = {
         "naive": (est_naive, estimator_reference.est_naive),
@@ -739,6 +748,7 @@ class TestMatchesReferenceEstimators:
     def _outcome(self, name, which, inst, seed, horizon, args, tuning, rough):
         env = Environment(inst, fork_stream(seed, 0), horizon=horizon)
         fn = self.PAIRS[name][which]
+        calls = record_batches(env)
         try:
             if name == "adaptive":
                 if rough is None:
@@ -749,13 +759,18 @@ class TestMatchesReferenceEstimators:
         except (ValueError, HorizonExhausted) as exc:
             out = (type(exc), str(exc))
         ledger = (env.ledger.steps, env.ledger.cum_regret, env.ledger._segments)
-        return out, ledger, env._rng.bit_generator.state
+        return out, calls, ledger, env._rng.bit_generator.state
 
     def _check(self, name, inst, seed, args, tuning=DESK_TUNING, horizon=None, rough=None):
+        """Run both bodies; return the outcome, the refinement batches
+        ``(Z, S, epochs)`` (after any rough pass) and the steps spent."""
         got = self._outcome(name, 0, inst, seed, horizon, args, tuning, rough)
         want = self._outcome(name, 1, inst, seed, horizon, args, tuning, rough)
         assert got == want, (name, args)
-        return got[0], got[1][0]  # the outcome and the steps spent
+        out, calls, ledger, _ = got
+        if name == "adaptive" and rough is None:
+            calls = calls[inst.n :]  # the rough pass offers each item once
+        return out, calls, ledger[0]
 
     def test_random_cases(self):
         rng = np.random.default_rng(606)
@@ -778,12 +793,13 @@ class TestMatchesReferenceEstimators:
             horizon = int(rng.integers(50, 20000)) if case % 5 == 0 else None
             delta0 = float(rng.uniform(0.01, 0.5))
             eps = float(rng.choice([0.5, 0.25, 0.125, 0.0625]))
-            out, _ = self._check(name, inst, case, (a, b, delta0, eps), tuning, horizon)
+            out, calls, _ = self._check(name, inst, case, (a, b, delta0, eps), tuning, horizon)
             if isinstance(out, EstimateSet):
                 seen.add("estimate")
-                if name == "adaptive" and sum(map(bool, out.plan.layers)) > 1:
+                # groups of one layer share a width, hence an epoch count
+                if name == "adaptive" and len({u for _, _, u in calls}) > 1:
                     seen.add("multi-layer")
-                if name == "reg" and len(b) % out.plan.size:
+                if name == "reg" and len(b) % min(k - len(a), len(b)):
                     seen.add("padded")
                 if not b:
                     seen.add(f"empty-{name}")
@@ -798,23 +814,23 @@ class TestMatchesReferenceEstimators:
         hard = generate_instance("lower-bound", 6, 2, gaps=[0.01, 0.02, 0.005, 0.03])
         for name in ("naive", "reduced"):  # an empty pending set
             for a in ((), (2, 5), (1, 2, 3, 4)):
-                out, steps = self._check(name, inst, 1, (a, (), 0.1, 0.25))
+                out, _, _ = self._check(name, inst, 1, (a, (), 0.1, 0.25))
                 assert isinstance(out, EstimateSet) and out.items == ()
         # seven pending items in groups of three: the last one is padded
-        out, _ = self._check("reg", inst, 2, ((), tuple(range(1, 8)), 0.1, 0.25))
-        assert out.plan.groups[-1] == (1, 2, 7)
-        out, _ = self._check("reg", hard, 3, ((1,), (2, 3, 4), 0.1, 0.125), self.CUSTOM)
-        assert out.plan.groups == ((2,), (3,), (4,))
+        _, calls, _ = self._check("reg", inst, 2, ((), tuple(range(1, 8)), 0.1, 0.25))
+        assert calls[-1][1] == (1, 2, 7)
+        _, calls, _ = self._check("reg", hard, 3, ((1,), (2, 3, 4), 0.1, 0.125), self.CUSTOM)
+        assert [s for _, s, _ in calls] == [(1, 2), (1, 3), (1, 4)]
         # several dyadic layers, from the rough pass of the same stream
         big = generate_instance("lower-bound", 8, 4, gaps=[0.015, 0.001, 0.01, 0.002])
-        out, _ = self._check("adaptive", big, 4, ((), tuple(range(1, 9)), 0.1, 0.25))
-        assert sum(map(bool, out.plan.layers)) > 1
+        _, calls, _ = self._check("adaptive", big, 4, ((), tuple(range(1, 9)), 0.1, 0.25))
+        assert len({u for _, _, u in calls}) > 1
         # a step budget that runs out halfway through the estimate
         args = ((1,), (2, 3, 4), 0.1, 0.25)
         for name in self.PAIRS:
-            out, steps = self._check(name, inst, 5, args)
+            out, _, steps = self._check(name, inst, 5, args)
             horizon = steps - out.steps // 2
-            out, steps = self._check(name, inst, 5, args, horizon=horizon)
+            out, _, steps = self._check(name, inst, 5, args, horizon=horizon)
             assert out[0] is HorizonExhausted and steps == horizon
 
     @pytest.mark.parametrize("name", ["naive", "reduced", "reg", "adaptive"])
@@ -838,5 +854,5 @@ class TestMatchesReferenceEstimators:
 
     def test_missing_rough_estimate(self):
         inst = generate_instance("uniform", 6, 3, seed=8)
-        out, _ = self._check("adaptive", inst, 7, ((1,), (2, 3), 0.1, 0.25), rough={2: 0.5})
+        out, _, _ = self._check("adaptive", inst, 7, ((1,), (2, 3), 0.1, 0.25), rough={2: 0.5})
         assert out == (ValueError, "missing rough estimate for item 1")

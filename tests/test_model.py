@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from mnlbandit.model import (
-    Instance,
-    ReducedParams,
-    reduced_revenue,
-    revenue,
-    validate_assortment,
-)
+from mnlbandit.model import Instance, revenue, validate_assortment
 from mnlbandit.oracle import brute_force_optimum
-from model_reference import advantage_scores, choice_probabilities, reduce_params
+from model_reference import (
+    ReducedParams,
+    advantage_scores,
+    choice_probabilities,
+    reduce_params,
+    reduced_revenue,
+)
 
 
 def random_instance(rng, n_max=8, k_max=None):

@@ -5,12 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mnlbandit.model import (
-    Instance,
-    ReducedParams,
-    reduced_revenue,
-    revenue,
-)
+from mnlbandit.model import Instance, revenue
 from mnlbandit.oracle import (
     BRUTE_FORCE_MAX_N,
     brute_force_optimum,
@@ -20,7 +15,7 @@ from mnlbandit.oracle import (
     revenue_margin,
     suboptimality_gaps,
 )
-from model_reference import advantage_scores, reduce_params
+from model_reference import ReducedParams, advantage_scores, reduced_revenue
 from oracle_reference import enumerated_gaps, enumerated_margin, select_f
 
 
@@ -59,81 +54,77 @@ class TestSelectF:
 
 class TestFractionalOptimum:
     def test_single_unit_item(self):
-        sol = fractional_optimum({1: 1.0}, ReducedParams(0.0, {1: 1.0}), 1)
-        np.testing.assert_allclose(sol.theta_star, 0.5, atol=1e-11)
-        assert sol.s_star == (1,)
+        s, theta = fractional_optimum([1.0], [1.0], 0.0, 1)
+        np.testing.assert_allclose(theta, 0.5, atol=1e-11)
+        assert s == [0]
 
     def test_offset_only_problem_returns_offset(self):
         for zeta in (0.0, 0.37, 1.0):
-            sol = fractional_optimum(
-                {1: 1.0, 2: 0.5}, ReducedParams(zeta, {1: 0.0, 2: 0.0}), 2
-            )
-            np.testing.assert_allclose(sol.theta_star, zeta, atol=1e-11)
-            assert sol.s_star == ()
+            s, theta = fractional_optimum([0.0, 0.0], [1.0, 0.5], zeta, 2)
+            np.testing.assert_allclose(theta, zeta, atol=1e-11)
+            assert s == []
 
     def test_pinned_two_item_problem(self):
         # With zeta=0.3, nu=(0.5, 0.2), r=(1.0, 0.5), capacity 2, item 2's
         # reward falls below the optimum so only item 1 is kept:
         # theta solves theta = 0.3 + 0.5 (1 - theta)  =>  theta = 8/15.
-        sol = fractional_optimum(
-            {1: 1.0, 2: 0.5}, ReducedParams(0.3, {1: 0.5, 2: 0.2}), 2
-        )
-        np.testing.assert_allclose(sol.theta_star, 8.0 / 15.0, atol=1e-11)
-        assert sol.s_star == (1,)
+        s, theta = fractional_optimum([0.5, 0.2], [1.0, 0.5], 0.3, 2)
+        np.testing.assert_allclose(theta, 8.0 / 15.0, atol=1e-11)
+        assert s == [0]
+
+    @pytest.mark.parametrize("nu, r", [([0.5], [1.0, 0.5]), ([0.5, 0.4], [1.0])])
+    def test_misaligned_inputs_rejected(self, nu, r):
+        with pytest.raises(ValueError, match="one entry per pending item"):
+            fractional_optimum(nu, r, 0.0, 2)
 
     def test_matches_exhaustive_search_on_random_reduced_problems(self):
         rng = np.random.default_rng(21)
         for _ in range(300):
             n = 6
             zeta = float(rng.uniform(0, 1))
-            nu = {i: float(rng.uniform(0, 1)) for i in range(1, n + 1)}
-            rewards = {i: float(rng.uniform(0, 1)) for i in range(1, n + 1)}
+            nu = [float(x) for x in rng.uniform(0, 1, n)]
+            r = [float(x) for x in rng.uniform(0, 1, n)]
             m = int(rng.integers(0, n + 1))
-            params = ReducedParams(zeta, nu)
-            sol = fractional_optimum(rewards, params, m)
+            params = ReducedParams(zeta, dict(enumerate(nu, start=1)))
+            rewards = dict(enumerate(r, start=1))
+            _, theta = fractional_optimum(nu, r, zeta, m)
             best = zeta  # empty pending assortment
             for size in range(1, m + 1):
                 for s in combinations(range(1, n + 1), size):
                     best = max(best, reduced_revenue(rewards, params, s))
-            np.testing.assert_allclose(sol.theta_star, best, atol=1e-9)
+            np.testing.assert_allclose(theta, best, atol=1e-9)
 
     def test_solution_revenue_matches_theta(self):
         rng = np.random.default_rng(22)
         for _ in range(200):
             n = int(rng.integers(1, 10))
-            params = ReducedParams(
-                float(rng.uniform(0, 1)),
-                {i: float(rng.uniform(0, 1)) for i in range(1, n + 1)},
-            )
-            rewards = {i: float(rng.uniform(0, 1)) for i in range(1, n + 1)}
+            zeta = float(rng.uniform(0, 1))
+            nu = [float(x) for x in rng.uniform(0, 1, n)]
+            r = [float(x) for x in rng.uniform(0, 1, n)]
             m = int(rng.integers(0, n + 1))
-            sol = fractional_optimum(rewards, params, m)
+            s, theta = fractional_optimum(nu, r, zeta, m)
+            params = ReducedParams(zeta, dict(enumerate(nu, start=1)))
+            ids = [j + 1 for j in s]
             np.testing.assert_allclose(
-                sol.theta_star,
-                reduced_revenue(rewards, params, sol.s_star),
-                atol=1e-9,
+                theta, reduced_revenue(dict(enumerate(r, start=1)), params, ids), atol=1e-9
             )
-            assert len(sol.s_star) <= m
+            assert len(s) <= m and s == sorted(set(s))
 
     def test_raising_any_parameter_never_lowers_the_optimum(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             n = 5
             zeta = float(rng.uniform(0, 0.9))
-            nu = {i: float(rng.uniform(0, 0.9)) for i in range(1, n + 1)}
-            rewards = {i: float(rng.uniform(0, 1)) for i in range(1, n + 1)}
+            nu = [float(x) for x in rng.uniform(0, 0.9, n)]
+            r = [float(x) for x in rng.uniform(0, 1, n)]
             m = int(rng.integers(0, n + 1))
-            base = fractional_optimum(rewards, ReducedParams(zeta, nu), m).theta_star
-            bumped_zeta = fractional_optimum(
-                rewards, ReducedParams(min(1.0, zeta + 0.05), nu), m
-            ).theta_star
+            base = fractional_optimum(nu, r, zeta, m)[1]
+            bumped_zeta = fractional_optimum(nu, r, min(1.0, zeta + 0.05), m)[1]
             assert bumped_zeta >= base - 1e-10
-            j = int(rng.integers(1, n + 1))
-            nu2 = dict(nu)
+            j = int(rng.integers(0, n))
+            nu2 = list(nu)
             nu2[j] = min(1.0, nu2[j] + 0.1)
-            bumped_nu = fractional_optimum(
-                rewards, ReducedParams(zeta, nu2), m
-            ).theta_star
+            bumped_nu = fractional_optimum(nu2, r, zeta, m)[1]
             assert bumped_nu >= base - 1e-10
 
 
@@ -169,13 +160,9 @@ class TestBruteForceOptimum:
         for _ in range(300):
             inst = random_instance(rng)
             bf = brute_force_optimum(inst)
-            fr = fractional_optimum(
-                {i: float(inst.r[i - 1]) for i in inst.items()},
-                reduce_params(inst, ()),
-                inst.k,
-            )
-            np.testing.assert_allclose(bf.theta_star, fr.theta_star, atol=1e-9)
-            assert bf.s_star == fr.s_star
+            s, theta = fractional_optimum(inst.v.tolist(), inst.r.tolist(), 0.0, inst.k)
+            np.testing.assert_allclose(bf.theta_star, theta, atol=1e-9)
+            assert bf.s_star == tuple(j + 1 for j in s)
 
 
 class TestExactOptimum:
@@ -329,6 +316,7 @@ class TestLowerBoundInstance:
             (5, 3, [0.01, 0.01]),    # 2k > n
             (4, 2, [0.5, 0.01]),     # gap above 1/(16k)
             (4, 2, [0.0, 0.01]),     # gap not strictly positive
+            (4, 2, [np.nan, 0.01]),  # gap not a number
             (4, 2, [0.01]),          # wrong gap count
         ],
     )

@@ -3,7 +3,8 @@
 The planned sampler must draw exactly what the earlier one drew
 (``sampler_reference``), call for call, also when per-epoch detail
 (``epoch_detail``) is drawn after a batch, and the array-native ``ci_theta``
-must return the ``fractional_optimum`` plug-in revenues bit for bit.
+and its list-interface ``fractional_optimum`` must return what the
+dict-interface reference solve (``oracle_reference``) returns, bit for bit.
 """
 
 import numpy as np
@@ -11,10 +12,12 @@ import pytest
 
 from mnlbandit.env import Environment, fork_stream
 from mnlbandit.estimators import ci_theta
-from mnlbandit.model import Instance, ReducedParams
+from mnlbandit.model import Instance
 from mnlbandit.oracle import fractional_optimum
 from epoch_detail import epoch_detail
+from model_reference import ReducedParams
 from offer_reference import offer
+from oracle_reference import fractional_optimum as reference_fractional_optimum
 from sampler_reference import sample_epochs as reference_sample_epochs
 
 
@@ -180,6 +183,24 @@ class TestPlanTable:
 
 
 class TestCiThetaMatchesFractionalOptimum:
+    """The list-interface ``fractional_optimum`` and ``ci_theta`` against the
+    dict-interface reference solve, bit for bit: positions, revenue, ends."""
+
+    @staticmethod
+    def _check(rewards, items, nu_lo, nu_hi, zeta_lo, zeta_hi, capacity):
+        ids = sorted(items)
+        r = [rewards[i] for i in ids]
+        ends = []
+        for nu, zeta in ((nu_lo, zeta_lo), (nu_hi, zeta_hi)):
+            want = reference_fractional_optimum(
+                rewards, ReducedParams(zeta, {i: nu[i] for i in ids}), capacity
+            )
+            s, theta = fractional_optimum([nu[i] for i in ids], r, zeta, capacity)
+            assert (tuple(ids[j] for j in s), theta) == (want.s_star, want.theta_star)
+            ends.append(want.theta_star)
+        got = ci_theta(rewards, items, nu_lo, nu_hi, zeta_lo, zeta_hi, capacity)
+        assert got == tuple(ends)
+
     def test_random_inputs(self):
         rng = np.random.default_rng(31)
         for _ in range(2000):
@@ -191,14 +212,19 @@ class TestCiThetaMatchesFractionalOptimum:
             zeta_lo = float(rng.uniform(0, 0.6))
             zeta_hi = min(1.0, zeta_lo + float(rng.uniform(0, 0.4)))
             capacity = int(rng.integers(0, n + 2))
-            expected = tuple(
-                fractional_optimum(
-                    rewards, ReducedParams(zeta, {i: nu[i] for i in items}), capacity
-                ).theta_star
-                for nu, zeta in ((nu_lo, zeta_lo), (nu_hi, zeta_hi))
-            )
-            got = ci_theta(rewards, items, nu_lo, nu_hi, zeta_lo, zeta_hi, capacity)
-            assert got == expected
+            self._check(rewards, items, nu_lo, nu_hi, zeta_lo, zeta_hi, capacity)
+        rewards = {1: 0.9, 2: 0.6, 3: 0.3, 4: 1.0}
+        nu = {1: 0.4, 2: 0.7, 3: 0.2, 4: 0.5}
+        zero = dict.fromkeys(nu, 0.0)
+        tied = dict.fromkeys(nu, 0.25)
+        for args in [
+            (rewards, [2, 4, 1, 3], zero, nu, 0.1, 0.3, 0),  # capacity 0
+            (rewards, [1, 2, 3, 4], zero, zero, 0.2, 0.4, 2),  # all-zero weights
+            (rewards, [1, 2, 3, 4], nu, nu, 1.0, 1.0, 3),  # zeta = 1
+            (rewards, [3, 1, 4, 2], tied, tied, 0.0, 0.0, 2),  # tied weights
+            (dict.fromkeys(nu, 0.8), [4, 3, 2, 1], tied, tied, 0.1, 0.2, 3),  # tied scores
+        ]:
+            self._check(*args)
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
