@@ -155,8 +155,7 @@ def _build_parser() -> _Parser:
     run.add_argument(
         "--curve-rep",
         type=int,
-        default=0,
-        help="replication whose curve goes to --curve-out",
+        help="replication whose curve goes to --curve-out (default 0)",
     )
 
     summ = sub.add_parser("summarize", help="aggregate results CSVs")
@@ -211,10 +210,14 @@ def _generate(
     if family == "lower-bound":
         if gaps is None:
             raise UsageError("the lower-bound family requires --gaps")
+        if seed is not None:
+            raise UsageError(f"{seed_flag} does not apply to the lower-bound family")
         meta["gaps"] = ", ".join(format(g, ".17g") for g in gaps)
     else:
         if seed is None:
             raise UsageError(f"the {family} family requires {seed_flag}")
+        if gaps is not None:
+            raise UsageError("--gaps applies only to the lower-bound family")
         meta["seed"] = str(seed)
     return generate_instance(family, n, k, seed=seed, gaps=gaps), meta
 
@@ -415,11 +418,20 @@ def _cmd_run(args) -> int:
             raise ValueError(f"--horizon {args.horizon} exceeds the limit {MAX_HORIZON}")
     elif args.horizon is not None:
         raise UsageError("--horizon applies only to mode=regret")
+    curve_rep = None
     if args.curve_out is not None:
         if args.mode != "regret":
             raise UsageError("--curve-out applies only to mode=regret")
-        if not (0 <= args.curve_rep < args.reps):
+        curve_rep = 0 if args.curve_rep is None else args.curve_rep
+        if not (0 <= curve_rep < args.reps):
             raise UsageError("--curve-rep must name one of the replications")
+    elif args.curve_rep is not None:
+        raise UsageError("--curve-rep applies only with --curve-out")
+    if args.instance:
+        inline = {"--n": args.n, "--k": args.k, "--gen-seed": args.gen_seed, "--gaps": args.gaps}
+        for flag, value in inline.items():
+            if value is not None:
+                raise UsageError(f"{flag} applies only to an inline instance (--family)")
     max_workers = _worker_count(args.reps)
     _import_numpy_random()
 
@@ -436,7 +448,7 @@ def _cmd_run(args) -> int:
         horizon=args.horizon,
         estimator=estimator,
         tuning=tuning,
-        curve_rep=args.curve_rep if args.curve_out is not None else None,
+        curve_rep=curve_rep,
     )
 
     start = time.perf_counter()

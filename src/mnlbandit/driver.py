@@ -276,9 +276,9 @@ def regret_min(
     Runs the accept-reject loop with the full-assortment (regret) estimator
     at confidence ``delta = 1 / horizon``; if identification finishes early
     (or aborts), the pinned assortment is offered for every remaining step.
-    If the budget dies mid-estimator, the in-flight epoch's steps are
-    consumed (statistics discarded) and the best pinned set so far is
-    returned.  The run always consumes the budget exactly.
+    If an estimator's batch does not fit in the remaining budget, the batch
+    is charged the rest of it, its phase is discarded, and the pinned set so
+    far is returned.  The run always consumes the budget exactly.
     """
     if horizon < max(env.n, 2):  # delta = 1 / horizon must lie below 1
         raise ValueError("horizon must be at least 2 and at least the number of items")

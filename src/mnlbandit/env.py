@@ -26,10 +26,12 @@ its cost does not depend on ``T``.  A split over one category is the count
 itself, and a batch whose stops all land on the no-purchase option (an empty
 ``Z``, or one of zero-weight items only) has stop reward 0: neither draws, as
 numpy's multinomial draws nothing for one category, so the stream is the same
-as if both were drawn.  A batch that overruns the step budget is refined
-exactly, never redrawn.  One batch is at most ``2**63 - 1`` epochs, numpy's
-``int64`` limit.  The tests check the batch law against a
-step-level reference that offers one step per draw (``tests/offer_reference.py``).
+as if both were drawn.  Under a step budget, a batch whose ``T + M`` steps
+overrun the budget ends the run: it is charged exactly the remaining steps and
+draws nothing after ``M``, as no statistic of it is ever read.  One batch is at
+most ``2**53`` epochs, because numpy reads the epoch count as a double.  The
+tests check the batch law against a step-level reference that offers one
+step per draw (``tests/offer_reference.py``).
 
 Determinism: a replication's entire outcome sequence is a pure function of
 ``(master_seed, replication_index)`` via `fork_stream`.  The RNG algorithm
@@ -59,13 +61,11 @@ __all__ = [
 #: Pinned RNG recipe: numpy PCG64 seeded from
 #: ``SeedSequence(master_seed, spawn_key=(replication_index,))``, consumed by
 #: the sufficient-statistic epoch sampler.
-RNG_ALGORITHM_ID = "numpy-pcg64-seedseq-spawnkey-v2"
+RNG_ALGORITHM_ID = "numpy-pcg64-seedseq-spawnkey-v3"
 
-#: numpy's hypergeometric sampler requires both of its counts below this.
-_HYPERGEOM_LIMIT = 10**9
-
-#: The most epochs one batch may ask for: numpy draws its counts as ``int64``.
-_DRAW_LIMIT = 2**63 - 1
+#: The most epochs one batch may ask for: numpy reads the epoch count of its
+#: negative-binomial draw as a double, exact up to this.
+_DRAW_LIMIT = 2**53
 
 #: Instance -> (its optimum, its plan table): what every environment on one
 #: instance shares, so a process builds each once however many replications
@@ -98,13 +98,12 @@ def generator_digest(rng: np.random.Generator) -> int:
 class EpochBatch:
     """Result of a vectorized batch of exploration epochs.
 
-    ``epochs`` is the number of *completed* epochs (== requested unless the
-    step budget ran out), ``steps`` the exact number of time steps consumed
-    (including a final partial epoch when truncated — its statistics are
-    discarded but its steps still count), ``x_sums[j]`` the total purchase
-    count of the j-th item of ``s`` over completed epochs (``tracked[j]``, the
-    validated ``s``), and ``z_sum`` the summed stop rewards over completed
-    epochs.
+    ``steps`` is the exact number of time steps consumed, ``x_sums[j]`` the
+    total purchase count of the j-th item of ``s`` (``tracked[j]``, the
+    validated ``s``) and ``z_sum`` the summed stop rewards.  A batch the step
+    budget cuts (``truncated=True``) consumed the rest of the budget and
+    reports ``epochs = 0``, zero counts and ``z_sum = 0.0``; otherwise
+    ``epochs == requested``.
     """
 
     requested: int
@@ -252,13 +251,13 @@ class Environment:
         s: Iterable[int],
         epochs: int,
     ) -> EpochBatch:
-        """Run up to ``epochs`` exploration epochs of ``(Z, S)`` in batch.
+        """Run ``epochs`` exploration epochs of ``(Z, S)`` in batch.
 
         ``z`` (the stopping set) and ``s`` (the tracked set) must be
-        disjoint with ``|z ∪ s| <= k``.  Statistics of completed epochs are
-        returned; when the step budget runs out, the in-flight epoch's steps
-        are consumed but its statistics are discarded (``truncated=True``).
-        More than ``2**63 - 1`` epochs raise `OverflowError`.
+        disjoint with ``|z ∪ s| <= k``.  A batch that does not fit in the
+        remaining step budget consumes the rest of it and returns no
+        statistics (``truncated=True``): the run is over.  More than
+        ``2**53`` epochs raise `OverflowError`.
         """
         try:
             plan = self._offer_cache[(s, z)]
@@ -271,53 +270,32 @@ class Environment:
                 f"a batch of {epochs} epochs exceeds the sampler's limit of {_DRAW_LIMIT}"
             )
         rng = self._rng
+        bought = int(rng.negative_binomial(epochs, plan.q))  # purchases
+        steps = epochs + bought
         budget = self.steps_remaining  # None = unlimited
-        done = 0  # completed epochs
-        bought = 0  # purchases within completed epochs
-        used = 0
-        truncated = False
-        if budget is None:  # the whole batch in one draw
-            done = epochs
-            bought = int(rng.negative_binomial(epochs, plan.q))
-            used = epochs + bought
-        while done < epochs:  # under a budget, in chunks
-            t = min(epochs - done, plan.chunk)
-            m = int(rng.negative_binomial(t, plan.q))
-            if used + t + m <= budget:
-                done += t
-                bought += m
-                used += t + m
-                continue
-            # The budget ends inside this chunk.  Its first t + m - 1 steps are
-            # a uniform arrangement of t - 1 stops and m purchases, so the
-            # stops within the budget are hypergeometric; given k of them, the
-            # last stop sits at the maximum of k uniforms (Beta(k, 1)), and the
-            # purchases after it belong to the cut-off epoch.
-            room = budget - used
-            k = int(rng.hypergeometric(t - 1, m, room))
-            tail = (
-                int(rng.binomial(room - k, 1.0 - rng.beta(k, 1.0)))
-                if k
-                else room
+        if budget is not None and steps > budget:
+            self.ledger.record(plan.regret, budget)
+            return EpochBatch(
+                requested=epochs,
+                epochs=0,
+                steps=budget,
+                x_sums=np.zeros(len(plan.tracked), dtype=np.int64),
+                z_sum=0.0,
+                truncated=True,
+                tracked=plan.tracked,
             )
-            done += k
-            bought += room - k - tail
-            used = budget
-            truncated = True
-            break
-
         x_sums = plan.items.draw(rng, bought)
         z_sum = 0.0
         if plan.stops is not None:
-            z_sum = float(plan.stops.draw(rng, done) @ plan.stop_rewards)
-        self.ledger.record(plan.regret, used)
+            z_sum = float(plan.stops.draw(rng, epochs) @ plan.stop_rewards)
+        self.ledger.record(plan.regret, steps)
         return EpochBatch(
             requested=epochs,
-            epochs=done,
-            steps=used,
+            epochs=epochs,
+            steps=steps,
             x_sums=x_sums,
             z_sum=z_sum,
-            truncated=truncated,
+            truncated=False,
             tracked=plan.tracked,
         )
 
@@ -385,7 +363,6 @@ class _Plan:
     tracked: Assortment  # S, ascending
     regret: float  # per-step pseudo-regret of offering S ∪ Z
     q: float  # an epoch's per-step stop probability
-    chunk: int  # epochs per negative-binomial draw under a step budget
     items: _Split  # purchases over S
     # Stops over no-purchase, then Z; None when every stop is a no-purchase
     # (Z is empty or weighs nothing), so a batch's stop reward is 0.
@@ -408,10 +385,6 @@ class _Plan:
             tracked=ts,
             regret=solution.theta_star - revenue(inst, tuple(sorted(set(ts) | set(tz)))),
             q=q,
-            # Under a budget, an overflowing draw is refined by a
-            # hypergeometric draw, so epochs go in chunks whose expected steps
-            # (chunk / q) stay far below numpy's limit on its counts.
-            chunk=max(1, int(q * _HYPERGEOM_LIMIT) // 10),
             items=_Split.of(v_s),
             stops=None if stops.only == 0 else stops,
             stop_rewards=stop_rewards,

@@ -156,22 +156,19 @@ def explore_epochs(
 ) -> EpochBatch:
     """Run ``epochs`` exploration epochs in a vectorized batch.
 
-    Commits completed-epoch statistics to ``state`` and returns the batch.
-    Raises `HorizonExhausted` (after committing what completed) if the step
-    budget ran out before all requested epochs finished.
+    Commits the batch's statistics to ``state`` and returns the batch.
+    Raises `HorizonExhausted`, committing nothing, if the step budget ran out
+    within the batch.
     """
     batch = env.sample_epochs(state.z_stop, s, epochs)
-    done = batch.epochs
+    if batch.truncated:
+        raise HorizonExhausted(f"step budget exhausted within a batch of {epochs} epochs")
     state.n_z += batch.z_sum
-    state.t_z += done
+    state.t_z += epochs
     n, t = state.n, state.t
     for i, x in zip(batch.tracked, batch.x_sums.tolist()):
         n[i] = n.get(i, 0) + x
-        t[i] = t.get(i, 0) + done
-    if batch.truncated:
-        raise HorizonExhausted(
-            f"step budget exhausted after {batch.epochs}/{epochs} epochs"
-        )
+        t[i] = t.get(i, 0) + epochs
     return batch
 
 

@@ -298,7 +298,7 @@ class TestRunValidation:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert err.startswith("error: a batch of ")
-        assert err.endswith(" epochs exceeds the sampler's limit of 9223372036854775807\n")
+        assert err.endswith(" epochs exceeds the sampler's limit of 9007199254740992\n")
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -369,6 +369,48 @@ class TestRunValidation:
             f"usage error: {flag} applies only to mode="
             f"{'pac-eps' if flag == '--eps' else 'regret'}\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("gen", "--family", "uniform", "--n", "4", "--k", "2", "--seed", "7",
+              "--gaps", "0.1"), "--gaps applies only to the lower-bound family"),
+            (("gen", "--family", "lower-bound", "--n", "4", "--k", "2", "--gaps", "0.1,0.1",
+              "--seed", "5"), "--seed does not apply to the lower-bound family"),
+            (("run", "--family", "uniform", "--n", "4", "--k", "2", "--gen-seed", "5",
+              "--gaps", "0.1", "--mode", "pac", "--seed", "1"),
+             "--gaps applies only to the lower-bound family"),
+            (("run", "--family", "lower-bound", "--n", "4", "--k", "2", "--gaps", "0.1,0.1",
+              "--gen-seed", "5", "--mode", "pac", "--seed", "1"),
+             "--gen-seed does not apply to the lower-bound family"),
+            (("run", "--instance", "{inst}", "--gen-seed", "3", "--mode", "pac", "--seed", "1"),
+             "--gen-seed applies only to an inline instance (--family)"),
+            (("run", "--instance", "{inst}", "--n", "99", "--mode", "pac", "--seed", "1"),
+             "--n applies only to an inline instance (--family)"),
+            (("run", "--instance", "{inst}", "--gaps", "0.1", "--mode", "pac", "--seed", "1"),
+             "--gaps applies only to an inline instance (--family)"),
+            (("run", "--instance", "{inst}", "--mode", "regret", "--horizon", "50",
+              "--curve-rep", "0", "--seed", "1"), "--curve-rep applies only with --curve-out"),
+        ],
+        ids=["gen-uniform-gaps", "gen-lower-bound-seed", "run-uniform-gaps",
+             "run-lower-bound-gen-seed", "file-gen-seed", "file-n", "file-gaps",
+             "curve-rep-without-curve-out"],
+    )
+    def test_ignored_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        inst = str(tmp_path / "u.inst")
+        assert run_cli("gen", "--family", "uniform", "--n", "4", "--k", "2",
+                       "--seed", "7", "--out", inst) == 0
+        monkeypatch.setattr(cli, "generate_instance", fail)
+        monkeypatch.setattr(cli, "read_instance", fail)
+        monkeypatch.setattr(cli, "_replicate", fail)
+        out = tmp_path / "out"
+        argv = [arg.format(inst=inst) for arg in argv]
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
 
     def test_out_of_memory_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):

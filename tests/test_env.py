@@ -51,7 +51,7 @@ class TestForkStream:
         assert len(digests) == 1000
 
     def test_algorithm_id_is_pinned(self):
-        assert RNG_ALGORITHM_ID == "numpy-pcg64-seedseq-spawnkey-v2"
+        assert RNG_ALGORITHM_ID == "numpy-pcg64-seedseq-spawnkey-v3"
 
     def test_streams_feed_statistically_consistent_outcomes(self):
         # First outcome of 1000 independent replication streams on a single
@@ -277,9 +277,26 @@ class TestSampleEpochs:
         before = (env.ledger.steps, env._rng.bit_generator.state)
         # drawn stops, then a one-category split with no stops to draw
         for z, s in [((1,), (2,)), ((), (1,))]:
-            with pytest.raises(OverflowError, match=r"\b9223372036854775807$"):
+            with pytest.raises(OverflowError, match=r"\b9007199254740992$"):
                 env.sample_epochs(z, s, 2**63)
         assert (env.ledger.steps, env._rng.bit_generator.state) == before
+
+    @pytest.mark.parametrize("horizon", [None, 2**62], ids=["unbudgeted", "budgeted"])
+    def test_a_batch_past_the_draw_limit_is_refused(self, horizon):
+        # numpy reads the epoch count as a double, which rounds 2**53 + 1
+        env = make_env(seed=19, horizon=horizon)
+        env.sample_epochs((1,), (2,), 10)
+        before = (env.ledger.steps, env._rng.bit_generator.state)
+        with pytest.raises(OverflowError, match=r"\b9007199254740992$"):
+            env.sample_epochs((1,), (2,), 2**53 + 1)
+        assert (env.ledger.steps, env._rng.bit_generator.state) == before
+
+    def test_a_batch_at_the_draw_limit_draws(self):
+        env = make_env(seed=19)
+        batch = env.sample_epochs((1,), (2, 3), 2**53)
+        assert batch.epochs == 2**53 and not batch.truncated
+        assert batch.steps == env.ledger.steps == 2**53 + int(batch.x_sums.sum())
+        assert batch.x_sums.min() > 0
 
     def test_deterministic_and_collect_invariant(self):
         env_a = make_env(seed=11)
@@ -374,16 +391,41 @@ class TestSampleEpochs:
         np.testing.assert_allclose(
             env.ledger.cum_regret, per_step * batch.steps, rtol=1e-12
         )
-        # Under a budget the batch goes in chunks small enough for numpy's
-        # hypergeometric sampler; the cut still spends the budget exactly.
+        # Under a budget it fits, the batch draws what it draws without one;
+        # under one it overruns, it spends the budget and reports nothing.
+        env = Environment(inst, fork_stream(17, 0), horizon=2 * 10**11)
+        fits = env.sample_epochs((1,), (2, 3), 10**11)
+        assert (fits.epochs, fits.steps, fits.z_sum) == (batch.epochs, batch.steps, batch.z_sum)
+        np.testing.assert_array_equal(fits.x_sums, batch.x_sums)
         horizon = 15 * 10**10  # the batch needs about 1.7e11 steps
         env = Environment(inst, fork_stream(17, 1), horizon=horizon)
         start = time.perf_counter()
         batch = env.sample_epochs((1,), (2, 3), 10**11)
         assert time.perf_counter() - start < 1.0
-        assert batch.truncated and 0 < batch.epochs < 10**11
+        assert batch.truncated and batch.epochs == 0 and not batch.x_sums.any()
         assert batch.steps == env.ledger.steps == horizon
-        assert batch.epochs + int(batch.x_sums.sum()) <= horizon
+
+    def test_a_cut_batch_charges_the_rest_of_the_budget_and_draws_once(self):
+        inst = Instance(n=3, k=3, r=[1.0, 0.5, 0.2], v=[0.5, 0.3, 0.8])
+        env = Environment(inst, fork_stream(20, 0), horizon=1000)
+        env.sample_epochs((), (1,), 100)
+        steps, regret = env.ledger.steps, env.ledger.cum_regret
+        remaining = env.steps_remaining
+        state = env._rng.bit_generator.state
+        batch = env.sample_epochs((1,), (2, 3), 10**6)
+        assert (batch.requested, batch.epochs, batch.steps) == (10**6, 0, remaining)
+        assert batch.truncated and batch.z_sum == 0.0 and batch.tracked == (2, 3)
+        np.testing.assert_array_equal(batch.x_sums, np.zeros(2, dtype=np.int64))
+        assert batch.x_sums.dtype == np.int64
+        # exactly one negative-binomial draw, at the batch's stop probability
+        reference = np.random.Generator(np.random.PCG64())
+        reference.bit_generator.state = state
+        reference.negative_binomial(10**6, (1 + 0.5) / (1 + 0.5 + 0.3 + 0.8))
+        assert env._rng.bit_generator.state == reference.bit_generator.state
+        per_step = env.oracle_solution().theta_star - revenue(inst, (1, 2, 3))
+        assert env.ledger.steps == steps + remaining == 1000
+        assert env.ledger.cum_regret == regret + per_step * remaining
+        assert env.ledger._segments[-1] == [per_step, remaining]
 
     def test_zero_weight_tracked_items(self):
         inst = Instance(n=3, k=3, r=[1.0, 0.5, 0.2], v=[0.0, 0.4, 0.0])
@@ -446,16 +488,16 @@ class TestEpochLaw:
 
     def test_truncated_batch_matches_step_level_law(self):
         # Under a budget of B = 23 steps for T = 12 epochs (about 25 steps
-        # expected), about half the batches are cut: compare the laws of
-        # completed epochs, their purchases and the steps spent with
-        # `explore`.
+        # expected), about half the batches are cut: compare the law of the
+        # steps spent with `explore`'s.  A cut batch spends the whole budget.
         inst = Instance(n=3, k=3, r=[1.0, 0.5, 0.7], v=[0.9, 0.6, 0.4])
         budget, epochs, reps = 23, 12, 4000
-        batch_rows, step_rows = [], []
+        batch_steps, step_steps = [], []
         for rep in range(reps):
             env = Environment(inst, fork_stream(23, rep), horizon=budget)
             b = env.sample_epochs((3,), (1, 2), epochs)
-            batch_rows.append((b.epochs, int(b.x_sums.sum()), b.steps))
+            assert b.steps == (budget if b.truncated else b.epochs + int(b.x_sums.sum()))
+            batch_steps.append(b.steps)
             env = Environment(inst, fork_stream(24, rep), horizon=budget)
             state = ExploreState(z_stop=(3,))
             try:
@@ -463,14 +505,12 @@ class TestEpochLaw:
                     explore(env, state, (1, 2))
             except HorizonExhausted:
                 pass
-            step_rows.append((state.t_z, sum(state.n.values()), env.ledger.steps))
-        batch_rows, step_rows = np.array(batch_rows), np.array(step_rows)
-        for col in range(3):
-            values = np.union1d(batch_rows[:, col], step_rows[:, col])
-            table = np.array(
-                [[np.sum(rows[:, col] == v) for v in values] for rows in (batch_rows, step_rows)]
-            )
-            sparse = table.sum(axis=0) < 10  # pool rare values into one cell
-            if sparse.any():
-                table = np.column_stack([table[:, ~sparse], table[:, sparse].sum(axis=1)])
-            assert stats.chi2_contingency(table).pvalue > 0.001
+            step_steps.append(env.ledger.steps)
+        values = np.union1d(batch_steps, step_steps)
+        table = np.array(
+            [[np.sum(np.array(rows) == v) for v in values] for rows in (batch_steps, step_steps)]
+        )
+        sparse = table.sum(axis=0) < 10  # pool rare values into one cell
+        if sparse.any():
+            table = np.column_stack([table[:, ~sparse], table[:, sparse].sum(axis=1)])
+        assert stats.chi2_contingency(table).pvalue > 0.001

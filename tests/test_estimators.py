@@ -348,13 +348,15 @@ class TestExplore:
             se_z = math.sqrt(0.25 / epochs)
             assert abs(state.bar_zeta() - params.zeta) <= 4 * se_z
 
-    def test_batch_route_commits_before_raising_on_truncation(self):
+    def test_batch_route_commits_nothing_on_truncation(self):
         inst = Instance(n=1, k=1, r=[1.0], v=[0.9])
         env = make_env(inst, seed=54, horizon=60)
         state = ExploreState()
+        explore_epochs(env, state, (1,), 5)
+        committed = ExploreState(n_z=state.n_z, t_z=state.t_z, n=dict(state.n), t=dict(state.t))
         with pytest.raises(HorizonExhausted):
             explore_epochs(env, state, (1,), 10_000)
-        assert 0 < state.t_z < 10_000
+        assert state == committed and state.t_z == 5
         assert env.ledger.steps == 60
 
     def test_batch_route_records_lengths_when_asked(self):

@@ -310,18 +310,19 @@ class TestLowerBoundInstance:
                 assert np.all(inst.v <= 1.0 + 1e-15)
 
     @pytest.mark.parametrize(
-        "n,k,gaps",
+        "n,k,gaps,message",
         [
-            (1, 1, [0.01]),          # n too small
-            (5, 3, [0.01, 0.01]),    # 2k > n
-            (4, 2, [0.5, 0.01]),     # gap above 1/(16k)
-            (4, 2, [0.0, 0.01]),     # gap not strictly positive
-            (4, 2, [np.nan, 0.01]),  # gap not a number
-            (4, 2, [0.01]),          # wrong gap count
+            (1, 1, [0.01], r"^n must be >= 2$"),  # n too small
+            (5, 3, [0.01, 0.01], r"^capacity must satisfy"),  # 2k > n
+            (4, 2, [0.5, 0.01], r"^every gap must lie in"),  # gap above 1/(16k)
+            (4, 2, [0.0, 0.01], r"^every gap must lie in"),  # gap not strictly positive
+            (4, 2, [np.nan, 0.01], r"^every gap must lie in"),  # gap not a number
+            (4, 2, [0.01], r"^need exactly n - k = 2 gaps"),  # wrong gap count
         ],
+        ids=["1-1-gaps0", "5-3-gaps1", "4-2-gaps2", "4-2-gaps3", "4-2-gaps4", "4-2-gaps5"],
     )
-    def test_preconditions(self, n, k, gaps):
-        with pytest.raises(ValueError):
+    def test_preconditions(self, n, k, gaps, message):
+        with pytest.raises(ValueError, match=message):
             lower_bound_instance(n, k, gaps)
 
 

@@ -1,10 +1,12 @@
 """Differential tests of the per-key sampling plans and the array ``ci_theta``.
 
 The planned sampler must draw exactly what the earlier one drew
-(``sampler_reference``), call for call, also when per-epoch detail
-(``epoch_detail``) is drawn after a batch, and the array-native ``ci_theta``
-and its list-interface ``fractional_optimum`` must return what the
-dict-interface reference solve (``oracle_reference``) returns, bit for bit.
+(``sampler_reference``), call for call, for every batch that fits its step
+budget, also when per-epoch detail (``epoch_detail``) is drawn after a batch;
+a batch the budget cuts must spend what the earlier one spent.  The
+array-native ``ci_theta`` and its list-interface ``fractional_optimum`` must
+return what the dict-interface reference solve (``oracle_reference``)
+returns, bit for bit.
 """
 
 import numpy as np
@@ -40,19 +42,38 @@ def _random_pair(rng, inst):
 
 def _assert_same_draws(new_env, old_env, z, s, epochs, detail=False):
     """Sample one batch in each environment (and its per-epoch detail when
-    asked) and require equal results; return the new batch."""
+    asked) and require equal results and generator states; return the new
+    batch.
+
+    A batch the step budget cuts is the end of the run: the sampler draws its
+    purchase total and nothing more, where the reference went on to refine
+    the cut.  Such a batch must agree with the reference on the request, the
+    steps spent and the ledger, report no statistics, and leave the
+    generator exactly one negative-binomial draw on.
+    """
+    state = new_env._rng.bit_generator.state
     new = new_env.sample_epochs(z, s, epochs)
     old = reference_sample_epochs(old_env, z, s, epochs)
-    assert (new.requested, new.epochs, new.steps, new.truncated) == (
-        old.requested, old.epochs, old.steps, old.truncated,
+    assert (new.requested, new.steps, new.truncated) == (old.requested, old.steps, old.truncated)
+    assert (new_env.ledger.steps, new_env.ledger.cum_regret, new_env.ledger._segments) == (
+        old_env.ledger.steps, old_env.ledger.cum_regret, old_env.ledger._segments,
     )
-    assert new.z_sum == old.z_sum
+    if new.truncated:
+        assert new.epochs == 0 and new.z_sum == 0.0
+        np.testing.assert_array_equal(new.x_sums, np.zeros(len(new.tracked), dtype=np.int64))
+        one_draw = np.random.Generator(np.random.PCG64())
+        one_draw.bit_generator.state = state
+        one_draw.negative_binomial(epochs, new_env._epoch_plan(z, s).q)
+        assert new_env._rng.bit_generator.state == one_draw.bit_generator.state
+        return new
+    assert new.epochs == old.epochs and new.z_sum == old.z_sum
     arrays = [(new.x_sums, old.x_sums)]
     if detail:
         arrays += zip(epoch_detail(new_env, new), epoch_detail(old_env, old))
     for a, b in arrays:
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
+    assert new_env._rng.bit_generator.state == old_env._rng.bit_generator.state
     return new
 
 
@@ -60,6 +81,7 @@ class TestSamplerMatchesReference:
     @pytest.mark.parametrize("budgeted", [False, True])
     def test_random_cases(self, budgeted):
         rng = np.random.default_rng(20 + budgeted)
+        cuts = fits = 0
         for case in range(150):
             inst = _random_instance(rng)
             horizon = int(rng.integers(1, 5000)) if budgeted else None
@@ -70,11 +92,10 @@ class TestSamplerMatchesReference:
                 z, s = pairs[int(rng.integers(0, len(pairs)))]
                 epochs = int(rng.integers(1, 400))
                 detail = bool(rng.random() < 0.5)
-                _assert_same_draws(new, old, z, s, epochs, detail)
-            assert new._rng.bit_generator.state == old._rng.bit_generator.state
-            assert new.ledger.steps == old.ledger.steps
-            assert new.ledger.cum_regret == old.ledger.cum_regret
-            assert new.ledger._segments == old.ledger._segments
+                cut = _assert_same_draws(new, old, z, s, epochs, detail).truncated
+                cuts += cut
+                fits += not cut
+        assert fits > 0 and (cuts > 0) == budgeted
 
     @pytest.mark.parametrize("horizon", [None, 30_000], ids=["unbudgeted", "budgeted"])
     @pytest.mark.parametrize(
@@ -89,30 +110,31 @@ class TestSamplerMatchesReference:
     )
     def test_draw_free_splits(self, z, s, horizon):
         # One-category splits and weightless stopping sets draw nothing; the
-        # budgeted runs end inside a batch and then on a spent budget.
+        # budgeted runs fit their first batches, are cut inside a later one
+        # and then cut on a spent budget.
         inst = Instance(n=5, k=3, r=[0.9, 0.7, 0.5, 0.3, 0.1], v=[0.3, 0.0, 0.8, 0.6, 0.0])
         new = Environment(inst, fork_stream(6, 2), horizon=horizon)
         old = Environment(inst, fork_stream(6, 2), horizon=horizon)
-        for epochs in (1, 7, 300, 5000, 10**6, 3):
-            _assert_same_draws(new, old, z, s, epochs)
-        assert new._rng.bit_generator.state == old._rng.bit_generator.state
-        assert (new.ledger.steps, new.ledger.cum_regret) == (
-            old.ledger.steps, old.ledger.cum_regret,
-        )
-        if horizon is not None:
+        cuts = [_assert_same_draws(new, old, z, s, epochs).truncated
+                for epochs in (1, 7, 300, 5000, 10**6, 3)]
+        if horizon is None:
+            assert not any(cuts)
+        else:
+            assert cuts == [False] * 4 + [True] * 2
             assert new.ledger.steps == horizon
 
-    def test_truncation_in_chunks(self):
-        # A budgeted batch far beyond the budget is drawn in epoch chunks and
-        # refined exactly where the budget ends.
+    def test_a_batch_far_past_the_budget_is_cut(self):
+        # A batch that fits a large budget draws as the reference does; one
+        # far beyond what is left is cut with a single draw, however many
+        # epochs it asks for.
         inst = Instance(n=4, k=3, r=[1.0, 0.6, 0.3, 0.8], v=[0.2, 0.0, 0.9, 0.5])
         for seed, (z, s) in enumerate([((1,), (3, 4)), ((), (2, 3)), ((2, 4), (1,))]):
             new = Environment(inst, fork_stream(seed, 1), horizon=3 * 10**8)
             old = Environment(inst, fork_stream(seed, 1), horizon=3 * 10**8)
-            for epochs in (10**7, 10**10, 5):
-                batch = _assert_same_draws(new, old, z, s, epochs)
-            assert batch.truncated and batch.epochs == 0
-            assert new._rng.bit_generator.state == old._rng.bit_generator.state
+            cuts = [_assert_same_draws(new, old, z, s, epochs).truncated
+                    for epochs in (10**7, 10**10, 5)]
+            assert cuts == [False, True, True]
+            assert new.ledger.steps == 3 * 10**8
 
     def test_lists_and_numpy_ids_draw_the_same(self):
         inst = Instance(n=5, k=3, r=[0.5] * 5, v=[0.3, 0.6, 0.1, 0.0, 0.8])
