@@ -37,6 +37,8 @@ from . import __version__
 from .driver import pac_eps, pac_exact, regret_min, sar_mnl
 from .env import RNG_ALGORITHM_ID, Environment, fork_stream, generator_digest
 from .estimators import (
+    C0,
+    C2,
     DESK_TUNING,
     PAPER_TUNING,
     Tuning,
@@ -145,7 +147,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--horizon", type=int)
     run.add_argument("--reps", type=int, default=1)
     run.add_argument("--seed", type=_seed, required=True, help="master seed")
-    run.add_argument("--estimator", choices=ESTIMATORS, default="adaptive")
+    run.add_argument("--estimator", choices=ESTIMATORS)
     run.add_argument("--tuning", choices=("paper", "desk"), default="paper")
     run.add_argument("--tau-scale", type=_scale)
     run.add_argument("--rough-tau-scale", type=_scale)
@@ -405,15 +407,16 @@ def _cmd_run(args) -> int:
     if args.mode == "pac-eps":
         if args.eps is None:
             raise UsageError("--eps is required for mode=pac-eps")
-        if args.estimator != "adaptive":
+        if args.estimator not in (None, "adaptive"):
             raise UsageError("mode=pac-eps supports only the adaptive estimator")
     elif args.eps is not None:
         raise UsageError("--eps applies only to mode=pac-eps")
     if args.mode == "regret":
         if args.horizon is None:
             raise UsageError("--horizon is required for mode=regret")
-        if args.estimator not in ("adaptive", "reg"):
-            raise UsageError("mode=regret uses the reg estimator")
+        if args.estimator not in (None, "reg"):
+            raise UsageError(f"--estimator {args.estimator} does not apply to mode=regret, "
+                             "which runs the reg estimator")
         if args.horizon > MAX_HORIZON:
             raise ValueError(f"--horizon {args.horizon} exceeds the limit {MAX_HORIZON}")
     elif args.horizon is not None:
@@ -437,8 +440,11 @@ def _cmd_run(args) -> int:
 
     inst, inst_meta = _resolve_instance(args)
     tuning = _resolve_tuning(args)
-    # regret_min always runs est_reg; record that, not the --estimator default
-    estimator = "reg" if args.mode == "regret" else args.estimator
+    estimator = args.estimator or ("reg" if args.mode == "regret" else "adaptive")
+    for path in filter(None, (args.out, args.curve_out)):  # fail before replication 0
+        folder = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"{path}: no such directory {folder!r}")
     job = RunJob(
         inst=inst,
         mode=args.mode,
@@ -488,8 +494,8 @@ def _cmd_run(args) -> int:
             "master_seed": args.seed,
             "estimator": estimator,
             "tuning": {
-                "c0": tuning.c0,
-                "c2": tuning.c2,
+                "c0": C0,
+                "c2": C2,
                 "tau_scale": tuning.tau_scale,
                 "rough_tau_scale": tuning.rough_tau_scale,
                 "ci_scale": tuning.ci_scale,

@@ -22,11 +22,11 @@ The loop has three exits:
 * the step budget runs out inside an estimate (`HorizonExhausted`), which
   returns the pinned set so far (`regret_min`).
 
-A run that takes ``phase_cap`` phases (`PHASE_CAP` for every driver) without
-an exit aborts with the pinned set so far.  Under valid intervals at most
-``M`` items are ever accepted per phase (an accepted item's upper end exceeds
-``beta``, placing it in the strict top ``M`` of the upper ends), so the
-pinned set never exceeds the capacity — asserted.
+A run that takes `PHASE_CAP` phases without an exit aborts with the pinned
+set so far.  Under valid intervals at most ``M`` items are ever accepted per
+phase (an accepted item's upper end exceeds ``beta``, placing it in the
+strict top ``M`` of the upper ends), so the pinned set never exceeds the
+capacity — asserted.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ class RunResult:
     """Outcome of one driver run.
 
     ``steps`` counts every time step the run consumed (phase trace steps sum
-    to it, minus any exploitation tail in the regret driver, which is
-    reported in ``exploit_steps``).  ``success`` is evaluated against the
+    to it, minus the rough pass of the PAC drivers and the exploitation tail
+    of the regret driver).  ``success`` is evaluated against the
     environment's oracle solution: exact-set match for the exact-PAC and
     regret drivers, revenue shortfall within the requested slack for the
     approximate-PAC driver.  ``aborted`` marks a phase-cap abort (diagnostic,
@@ -109,7 +109,6 @@ class RunResult:
     success: bool
     aborted: bool = False
     horizon_hit: bool = False
-    exploit_steps: int = 0
     final_regret: Optional[float] = None
 
 
@@ -146,7 +145,6 @@ def sar_mnl(
     env: Environment,
     delta: float,
     estimator: PhaseEstimator,
-    phase_cap: int = PHASE_CAP,
     complete: Optional[Completion] = None,
 ) -> RunResult:
     """Successive accept-reject until the capacity is filled.
@@ -158,7 +156,7 @@ def sar_mnl(
     phase accepts it (no rejections, no rank thresholds) and the run ends.
     A step budget spent mid-phase ends the run with ``horizon_hit=True`` and
     the pinned set so far; the cut-off phase is not recorded.  Exceeding
-    ``phase_cap`` aborts with ``aborted=True`` and the pinned set so far.
+    `PHASE_CAP` aborts with ``aborted=True`` and the pinned set so far.
     ``steps`` counts the steps of this call; ``success`` is an exact match.
     """
     if not (0.0 < delta < 1.0):
@@ -168,7 +166,7 @@ def sar_mnl(
     phases: List[PhaseState] = []
     start = env.ledger.steps
     aborted = horizon_hit = False
-    for k in range(1, phase_cap + 1):
+    for k in range(1, PHASE_CAP + 1):
         m = min(env.k - len(a), len(b))
         if m == 0:
             break
@@ -278,21 +276,16 @@ def regret_min(
     (or aborts), the pinned assortment is offered for every remaining step.
     If an estimator's batch does not fit in the remaining budget, the batch
     is charged the rest of it, its phase is discarded, and the pinned set so
-    far is returned.  The run always consumes the budget exactly.
+    far is returned.  The run always consumes the budget exactly.  ``env``
+    must be fresh, with its step budget set to ``horizon`` at construction.
     """
     if horizon < max(env.n, 2):  # delta = 1 / horizon must lie below 1
         raise ValueError("horizon must be at least 2 and at least the number of items")
-    if env.horizon is None:
-        env.set_horizon(horizon)
-    elif env.horizon != horizon:
-        raise ValueError("environment horizon disagrees with the requested one")
-    if env.ledger.steps:
-        raise ValueError("regret runs require a fresh environment")
+    if env.horizon != horizon or env.ledger.steps:
+        raise ValueError("regret runs require a fresh environment whose budget is the horizon")
     res = sar_mnl(env, 1.0 / horizon, partial(est_reg, tuning=tuning))
     exploit = env.steps_remaining
     if exploit:
         env.advance(res.assortment, exploit)
     assert env.ledger.steps == horizon, "regret run must consume the budget exactly"
-    return replace(
-        res, steps=horizon, exploit_steps=exploit, final_regret=env.ledger.cum_regret
-    )
+    return replace(res, steps=horizon, final_regret=env.ledger.cum_regret)

@@ -29,9 +29,10 @@ numpy's multinomial draws nothing for one category, so the stream is the same
 as if both were drawn.  Under a step budget, a batch whose ``T + M`` steps
 overrun the budget ends the run: it is charged exactly the remaining steps and
 draws nothing after ``M``, as no statistic of it is ever read.  One batch is at
-most ``2**53`` epochs, because numpy reads the epoch count as a double.  The
-tests check the batch law against a step-level reference that offers one
-step per draw (``tests/offer_reference.py``).
+most ``2**53`` epochs, as numpy reads the epoch count as a double, and within
+numpy's limit on the draw of ``M`` (`_NEGBIN_LAM_MAX`).  The tests check the
+batch law against a step-level reference that offers one step per draw
+(``tests/offer_reference.py``).
 
 Determinism: a replication's entire outcome sequence is a pure function of
 ``(master_seed, replication_index)`` via `fork_stream`.  The RNG algorithm
@@ -40,6 +41,7 @@ identifier is pinned in `RNG_ALGORITHM_ID` and echoed by the CLI metadata.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
@@ -66,6 +68,12 @@ RNG_ALGORITHM_ID = "numpy-pcg64-seedseq-spawnkey-v3"
 #: The most epochs one batch may ask for: numpy reads the epoch count of its
 #: negative-binomial draw as a double, exact up to this.
 _DRAW_LIMIT = 2**53
+
+#: numpy refuses a negative-binomial draw of ``T`` epochs at stop probability
+#: ``q`` when ``(1 - q) / q * (T + 10 sqrt(T))`` exceeds this, the largest
+#: mean of the Poisson draw inside it (see the Notes of
+#: ``Generator.negative_binomial``); computed as numpy computes it.
+_NEGBIN_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 
 #: Instance -> (its optimum, its plan table): what every environment on one
 #: instance shares, so a process builds each once however many replications
@@ -200,17 +208,8 @@ class Environment:
 
     @property
     def horizon(self) -> Optional[int]:
+        """The step budget fixed at construction; None = unlimited."""
         return self._horizon
-
-    def set_horizon(self, horizon: int) -> None:
-        """Install a step budget on a fresh environment (one-time)."""
-        if self._horizon is not None:
-            raise ValueError("horizon is already set")
-        if self.ledger.steps > 0:
-            raise ValueError("cannot set a horizon after steps were consumed")
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        self._horizon = horizon
 
     @property
     def steps_remaining(self) -> Optional[int]:
@@ -256,8 +255,8 @@ class Environment:
         ``z`` (the stopping set) and ``s`` (the tracked set) must be
         disjoint with ``|z ∪ s| <= k``.  A batch that does not fit in the
         remaining step budget consumes the rest of it and returns no
-        statistics (``truncated=True``): the run is over.  More than
-        ``2**53`` epochs raise `OverflowError`.
+        statistics (``truncated=True``): the run is over.  A batch past
+        ``2**53`` epochs or `_NEGBIN_LAM_MAX` raises `OverflowError`.
         """
         try:
             plan = self._offer_cache[(s, z)]
@@ -269,8 +268,14 @@ class Environment:
             raise OverflowError(
                 f"a batch of {epochs} epochs exceeds the sampler's limit of {_DRAW_LIMIT}"
             )
+        q = plan.q
+        if (1.0 - q) / q * (epochs + 10.0 * math.sqrt(epochs)) > _NEGBIN_LAM_MAX:
+            raise OverflowError(
+                f"a batch of T = {epochs} epochs at q = {q!r} exceeds numpy's negative-binomial "
+                f"limit (1 - q) / q * (T + 10 sqrt(T)) <= {_NEGBIN_LAM_MAX:.17g}"
+            )
         rng = self._rng
-        bought = int(rng.negative_binomial(epochs, plan.q))  # purchases
+        bought = int(rng.negative_binomial(epochs, q))  # purchases
         steps = epochs + bought
         budget = self.steps_remaining  # None = unlimited
         if budget is not None and steps > budget:
@@ -379,7 +384,7 @@ class _Plan:
         stop_rewards = np.concatenate(
             ([0.0], inst.r[np.asarray(tz, dtype=int) - 1] if tz else np.zeros(0))
         )
-        q = stop_weights.sum() / (stop_weights.sum() + v_s.sum())
+        q = float(stop_weights.sum() / (stop_weights.sum() + v_s.sum()))
         stops = _Split.of(stop_weights)
         return cls(
             tracked=ts,

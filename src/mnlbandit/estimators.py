@@ -32,11 +32,11 @@ Confidence intervals:
   ends, and symmetrically for ``xi_hi`` with ``theta_lo``.
 
 Schedules and tuning.  The refinement procedures use
-``tau = ceil(c2 * c0 * log(2/delta) / eps^2)`` epochs per unit of work and
-the rough procedure uses ``tau = ceil(4 k c0 log(2/delta))``, with
-``c0 = 196`` and ``c2 = 1024``.  These constants make the guarantees hold
-with large slack and are far too conservative to simulate at desk scale, so
-`Tuning` carries three multipliers, all 1.0 by default (exact constants):
+``tau = ceil(C2 * C0 * log(2/delta) / eps^2)`` epochs per unit of work and
+the rough procedure uses ``tau = ceil(4 k C0 log(2/delta))``, with the
+paper's ``C0 = 196`` and ``C2 = 1024``.  These constants make the guarantees
+hold with large slack and are far too conservative to simulate at desk scale,
+so `Tuning` carries three multipliers, all 1.0 by default (exact constants):
 ``tau_scale`` (refinement epoch counts), ``rough_tau_scale`` (rough epoch
 counts) and ``ci_scale`` (the ``log(2/delta)`` factor inside both confidence
 radii).  `PAPER_TUNING` is the exact profile; `DESK_TUNING` is a calibrated
@@ -77,19 +77,20 @@ __all__ = [
 ]
 
 
+#: The paper's schedule constants (see the module docstring).
+C0 = 196
+C2 = 1024
+
+
 @dataclass(frozen=True)
 class Tuning:
-    """Schedule constants plus desk-scale multipliers (1.0 = exact)."""
+    """Desk-scale multipliers of the schedules and radii (1.0 = exact)."""
 
-    c0: int = 196
-    c2: int = 1024
     tau_scale: float = 1.0
     rough_tau_scale: float = 1.0
     ci_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.c0 < 1 or self.c2 < 1:
-            raise ValueError("schedule constants must be >= 1")
         scales = (self.tau_scale, self.rough_tau_scale, self.ci_scale)
         if not all(math.isfinite(x) and x > 0 for x in scales):
             raise ValueError("tuning multipliers must be finite and positive")
@@ -113,16 +114,16 @@ def _log_term(delta: float) -> float:
 
 
 def _refinement_tau(delta: float, eps: float, tuning: Tuning) -> int:
-    """``ceil(tau_scale * c2 * c0 * log(2/delta) / eps^2)``, at least 1."""
+    """``ceil(tau_scale * C2 * C0 * log(2/delta) / eps^2)``, at least 1."""
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    raw = tuning.tau_scale * tuning.c2 * tuning.c0 * _log_term(delta) / (eps * eps)
+    raw = tuning.tau_scale * C2 * C0 * _log_term(delta) / (eps * eps)
     return max(1, math.ceil(raw))
 
 
 def _rough_tau(delta: float, k: int, tuning: Tuning) -> int:
-    """``ceil(rough_tau_scale * 4 k c0 log(2/delta))``, at least 1."""
-    raw = tuning.rough_tau_scale * 4.0 * k * tuning.c0 * _log_term(delta)
+    """``ceil(rough_tau_scale * 4 k C0 log(2/delta))``, at least 1."""
+    raw = tuning.rough_tau_scale * 4.0 * k * C0 * _log_term(delta)
     return max(1, math.ceil(raw))
 
 
@@ -291,15 +292,11 @@ class EstimateSet:
             if not (-1.0 <= self.xi_lo[i] <= self.xi_hi[i] <= 1.0):
                 raise ValueError(f"score interval for item {i} out of order")
 
-    def width(self, item: int) -> float:
-        """Score-interval width of one pending item."""
-        return self.xi_hi[item] - self.xi_lo[item]
-
     def max_width(self) -> float:
         """Largest score-interval width over pending items (0 if none)."""
         if not self.items:
             return 0.0
-        return max(self.width(i) for i in self.items)
+        return max(self.xi_hi[i] - self.xi_lo[i] for i in self.items)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +338,7 @@ def _estimate(
 ) -> EstimateSet:
     """The kernel of the refinement procedures: explore, then bound.
 
-    With ``delta = delta0 / (divisor n)`` and ``tau = ceil(c2 c0
+    With ``delta = delta0 / (divisor n)`` and ``tau = ceil(C2 C0
     log(2/delta) / eps^2)``, each group ``(s, units)`` is explored in turn
     for ``units * tau`` epochs.  A *reduced* estimate stops at the pinned set
     ``ta``, estimates the stop reward and the reduced weights of ``tb``, and
@@ -405,7 +402,7 @@ def est_naive(
     """Singleton exploration of every item, no reduction.
 
     Each item of ``a ∪ b`` is offered alone (empty stopping set) for
-    ``k * tau`` epochs with ``tau = ceil(c2 c0 log(2/delta) / eps^2)`` and
+    ``k * tau`` epochs with ``tau = ceil(C2 C0 log(2/delta) / eps^2)`` and
     ``delta = delta0 / (15 n)``.  The raw weights are estimated directly;
     the revenue interval maximizes over assortments of ``a ∪ b`` under the
     true capacity ``k``, with the stop-reward term pinned to 0 (nothing is
@@ -421,7 +418,7 @@ def est_rough(
 ) -> Dict[int, float]:
     """Coarse upper estimates of every raw weight.
 
-    Each item is offered alone for ``tau = ceil(4 k c0 log(2/delta))``
+    Each item is offered alone for ``tau = ceil(4 k C0 log(2/delta))``
     epochs with ``delta = delta0 / (17 n)``; the returned value is the upper
     confidence end, so with probability ``1 - delta0`` it lies in
     ``[v_i, max(2 v_i, 1/k)]`` — exactly the quality the adaptive
@@ -525,7 +522,7 @@ def est_reg(
     pending items alike; the revenue interval maximizes over ``a ∪ b`` under
     the true capacity with the stop-reward term pinned to 0.
 
-    ``delta = delta0 / (13 n)``; ``tau = ceil(c2 c0 log(2/delta) / eps^2)``.
+    ``delta = delta0 / (13 n)``; ``tau = ceil(C2 C0 log(2/delta) / eps^2)``.
     """
     ta, tb = _sets(env, a, b)
     m_cap = _residual(env, ta, tb)

@@ -83,10 +83,6 @@ class Instance:
         # arrays are read-only, as the original's are.
         return (Instance, (self.n, self.k, self.r, self.v))
 
-    def items(self) -> range:
-        """All item ids, 1..n."""
-        return range(1, self.n + 1)
-
 
 def validate_assortment(
     s: Iterable[int], n: int, k: int | None = None

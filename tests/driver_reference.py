@@ -128,9 +128,7 @@ def regret_min(
     """
     if horizon < env.n:
         raise ValueError("horizon must be at least the number of items")
-    if env.horizon is None:
-        env.set_horizon(horizon)
-    elif env.horizon != horizon:
+    if env.horizon != horizon:
         raise ValueError("environment horizon disagrees with the requested one")
     if env.ledger.steps:
         raise ValueError("regret runs require a fresh environment")
@@ -189,6 +187,5 @@ def regret_min(
         success=a == env.oracle_solution().s_star,
         aborted=aborted,
         horizon_hit=horizon_hit,
-        exploit_steps=exploit,
         final_regret=env.ledger.cum_regret,
     )

@@ -13,6 +13,11 @@ most `INLINE_LIMIT` bytes are also committed under ``tests/golden/<case>/``,
 so that a mismatch can show the first differing row.  ``tests/test_golden.py``
 compares a fresh run with all of it.
 
+The CLI's outputs show an interval only where it flips a decision, so
+``tests/golden/intervals.json`` also pins, for a few seeded many-small
+replications, each phase's ``max_width`` and its ``ci_theta`` ends
+(`phase_intervals`).
+
 A change that alters outputs by design regenerates them, at
 ``MNL_THREADS=1``, with::
 
@@ -28,14 +33,18 @@ import shlex
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from mnlbandit import cli
-from mnlbandit.env import RNG_ALGORITHM_ID
+from mnlbandit import cli, driver
+from mnlbandit.env import RNG_ALGORITHM_ID, Environment, fork_stream
+from mnlbandit.estimators import DESK_TUNING
+from mnlbandit.instances import generate_instance
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 MANIFEST = GOLDEN_DIR / "manifest.json"
+INTERVALS = GOLDEN_DIR / "intervals.json"
 
 #: Outputs larger than this are recorded by their SHA-256 only.
 INLINE_LIMIT = 50 * 1024
@@ -102,6 +111,29 @@ def first_difference(want, got):
     return f"row {row}: expected {len(want_rows)} rows, got {len(got_rows)}"
 
 
+def phase_intervals():
+    """Per phase of the first replications of the many-small case's ``run``
+    (``pac`` at ``--delta 0.1 --tuning desk --seed 1000``): ``max_width`` and
+    the ``ci_theta`` ends ``[theta_lo, theta_hi]``, each as its ``repr``."""
+    inst = generate_instance("uniform", 8, 3, seed=7)
+    estimate = driver.est_adaptive
+    replications = []
+    for rep in range(5):
+        ends = []
+
+        def recording(*args, **kwargs):
+            est = estimate(*args, **kwargs)
+            ends.append([repr(est.theta_lo), repr(est.theta_hi)])
+            return est
+
+        with mock.patch.object(driver, "est_adaptive", recording):
+            res = driver.pac_exact(Environment(inst, fork_stream(1000, rep)), 0.1, DESK_TUNING)
+        replications.append(
+            [{"max_width": repr(p.max_width), "theta": t} for p, t in zip(res.phases, ends)]
+        )
+    return {"case": "many-small", "replications": replications}
+
+
 def regenerate():
     """Rerun every case and rewrite the manifest's records and inline files."""
     os.environ["MNL_THREADS"] = "1"
@@ -120,6 +152,7 @@ def regenerate():
     manifest["numpy"] = np.__version__
     manifest["rng_algorithm"] = RNG_ALGORITHM_ID
     MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    INTERVALS.write_text(json.dumps(phase_intervals(), indent=2) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -89,7 +89,7 @@ def reduce_params(inst: Instance, a: Iterable[int]) -> ReducedParams:
     pinned = set(ta)
     nu = {
         i: float(inst.v[i - 1]) / denom
-        for i in inst.items()
+        for i in range(1, inst.n + 1)
         if i not in pinned
     }
     return ReducedParams(zeta=zeta, nu=nu)
@@ -104,5 +104,5 @@ def advantage_scores(inst: Instance, theta: float) -> Dict[int, float]:
     """
     return {
         i: float(inst.v[i - 1]) * (float(inst.r[i - 1]) - theta)
-        for i in inst.items()
+        for i in range(1, inst.n + 1)
     }

@@ -59,7 +59,7 @@ def enumerated_gaps(inst: Instance) -> Dict[int, float]:
         np.maximum(best_with, with_max, out=best_with)
         np.maximum(best_without, without_max, out=best_without)
     gaps: Dict[int, float] = {}
-    for i in inst.items():
+    for i in range(1, inst.n + 1):
         bound = best_without[i - 1] if i in in_opt else best_with[i - 1]
         gaps[i] = float(opt.theta_star - bound)
     return gaps

@@ -258,7 +258,7 @@ def test_criterion_07_estimator_ordering():
     inst = generate_instance("dense", 12, 8, seed=3)
     opt = brute_force_optimum(inst)
     a = opt.s_star[:4]
-    b = tuple(i for i in inst.items() if i not in a)
+    b = tuple(i for i in range(1, inst.n + 1) if i not in a)
     delta0, eps = 0.1, 0.05
     naive, reduced, adaptive = [], [], []
     for rep in range(50):
@@ -311,7 +311,7 @@ def test_criterion_09_regret_behavior():
 
     regrets = []
     for rep in range(reps):
-        env = Environment(inst, fork_stream(9100, rep))
+        env = Environment(inst, fork_stream(9100, rep), horizon=horizon)
         regrets.append(regret_min(env, horizon, DESK_TUNING).final_regret)
     baseline = [
         uniform_random_regret(inst, horizon, fork_stream(9200, rep))
@@ -321,9 +321,9 @@ def test_criterion_09_regret_behavior():
 
     small, large = [], []
     for rep in range(reps):
-        env = Environment(inst, fork_stream(9300, rep))
+        env = Environment(inst, fork_stream(9300, rep), horizon=20_000)
         small.append(regret_min(env, 20_000, DESK_TUNING).final_regret)
-        env = Environment(inst, fork_stream(9400, rep))
+        env = Environment(inst, fork_stream(9400, rep), horizon=80_000)
         large.append(regret_min(env, 80_000, DESK_TUNING).final_regret)
     growth = float(np.median(large)) / float(np.median(small))
 

@@ -392,10 +392,13 @@ class TestRunValidation:
              "--gaps applies only to an inline instance (--family)"),
             (("run", "--instance", "{inst}", "--mode", "regret", "--horizon", "50",
               "--curve-rep", "0", "--seed", "1"), "--curve-rep applies only with --curve-out"),
+            (("run", "--instance", "{inst}", "--mode", "regret", "--horizon", "50",
+              "--estimator", "adaptive", "--seed", "1"),
+             "--estimator adaptive does not apply to mode=regret, which runs the reg estimator"),
         ],
         ids=["gen-uniform-gaps", "gen-lower-bound-seed", "run-uniform-gaps",
              "run-lower-bound-gen-seed", "file-gen-seed", "file-n", "file-gaps",
-             "curve-rep-without-curve-out"],
+             "curve-rep-without-curve-out", "regret-estimator-adaptive"],
     )
     def test_ignored_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, message):
         def fail(*args, **kwargs):
@@ -412,6 +415,27 @@ class TestRunValidation:
         assert run_cli(*argv, "--out", str(out)) == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--curve-out"])
+    def test_missing_output_directory_fails_before_any_replication(
+        self, tmp_path, capsys, monkeypatch, flag
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("replications started")
+
+        monkeypatch.setattr(cli, "_run_replications", fail)
+        paths = {"--out": str(tmp_path / "r.csv"), "--curve-out": str(tmp_path / "c.csv")}
+        missing = paths[flag] = str(tmp_path / "no-such-dir" / "x.csv")
+        folder = str(tmp_path / "no-such-dir")
+        assert run_cli(
+            "run", "--family", "uniform", "--n", "4", "--k", "2", "--gen-seed", "5",
+            "--mode", "regret", "--horizon", "100", "--seed", "1", "--reps", "2",
+            "--out", paths["--out"], "--curve-out", paths["--curve-out"],
+        ) == 2
+        assert capsys.readouterr().err == (
+            f"error: {missing}: no such directory {folder!r}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_of_memory_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
         # the regret curve of a 1e15-step horizon asks numpy for petabytes
@@ -683,12 +707,11 @@ class TestRunRegret:
         assert run_cli(
             "run", "--family", "uniform", "--n", "4", "--k", "2",
             "--gen-seed", "5", "--mode", "regret", "--horizon", "2000",
-            "--seed", "99", "--tuning", "desk", "--estimator", "adaptive",
-            "--delta", "0.5", "--out", out,
+            "--seed", "99", "--tuning", "desk", "--delta", "0.5", "--out", out,
         ) == 0
         with open(out + ".meta.json") as fh:
             config = json.load(fh)["config"]
-        # the run used est_reg at delta = 1/horizon, whatever the flags said
+        # the run used est_reg at delta = 1/horizon, whatever --delta said
         assert config["estimator"] == "reg"
         assert (config["delta"], config["horizon"], config["eps"]) == (1 / 2000, 2000, None)
 

@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from mnlbandit import driver
 from mnlbandit.driver import (
     PHASE_CAP,
     RunResult,
@@ -165,10 +166,11 @@ class TestSarMnl:
         assert res.success  # the optimum of an all-zero-reward instance is empty
         assert len(res.phases) == 1
 
-    def test_phase_cap_aborts_with_diagnostic_result(self):
+    def test_phase_cap_aborts_with_diagnostic_result(self, monkeypatch):
+        monkeypatch.setattr(driver, "PHASE_CAP", 5)
         inst = generate_instance("uniform", 5, 2, seed=3)
         env = Environment(inst, fork_stream(1, 0))
-        res = sar_mnl(env, 0.1, wide_estimator, phase_cap=5)
+        res = sar_mnl(env, 0.1, wide_estimator)
         assert res.aborted and not res.success
         assert res.assortment == ()
         assert len(res.phases) == 5
@@ -315,22 +317,27 @@ class TestPacEps:
 class TestRegretMin:
     def test_horizon_validations(self):
         inst = generate_instance("uniform", 4, 2, seed=5)
-        env = Environment(inst, fork_stream(1, 0))
+        env = Environment(inst, fork_stream(1, 0), horizon=3)
         with pytest.raises(ValueError):
             regret_min(env, 3, DESK_TUNING)  # below n
         env2 = Environment(inst, fork_stream(1, 0), horizon=500)
         with pytest.raises(ValueError):
             regret_min(env2, 600, DESK_TUNING)
+        # the budget is set at construction, never by the driver
+        env3 = Environment(inst, fork_stream(1, 0))
+        with pytest.raises(ValueError):
+            regret_min(env3, 600, DESK_TUNING)
+        assert env3.horizon is None and env3.ledger.steps == 0
 
     def test_one_step_horizon_rejected(self):
         # delta = 1 / horizon must lie below 1, even where n = 1 allows it.
         inst = Instance(n=1, k=1, r=[1.0], v=[0.5])
         with pytest.raises(ValueError):
-            regret_min(Environment(inst, fork_stream(1, 0)), 1, DESK_TUNING)
+            regret_min(Environment(inst, fork_stream(1, 0), horizon=1), 1, DESK_TUNING)
 
     def test_used_environment_rejected(self):
         inst = generate_instance("uniform", 4, 2, seed=5)
-        env = Environment(inst, fork_stream(1, 0))
+        env = Environment(inst, fork_stream(1, 0), horizon=100)
         offer(env, (1, 2))
         with pytest.raises(ValueError):
             regret_min(env, 100, DESK_TUNING)
@@ -338,29 +345,27 @@ class TestRegretMin:
     def test_consumes_budget_exactly_and_exploits(self):
         inst = generate_instance("uniform", 4, 2, seed=5)
         horizon = 20_000
-        env = Environment(inst, fork_stream(85, 0))
+        env = Environment(inst, fork_stream(85, 0), horizon=horizon)
         res = regret_min(env, horizon, DESK_TUNING)
         assert res.steps == horizon == env.ledger.steps
         assert not res.horizon_hit and not res.aborted
         assert res.success
         assert res.assortment == brute_force_optimum(inst).s_star
-        assert res.exploit_steps == horizon - sum(p.steps for p in res.phases)
-        assert res.exploit_steps > 0
+        identified_at = sum(p.steps for p in res.phases)
+        assert identified_at < horizon  # the rest exploits
         assert res.final_regret == env.ledger.cum_regret >= 0.0
         # exploiting the true optimum accrues no further regret
         curve = env.ledger.curve()
-        identified_at = horizon - res.exploit_steps
         np.testing.assert_allclose(curve[identified_at - 1], curve[-1], rtol=0, atol=0)
 
     def test_horizon_hit_mid_estimation(self):
         inst = generate_instance("uniform", 4, 2, seed=5)
-        env = Environment(inst, fork_stream(86, 0))
+        env = Environment(inst, fork_stream(86, 0), horizon=10)
         res = regret_min(env, 10, DESK_TUNING)
         assert res.horizon_hit and not res.aborted
         assert res.steps == 10 == env.ledger.steps
         assert res.phases == ()
         assert res.assortment == ()
-        assert res.exploit_steps == 0
         assert not res.success
         assert res.final_regret is not None and res.final_regret > 0.0
 
@@ -373,7 +378,7 @@ class TestRegretMin:
     def test_deterministic(self):
         inst = generate_instance("uniform", 4, 2, seed=5)
         runs = [
-            regret_min(Environment(inst, fork_stream(87, 0)), 5000, DESK_TUNING)
+            regret_min(Environment(inst, fork_stream(87, 0), horizon=5000), 5000, DESK_TUNING)
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -413,13 +418,13 @@ class TestSharedExits:
 
         monkeypatch.setattr("mnlbandit.driver.est_reg", pin_item_one)
         inst = generate_instance("uniform", 5, 2, seed=3)
-        env = Environment(inst, fork_stream(1, 0))
         horizon = 1000
+        env = Environment(inst, fork_stream(1, 0), horizon=horizon)
         res = regret_min(env, horizon, DESK_TUNING)
         assert res.aborted and not res.horizon_hit
         assert len(res.phases) == PHASE_CAP
         assert res.phases[0].b_acc == (1,) and res.assortment == (1,)
-        assert res.steps == res.exploit_steps == env.ledger.steps == horizon
+        assert res.steps == env.ledger.steps == horizon
         per_step = env.oracle_solution().theta_star - revenue(inst, (1,))
         assert env.ledger._segments == [[per_step, horizon]]
         assert res.final_regret == env.ledger.cum_regret == per_step * horizon
@@ -482,14 +487,18 @@ class TestMatchesReferenceLoops:
         for horizon in (50, 3000, 30000, 200000):
             for inst in _reference_instances():
                 for rep in range(2):
-                    envs = [Environment(inst, fork_stream(91, rep)) for _ in range(2)]
+                    envs = [
+                        Environment(inst, fork_stream(91, rep), horizon=horizon)
+                        for _ in range(2)
+                    ]
                     new = regret_min(envs[0], horizon, DESK_TUNING)
                     old = driver_reference.regret_min(envs[1], horizon, DESK_TUNING)
                     _assert_same_run(new, old, *envs)
                     if new.horizon_hit:
                         outcomes.add("cut, pinned" if new.assortment else "cut, empty")
                     else:
-                        outcomes.add("exploited" if new.exploit_steps else "no room")
+                        explored = sum(p.steps for p in new.phases)
+                        outcomes.add("exploited" if explored < horizon else "no room")
         assert {"cut, pinned", "cut, empty", "exploited"} <= outcomes
 
 
@@ -520,4 +529,4 @@ class TestRunResult:
     def test_defaults(self):
         res = RunResult(assortment=(1,), steps=5, phases=(), success=True)
         assert not res.aborted and not res.horizon_hit
-        assert res.exploit_steps == 0 and res.final_regret is None
+        assert res.final_regret is None

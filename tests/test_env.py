@@ -211,20 +211,15 @@ class TestHorizon:
             offer(env, (1,))
         assert env.ledger.steps == 3
 
-    def test_set_horizon_rules(self):
+    def test_the_budget_is_fixed_at_construction(self):
         env = make_env(seed=6)
         assert env.horizon is None and env.steps_remaining is None
-        env.set_horizon(10)
-        assert env.horizon == 10
-        with pytest.raises(ValueError):
-            env.set_horizon(20)
-        env2 = make_env(seed=6)
-        offer(env2, (1,))
-        with pytest.raises(ValueError):
-            env2.set_horizon(10)
-        env3 = make_env(seed=6)
-        with pytest.raises(ValueError):
-            env3.set_horizon(0)
+        env = make_env(seed=6, horizon=10)
+        assert env.horizon == env.steps_remaining == 10
+        with pytest.raises(AttributeError):
+            env.horizon = 20
+        offer(env, (1,))
+        assert env.horizon == 10 and env.steps_remaining == 9
 
     def test_exhaustion_error_is_a_runtime_error(self):
         assert issubclass(HorizonExhausted, RuntimeError)
@@ -297,6 +292,33 @@ class TestSampleEpochs:
         assert batch.epochs == 2**53 and not batch.truncated
         assert batch.steps == env.ledger.steps == 2**53 + int(batch.x_sums.sum())
         assert batch.x_sums.min() > 0
+
+    def test_numpys_negative_binomial_limit_is_refused_by_name(self):
+        # 1100 tracked items of weight 1: q = 1/1101, so numpy refuses the
+        # purchase draw below 2**53 epochs; find its boundary by asking numpy
+        inst = Instance(n=1200, k=1100, r=np.full(1200, 0.5), v=np.ones(1200))
+        s, q = tuple(range(1, 1101)), 1.0 / 1101
+
+        def numpy_refuses(epochs):
+            try:
+                np.random.default_rng(0).negative_binomial(epochs, q)
+            except ValueError:
+                return True
+            return False
+
+        lo, hi = 1, 9 * 10**15  # numpy draws lo epochs and refuses hi
+        assert numpy_refuses(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if numpy_refuses(mid) else (mid, hi)
+        env = make_env(seed=21, inst=inst)
+        before = (env.ledger.steps, env._rng.bit_generator.state)
+        limit = f"^a batch of T = {hi} epochs .* negative-binomial limit"
+        with pytest.raises(OverflowError, match=limit):
+            env.sample_epochs((), s, hi)
+        assert (env.ledger.steps, env._rng.bit_generator.state) == before
+        batch = env.sample_epochs((), s, lo)
+        assert batch.epochs == lo and batch.steps == env.ledger.steps > lo
 
     def test_deterministic_and_collect_invariant(self):
         env_a = make_env(seed=11)

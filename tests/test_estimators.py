@@ -1,5 +1,6 @@
 """Tests for epoch exploration, interval formulas, and the estimators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from scipy import stats
 from mnlbandit.env import Environment, HorizonExhausted, fork_stream
 from mnlbandit.instances import generate_instance
 from mnlbandit.estimators import (
+    C0,
+    C2,
     DESK_TUNING,
     EstimateSet,
     ExploreState,
@@ -65,21 +68,20 @@ def fixed_instance():
 
 class TestTuningProfiles:
     def test_exact_profile_constants(self):
-        assert PAPER_TUNING.c0 == 196
-        assert PAPER_TUNING.c2 == 1024
+        assert (C0, C2) == (196, 1024)
+        assert [f.name for f in dataclasses.fields(Tuning)] == [
+            "tau_scale", "rough_tau_scale", "ci_scale"
+        ]
         assert PAPER_TUNING.tau_scale == 1.0
         assert PAPER_TUNING.rough_tau_scale == 1.0
         assert PAPER_TUNING.ci_scale == 1.0
 
     def test_desk_profile_is_pinned(self):
-        assert DESK_TUNING.c0 == 196 and DESK_TUNING.c2 == 1024
         assert DESK_TUNING.tau_scale == 2e-6
         assert DESK_TUNING.rough_tau_scale == 0.02
         assert DESK_TUNING.ci_scale == 0.02
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Tuning(c0=0)
         with pytest.raises(ValueError):
             Tuning(tau_scale=0.0)
         with pytest.raises(ValueError):
@@ -426,17 +428,17 @@ class TestEstNaive:
         # over the explored items; intervals must cover them in at least
         # 1 - delta0 of replications.
         inst = fixed_instance()
-        rewards = {i: float(inst.r[i - 1]) for i in inst.items()}
+        rewards = {i: float(inst.r[i - 1]) for i in range(1, inst.n + 1)}
         truth_theta = fractional_optimum(
             rewards, reduce_params(inst, ()), inst.k
         ).theta_star
-        u = {i: float(inst.v[i - 1]) * (rewards[i] - truth_theta) for i in inst.items()}
+        u = {i: float(inst.v[i - 1]) * (rewards[i] - truth_theta) for i in rewards}
         delta0 = 0.2
         covered = 0
         reps = 200
         for rep in range(reps):
             env = make_env(inst, seed=62, rep=rep)
-            est = est_naive(env, (), tuple(inst.items()), delta0, 0.5, COVER_TUNING)
+            est = est_naive(env, (), tuple(range(1, inst.n + 1)), delta0, 0.5, COVER_TUNING)
             if all(est.xi_lo[i] - 1e-12 <= u[i] <= est.xi_hi[i] + 1e-12 for i in est.items):
                 covered += 1
         assert covered >= (1 - delta0) * reps
@@ -449,7 +451,7 @@ class TestEstNaive:
         expected = None
         for rep in range(20):
             env = make_env(inst, seed=63, rep=rep)
-            est = est_naive(env, (), tuple(inst.items()), 0.2, 0.5, tuning)
+            est = est_naive(env, (), tuple(range(1, inst.n + 1)), 0.2, 0.5, tuning)
             if expected is None:
                 tau = _refinement_tau(0.2 / (15 * inst.n), 0.5, tuning)
                 expected = inst.k * tau * float((1.0 + inst.v).sum())
@@ -484,7 +486,7 @@ class TestEstRough:
             rough = est_rough(env, delta0, PAPER_TUNING)
             good = all(
                 inst.v[i - 1] <= rough[i] <= max(2 * inst.v[i - 1], 1.0 / inst.k) + 1e-12
-                for i in inst.items()
+                for i in range(1, inst.n + 1)
             )
             ok += good
             assert env.ledger.steps <= 24 * inst.n * tau
@@ -518,7 +520,7 @@ class TestEstAdaptive:
     def test_preconditions(self):
         inst = fixed_instance()
         env = make_env(inst, seed=68)
-        rough = {i: 0.5 for i in inst.items()}
+        rough = {i: 0.5 for i in range(1, inst.n + 1)}
         with pytest.raises(ValueError):
             est_adaptive(env, (1,), (1, 2), 0.1, 0.5, rough, DESK_TUNING)
         with pytest.raises(ValueError):
@@ -534,7 +536,7 @@ class TestEstAdaptive:
         # 120 |B| tau.
         inst = Instance(n=3, k=2, r=[1.0, 0.5, 0.2], v=[0.5, 0.3, 0.8])
         env = make_env(inst, seed=69)
-        rough = {i: float(inst.v[i - 1]) for i in inst.items()}
+        rough = {i: float(inst.v[i - 1]) for i in range(1, inst.n + 1)}
         eps = 1.0
         calls = record_batches(env)
         est = est_adaptive(env, (), (1, 2, 3), 0.2, eps, rough, PAPER_TUNING)
@@ -567,7 +569,7 @@ class TestEstAdaptive:
 
     def test_deterministic_given_the_stream(self):
         inst = fixed_instance()
-        rough = {i: float(inst.v[i - 1]) for i in inst.items()}
+        rough = {i: float(inst.v[i - 1]) for i in range(1, inst.n + 1)}
         runs = []
         for _ in range(2):
             env = make_env(inst, seed=71)
@@ -685,7 +687,7 @@ class TestEstReg:
     def test_score_coverage(self):
         inst = fixed_instance()
         a, b = (1,), (2, 3, 4)
-        rewards = {i: float(inst.r[i - 1]) for i in inst.items()}
+        rewards = {i: float(inst.r[i - 1]) for i in range(1, inst.n + 1)}
         theta = fractional_optimum(
             rewards, reduce_params(inst, ()), min(inst.k, 4)
         ).theta_star
@@ -730,8 +732,8 @@ class TestEstimateSet:
             xi_lo={1: -0.1, 2: 0.0}, xi_hi={1: 0.1, 2: 0.5},
             epochs=0, steps=0,
         )
-        np.testing.assert_allclose(est.width(1), 0.2, rtol=1e-15)
         np.testing.assert_allclose(est.max_width(), 0.5, rtol=1e-15)
+        assert dataclasses.replace(est, items=()).max_width() == 0.0
 
 
 class TestMatchesReferenceEstimators:
@@ -745,7 +747,10 @@ class TestMatchesReferenceEstimators:
         "reg": (est_reg, estimator_reference.est_reg),
         "adaptive": (est_adaptive, estimator_reference.est_adaptive),
     }
-    CUSTOM = Tuning(c0=50, c2=300, tau_scale=3e-5, rough_tau_scale=0.05, ci_scale=0.1)
+    # the schedules of C0 = 50 and C2 = 300, through the scales
+    CUSTOM = Tuning(
+        tau_scale=3e-5 * 50 * 300 / (C0 * C2), rough_tau_scale=0.05 * 50 / C0, ci_scale=0.1
+    )
 
     def _outcome(self, name, which, inst, seed, horizon, args, tuning, rough):
         env = Environment(inst, fork_stream(seed, 0), horizon=horizon)

@@ -5,9 +5,11 @@ Every case of ``tests/golden/manifest.json`` runs in-process at
 or more replications starts.  A mismatch names the first differing row of an
 output and both numpy versions: numpy may change a distribution's stream
 between releases, and the outputs are pinned to the version they were made
-with.
+with.  ``tests/golden/intervals.json`` pins the interval widths and ends of a
+few many-small replications, which the outputs see only through decisions.
 """
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -20,10 +22,12 @@ from mnlbandit.env import RNG_ALGORITHM_ID
 from golden_outputs import (
     GOLDEN_DIR,
     INLINE_LIMIT,
+    INTERVALS,
     digest,
     first_difference,
     load_manifest,
     parse_command,
+    phase_intervals,
     run_case,
 )
 
@@ -59,6 +63,12 @@ def test_outputs_match(name, pool, tmp_path, monkeypatch):
             where = f"SHA-256 differs ({len(data)} bytes in {rows} rows, expected {want[file]['bytes']} bytes)"
         problems.append(f"{name}/{file}: {where}")
     assert not problems, "\n".join(problems + [_versions()])
+
+
+def test_phase_intervals_match():
+    # a change that only widens an interval leaves the CLI's outputs alone
+    want = json.loads(INTERVALS.read_text(encoding="utf-8"))
+    assert phase_intervals() == want, _versions()
 
 
 def test_committed_files_match_the_manifest():

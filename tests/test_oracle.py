@@ -210,7 +210,7 @@ class TestSuboptimalityGaps:
             inst = random_instance(rng, n_max=7)
             opt = brute_force_optimum(inst)
             gaps = suboptimality_gaps(inst)
-            for i in inst.items():
+            for i in range(1, inst.n + 1):
                 want_member = i not in opt.s_star
                 best = 0.0 if not want_member else -np.inf
                 for size in range(1, inst.k + 1):
@@ -227,7 +227,7 @@ class TestSuboptimalityGaps:
             inst = random_instance(rng)
             margin = revenue_margin(inst)
             gaps = suboptimality_gaps(inst)
-            for i in inst.items():
+            for i in range(1, inst.n + 1):
                 assert gaps[i] >= margin - 1e-12
 
     def test_gaps_are_nonnegative(self):
