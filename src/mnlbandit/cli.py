@@ -289,7 +289,9 @@ Outcome = Tuple[Dict[str, str], Optional[List[float]]]
 
 
 def _replicate(job: RunJob, rep: int) -> Outcome:
-    """Run one replication."""
+    """Run one replication on a fresh environment and grade it: its steps and
+    regret are the environment's ledger, its success an exact match with the
+    optimum (a revenue shortfall of at most ``eps`` for ``pac-eps``)."""
     tuning = job.tuning
     rng = fork_stream(job.master_seed, rep)
     env = Environment(job.inst, rng, horizon=job.horizon if job.mode == "regret" else None)
@@ -305,6 +307,11 @@ def _replicate(job: RunJob, rep: int) -> Outcome:
     else:  # regret
         result = regret_min(env, job.horizon, tuning)
 
+    opt = env.oracle_solution()
+    if job.mode == "pac-eps":
+        success = opt.theta_star - env.true_revenue(result.assortment) <= job.eps
+    else:
+        success = result.assortment == opt.s_star
     status = "ok"
     if result.aborted:
         status = "phase-cap"
@@ -313,11 +320,11 @@ def _replicate(job: RunJob, rep: int) -> Outcome:
     row = {
         "replication": str(rep),
         "seed": str(generator_digest(rng)),
-        "steps": str(result.steps),
-        "success": "1" if result.success else "0",
+        "steps": str(env.ledger.steps),
+        "success": "1" if success else "0",
         "set_size": str(len(result.assortment)),
         "phases": str(len(result.phases)),
-        "regret": repr(result.final_regret) if result.final_regret is not None else "",
+        "regret": repr(env.ledger.cum_regret) if job.mode == "regret" else "",
         "status": status,
     }
     curve = env.ledger.curve().tolist() if rep == job.curve_rep else None

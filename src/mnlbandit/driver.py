@@ -31,7 +31,7 @@ capacity — asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Tuple
 
@@ -91,25 +91,18 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one driver run.
+    """Decisions of one driver run.
 
-    ``steps`` counts every time step the run consumed (phase trace steps sum
-    to it, minus the rough pass of the PAC drivers and the exploitation tail
-    of the regret driver).  ``success`` is evaluated against the
-    environment's oracle solution: exact-set match for the exact-PAC and
-    regret drivers, revenue shortfall within the requested slack for the
-    approximate-PAC driver.  ``aborted`` marks a phase-cap abort (diagnostic,
-    not an exception); ``horizon_hit`` marks a run cut off by the step
-    budget.
+    ``aborted`` marks a phase-cap abort (diagnostic, not an exception);
+    ``horizon_hit`` marks a run cut off by the step budget.  A run's steps
+    and regret are its environment's ledger; grading the assortment against
+    the optimum is the caller's job (the CLI's ``run``).
     """
 
     assortment: Assortment
-    steps: int
     phases: Tuple[PhaseState, ...]
-    success: bool
     aborted: bool = False
     horizon_hit: bool = False
-    final_regret: Optional[float] = None
 
 
 def accept_reject(
@@ -157,14 +150,12 @@ def sar_mnl(
     A step budget spent mid-phase ends the run with ``horizon_hit=True`` and
     the pinned set so far; the cut-off phase is not recorded.  Exceeding
     `PHASE_CAP` aborts with ``aborted=True`` and the pinned set so far.
-    ``steps`` counts the steps of this call; ``success`` is an exact match.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     a: Tuple[int, ...] = ()
     b: Tuple[int, ...] = tuple(range(1, env.n + 1))
     phases: List[PhaseState] = []
-    start = env.ledger.steps
     aborted = horizon_hit = False
     for k in range(1, PHASE_CAP + 1):
         m = min(env.k - len(a), len(b))
@@ -207,14 +198,7 @@ def sar_mnl(
             break
     else:
         aborted = True
-    return RunResult(
-        assortment=a,
-        steps=env.ledger.steps - start,
-        phases=tuple(phases),
-        success=a == env.oracle_solution().s_star,
-        aborted=aborted,
-        horizon_hit=horizon_hit,
-    )
+    return RunResult(assortment=a, phases=tuple(phases), aborted=aborted, horizon_hit=horizon_hit)
 
 
 def pac_exact(
@@ -224,15 +208,12 @@ def pac_exact(
 
     Spends ``delta / 2`` on one rough pass (upper weight estimates feeding
     the adaptive estimator's layer assignment) and ``delta / 2`` on the
-    accept-reject loop with the adaptive estimator.  ``steps`` includes the
-    rough pass.
+    accept-reject loop with the adaptive estimator.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    start = env.ledger.steps
     rough = est_rough(env, delta / 2.0, tuning)
-    res = sar_mnl(env, delta / 2.0, partial(est_adaptive, rough=rough, tuning=tuning))
-    return replace(res, steps=env.ledger.steps - start)
+    return sar_mnl(env, delta / 2.0, partial(est_adaptive, rough=rough, tuning=tuning))
 
 
 def pac_eps(
@@ -243,14 +224,12 @@ def pac_eps(
     Runs the exact-PAC loop but stops early: at the first phase ``k`` whose
     predecessor's accuracy ``eps_{k-1} = 2^-(k-1)`` is at most ``eps / 3``,
     the answer is the pinned set plus the best pending assortment under the
-    phase's *upper* parameter estimates (optimistic completion).  Success
-    means the returned set's true revenue is within ``eps`` of optimal.
+    phase's *upper* parameter estimates (optimistic completion).
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    start = env.ledger.steps
     rough = est_rough(env, delta / 2.0, tuning)
 
     def complete(k: int, est: EstimateSet, b: Assortment, m: int) -> Optional[Assortment]:
@@ -261,9 +240,7 @@ def pac_eps(
         return tuple(b[j] for j in s)
 
     estimator = partial(est_adaptive, rough=rough, tuning=tuning)
-    res = sar_mnl(env, delta / 2.0, estimator, complete=complete)
-    shortfall = env.oracle_solution().theta_star - env.true_revenue(res.assortment)
-    return replace(res, steps=env.ledger.steps - start, success=shortfall <= eps)
+    return sar_mnl(env, delta / 2.0, estimator, complete=complete)
 
 
 def regret_min(
@@ -288,4 +265,4 @@ def regret_min(
     if exploit:
         env.advance(res.assortment, exploit)
     assert env.ledger.steps == horizon, "regret run must consume the budget exactly"
-    return replace(res, steps=horizon, final_regret=env.ledger.cum_regret)
+    return res

@@ -184,8 +184,7 @@ class Environment:
         self._horizon = horizon
         self.n = inst.n
         self.k = inst.k
-        self.rewards = inst.r.copy()
-        self.rewards.setflags(write=False)
+        self.rewards = inst.r  # read-only, as `Instance` makes it
         self.ledger = RegretLedger()
         shared = _PER_INSTANCE.get(inst)
         if shared is None:

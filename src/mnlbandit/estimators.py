@@ -278,7 +278,6 @@ class EstimateSet:
     xi_lo: Dict[int, float]
     xi_hi: Dict[int, float]
     epochs: int
-    steps: int
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.zeta_lo <= self.zeta_hi <= 1.0):
@@ -356,7 +355,6 @@ def _estimate(
         stop, weighed = (), tuple(sorted(ta + tb))
         capacity = min(env.k, len(weighed))
     state = ExploreState(z_stop=stop)
-    start = env.ledger.steps
     epochs = sum(explore_epochs(env, state, s, u * tau).epochs for s, u in groups)
     big_l = _confidence(delta, tuning)
     zeta_lo, zeta_hi = ci_zeta(state, big_l) if reduced else (0.0, 0.0)
@@ -387,7 +385,6 @@ def _estimate(
         xi_lo=xi_lo,
         xi_hi=xi_hi,
         epochs=epochs,
-        steps=env.ledger.steps - start,
     )
 
 

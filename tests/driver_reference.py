@@ -25,14 +25,12 @@ def pac_eps(
     predecessor's accuracy ``eps_{k-1} = 2^-(k-1)`` is at most ``eps / 3``,
     the phase's estimates are computed once more and the answer is the
     pinned set plus the best pending assortment under the *upper* parameter
-    estimates (optimistic completion).  Success means the returned set's
-    true revenue is within ``eps`` of optimal.
+    estimates (optimistic completion).
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    start = env.ledger.steps
     rough = est_rough(env, delta / 2.0, tuning)
     sar_delta = delta / 2.0
     a: Tuple[int, ...] = ()
@@ -103,15 +101,7 @@ def pac_eps(
             returned = a
             aborted = False
             break
-    opt = env.oracle_solution().theta_star
-    success = (opt - env.true_revenue(returned)) <= eps
-    return RunResult(
-        assortment=returned,
-        steps=env.ledger.steps - start,
-        phases=tuple(phases),
-        success=success,
-        aborted=aborted,
-    )
+    return RunResult(assortment=returned, phases=tuple(phases), aborted=aborted)
 
 
 def regret_min(
@@ -181,11 +171,5 @@ def regret_min(
         env.advance(a, exploit)
     assert env.ledger.steps == horizon, "regret run must consume the budget exactly"
     return RunResult(
-        assortment=a,
-        steps=horizon,
-        phases=tuple(phases),
-        success=a == env.oracle_solution().s_star,
-        aborted=aborted,
-        horizon_hit=horizon_hit,
-        final_regret=env.ledger.cum_regret,
+        assortment=a, phases=tuple(phases), aborted=aborted, horizon_hit=horizon_hit
     )

@@ -45,7 +45,6 @@ def _finish(
     zeta_bounds: Optional[Tuple[float, float]],
     scored: Sequence[int],
     epochs: int,
-    steps: int,
     extra_nu_items: Sequence[int] = (),
 ) -> EstimateSet:
     """Assemble the interval set from a populated exploration state."""
@@ -85,7 +84,6 @@ def _finish(
         xi_lo=xi_lo,
         xi_hi=xi_hi,
         epochs=epochs,
-        steps=steps,
     )
 
 
@@ -123,7 +121,6 @@ def est_naive(
     delta = delta0 / (15.0 * env.n)
     tau = _refinement_tau(delta, eps, tuning)
     state = ExploreState(z_stop=())
-    start = env.ledger.steps
     epochs = 0
     for i in items:
         batch = explore_epochs(env, state, (i,), env.k * tau)
@@ -139,7 +136,6 @@ def est_naive(
         zeta_bounds=(0.0, 0.0),
         scored=tb,
         epochs=epochs,
-        steps=env.ledger.steps - start,
     )
 
 
@@ -201,7 +197,6 @@ def est_adaptive(
             groups.append((lv, tuple(members[pos : pos + d])))
 
     state = ExploreState(z_stop=ta)
-    start = env.ledger.steps
     epochs = 0
     for lv, group in groups:
         assert len(ta) + len(group) <= env.k
@@ -217,7 +212,6 @@ def est_adaptive(
         zeta_bounds=None,
         scored=tb,
         epochs=epochs,
-        steps=env.ledger.steps - start,
     )
 
 
@@ -246,12 +240,11 @@ def est_reduced(
     state = ExploreState(z_stop=ta)
     if not tb:
         return _finish(
-            env, (), state, delta, tuning, 0, None, (), 0, 0
+            env, (), state, delta, tuning, 0, None, (), 0
         )
     m_cap = min(env.k - len(ta), len(tb))
     if m_cap < 1:
         raise ValueError("pinned set already fills the capacity")
-    start = env.ledger.steps
     epochs = 0
     for i in tb:
         batch = explore_epochs(env, state, (i,), env.k * tau)
@@ -266,7 +259,6 @@ def est_reduced(
         zeta_bounds=None,
         scored=tb,
         epochs=epochs,
-        steps=env.ledger.steps - start,
     )
 
 
@@ -312,7 +304,6 @@ def est_reg(
         groups.append(tuple(chunk))
 
     state = ExploreState(z_stop=())
-    start = env.ledger.steps
     epochs = 0
     for group in groups:
         offered = tuple(sorted(ta + group))
@@ -330,6 +321,5 @@ def est_reg(
         zeta_bounds=(0.0, 0.0),
         scored=tb,
         epochs=epochs,
-        steps=env.ledger.steps - start,
         extra_nu_items=ta,
     )

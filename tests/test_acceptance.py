@@ -232,7 +232,7 @@ def test_criterion_06_exact_pac_success():
         for rep in range(reps):
             env = Environment(inst, fork_stream(900 + seed, rep))
             res = pac_exact(env, 0.1, DESK_TUNING)
-            if not res.success:
+            if set(res.assortment) != s_star:
                 continue
             wins += 1
             for p in res.phases:
@@ -263,14 +263,16 @@ def test_criterion_07_estimator_ordering():
     naive, reduced, adaptive = [], [], []
     for rep in range(50):
         env = Environment(inst, fork_stream(7100, rep))
-        naive.append(est_naive(env, a, b, delta0, eps, DESK_TUNING).steps)
+        est_naive(env, a, b, delta0, eps, DESK_TUNING)
+        naive.append(env.ledger.steps)
         env = Environment(inst, fork_stream(7200, rep))
-        reduced.append(est_reduced(env, a, b, delta0, eps, DESK_TUNING).steps)
+        est_reduced(env, a, b, delta0, eps, DESK_TUNING)
+        reduced.append(env.ledger.steps)
         env = Environment(inst, fork_stream(7300, rep))
         rough = est_rough(env, 0.05, DESK_TUNING)
-        adaptive.append(
-            est_adaptive(env, a, b, delta0, eps, rough, DESK_TUNING).steps
-        )
+        rough_steps = env.ledger.steps
+        est_adaptive(env, a, b, delta0, eps, rough, DESK_TUNING)
+        adaptive.append(env.ledger.steps - rough_steps)
     m_naive = float(np.median(naive))
     m_reduced = float(np.median(reduced))
     m_adaptive = float(np.median(adaptive))
@@ -291,7 +293,8 @@ def test_criterion_08_gap_scaling():
         steps = []
         for rep in range(25):
             env = Environment(inst, fork_stream(base_seed, rep))
-            steps.append(pac_exact(env, 0.1, DESK_TUNING).steps)
+            pac_exact(env, 0.1, DESK_TUNING)
+            steps.append(env.ledger.steps)
         medians[gap] = float(np.median(steps))
     ratio = medians[1 / 80] / medians[1 / 40]
     _report(
@@ -312,7 +315,8 @@ def test_criterion_09_regret_behavior():
     regrets = []
     for rep in range(reps):
         env = Environment(inst, fork_stream(9100, rep), horizon=horizon)
-        regrets.append(regret_min(env, horizon, DESK_TUNING).final_regret)
+        regret_min(env, horizon, DESK_TUNING)
+        regrets.append(env.ledger.cum_regret)
     baseline = [
         uniform_random_regret(inst, horizon, fork_stream(9200, rep))
         for rep in range(reps)
@@ -322,9 +326,11 @@ def test_criterion_09_regret_behavior():
     small, large = [], []
     for rep in range(reps):
         env = Environment(inst, fork_stream(9300, rep), horizon=20_000)
-        small.append(regret_min(env, 20_000, DESK_TUNING).final_regret)
+        regret_min(env, 20_000, DESK_TUNING)
+        small.append(env.ledger.cum_regret)
         env = Environment(inst, fork_stream(9400, rep), horizon=80_000)
-        large.append(regret_min(env, 80_000, DESK_TUNING).final_regret)
+        regret_min(env, 80_000, DESK_TUNING)
+        large.append(env.ledger.cum_regret)
     growth = float(np.median(large)) / float(np.median(small))
 
     ok = advantage >= 5.0 and growth <= 1.6
@@ -339,16 +345,18 @@ def test_criterion_09_regret_behavior():
 
 def test_criterion_10_approx_pac():
     inst = lower_bound_instance(4, 2, [0.002, 0.002])
+    theta_star = brute_force_optimum(inst).theta_star
     eps_steps, wins = [], 0
     for rep in range(200):
         env = Environment(inst, fork_stream(10100, rep))
         res = pac_eps(env, 0.1, 0.1, DESK_TUNING)
-        eps_steps.append(res.steps)
-        wins += res.success
+        eps_steps.append(env.ledger.steps)
+        wins += theta_star - revenue(inst, res.assortment) <= 0.1
     exact_steps = []
     for rep in range(50):
         env = Environment(inst, fork_stream(10200, rep))
-        exact_steps.append(pac_exact(env, 0.1, DESK_TUNING).steps)
+        pac_exact(env, 0.1, DESK_TUNING)
+        exact_steps.append(env.ledger.steps)
     ratio = float(np.median(eps_steps)) / float(np.median(exact_steps))
     ok = wins >= 180 and ratio < 0.5
     _report(

@@ -1,5 +1,6 @@
 """Tests for the accept-reject drivers."""
 
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -16,7 +17,15 @@ from mnlbandit.driver import (
     sar_mnl,
 )
 from mnlbandit.env import Environment, fork_stream
-from mnlbandit.estimators import DESK_TUNING, EstimateSet, est_reg
+from mnlbandit.estimators import (
+    DESK_TUNING,
+    EstimateSet,
+    est_adaptive,
+    est_naive,
+    est_reduced,
+    est_reg,
+    est_rough,
+)
 from mnlbandit.instances import generate_instance
 from mnlbandit.model import Instance, revenue
 from mnlbandit.oracle import (
@@ -45,7 +54,6 @@ def make_est(items, xi):
         xi_lo={i: xi[i][0] for i in items},
         xi_hi={i: xi[i][1] for i in items},
         epochs=0,
-        steps=0,
     )
 
 
@@ -118,10 +126,10 @@ class TestSarMnl:
         inst = generate_instance("uniform", 6, 3, seed=8)
         env = Environment(inst, fork_stream(1, 0))
         res = sar_mnl(env, 0.1, oracle_estimator(inst))
-        assert res.success and not res.aborted
+        assert not res.aborted
         assert res.assortment == brute_force_optimum(inst).s_star
         assert len(res.phases) == 1
-        assert res.steps == 0  # the stub consumes nothing
+        assert env.ledger.steps == 0  # the stub consumes nothing
         p = res.phases[0]
         assert p.k == 1 and p.eps_k == 0.5
         np.testing.assert_allclose(p.delta_k, 0.1 / 3.0, rtol=1e-15)
@@ -140,7 +148,7 @@ class TestSarMnl:
 
         env = Environment(inst, fork_stream(1, 0))
         res = sar_mnl(env, 0.2, staged)
-        assert res.success and not res.aborted
+        assert res.assortment == brute_force_optimum(inst).s_star and not res.aborted
         assert len(res.phases) == 4
         for idx, p in enumerate(res.phases, start=1):
             assert p.k == idx
@@ -149,7 +157,7 @@ class TestSarMnl:
         for prev, nxt in zip(res.phases, res.phases[1:]):
             assert set(prev.a_set) <= set(nxt.a_set)
             assert set(nxt.b_set) <= set(prev.b_set)
-        assert res.steps == sum(p.steps for p in res.phases)
+        assert env.ledger.steps == sum(p.steps for p in res.phases)
         wide = res.phases[0]
         assert wide.b_acc == () and wide.b_rej == ()
         assert wide.max_width == 2.0
@@ -162,8 +170,8 @@ class TestSarMnl:
 
         env = Environment(inst, fork_stream(1, 0))
         res = sar_mnl(env, 0.1, all_bad)
-        assert res.assortment == ()
-        assert res.success  # the optimum of an all-zero-reward instance is empty
+        # the optimum of an all-zero-reward instance is empty
+        assert res.assortment == () == brute_force_optimum(inst).s_star
         assert len(res.phases) == 1
 
     def test_phase_cap_aborts_with_diagnostic_result(self, monkeypatch):
@@ -171,7 +179,7 @@ class TestSarMnl:
         inst = generate_instance("uniform", 5, 2, seed=3)
         env = Environment(inst, fork_stream(1, 0))
         res = sar_mnl(env, 0.1, wide_estimator)
-        assert res.aborted and not res.success
+        assert res.aborted
         assert res.assortment == ()
         assert len(res.phases) == 5
 
@@ -196,9 +204,9 @@ class TestSarMnl:
         results = []
         for _ in range(2):
             env = Environment(inst, fork_stream(77, 0))
-            results.append(sar_mnl(env, 0.1, estimator))
+            results.append((sar_mnl(env, 0.1, estimator), env.ledger.steps))
         assert results[0] == results[1]
-        assert results[0].steps > 0
+        assert results[0][1] > 0
 
 
 class TestPacExact:
@@ -243,10 +251,10 @@ class TestPacExact:
         inst = generate_instance("uniform", 6, 3, seed=8)
         env = Environment(inst, fork_stream(79, 0))
         res = pac_exact(env, 0.1, DESK_TUNING)
-        assert res.success and not res.aborted
+        assert not res.aborted
         assert res.assortment == brute_force_optimum(inst).s_star
-        # steps include the rough pass, which the phase trace does not cover.
-        assert res.steps > sum(p.steps for p in res.phases) > 0
+        # the ledger counts the rough pass, which the phase trace does not cover.
+        assert env.ledger.steps > sum(p.steps for p in res.phases) > 0
 
     def test_invariants_on_pinned_seed(self):
         inst = generate_instance("uniform", 6, 3, seed=13)
@@ -254,7 +262,7 @@ class TestPacExact:
         s_star = set(brute_force_optimum(inst).s_star)
         env = Environment(inst, fork_stream(80, 0))
         res = pac_exact(env, 0.1, DESK_TUNING)
-        assert res.success
+        assert set(res.assortment) == s_star
         for p in res.phases:
             pinned_after = set(p.a_set) | set(p.b_acc)
             pending_after = set(p.b_set) - set(p.b_acc) - set(p.b_rej)
@@ -286,7 +294,8 @@ class TestPacEps:
         assert set(terminal.b_acc) <= set(terminal.b_set)
         assert res.assortment == tuple(sorted(set(res.assortment)))
         assert len(res.assortment) <= inst.k
-        assert res.success  # any assortment is within 0.99 of optimal
+        # any assortment is within 0.99 of optimal
+        assert env.oracle_solution().theta_star - revenue(inst, res.assortment) <= 0.99
 
     def test_tight_eps_forces_exact_identification(self):
         # eps below the smallest positive gap: only S* itself can succeed.
@@ -295,7 +304,6 @@ class TestPacEps:
         assert min(g for g in gaps.values() if g > 0) > 0.04
         env = Environment(inst, fork_stream(82, 0))
         res = pac_eps(env, 0.1, 0.04, DESK_TUNING)
-        assert res.success
         assert res.assortment == brute_force_optimum(inst).s_star
 
     def test_early_stop_saves_steps_on_near_ties(self):
@@ -306,11 +314,11 @@ class TestPacEps:
         exact_steps = []
         for rep in range(6):
             env = Environment(inst, fork_stream(83, rep))
-            res = pac_eps(env, 0.1, 0.1, DESK_TUNING)
-            assert not res.aborted
-            eps_steps.append(res.steps)
+            assert not pac_eps(env, 0.1, 0.1, DESK_TUNING).aborted
+            eps_steps.append(env.ledger.steps)
             env2 = Environment(inst, fork_stream(84, rep))
-            exact_steps.append(pac_exact(env2, 0.1, DESK_TUNING).steps)
+            pac_exact(env2, 0.1, DESK_TUNING)
+            exact_steps.append(env2.ledger.steps)
         assert np.median(eps_steps) < 0.5 * np.median(exact_steps)
 
 
@@ -347,13 +355,12 @@ class TestRegretMin:
         horizon = 20_000
         env = Environment(inst, fork_stream(85, 0), horizon=horizon)
         res = regret_min(env, horizon, DESK_TUNING)
-        assert res.steps == horizon == env.ledger.steps
+        assert env.ledger.steps == horizon
         assert not res.horizon_hit and not res.aborted
-        assert res.success
         assert res.assortment == brute_force_optimum(inst).s_star
         identified_at = sum(p.steps for p in res.phases)
         assert identified_at < horizon  # the rest exploits
-        assert res.final_regret == env.ledger.cum_regret >= 0.0
+        assert env.ledger.cum_regret >= 0.0
         # exploiting the true optimum accrues no further regret
         curve = env.ledger.curve()
         np.testing.assert_allclose(curve[identified_at - 1], curve[-1], rtol=0, atol=0)
@@ -363,17 +370,16 @@ class TestRegretMin:
         env = Environment(inst, fork_stream(86, 0), horizon=10)
         res = regret_min(env, 10, DESK_TUNING)
         assert res.horizon_hit and not res.aborted
-        assert res.steps == 10 == env.ledger.steps
+        assert env.ledger.steps == 10
         assert res.phases == ()
         assert res.assortment == ()
-        assert not res.success
-        assert res.final_regret is not None and res.final_regret > 0.0
+        assert env.ledger.cum_regret > 0.0
 
     def test_presetting_the_same_horizon_is_allowed(self):
         inst = generate_instance("uniform", 4, 2, seed=5)
         env = Environment(inst, fork_stream(85, 0), horizon=20_000)
-        res = regret_min(env, 20_000, DESK_TUNING)
-        assert res.steps == 20_000
+        regret_min(env, 20_000, DESK_TUNING)
+        assert env.ledger.steps == 20_000
 
     def test_deterministic(self):
         inst = generate_instance("uniform", 4, 2, seed=5)
@@ -396,21 +402,21 @@ class TestSharedExits:
         monkeypatch.setattr("mnlbandit.driver.est_adaptive", _wide_phase)
         env = Environment(generate_instance("uniform", 5, 2, seed=3), fork_stream(1, 0))
         res = pac_exact(env, 0.1, DESK_TUNING)
-        assert res.aborted and not res.horizon_hit and not res.success
+        assert res.aborted and not res.horizon_hit
         assert len(res.phases) == PHASE_CAP == 60
         assert res.assortment == ()
-        assert res.steps == env.ledger.steps > 0  # the rough pass
+        assert env.ledger.steps > 0  # the rough pass
 
     def test_pac_eps_aborts_at_the_phase_cap(self, monkeypatch):
         monkeypatch.setattr("mnlbandit.driver.est_adaptive", _wide_phase)
         env = Environment(generate_instance("uniform", 5, 2, seed=3), fork_stream(1, 0))
         # 2^-(k-1) <= eps/3 first at k = 66: no completion within the cap.
         res = pac_eps(env, 0.1, 1e-19, DESK_TUNING)
-        assert res.aborted and not res.horizon_hit and not res.success
+        assert res.aborted and not res.horizon_hit
         assert len(res.phases) == PHASE_CAP
         assert all(p.alpha is not None for p in res.phases)  # no completion
         assert res.assortment == ()
-        assert res.steps == env.ledger.steps > 0
+        assert env.ledger.steps > 0
 
     def test_regret_aborts_then_exploits_the_pinned_set(self, monkeypatch):
         def pin_item_one(env, a, b, delta_k, eps, tuning):
@@ -424,10 +430,10 @@ class TestSharedExits:
         assert res.aborted and not res.horizon_hit
         assert len(res.phases) == PHASE_CAP
         assert res.phases[0].b_acc == (1,) and res.assortment == (1,)
-        assert res.steps == env.ledger.steps == horizon
+        assert env.ledger.steps == horizon
         per_step = env.oracle_solution().theta_star - revenue(inst, (1,))
         assert env.ledger._segments == [[per_step, horizon]]
-        assert res.final_regret == env.ledger.cum_regret == per_step * horizon
+        assert env.ledger.cum_regret == per_step * horizon
 
     def test_sar_mnl_returns_the_pinned_set_when_the_budget_ends(self):
         inst = generate_instance("uniform", 6, 3, seed=8)
@@ -441,7 +447,40 @@ class TestSharedExits:
         assert res.horizon_hit and not res.aborted
         assert res.phases == (first,)
         assert res.assortment == first.b_acc
-        assert res.steps == env.ledger.steps == first.steps + 1
+        assert env.ledger.steps == first.steps + 1
+
+
+class TestNoScaffolding:
+    """The drivers decide from samples alone: grading against the optimum is
+    the caller's job, so the evaluation accessors are never consulted."""
+
+    @pytest.fixture(autouse=True)
+    def _forbid_scaffolding(self, monkeypatch):
+        def forbidden(self, *args):
+            raise AssertionError("a driver consulted evaluation scaffolding")
+
+        monkeypatch.setattr(Environment, "oracle_solution", forbidden)
+        monkeypatch.setattr(Environment, "true_revenue", forbidden)
+
+    INST = generate_instance("uniform", 6, 3, seed=8)
+
+    @pytest.mark.parametrize("name", ["naive", "reduced", "reg", "adaptive"])
+    def test_sar_mnl(self, name):
+        env = Environment(self.INST, fork_stream(92, 0))
+        if name == "adaptive":
+            rough = est_rough(env, 0.05, DESK_TUNING)
+            estimator = partial(est_adaptive, rough=rough, tuning=DESK_TUNING)
+        else:
+            fn = {"naive": est_naive, "reduced": est_reduced, "reg": est_reg}[name]
+            estimator = partial(fn, tuning=DESK_TUNING)
+        assert sar_mnl(env, 0.1, estimator).phases
+
+    def test_wrappers(self):
+        assert pac_exact(Environment(self.INST, fork_stream(92, 1)), 0.1, DESK_TUNING).phases
+        env = Environment(self.INST, fork_stream(92, 2))
+        assert pac_eps(env, 0.1, 0.1, DESK_TUNING).phases
+        env = Environment(self.INST, fork_stream(92, 3), horizon=20_000)
+        assert regret_min(env, 20_000, DESK_TUNING).phases
 
 
 def _reference_instances():
@@ -527,6 +566,10 @@ class TestUniformRandomRegret:
 
 class TestRunResult:
     def test_defaults(self):
-        res = RunResult(assortment=(1,), steps=5, phases=(), success=True)
+        res = RunResult(assortment=(1,), phases=())
         assert not res.aborted and not res.horizon_hit
-        assert res.final_regret is None
+
+    def test_holds_only_decisions(self):
+        # steps and regret are the ledger's, success the caller's to grade
+        names = [f.name for f in dataclasses.fields(RunResult)]
+        assert names == ["assortment", "phases", "aborted", "horizon_hit"]

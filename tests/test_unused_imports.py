@@ -1,0 +1,82 @@
+"""No module of the package binds an import it never uses.
+
+No linter is a test dependency, so this walks each module's syntax tree with
+the standard library's `ast`.  An imported name counts as used when the
+module reads it, lists it in ``__all__``, or names it inside a string
+annotation; an import marked ``# noqa: F401`` is kept for its side effect.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mnlbandit"
+
+
+def _imports(tree, lines):
+    """``(name, line)`` of every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            # `import a.b` binds `a`; `from m import x as y` binds `y`
+            yield (alias.asname or alias.name.split(".")[0]), node.lineno
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree):
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parsed = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def unused_imports(source):
+    """``(name, line)`` of each import in ``source`` that nothing uses."""
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return [(name, line) for name, line in _imports(tree, source.splitlines())
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_what_it_should():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json  # noqa: F401\n"
+        "from dataclasses import dataclass, replace\n"
+        "from typing import Dict, List\n"
+        "from .model import Instance\n"
+        "__all__ = ['List']\n"
+        "CACHE: 'Dict[Instance, int]' = {}\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+    )
+    assert unused_imports(source) == [("os", 2), ("replace", 4)]
