@@ -31,6 +31,7 @@ capacity — asserted.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Tuple
@@ -73,7 +74,7 @@ Completion = Callable[[int, EstimateSet, Assortment, int], Optional[Assortment]]
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Snapshot of one accept-reject phase (inputs and decisions)."""
+    """One accept-reject phase: its inputs, its decisions and its estimate."""
 
     k: int
     a_set: Assortment
@@ -86,7 +87,7 @@ class PhaseState:
     b_acc: Assortment
     b_rej: Assortment
     steps: int
-    max_width: float
+    est: EstimateSet
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,21 @@ def accept_reject(
     return tuple(sorted(acc)), tuple(sorted(rej)), alpha, beta
 
 
+def _check_delta(delta: float, n: int, share: float = 1.0) -> None:
+    """Refuse a ``delta`` outside (0, 1), or one whose smallest split is below
+    the smallest normal float, where ``log(2 / delta)`` overflows: `sar_mnl`
+    gets ``share * delta``, its phase ``k`` divides that by ``3 k^2`` and an
+    estimator by at most ``17 n``."""
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
+    smallest = sys.float_info.min * (3 * PHASE_CAP**2 * 17 * n) / share
+    if delta < smallest:
+        raise ValueError(
+            f"delta {delta!r} is too small to split for n = {n} items: "
+            f"the smallest delta accepted is {smallest!r}"
+        )
+
+
 def sar_mnl(
     env: Environment,
     delta: float,
@@ -151,8 +167,7 @@ def sar_mnl(
     the pinned set so far; the cut-off phase is not recorded.  Exceeding
     `PHASE_CAP` aborts with ``aborted=True`` and the pinned set so far.
     """
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+    _check_delta(delta, env.n)
     a: Tuple[int, ...] = ()
     b: Tuple[int, ...] = tuple(range(1, env.n + 1))
     phases: List[PhaseState] = []
@@ -187,7 +202,7 @@ def sar_mnl(
                 b_acc=b_acc,
                 b_rej=b_rej,
                 steps=env.ledger.steps - phase_start,
-                max_width=est.max_width(),
+                est=est,
             )
         )
         a = tuple(sorted(a + b_acc))
@@ -201,6 +216,15 @@ def sar_mnl(
     return RunResult(assortment=a, phases=tuple(phases), aborted=aborted, horizon_hit=horizon_hit)
 
 
+def _pac(
+    env: Environment, delta: float, tuning: Tuning, complete: Optional[Completion] = None
+) -> RunResult:
+    """`pac_exact`'s body; `pac_eps` passes its completion hook."""
+    _check_delta(delta, env.n, share=0.5)
+    rough = est_rough(env, delta / 2.0, tuning)
+    return sar_mnl(env, delta / 2.0, partial(est_adaptive, rough=rough, tuning=tuning), complete)
+
+
 def pac_exact(
     env: Environment, delta: float, tuning: Tuning = PAPER_TUNING
 ) -> RunResult:
@@ -210,10 +234,7 @@ def pac_exact(
     the adaptive estimator's layer assignment) and ``delta / 2`` on the
     accept-reject loop with the adaptive estimator.
     """
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    rough = est_rough(env, delta / 2.0, tuning)
-    return sar_mnl(env, delta / 2.0, partial(est_adaptive, rough=rough, tuning=tuning))
+    return _pac(env, delta, tuning)
 
 
 def pac_eps(
@@ -228,9 +249,6 @@ def pac_eps(
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    rough = est_rough(env, delta / 2.0, tuning)
 
     def complete(k: int, est: EstimateSet, b: Assortment, m: int) -> Optional[Assortment]:
         if 2.0 ** (-(k - 1)) > eps / 3.0:
@@ -239,8 +257,7 @@ def pac_eps(
         s, _ = fractional_optimum([est.nu_hi[i] for i in b], r, est.zeta_hi, m)
         return tuple(b[j] for j in s)
 
-    estimator = partial(est_adaptive, rough=rough, tuning=tuning)
-    return sar_mnl(env, delta / 2.0, estimator, complete=complete)
+    return _pac(env, delta, tuning, complete)
 
 
 def regret_min(

@@ -45,7 +45,7 @@ at interactive runtimes, and is what the statistical acceptance checks run
 under.  It does not keep every interval valid at one confidence level:
 ``ci_scale`` shrinks both radii's ``log(2/delta)``, but only the weight
 radius carries the factor 48, so at ``ci_scale = 0.02`` the weight radius is
-about 3 sigma and the stop-reward radius about 0.6 sigma (ROADMAP item 2).
+about 3 sigma and the stop-reward radius about 0.6 sigma.
 """
 
 from __future__ import annotations
@@ -102,8 +102,10 @@ PAPER_TUNING = Tuning()
 #: Desk-scale profile used by the statistical acceptance checks; see module
 #: docstring.  Calibrated so that interval widths cross the phase targets
 #: around phases 4-7 for gaps in [0.0125, 0.05] (the same regime the exact
-#: constants produce, at ~10^-5 of the cost).  Its stop-reward interval missed
-#: the truth in 278 of 728 phases with a pinned set (ROADMAP item 2).
+#: constants produce, at ~10^-5 of the cost).  In `pac_exact` runs at
+#: ``delta = 0.1`` on uniform n = 8, k = 3 instances (generator seeds 0-19, 25
+#: replications each), its stop-reward interval missed the truth in 293 of the
+#: 728 phases with a pinned set.
 DESK_TUNING = Tuning(tau_scale=2e-6, rough_tau_scale=0.02, ci_scale=0.02)
 
 
@@ -265,7 +267,8 @@ class EstimateSet:
     ``items`` are the pending items scored; ``nu_lo/nu_hi`` may cover more
     items than ``items`` (procedures that also estimate pinned items).  All
     interval pairs are ordered; weights and revenues lie in [0, 1]; scores
-    lie in [-1, 1].
+    lie in [-1, 1].  A run keeps each phase's estimate as ``PhaseState.est``,
+    so ``epochs`` and every interval end are read through ``res.phases``.
     """
 
     items: Assortment

@@ -70,7 +70,7 @@ def pac_eps(
                     b_acc=sol.s_star,
                     b_rej=(),
                     steps=env.ledger.steps - phase_start,
-                    max_width=est.max_width(),
+                    est=est,
                 )
             )
             aborted = False
@@ -90,7 +90,7 @@ def pac_eps(
                 b_acc=b_acc,
                 b_rej=b_rej,
                 steps=env.ledger.steps - phase_start,
-                max_width=est.max_width(),
+                est=est,
             )
         )
         a = tuple(sorted(a + b_acc))
@@ -152,7 +152,7 @@ def regret_min(
                     b_acc=b_acc,
                     b_rej=b_rej,
                     steps=env.ledger.steps - phase_start,
-                    max_width=est.max_width(),
+                    est=est,
                 )
             )
             a = tuple(sorted(a + b_acc))

@@ -15,8 +15,8 @@ compares a fresh run with all of it.
 
 The CLI's outputs show an interval only where it flips a decision, so
 ``tests/golden/intervals.json`` also pins, for a few seeded many-small
-replications, each phase's ``max_width`` and its ``ci_theta`` ends
-(`phase_intervals`).
+replications, each phase's ``max_width`` and its ``ci_theta`` ends, read
+from the phase records of the run's result (`phase_intervals`).
 
 A change that alters outputs by design regenerates them, at
 ``MNL_THREADS=1``, with::
@@ -33,7 +33,6 @@ import shlex
 import shutil
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 
@@ -113,23 +112,21 @@ def first_difference(want, got):
 
 def phase_intervals():
     """Per phase of the first replications of the many-small case's ``run``
-    (``pac`` at ``--delta 0.1 --tuning desk --seed 1000``): ``max_width`` and
-    the ``ci_theta`` ends ``[theta_lo, theta_hi]``, each as its ``repr``."""
+    (``pac`` at ``--delta 0.1 --tuning desk --seed 1000``), read from the
+    run's phase records: ``max_width`` and the ``ci_theta`` ends
+    ``[theta_lo, theta_hi]``, each as its ``repr``."""
     inst = generate_instance("uniform", 8, 3, seed=7)
-    estimate = driver.est_adaptive
     replications = []
     for rep in range(5):
-        ends = []
-
-        def recording(*args, **kwargs):
-            est = estimate(*args, **kwargs)
-            ends.append([repr(est.theta_lo), repr(est.theta_hi)])
-            return est
-
-        with mock.patch.object(driver, "est_adaptive", recording):
-            res = driver.pac_exact(Environment(inst, fork_stream(1000, rep)), 0.1, DESK_TUNING)
+        res = driver.pac_exact(Environment(inst, fork_stream(1000, rep)), 0.1, DESK_TUNING)
         replications.append(
-            [{"max_width": repr(p.max_width), "theta": t} for p, t in zip(res.phases, ends)]
+            [
+                {
+                    "max_width": repr(p.est.max_width()),
+                    "theta": [repr(p.est.theta_lo), repr(p.est.theta_hi)],
+                }
+                for p in res.phases
+            ]
         )
     return {"case": "many-small", "replications": replications}
 

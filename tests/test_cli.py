@@ -264,6 +264,22 @@ class TestRunValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: delta must lie in (0, 1)")
 
+    @pytest.mark.parametrize("delta", ["5e-324", "1e-304"])
+    def test_pac_delta_too_small_to_split(self, tmp_path, capsys, monkeypatch, delta):
+        # 5e-324 halves to 0; 1e-304 splits below 1e-308 by phase 4, where 2 / delta overflows
+        monkeypatch.setenv("MNL_THREADS", "1")
+        out = tmp_path / "r.csv"
+        assert run_cli(
+            "run", "--family", "uniform", "--n", "8", "--k", "3", "--gen-seed", "7",
+            "--mode", "pac", "--tuning", "desk", "--delta", delta, "--seed", "1",
+            "--out", str(out),
+        ) == 2
+        assert capsys.readouterr().err == (
+            f"error: delta {delta} is too small to split for n = 8 items: "
+            "the smallest delta accepted is 6.536376966750755e-302\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -1,6 +1,9 @@
 """Tests for the accept-reject drivers."""
 
 import dataclasses
+import math
+import re
+import sys
 from functools import partial
 
 import numpy as np
@@ -134,7 +137,7 @@ class TestSarMnl:
         assert p.k == 1 and p.eps_k == 0.5
         np.testing.assert_allclose(p.delta_k, 0.1 / 3.0, rtol=1e-15)
         assert p.m == 3 and p.a_set == () and p.b_set == (1, 2, 3, 4, 5, 6)
-        assert p.max_width == 0.0
+        assert p.est.max_width() == 0.0
 
     def test_phase_trace_schedule_and_monotone_sets(self):
         inst = generate_instance("uniform", 5, 2, seed=3)
@@ -160,7 +163,29 @@ class TestSarMnl:
         assert env.ledger.steps == sum(p.steps for p in res.phases)
         wide = res.phases[0]
         assert wide.b_acc == () and wide.b_rej == ()
-        assert wide.max_width == 2.0
+        assert wide.est.max_width() == 2.0
+
+    def test_each_phase_keeps_the_estimators_own_object(self):
+        scores = [
+            {1: (0.5, 0.6), 2: (-0.1, 0.4), 3: (-0.3, -0.1), 4: (-0.3, -0.2)},
+            {2: (0.1, 0.2)},
+        ]
+        returned = []
+
+        def scripted(env, a, b, delta_k, eps):
+            returned.append(make_est(b, scores[len(returned)]))
+            return returned[-1]
+
+        env = Environment(generate_instance("uniform", 4, 2, seed=5), fork_stream(1, 0))
+        res = sar_mnl(env, 0.1, scripted)
+        ranked, plain = res.phases
+        assert ranked.alpha is not None and ranked.b_set == (1, 2, 3, 4)
+        assert plain.alpha is None and plain.b_set == (2,)  # sign rules only
+        assert res.assortment == (1, 2)
+        assert len(returned) == 2
+        for p, est in zip(res.phases, returned):
+            assert p.est is est
+            assert p.est.items == p.b_set
 
     def test_empty_answer_is_legal(self):
         inst = Instance(n=3, k=2, r=[0.0, 0.0, 0.0], v=[0.5, 0.5, 0.5])
@@ -297,6 +322,22 @@ class TestPacEps:
         # any assortment is within 0.99 of optimal
         assert env.oracle_solution().theta_star - revenue(inst, res.assortment) <= 0.99
 
+    def test_completion_phase_keeps_the_estimators_own_object(self, monkeypatch):
+        returned = []
+
+        def wide(env, a, b, delta_k, eps, rough, tuning):
+            returned.append(make_est(b, {i: (-1.0, 1.0) for i in b}))
+            return returned[-1]
+
+        monkeypatch.setattr(driver, "est_adaptive", wide)
+        env = Environment(generate_instance("uniform", 5, 2, seed=3), fork_stream(1, 0))
+        res = pac_eps(env, 0.1, 0.99, DESK_TUNING)  # phase 3 completes
+        assert [p.k for p in res.phases] == [1, 2, 3] and len(returned) == 3
+        assert res.phases[-1].b_rej == () and res.phases[-1].alpha is None
+        for p, est in zip(res.phases, returned):
+            assert p.est is est
+            assert p.est.items == p.b_set
+
     def test_tight_eps_forces_exact_identification(self):
         # eps below the smallest positive gap: only S* itself can succeed.
         inst = generate_instance("uniform", 6, 3, seed=8)
@@ -320,6 +361,50 @@ class TestPacEps:
             pac_exact(env2, 0.1, DESK_TUNING)
             exact_steps.append(env2.ledger.steps)
         assert np.median(eps_steps) < 0.5 * np.median(exact_steps)
+
+
+class TestDeltaFloor:
+    """A delta whose smallest split would underflow is refused before any step,
+    with a message naming the smallest delta accepted."""
+
+    INST = generate_instance("uniform", 8, 3, seed=7)
+
+    @staticmethod
+    def _drivers(env):
+        return {
+            "pac_exact": lambda d: pac_exact(env, d, DESK_TUNING),
+            "pac_eps": lambda d: pac_eps(env, d, 0.1, DESK_TUNING),
+            "sar_mnl": lambda d: sar_mnl(env, d, partial(est_naive, tuning=DESK_TUNING)),
+        }
+
+    @staticmethod
+    def _smallest(run, delta):
+        message = rf"delta {re.escape(repr(delta))} is too small to split for n = 8 items: "
+        with pytest.raises(ValueError, match=message + "the smallest delta accepted is ") as info:
+            run(delta)
+        return float(str(info.value).rsplit(" ", 1)[1])
+
+    @pytest.mark.parametrize("name", ["pac_exact", "pac_eps", "sar_mnl"])
+    @pytest.mark.parametrize("delta", [5e-324, 1e-304])
+    def test_refused_before_any_step(self, name, delta):
+        env = Environment(self.INST, fork_stream(1, 0))
+        smallest = self._smallest(self._drivers(env)[name], delta)
+        # sar_mnl splits all of delta; the PAC drivers hand it half
+        share = 1.0 if name == "sar_mnl" else 0.5
+        assert smallest == sys.float_info.min * (3 * PHASE_CAP**2 * 17 * 8) / share
+        assert env.ledger.steps == 0
+
+    @pytest.mark.parametrize("name", ["pac_exact", "pac_eps", "sar_mnl"])
+    def test_smallest_delta_runs_at_the_deepest_split(self, monkeypatch, name):
+        # With one phase allowed, phase 1 is the last, so the run splits delta
+        # as finely as the floor allows.
+        monkeypatch.setattr(driver, "PHASE_CAP", 1)
+        env = Environment(self.INST, fork_stream(1, 0))
+        smallest = self._smallest(self._drivers(env)[name], 5e-324)
+        self._smallest(self._drivers(env)[name], math.nextafter(smallest, 0.0))
+        assert env.ledger.steps == 0
+        assert len(self._drivers(env)[name](smallest).phases) == 1
+        assert env.ledger.steps > 0
 
 
 class TestRegretMin:
