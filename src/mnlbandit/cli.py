@@ -73,7 +73,8 @@ CSV_COLUMNS = (
 )
 RESULTS_FORMAT = "mnlbandit-results-v1"
 
-#: The largest ``--horizon``: the epoch sampler draws step counts as numpy ``int64``.
+#: The largest ``--horizon``, a chosen cap keeping ``delta = 1 / horizon`` far above
+#: `driver._check_delta`'s floor; exploiting ``S*`` then adds exactly 0 regret.
 MAX_HORIZON = 2**63 - 1
 
 #: Seconds a worker pool costs before it saves any: importing

@@ -31,7 +31,6 @@ capacity — asserted.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Tuple
@@ -41,6 +40,7 @@ from .estimators import (
     EstimateSet,
     PAPER_TUNING,
     Tuning,
+    _split_delta,
     est_adaptive,
     est_reg,
     est_rough,
@@ -136,18 +136,9 @@ def accept_reject(
 
 
 def _check_delta(delta: float, n: int, share: float = 1.0) -> None:
-    """Refuse a ``delta`` outside (0, 1), or one whose smallest split is below
-    the smallest normal float, where ``log(2 / delta)`` overflows: `sar_mnl`
-    gets ``share * delta``, its phase ``k`` divides that by ``3 k^2`` and an
-    estimator by at most ``17 n``."""
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    smallest = sys.float_info.min * (3 * PHASE_CAP**2 * 17 * n) / share
-    if delta < smallest:
-        raise ValueError(
-            f"delta {delta!r} is too small to split for n = {n} items: "
-            f"the smallest delta accepted is {smallest!r}"
-        )
+    """Refuse a ``delta`` whose smallest split `_split_delta` refuses: `sar_mnl` gets
+    ``share * delta``, phase ``k`` divides it by ``3 k^2`` and an estimator by ``<= 17 n``."""
+    _split_delta(delta, 3 * PHASE_CAP**2 * 17 / share, n)
 
 
 def sar_mnl(

@@ -48,7 +48,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .model import Assortment, Instance, revenue, validate_assortment
+from .model import Assortment, Instance, _idx, _revenue_at, revenue, validate_assortment
 from .oracle import OptimumSolution, exact_optimum
 
 __all__ = [
@@ -129,9 +129,11 @@ class RegretLedger:
 
     ``steps`` is a Python int, so it stays exact at any count.
     ``cum_regret`` accumulates ``theta_star - R(S_t, v)`` per step (pseudo
-    regret — deterministic given the offered sets), is nondecreasing and
-    never exceeds ``theta_star * steps``.  ``_segments`` holds the per-step
-    regret as ``[regret, steps]`` runs, from which ``curve`` expands.
+    regret — deterministic given the offered sets) and never exceeds
+    ``theta_star * steps``.  It is nondecreasing: ``S*`` costs exactly 0 and
+    any other ``S`` costs ``theta_star - R(S) >= 0``, unless ``R(S)`` ties
+    ``theta_star`` within one ulp.  ``_segments`` holds the per-step regret
+    as ``[regret, steps]`` runs, from which ``curve`` expands.
     """
 
     steps: int = 0
@@ -377,19 +379,16 @@ class _Plan:
     def build(
         cls, inst: Instance, solution: OptimumSolution, ts: Assortment, tz: Assortment
     ) -> "_Plan":
-        v_z = inst.v[np.asarray(tz, dtype=int) - 1] if tz else np.zeros(0)
-        v_s = inst.v[np.asarray(ts, dtype=int) - 1] if ts else np.zeros(0)
-        stop_weights = np.concatenate(([1.0], v_z))  # no-purchase, then Z
-        stop_rewards = np.concatenate(
-            ([0.0], inst.r[np.asarray(tz, dtype=int) - 1] if tz else np.zeros(0))
-        )
+        ix_z, ix_s = _idx(tz), _idx(ts)
+        stop_weights = np.concatenate(([1.0], inst.v[ix_z]))  # no-purchase, then Z
+        v_s = inst.v[ix_s]
         q = float(stop_weights.sum() / (stop_weights.sum() + v_s.sum()))
         stops = _Split.of(stop_weights)
         return cls(
             tracked=ts,
-            regret=solution.theta_star - revenue(inst, tuple(sorted(set(ts) | set(tz)))),
+            regret=solution.theta_star - _revenue_at(inst, np.sort(np.concatenate((ix_z, ix_s)))),
             q=q,
             items=_Split.of(v_s),
             stops=None if stops.only == 0 else stops,
-            stop_rewards=stop_rewards,
+            stop_rewards=np.concatenate(([0.0], inst.r[ix_z])),
         )

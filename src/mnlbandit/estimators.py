@@ -51,6 +51,7 @@ about 3 sigma and the stop-reward radius about 0.6 sigma.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -107,6 +108,19 @@ PAPER_TUNING = Tuning()
 #: replications each), its stop-reward interval missed the truth in 293 of the
 #: 728 phases with a pinned set.
 DESK_TUNING = Tuning(tau_scale=2e-6, rough_tau_scale=0.02, ci_scale=0.02)
+
+
+def _split_delta(delta0: float, divisor: float, n: int) -> float:
+    """``delta0 / (divisor n)``, refusing a ``delta0`` outside (0, 1) or one
+    that splits below the smallest normal float, where ``log(2 / delta)``
+    overflows."""
+    if not (0.0 < delta0 < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
+    smallest = sys.float_info.min * divisor * n
+    if delta0 < smallest:
+        raise ValueError(f"delta {delta0!r} is too small to split for n = {n} items: "
+                         f"the smallest delta accepted is {smallest!r}")
+    return delta0 / (divisor * n)
 
 
 def _log_term(delta: float) -> float:
@@ -349,7 +363,7 @@ def _estimate(
     ``ta ∪ tb`` and bounds the revenue at capacity ``min(k, |a| + |b|)``.
     Scores are returned for the pending items ``tb``.
     """
-    delta = delta0 / (divisor * env.n)
+    delta = _split_delta(delta0, divisor, env.n)
     tau = _refinement_tau(delta, eps, tuning)
     if reduced:
         stop, weighed = ta, tb
@@ -424,7 +438,7 @@ def est_rough(
     ``[v_i, max(2 v_i, 1/k)]`` — exactly the quality the adaptive
     estimator's layer assignment needs.
     """
-    delta = delta0 / (17.0 * env.n)
+    delta = _split_delta(delta0, 17.0, env.n)
     tau = _rough_tau(delta, env.k, tuning)
     big_l = _confidence(delta, tuning)
     state = ExploreState(z_stop=())  # its per-item counters keep items apart

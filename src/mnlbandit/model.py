@@ -108,11 +108,12 @@ def _idx(s: Assortment) -> np.ndarray:
     return np.asarray(s, dtype=int) - 1
 
 
+def _revenue_at(inst: Instance, ix: np.ndarray) -> float:
+    """Revenue of the 0-based ascending positions ``ix``: the one whole-set pricing."""
+    v = inst.v[ix]
+    return float((v * inst.r[ix]).sum() / (1.0 + v.sum()))
+
+
 def revenue(inst: Instance, s: Iterable[int]) -> float:
     """Expected revenue ``R(s, v)`` of offering ``s``; 0 for the empty set."""
-    t = validate_assortment(s, inst.n)
-    if not t:
-        return 0.0
-    ix = _idx(t)
-    w = inst.v[ix]
-    return float(np.dot(w, inst.r[ix]) / (1.0 + w.sum()))
+    return _revenue_at(inst, _idx(validate_assortment(s, inst.n)))

@@ -34,7 +34,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .model import Assortment, Instance
+from .model import Assortment, Instance, _revenue_at
 
 __all__ = [
     "OptimumSolution",
@@ -55,9 +55,8 @@ BRUTE_FORCE_MAX_N = 24
 class OptimumSolution:
     """An optimal assortment together with its revenue.
 
-    Invariant: ``theta_star`` equals the revenue of ``s_star`` under the
-    problem it was solved for (within 1e-9); the solvers recompute the
-    revenue from the selected set, so the identity is exact up to rounding.
+    Invariant: ``theta_star`` is the revenue of ``s_star`` recomputed from the set;
+    ``exact_optimum``'s equals ``model.revenue(inst, s_star)`` exactly.
     """
 
     s_star: Assortment
@@ -90,12 +89,6 @@ def _solve(
         if not value > theta:
             return s
         theta = value
-
-
-def _revenue(inst: Instance, ix: np.ndarray) -> float:
-    """Revenue of the 0-based ascending positions ``ix``, rounded exactly as
-    ``brute_force_optimum`` rounds it."""
-    return float((inst.v * inst.r)[ix].sum() / (1.0 + inst.v[ix].sum()))
 
 
 def fractional_optimum(
@@ -182,7 +175,7 @@ def exact_optimum(inst: Instance) -> OptimumSolution:
     pick such a set instead, at the same revenue.
     """
     s = _solve(inst.v, inst.r, 0.0, inst.k)
-    return OptimumSolution(s_star=tuple(int(j) + 1 for j in s), theta_star=_revenue(inst, s))
+    return OptimumSolution(s_star=tuple(int(j) + 1 for j in s), theta_star=_revenue_at(inst, s))
 
 
 def suboptimality_gaps(inst: Instance) -> Dict[int, float]:
@@ -202,7 +195,7 @@ def suboptimality_gaps(inst: Instance) -> Dict[int, float]:
     """
     v, r, k = inst.v, inst.r, inst.k
     star = _solve(v, r, 0.0, k)
-    theta = _revenue(inst, star)
+    theta = _revenue_at(inst, star)
     gaps: Dict[int, float] = {}
     for i in range(inst.n):
         rest = np.delete(np.arange(inst.n), i)
@@ -212,7 +205,7 @@ def suboptimality_gaps(inst: Instance) -> Dict[int, float]:
             w = 1.0 + v[i]
             s = rest[_solve(v[rest] / w, r[rest], v[i] * r[i] / w, k - 1)]
             s = np.sort(np.append(s, i))
-        gaps[i + 1] = float(theta - _revenue(inst, s))
+        gaps[i + 1] = theta - _revenue_at(inst, s)
     return gaps
 
 

@@ -450,6 +450,18 @@ class TestRegretMin:
         curve = env.ledger.curve()
         np.testing.assert_allclose(curve[identified_at - 1], curve[-1], rtol=0, atol=0)
 
+    def test_exploiting_the_optimum_at_the_largest_horizon_costs_exactly_zero(self):
+        # The README's regret instance at the CLI's largest horizon: no
+        # segment is charged a negative regret, and the ~9.2e18 steps of S*
+        # that end the run add exactly nothing.
+        inst = generate_instance("uniform", 10, 4, seed=14618)
+        horizon = 2**63 - 1
+        env = Environment(inst, fork_stream(99, 0), horizon=horizon)
+        res = regret_min(env, horizon, DESK_TUNING)
+        assert res.assortment == env.oracle_solution().s_star
+        assert all(regret >= 0.0 for regret, _ in env.ledger._segments)
+        assert env.ledger._segments[-1][0] == 0.0
+
     def test_horizon_hit_mid_estimation(self):
         inst = generate_instance("uniform", 4, 2, seed=5)
         env = Environment(inst, fork_stream(86, 0), horizon=10)

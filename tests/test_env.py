@@ -178,6 +178,18 @@ class TestAdvance:
         )
         assert env.ledger.steps == 1000
 
+    def test_exploiting_the_optimum_costs_exactly_zero(self):
+        # The optimum and the regret of an offered set are priced alike, so
+        # even 2**62 steps of S* add nothing, on every seeded instance.
+        rng = np.random.default_rng(28)
+        for rep in range(300):
+            n = int(rng.integers(1, 11))
+            k = int(rng.integers(1, n + 1))
+            inst = Instance(n=n, k=k, r=rng.uniform(0, 1, n), v=rng.uniform(0, 1, n))
+            env = Environment(inst, fork_stream(5, rep))
+            env.advance(env.oracle_solution().s_star, 2**62)
+            assert env.ledger.cum_regret == 0.0
+
     def test_step_count_stays_exact_past_int64(self):
         env = make_env(seed=5)
         env.advance((1,), 2**63)

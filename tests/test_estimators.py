@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -115,6 +117,49 @@ class TestSchedules:
             _refinement_tau(0.1, 0.0, PAPER_TUNING)
         with pytest.raises(ValueError):
             _refinement_tau(0.1, 1.5, PAPER_TUNING)
+
+
+class TestDeltaFloor:
+    """A public estimator refuses a delta whose split would fall below the
+    smallest normal float before any step, naming delta and n."""
+
+    INST = generate_instance("uniform", 8, 3, seed=7)
+
+    @staticmethod
+    def _calls(env):
+        # (estimator, its delta divisor)
+        return {
+            "est_rough": (lambda d: est_rough(env, d, DESK_TUNING), 17),
+            "est_naive": (lambda d: est_naive(env, (), (1, 2), d, 0.5, DESK_TUNING), 15),
+        }
+
+    @pytest.mark.parametrize("name", ["est_rough", "est_naive"])
+    @pytest.mark.parametrize("delta", [1e-307, sys.float_info.min, 5e-324])
+    def test_refused_before_any_step(self, name, delta):
+        env = make_env(self.INST, seed=1)
+        call, divisor = self._calls(env)[name]
+        smallest = sys.float_info.min * divisor * 8
+        message = (
+            rf"delta {re.escape(repr(delta))} is too small to split for n = 8 items: "
+            rf"the smallest delta accepted is {re.escape(repr(smallest))}$"
+        )
+        with pytest.raises(ValueError, match=message):
+            call(delta)
+        assert env.ledger.steps == 0
+
+    @pytest.mark.parametrize("name", ["est_rough", "est_naive"])
+    def test_the_smallest_delta_accepted_runs(self, name):
+        env = make_env(self.INST, seed=1)
+        call, divisor = self._calls(env)[name]
+        call(sys.float_info.min * divisor * 8)
+        assert env.ledger.steps > 0
+
+    @pytest.mark.parametrize("name", ["est_rough", "est_naive"])
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1])
+    def test_outside_the_unit_interval_refused(self, name, delta):
+        env = make_env(self.INST, seed=1)
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            self._calls(env)[name][0](delta)
 
 
 class TestExploreState:

@@ -170,7 +170,9 @@ class TestExactOptimum:
         rng = np.random.default_rng(28)
         for _ in range(2000):
             inst = random_instance(rng, n_max=10)
-            assert exact_optimum(inst) == brute_force_optimum(inst)
+            opt = exact_optimum(inst)
+            assert opt == brute_force_optimum(inst)
+            assert opt.theta_star == revenue(inst, opt.s_star)
             assert revenue_margin(inst) == enumerated_margin(inst)
             assert suboptimality_gaps(inst) == enumerated_gaps(inst)
 

@@ -1,4 +1,4 @@
-"""No module of the package binds an import it never uses.
+"""No module of the package or of its tests binds an import it never uses.
 
 No linter is a test dependency, so this walks each module's syntax tree with
 the standard library's `ast`.  An imported name counts as used when the
@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mnlbandit"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "mnlbandit"
 
 
 def _imports(tree, lines):
@@ -60,7 +61,11 @@ def unused_imports(source):
             if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}",
+)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
