@@ -11,7 +11,10 @@ Layers, bottom to top:
 * `mnlbandit.instances`  — instance families and the text file format;
 * `mnlbandit.cli`        — the ``mnlbandit`` benchmark command.
 
-The package exports the names the README's module table lists.
+The package exports each layer's entry points: instances, the oracle, the
+simulator, the estimators and the drivers.  The building blocks under them
+(`C0`, `C2`, `PHASE_CAP`, `PhaseState`, `accept_reject`, the interval
+functions and others) are imported from their modules.
 """
 
 __version__ = "0.1.0"

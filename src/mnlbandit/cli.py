@@ -29,12 +29,12 @@ import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .driver import pac_eps, pac_exact, regret_min, sar_mnl
+from .driver import RunResult, pac_eps, pac_exact, regret_min, sar_mnl
 from .env import RNG_ALGORITHM_ID, Environment, fork_stream, generator_digest
 from .estimators import (
     C0,
@@ -272,16 +272,15 @@ def _resolve_instance(args) -> Tuple[Instance, Dict[str, str]]:
 
 @dataclass(frozen=True)
 class RunJob:
-    """Everything a replication needs besides its index."""
+    """Everything a replication needs besides its index: ``drive`` is the
+    mode's driver with all but the environment bound; ``eps`` grades a
+    ``pac-eps`` run, and ``horizon`` budgets a ``regret`` run's environment."""
 
     inst: Instance
-    mode: str
     master_seed: int
-    delta: float
+    drive: Callable[[Environment], RunResult]
     eps: Optional[float]
     horizon: Optional[int]
-    estimator: str
-    tuning: Tuning
     curve_rep: Optional[int]  # the replication whose regret curve is kept
 
 
@@ -293,23 +292,11 @@ def _replicate(job: RunJob, rep: int) -> Outcome:
     """Run one replication on a fresh environment and grade it: its steps and
     regret are the environment's ledger, its success an exact match with the
     optimum (a revenue shortfall of at most ``eps`` for ``pac-eps``)."""
-    tuning = job.tuning
     rng = fork_stream(job.master_seed, rep)
-    env = Environment(job.inst, rng, horizon=job.horizon if job.mode == "regret" else None)
-
-    if job.mode == "pac":
-        if job.estimator == "adaptive":
-            result = pac_exact(env, job.delta, tuning)
-        else:
-            fn = {"naive": est_naive, "reduced": est_reduced, "reg": est_reg}[job.estimator]
-            result = sar_mnl(env, job.delta, partial(fn, tuning=tuning))
-    elif job.mode == "pac-eps":
-        result = pac_eps(env, job.delta, job.eps, tuning)
-    else:  # regret
-        result = regret_min(env, job.horizon, tuning)
-
+    env = Environment(job.inst, rng, horizon=job.horizon)
+    result = job.drive(env)
     opt = env.oracle_solution()
-    if job.mode == "pac-eps":
+    if job.eps is not None:
         success = opt.theta_star - env.true_revenue(result.assortment) <= job.eps
     else:
         success = result.assortment == opt.s_star
@@ -325,7 +312,7 @@ def _replicate(job: RunJob, rep: int) -> Outcome:
         "success": "1" if success else "0",
         "set_size": str(len(result.assortment)),
         "phases": str(len(result.phases)),
-        "regret": repr(env.ledger.cum_regret) if job.mode == "regret" else "",
+        "regret": repr(env.ledger.cum_regret) if job.horizon is not None else "",
         "status": status,
     }
     curve = env.ledger.curve().tolist() if rep == job.curve_rep else None
@@ -443,27 +430,26 @@ def _cmd_run(args) -> int:
         for flag, value in inline.items():
             if value is not None:
                 raise UsageError(f"{flag} applies only to an inline instance (--family)")
+    tuning = _resolve_tuning(args)
+    estimator = args.estimator or ("reg" if args.mode == "regret" else "adaptive")
+    if args.mode == "regret":
+        drive = partial(regret_min, tuning=tuning)
+    elif args.mode == "pac-eps":
+        drive = partial(pac_eps, delta=args.delta, eps=args.eps, tuning=tuning)
+    elif estimator == "adaptive":
+        drive = partial(pac_exact, delta=args.delta, tuning=tuning)
+    else:
+        phase = {"naive": est_naive, "reduced": est_reduced, "reg": est_reg}[estimator]
+        drive = partial(sar_mnl, delta=args.delta, estimator=partial(phase, tuning=tuning))
     max_workers = _worker_count(args.reps)
     _import_numpy_random()
 
     inst, inst_meta = _resolve_instance(args)
-    tuning = _resolve_tuning(args)
-    estimator = args.estimator or ("reg" if args.mode == "regret" else "adaptive")
     for path in filter(None, (args.out, args.curve_out)):  # fail before replication 0
         folder = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(folder):
             raise FileNotFoundError(f"{path}: no such directory {folder!r}")
-    job = RunJob(
-        inst=inst,
-        mode=args.mode,
-        master_seed=args.seed,
-        delta=args.delta,
-        eps=args.eps,
-        horizon=args.horizon,
-        estimator=estimator,
-        tuning=tuning,
-        curve_rep=curve_rep,
-    )
+    job = RunJob(inst, args.seed, drive, args.eps, args.horizon, curve_rep)
 
     start = time.perf_counter()
     outcomes, workers = _run_replications(job, args.reps, max_workers)
@@ -475,12 +461,11 @@ def _cmd_run(args) -> int:
         for row, _ in outcomes:
             writer.writerow(row)
 
-    curve = next((c for _, c in outcomes if c is not None), None)
-    if args.curve_out is not None and curve is not None:
+    if args.curve_out is not None:
         with open(args.curve_out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["step", "cum_regret"])
-            for t, value in enumerate(curve, start=1):
+            for t, value in enumerate(outcomes[job.curve_rep][1], start=1):
                 writer.writerow([t, repr(float(value))])
 
     sidecar = {

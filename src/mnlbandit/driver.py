@@ -67,9 +67,9 @@ PHASE_CAP = 60
 #: (env, pinned, pending, delta_k, eps) -> EstimateSet.
 PhaseEstimator = Callable[[Environment, Assortment, Assortment, float, float], EstimateSet]
 
-#: A completion hook: (k, phase estimate, pending, residual capacity) -> the
-#: pending items to accept, ending the run, or None to go on.
-Completion = Callable[[int, EstimateSet, Assortment, int], Optional[Assortment]]
+#: A completion hook: (k, phase estimate, residual capacity) -> the pending
+#: items (``est.items``) to accept, ending the run, or None to go on.
+Completion = Callable[[int, EstimateSet, int], Optional[Assortment]]
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,10 @@ class RunResult:
 
 
 def accept_reject(
-    est: EstimateSet, b: Assortment, m: int
+    est: EstimateSet, m: int
 ) -> Tuple[Assortment, Assortment, Optional[float], Optional[float]]:
-    """Apply one phase's accept/reject rules to the pending set.
+    """Apply one phase's accept/reject rules to the items its estimate scored,
+    the pending set ``b = est.items``.
 
     Returns ``(accepted, rejected, alpha, beta)``; the rank thresholds are
     ``None`` when ``|b| <= m`` (no over-subscription, plain sign rules).
@@ -118,7 +119,7 @@ def accept_reject(
     """
     if m < 1:
         raise ValueError("residual capacity must be >= 1")
-    xi_lo, xi_hi = est.xi_lo, est.xi_hi
+    b, xi_lo, xi_hi = est.items, est.xi_lo, est.xi_hi
     acc = {i for i in b if xi_lo[i] > 0.0}
     rej = {i for i in b if xi_hi[i] < 0.0}
     alpha: Optional[float] = None
@@ -175,9 +176,9 @@ def sar_mnl(
         except HorizonExhausted:
             horizon_hit = True
             break
-        done = None if complete is None else complete(k, est, b, m)
+        done = None if complete is None else complete(k, est, m)
         if done is None:
-            b_acc, b_rej, alpha, beta = accept_reject(est, b, m)
+            b_acc, b_rej, alpha, beta = accept_reject(est, m)
         else:
             b_acc, b_rej, alpha, beta = done, (), None, None
         phases.append(
@@ -241,9 +242,10 @@ def pac_eps(
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
 
-    def complete(k: int, est: EstimateSet, b: Assortment, m: int) -> Optional[Assortment]:
+    def complete(k: int, est: EstimateSet, m: int) -> Optional[Assortment]:
         if 2.0 ** (-(k - 1)) > eps / 3.0:
             return None
+        b = est.items
         r = [float(env.rewards[i - 1]) for i in b]
         s, _ = fractional_optimum([est.nu_hi[i] for i in b], r, est.zeta_hi, m)
         return tuple(b[j] for j in s)
@@ -251,10 +253,9 @@ def pac_eps(
     return _pac(env, delta, tuning, complete)
 
 
-def regret_min(
-    env: Environment, horizon: int, tuning: Tuning = PAPER_TUNING
-) -> RunResult:
-    """Minimize cumulative pseudo-regret over exactly ``horizon`` steps.
+def regret_min(env: Environment, tuning: Tuning = PAPER_TUNING) -> RunResult:
+    """Minimize cumulative pseudo-regret over the environment's step budget,
+    ``horizon = env.horizon``, fixed at its construction.
 
     Runs the accept-reject loop with the full-assortment (regret) estimator
     at confidence ``delta = 1 / horizon``; if identification finishes early
@@ -262,12 +263,13 @@ def regret_min(
     If an estimator's batch does not fit in the remaining budget, the batch
     is charged the rest of it, its phase is discarded, and the pinned set so
     far is returned.  The run always consumes the budget exactly.  ``env``
-    must be fresh, with its step budget set to ``horizon`` at construction.
+    must be fresh: a budget and no step spent.
     """
+    horizon = env.horizon
+    if horizon is None or env.ledger.steps:
+        raise ValueError("regret runs require a fresh environment with a step budget")
     if horizon < max(env.n, 2):  # delta = 1 / horizon must lie below 1
         raise ValueError("horizon must be at least 2 and at least the number of items")
-    if env.horizon != horizon or env.ledger.steps:
-        raise ValueError("regret runs require a fresh environment whose budget is the horizon")
     res = sar_mnl(env, 1.0 / horizon, partial(est_reg, tuning=tuning))
     exploit = env.steps_remaining
     if exploit:

@@ -134,12 +134,17 @@ def _refinement_tau(delta: float, eps: float, tuning: Tuning) -> int:
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
     raw = tuning.tau_scale * C2 * C0 * _log_term(delta) / (eps * eps)
+    if not math.isfinite(raw):
+        raise OverflowError(f"tau_scale {tuning.tau_scale!r} overflows the epoch count")
     return max(1, math.ceil(raw))
 
 
 def _rough_tau(delta: float, k: int, tuning: Tuning) -> int:
     """``ceil(rough_tau_scale * 4 k C0 log(2/delta))``, at least 1."""
     raw = tuning.rough_tau_scale * 4.0 * k * C0 * _log_term(delta)
+    if not math.isfinite(raw):
+        raise OverflowError(
+            f"rough_tau_scale {tuning.rough_tau_scale!r} overflows the epoch count")
     return max(1, math.ceil(raw))
 
 

@@ -76,7 +76,7 @@ def pac_eps(
             aborted = False
             break
         est = est_adaptive(env, a, b, delta_k, eps_k / 2.0, rough, tuning)
-        b_acc, b_rej, alpha, beta = accept_reject(est, b, m)
+        b_acc, b_rej, alpha, beta = accept_reject(est, m)
         phases.append(
             PhaseState(
                 k=k,
@@ -138,7 +138,7 @@ def regret_min(
             delta_k = delta / (3.0 * k * k)
             phase_start = env.ledger.steps
             est = est_reg(env, a, b, delta_k, eps_k / 2.0, tuning)
-            b_acc, b_rej, alpha, beta = accept_reject(est, b, m)
+            b_acc, b_rej, alpha, beta = accept_reject(est, m)
             phases.append(
                 PhaseState(
                     k=k,

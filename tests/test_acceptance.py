@@ -315,7 +315,7 @@ def test_criterion_09_regret_behavior():
     regrets = []
     for rep in range(reps):
         env = Environment(inst, fork_stream(9100, rep), horizon=horizon)
-        regret_min(env, horizon, DESK_TUNING)
+        regret_min(env, DESK_TUNING)
         regrets.append(env.ledger.cum_regret)
     baseline = [
         uniform_random_regret(inst, horizon, fork_stream(9200, rep))
@@ -326,10 +326,10 @@ def test_criterion_09_regret_behavior():
     small, large = [], []
     for rep in range(reps):
         env = Environment(inst, fork_stream(9300, rep), horizon=20_000)
-        regret_min(env, 20_000, DESK_TUNING)
+        regret_min(env, DESK_TUNING)
         small.append(env.ledger.cum_regret)
         env = Environment(inst, fork_stream(9400, rep), horizon=80_000)
-        regret_min(env, 80_000, DESK_TUNING)
+        regret_min(env, DESK_TUNING)
         large.append(env.ledger.cum_regret)
     growth = float(np.median(large)) / float(np.median(small))
 

@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 import types
@@ -33,6 +34,24 @@ def tick_clock(step_s):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+#: One small instance run four ways: each mode, and the pac loop on a plain
+#: estimator; ``{curve}`` stands for a curve file's path.
+RUN_SHAPES = {
+    "pac": ("--mode", "pac"),
+    "pac-naive": ("--mode", "pac", "--estimator", "naive"),
+    "pac-eps": ("--mode", "pac-eps", "--eps", "0.1"),
+    "regret-curve": ("--mode", "regret", "--horizon", "2000", "--curve-out", "{curve}"),
+}
+
+
+def shape_argv(shape, tmp_path, out_name):
+    """``run`` argv of a `RUN_SHAPES` entry at desk tuning, two replications."""
+    flags = [flag.format(curve=tmp_path / f"{out_name}.curve") for flag in RUN_SHAPES[shape]]
+    return ["run", "--family", "uniform", "--n", "8", "--k", "3", "--gen-seed", "5",
+            "--tuning", "desk", "--seed", "3", "--reps", "2", *flags,
+            "--out", str(tmp_path / out_name)]
 
 
 class TestGen:
@@ -302,6 +321,29 @@ class TestRunValidation:
             assert err == ("error: --horizon 10000000000000000000 exceeds the limit "
                            "9223372036854775807\n")
             assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, mode",
+        [
+            ("--tau-scale", ("--mode", "pac")),
+            ("--rough-tau-scale", ("--mode", "pac")),
+            ("--rough-tau-scale", ("--mode", "pac-eps", "--eps", "0.1")),
+            ("--tau-scale", ("--mode", "regret", "--horizon", "20000")),
+        ],
+        ids=["pac-tau", "pac-rough-tau", "pac-eps-rough-tau", "regret-tau"],
+    )
+    def test_overflowing_schedule_multiplier_is_named(self, tmp_path, capsys, monkeypatch,
+                                                      flag, mode):
+        # the epoch count of a schedule scaled by 1e305 is past the largest float
+        monkeypatch.setenv("MNL_THREADS", "1")
+        out = tmp_path / "x.csv"
+        assert run_cli(
+            "run", "--family", "uniform", "--n", "8", "--k", "3", "--gen-seed", "5",
+            *mode, "--seed", "1", "--out", str(out), flag, "1e305",
+        ) == 2
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} 1e+305 overflows the epoch count\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_batch_past_the_draw_limit_names_the_limit(self, tmp_path, capsys, monkeypatch):
         # paper constants at gaps of 1e-9 ask one batch for about 1.3e19 epochs
@@ -619,6 +661,48 @@ class TestRunPac:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert len(read_rows(out)) == 8
+
+    @pytest.mark.parametrize("shape", sorted(RUN_SHAPES))
+    def test_job_survives_pickling(self, tmp_path, monkeypatch, shape):
+        # a spawn-start pool pickles the job to its workers; fork never does
+        jobs = []
+
+        def capture(job, reps, workers):
+            jobs.append(job)
+            return [cli._replicate(job, rep) for rep in range(reps)], 1
+
+        monkeypatch.setattr(cli, "_run_replications", capture)
+        assert run_cli(*shape_argv(shape, tmp_path, "r.csv")) == 0
+        (job,) = jobs
+        copy = pickle.loads(pickle.dumps(job))
+        outcomes = [cli._replicate(job, rep) for rep in (0, 1)]
+        assert [cli._replicate(copy, rep) for rep in (0, 1)] == outcomes
+        assert [curve is not None for _, curve in outcomes] == [shape == "regret-curve", False]
+
+    def test_replications_import_no_module(self, tmp_path):
+        # replication 0's time decides whether a pool starts, so a module that
+        # a replication imports on first use would tilt that decision
+        runs = [shape_argv(shape, tmp_path, f"{shape}.csv") for shape in sorted(RUN_SHAPES)]
+        script = (
+            "import sys\n"
+            "from mnlbandit import cli\n"
+            "replicate, grown = cli._replicate, []\n"
+            "def recording(job, rep):\n"
+            "    before = set(sys.modules)\n"
+            "    outcome = replicate(job, rep)\n"
+            "    grown.append(sorted(set(sys.modules) - before))\n"
+            "    return outcome\n"
+            "cli._replicate = recording\n"
+            f"for argv in {runs!r}:\n"
+            "    assert cli.main(argv) == 0\n"
+            "assert len(grown) == 8 and not any(grown), grown\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, MNL_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-B", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_instance_file_source(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MNL_THREADS", "1")

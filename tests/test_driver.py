@@ -85,7 +85,7 @@ class TestAcceptReject:
         est = make_est(
             (1, 2, 3), {1: (0.1, 0.2), 2: (-0.2, -0.1), 3: (-0.1, 0.1)}
         )
-        acc, rej, alpha, beta = accept_reject(est, (1, 2, 3), 3)
+        acc, rej, alpha, beta = accept_reject(est, 3)
         assert acc == (1,) and rej == (2,)
         assert alpha is None and beta is None
 
@@ -94,7 +94,7 @@ class TestAcceptReject:
             (1, 2, 3, 4),
             {1: (0.5, 0.6), 2: (0.3, 0.4), 3: (0.1, 0.2), 4: (-0.3, -0.2)},
         )
-        acc, rej, alpha, beta = accept_reject(est, (1, 2, 3, 4), 2)
+        acc, rej, alpha, beta = accept_reject(est, 2)
         # alpha = 2nd largest lower end, beta = 3rd largest upper end.
         assert alpha == 0.3 and beta == 0.2
         assert acc == (1, 2)
@@ -103,25 +103,25 @@ class TestAcceptReject:
 
     def test_rank_rule_caps_acceptance_at_capacity(self):
         est = make_est((1, 2), {1: (0.5, 0.6), 2: (0.4, 0.45)})
-        acc, rej, alpha, beta = accept_reject(est, (1, 2), 1)
+        acc, rej, alpha, beta = accept_reject(est, 1)
         assert acc == (1,)
         assert rej == (2,)  # its upper end 0.45 < alpha = 0.5
         assert alpha == 0.5 and beta == 0.45
 
     def test_all_negative_rejects_everything(self):
         est = make_est((1, 2), {1: (-0.6, -0.5), 2: (-0.4, -0.3)})
-        acc, rej, alpha, beta = accept_reject(est, (1, 2), 2)
+        acc, rej, alpha, beta = accept_reject(est, 2)
         assert acc == () and rej == (1, 2)
 
     def test_wide_intervals_leave_everything_pending(self):
         est = make_est((1, 2, 3), {i: (-1.0, 1.0) for i in (1, 2, 3)})
-        acc, rej, _, _ = accept_reject(est, (1, 2, 3), 2)
+        acc, rej, _, _ = accept_reject(est, 2)
         assert acc == () and rej == ()
 
     def test_capacity_below_one_rejected(self):
         est = make_est((1,), {1: (0.1, 0.2)})
         with pytest.raises(ValueError):
-            accept_reject(est, (1,), 0)
+            accept_reject(est, 0)
 
 
 class TestSarMnl:
@@ -412,34 +412,31 @@ class TestRegretMin:
         inst = generate_instance("uniform", 4, 2, seed=5)
         env = Environment(inst, fork_stream(1, 0), horizon=3)
         with pytest.raises(ValueError):
-            regret_min(env, 3, DESK_TUNING)  # below n
-        env2 = Environment(inst, fork_stream(1, 0), horizon=500)
-        with pytest.raises(ValueError):
-            regret_min(env2, 600, DESK_TUNING)
+            regret_min(env, DESK_TUNING)  # below n
         # the budget is set at construction, never by the driver
         env3 = Environment(inst, fork_stream(1, 0))
         with pytest.raises(ValueError):
-            regret_min(env3, 600, DESK_TUNING)
+            regret_min(env3, DESK_TUNING)
         assert env3.horizon is None and env3.ledger.steps == 0
 
     def test_one_step_horizon_rejected(self):
         # delta = 1 / horizon must lie below 1, even where n = 1 allows it.
         inst = Instance(n=1, k=1, r=[1.0], v=[0.5])
         with pytest.raises(ValueError):
-            regret_min(Environment(inst, fork_stream(1, 0), horizon=1), 1, DESK_TUNING)
+            regret_min(Environment(inst, fork_stream(1, 0), horizon=1), DESK_TUNING)
 
     def test_used_environment_rejected(self):
         inst = generate_instance("uniform", 4, 2, seed=5)
         env = Environment(inst, fork_stream(1, 0), horizon=100)
         offer(env, (1, 2))
         with pytest.raises(ValueError):
-            regret_min(env, 100, DESK_TUNING)
+            regret_min(env, DESK_TUNING)
 
     def test_consumes_budget_exactly_and_exploits(self):
         inst = generate_instance("uniform", 4, 2, seed=5)
         horizon = 20_000
         env = Environment(inst, fork_stream(85, 0), horizon=horizon)
-        res = regret_min(env, horizon, DESK_TUNING)
+        res = regret_min(env, DESK_TUNING)
         assert env.ledger.steps == horizon
         assert not res.horizon_hit and not res.aborted
         assert res.assortment == brute_force_optimum(inst).s_star
@@ -457,7 +454,7 @@ class TestRegretMin:
         inst = generate_instance("uniform", 10, 4, seed=14618)
         horizon = 2**63 - 1
         env = Environment(inst, fork_stream(99, 0), horizon=horizon)
-        res = regret_min(env, horizon, DESK_TUNING)
+        res = regret_min(env, DESK_TUNING)
         assert res.assortment == env.oracle_solution().s_star
         assert all(regret >= 0.0 for regret, _ in env.ledger._segments)
         assert env.ledger._segments[-1][0] == 0.0
@@ -465,7 +462,7 @@ class TestRegretMin:
     def test_horizon_hit_mid_estimation(self):
         inst = generate_instance("uniform", 4, 2, seed=5)
         env = Environment(inst, fork_stream(86, 0), horizon=10)
-        res = regret_min(env, 10, DESK_TUNING)
+        res = regret_min(env, DESK_TUNING)
         assert res.horizon_hit and not res.aborted
         assert env.ledger.steps == 10
         assert res.phases == ()
@@ -475,13 +472,13 @@ class TestRegretMin:
     def test_presetting_the_same_horizon_is_allowed(self):
         inst = generate_instance("uniform", 4, 2, seed=5)
         env = Environment(inst, fork_stream(85, 0), horizon=20_000)
-        regret_min(env, 20_000, DESK_TUNING)
+        regret_min(env, DESK_TUNING)
         assert env.ledger.steps == 20_000
 
     def test_deterministic(self):
         inst = generate_instance("uniform", 4, 2, seed=5)
         runs = [
-            regret_min(Environment(inst, fork_stream(87, 0), horizon=5000), 5000, DESK_TUNING)
+            regret_min(Environment(inst, fork_stream(87, 0), horizon=5000), DESK_TUNING)
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -523,7 +520,7 @@ class TestSharedExits:
         inst = generate_instance("uniform", 5, 2, seed=3)
         horizon = 1000
         env = Environment(inst, fork_stream(1, 0), horizon=horizon)
-        res = regret_min(env, horizon, DESK_TUNING)
+        res = regret_min(env, DESK_TUNING)
         assert res.aborted and not res.horizon_hit
         assert len(res.phases) == PHASE_CAP
         assert res.phases[0].b_acc == (1,) and res.assortment == (1,)
@@ -577,7 +574,7 @@ class TestNoScaffolding:
         env = Environment(self.INST, fork_stream(92, 2))
         assert pac_eps(env, 0.1, 0.1, DESK_TUNING).phases
         env = Environment(self.INST, fork_stream(92, 3), horizon=20_000)
-        assert regret_min(env, 20_000, DESK_TUNING).phases
+        assert regret_min(env, DESK_TUNING).phases
 
 
 def _reference_instances():
@@ -627,7 +624,7 @@ class TestMatchesReferenceLoops:
                         Environment(inst, fork_stream(91, rep), horizon=horizon)
                         for _ in range(2)
                     ]
-                    new = regret_min(envs[0], horizon, DESK_TUNING)
+                    new = regret_min(envs[0], DESK_TUNING)
                     old = driver_reference.regret_min(envs[1], horizon, DESK_TUNING)
                     _assert_same_run(new, old, *envs)
                     if new.horizon_hit:
