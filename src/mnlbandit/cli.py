@@ -14,38 +14,35 @@ JSON sidecar, never in the CSV.  Replications run in this process until a
 worker pool's projected saving exceeds its start-up cost; ``MNL_THREADS``
 caps the pool's processes (default: machine parallelism).
 
+Start-up: a process pays only for its own command.  Importing this module
+sets ``OPENBLAS_NUM_THREADS=1`` unless it is already set, so numpy starts no
+BLAS worker thread; ``gen``, ``oracle`` and ``summarize`` load neither the
+simulator layers nor OpenSSL; and ``main()`` as the process entry freezes
+the import heap out of the garbage collector's reach.
+
 Exit codes: 0 = success, 1 = usage error, 2 = runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
+import gc
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+
+# Every vector here holds at most n items, far below the size where BLAS
+# threads pay; OpenBLAS's worker thread would only spin beside the main one.
+# Set before numpy loads; a value the user set wins, and pool workers inherit it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
 from . import __version__
-from .driver import RunResult, pac_eps, pac_exact, regret_min, sar_mnl
-from .env import RNG_ALGORITHM_ID, Environment, fork_stream, generator_digest
-from .estimators import (
-    C0,
-    C2,
-    DESK_TUNING,
-    PAPER_TUNING,
-    Tuning,
-    est_naive,
-    est_reduced,
-    est_reg,
-)
 from .instances import (
     FAMILIES,
     generate_instance,
@@ -54,6 +51,11 @@ from .instances import (
 )
 from .model import Instance
 from .oracle import exact_optimum, suboptimality_gaps
+
+if TYPE_CHECKING:
+    from .driver import RunResult
+    from .env import Environment
+    from .estimators import Tuning
 
 __all__ = ["main"]
 
@@ -181,7 +183,7 @@ def _parse_gaps(text: str) -> Tuple[float, ...]:
 
 
 def _import_numpy_random() -> None:
-    """Import ``numpy.random`` for ``run`` without loading OpenSSL.
+    """Import ``numpy.random`` for ``gen`` and ``run`` without loading OpenSSL.
 
     ``numpy.random`` imports ``secrets`` (entropy for unseeded generators),
     whose ``hmac`` loads OpenSSL through ``_hashlib``: 3.4 MB resident and
@@ -226,6 +228,7 @@ def _generate(
 
 
 def _cmd_gen(args) -> int:
+    _import_numpy_random()
     inst, meta = _generate(args.family, args.n, args.k, args.seed, args.gaps, "--seed")
     write_instance(args.out, inst, meta)
     return 0
@@ -253,6 +256,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _resolve_tuning(args) -> Tuning:
+    from .estimators import DESK_TUNING, PAPER_TUNING
+
     base = DESK_TUNING if args.tuning == "desk" else PAPER_TUNING
     overrides = {
         name: getattr(args, name)
@@ -291,7 +296,10 @@ Outcome = Tuple[Dict[str, str], Optional[List[float]]]
 def _replicate(job: RunJob, rep: int) -> Outcome:
     """Run one replication on a fresh environment and grade it: its steps and
     regret are the environment's ledger, its success an exact match with the
-    optimum (a revenue shortfall of at most ``eps`` for ``pac-eps``)."""
+    optimum (a revenue shortfall of at most ``eps`` for ``pac-eps``).  It
+    imports only what `_cmd_run` has loaded, so replication 0 times no import."""
+    from .env import Environment, fork_stream, generator_digest
+
     rng = fork_stream(job.master_seed, rep)
     env = Environment(job.inst, rng, horizon=job.horizon)
     result = job.drive(env)
@@ -397,6 +405,15 @@ def _run_in_pool(job: RunJob, indices: range, workers: int) -> List[Outcome]:
 
 
 def _cmd_run(args) -> int:
+    # the simulator layers and the output formats load only for this command
+    import csv
+    import json
+    from datetime import datetime, timezone
+
+    from .driver import pac_eps, pac_exact, regret_min, sar_mnl
+    from .env import RNG_ALGORITHM_ID
+    from .estimators import C0, C2, est_naive, est_reduced, est_reg
+
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
     if args.mode == "pac-eps":
@@ -430,8 +447,11 @@ def _cmd_run(args) -> int:
         for flag, value in inline.items():
             if value is not None:
                 raise UsageError(f"{flag} applies only to an inline instance (--family)")
-    tuning = _resolve_tuning(args)
     estimator = args.estimator or ("reg" if args.mode == "regret" else "adaptive")
+    if args.rough_tau_scale is not None and estimator != "adaptive":
+        raise UsageError("--rough-tau-scale applies only to the adaptive estimator, "
+                         "whose rough pass it scales")
+    tuning = _resolve_tuning(args)
     if args.mode == "regret":
         drive = partial(regret_min, tuning=tuning)
     elif args.mode == "pac-eps":
@@ -527,6 +547,8 @@ SUMMARY_COLUMNS = (
 
 
 def _summarize_file(path: str) -> Optional[Dict[str, str]]:
+    import csv
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or set(CSV_COLUMNS) - set(reader.fieldnames):
@@ -562,6 +584,8 @@ def _summarize_file(path: str) -> Optional[Dict[str, str]]:
 
 
 def _cmd_summarize(args) -> int:
+    import csv
+
     rows = []
     for path in args.results:
         row = _summarize_file(path)
@@ -583,6 +607,12 @@ def _cmd_summarize(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; return its exit code.  With no ``argv``, ``main`` is the
+    process entry and reads ``sys.argv``: it then freezes the objects that
+    imports left (``gc.freeze``), so that no later collection, forked worker
+    or exit-time collection walks them again."""
+    if argv is None:
+        gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

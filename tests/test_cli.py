@@ -36,6 +36,25 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def run_python(script, **env):
+    """Run ``script`` in a fresh ``python -B`` with the package on its path and
+    ``env`` over this process's environment, where ``None`` unsets a variable
+    (this process has imported the CLI, so ``OPENBLAS_NUM_THREADS`` is set);
+    assert that it exits 0 and return its stdout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    environ = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in env.items():
+        if value is None:
+            environ.pop(name, None)
+        else:
+            environ[name] = value
+    proc = subprocess.run([sys.executable, "-B", "-c", script], env=environ,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 #: One small instance run four ways: each mode, and the pac loop on a plain
 #: estimator; ``{curve}`` stands for a curve file's path.
 RUN_SHAPES = {
@@ -453,10 +472,20 @@ class TestRunValidation:
             (("run", "--instance", "{inst}", "--mode", "regret", "--horizon", "50",
               "--estimator", "adaptive", "--seed", "1"),
              "--estimator adaptive does not apply to mode=regret, which runs the reg estimator"),
+            *[(("run", "--instance", "{inst}", *mode, "--rough-tau-scale", "1e305",
+                "--seed", "1"),
+               "--rough-tau-scale applies only to the adaptive estimator, "
+               "whose rough pass it scales")
+              for mode in (("--mode", "regret", "--horizon", "2000"),
+                           ("--mode", "pac", "--estimator", "naive"),
+                           ("--mode", "pac", "--estimator", "reduced"),
+                           ("--mode", "pac", "--estimator", "reg"))],
         ],
         ids=["gen-uniform-gaps", "gen-lower-bound-seed", "run-uniform-gaps",
              "run-lower-bound-gen-seed", "file-gen-seed", "file-n", "file-gaps",
-             "curve-rep-without-curve-out", "regret-estimator-adaptive"],
+             "curve-rep-without-curve-out", "regret-estimator-adaptive",
+             "regret-rough-tau", "pac-naive-rough-tau", "pac-reduced-rough-tau",
+             "pac-reg-rough-tau"],
     )
     def test_ignored_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, message):
         def fail(*args, **kwargs):
@@ -654,13 +683,25 @@ class TestRunPac:
             f"'--seed', '5', '--out', {str(tmp_path / 'u.inst')!r}]) == 0\n"
             "assert 'concurrent.futures.process' not in sys.modules\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, MNL_THREADS="2",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        run_python(script, MNL_THREADS="2")
         assert len(read_rows(out)) == 8
+        # gen in a fresh process loads neither the simulator layers, nor the
+        # run's output formats, nor OpenSSL (where numpy.random loads lazily)
+        gen = ["gen", "--family", "uniform", "--n", "4", "--k", "2", "--seed", "5",
+               "--out", str(tmp_path / "g.inst")]
+        script = (
+            "import sys\n"
+            "import numpy\n"
+            "lazy = 'numpy.random' not in sys.modules\n"
+            "from mnlbandit import cli\n"
+            f"assert cli.main({gen!r}) == 0\n"
+            "unused = ['mnlbandit.env', 'mnlbandit.estimators', 'mnlbandit.driver', 'csv',\n"
+            "          'json'] + ['_hashlib'] * lazy\n"
+            "loaded = [name for name in unused if name in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        run_python(script)
+        assert (tmp_path / "g.inst").read_bytes() == (tmp_path / "u.inst").read_bytes()
 
     @pytest.mark.parametrize("shape", sorted(RUN_SHAPES))
     def test_job_survives_pickling(self, tmp_path, monkeypatch, shape):
@@ -697,12 +738,7 @@ class TestRunPac:
             "    assert cli.main(argv) == 0\n"
             "assert len(grown) == 8 and not any(grown), grown\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, MNL_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-B", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        run_python(script, MNL_THREADS="1")
 
     def test_instance_file_source(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MNL_THREADS", "1")
@@ -894,3 +930,76 @@ class TestSummarize:
 
     def test_missing_file_is_a_runtime_error(self, tmp_path):
         assert run_cli("summarize", "--results", str(tmp_path / "nope.csv")) == 2
+
+
+class TestProcessStartUp:
+    """What a process pays before and after its command: one OS thread, no
+    environment change from a plain package import, and a frozen import heap
+    only when `main` is the process entry.  Each check runs a fresh process."""
+
+    GEN = ["gen", "--family", "uniform", "--n", "4", "--k", "2", "--seed", "5"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_cli_import_runs_one_thread(self):
+        out = run_python(
+            "import os\n"
+            "import mnlbandit.cli\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))\n",
+            OPENBLAS_NUM_THREADS=None,
+        )
+        assert out.split() == ["1", "1"]
+
+    def test_cli_import_keeps_a_preset_thread_count(self):
+        out = run_python(
+            "import os\n"
+            "import mnlbandit.cli\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n",
+            OPENBLAS_NUM_THREADS="2",
+        )
+        assert out.split() == ["2"]
+
+    def test_package_import_leaves_the_environment_and_numpy_alone(self):
+        run_python(
+            "import os, sys\n"
+            "before = dict(os.environ)\n"
+            "import mnlbandit\n"
+            "assert dict(os.environ) == before\n"
+            "assert 'numpy' not in sys.modules\n",
+            OPENBLAS_NUM_THREADS=None,
+        )
+
+    def test_every_exported_name_resolves(self):
+        run_python(
+            "import importlib\n"
+            "import mnlbandit\n"
+            "for module in mnlbandit._LAYERS:\n"
+            "    assert getattr(mnlbandit, module) is importlib.import_module('mnlbandit.' + module)\n"
+            "table = {name: module for module, names in mnlbandit._LAYERS.items()\n"
+            "         for name in names}\n"
+            "assert sorted(table) == sorted(mnlbandit.__all__)\n"
+            "for name, module in table.items():\n"
+            "    defined = getattr(importlib.import_module('mnlbandit.' + module), name)\n"
+            "    assert getattr(mnlbandit, name) is defined, name\n"
+            "namespace = {}\n"
+            "exec('from mnlbandit import *', namespace)\n"
+            "assert set(mnlbandit.__all__) <= set(namespace)\n"
+            "assert set(mnlbandit.__all__) <= set(dir(mnlbandit))\n"
+            "try:\n"
+            "    mnlbandit.no_such_name\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('an unknown name resolved')\n"
+        )
+
+    def test_only_the_process_entry_freezes_the_heap(self, tmp_path):
+        argv = [*self.GEN, "--out", str(tmp_path / "u.inst")]
+        run_python(
+            "import gc, sys\n"
+            "from mnlbandit import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "assert gc.get_freeze_count() == 0\n"
+            f"sys.argv = ['mnlbandit', *{argv!r}]\n"
+            "assert cli.main() == 0\n"
+            "assert gc.get_freeze_count() > 0\n"
+        )
