@@ -12,7 +12,10 @@ runs and across worker counts (rows are computed in independent per-index
 streams and written in replication order).  Timestamps appear only in the
 JSON sidecar, never in the CSV.  Replications run in this process until a
 worker pool's projected saving exceeds its start-up cost; ``MNL_THREADS``
-caps the pool's processes (default: machine parallelism).
+caps the pool's processes (default: machine parallelism).  The pool is this
+process and children forked from it (on Linux only; elsewhere every
+replication runs here): each process runs a strided share of the remaining
+replications, and each child sends its outcomes back as one pickle.
 
 Start-up: a process pays only for its own command.  Importing this module
 sets ``OPENBLAS_NUM_THREADS=1`` unless it is already set, so numpy starts no
@@ -29,11 +32,12 @@ import argparse
 import gc
 import math
 import os
+import pickle
 import sys
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 # Every vector here holds at most n items, far below the size where BLAS
 # threads pay; OpenBLAS's worker thread would only spin beside the main one.
@@ -79,10 +83,11 @@ RESULTS_FORMAT = "mnlbandit-results-v1"
 #: `driver._check_delta`'s floor; exploiting ``S*`` then adds exactly 0 regret.
 MAX_HORIZON = 2**63 - 1
 
-#: Seconds a worker pool costs before it saves any: importing
-#: ``concurrent.futures``, forking the workers and shutting them down.  On a
-#: 2-CPU Xeon VM the import took 17-25 ms and a first 2-worker pool 11-15 ms;
-#: the constant rounds their sum up to cover the pool's per-task traffic.
+#: Seconds a worker pool costs before it saves any.  Forking a child, reading
+#: its result back and reaping it takes about 2.5 ms, but each child then pays
+#: copy-on-write faults on the pages it touches, and on a 2-vCPU Xeon VM two
+#: processes ran many-small replications at only 0.9-1.8x the speed of one
+#: as the host's load varied; the constant budgets both.
 POOL_STARTUP_S = 0.05
 
 
@@ -255,16 +260,25 @@ def _cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _multipliers(args) -> Dict[str, float]:
+    """The `Tuning` multipliers the user set, by field name."""
+    names = ("tau_scale", "rough_tau_scale", "ci_scale")
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _resolve_tuning(args) -> Tuning:
     from .estimators import DESK_TUNING, PAPER_TUNING
 
     base = DESK_TUNING if args.tuning == "desk" else PAPER_TUNING
-    overrides = {
-        name: getattr(args, name)
-        for name in ("tau_scale", "rough_tau_scale", "ci_scale")
-        if getattr(args, name) is not None
-    }
-    return replace(base, **overrides)
+    return replace(base, **_multipliers(args))
+
+
+def _tuning_flags(args) -> str:
+    """The tuning flags of a run as the user would write them, e.g.
+    ``--tuning paper --ci-scale 1e+305``."""
+    flags = [f"--tuning {args.tuning}"]
+    flags += [f"--{name.replace('_', '-')} {value!r}" for name, value in _multipliers(args).items()]
+    return " ".join(flags)
 
 
 def _resolve_instance(args) -> Tuple[Instance, Dict[str, str]]:
@@ -327,20 +341,6 @@ def _replicate(job: RunJob, rep: int) -> Outcome:
     return row, curve
 
 
-#: The job of a pool worker, received once when the worker starts, so that the
-#: worker's environments share one instance, hence one optimum and plan table.
-_worker_job: Optional[RunJob] = None
-
-
-def _start_worker(job: RunJob) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _replicate_in_worker(rep: int) -> Outcome:
-    return _replicate(_worker_job, rep)
-
-
 def _worker_count(reps: int) -> int:
     raw = os.environ.get("MNL_THREADS", "").strip()
     if raw:
@@ -352,6 +352,8 @@ def _worker_count(reps: int) -> int:
             raise UsageError("MNL_THREADS must be >= 1")
     else:
         cap = os.cpu_count() or 1
+    if sys.platform != "linux":  # the pool forks, which only Linux supports here
+        return 1
     return max(1, min(cap, reps))
 
 
@@ -389,19 +391,66 @@ def _run_replications(job: RunJob, reps: int, workers: int) -> Tuple[List[Outcom
 
 
 def _run_in_pool(job: RunJob, indices: range, workers: int) -> List[Outcome]:
-    # imported here so that runs too short to repay a pool never load it
-    from concurrent.futures import ProcessPoolExecutor
+    """Run ``indices`` in ``workers`` processes: this one and ``workers - 1``
+    children forked from it, which inherit its warm state.  Process ``j``
+    runs the strided share ``indices[j::workers]``; replications on one
+    instance cost alike, so the shares balance.  Returns the outcomes in the
+    order of ``indices``.
 
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_start_worker, initargs=(job,)
-    ) as pool:
-        return list(
-            pool.map(
-                _replicate_in_worker,
-                indices,
-                chunksize=max(1, len(indices) // (4 * workers)),
-            )
-        )
+    A child's exception is raised here unchanged; a child that ends without a
+    result raises `RuntimeError`.  However this ends, no child outlives it.
+    """
+    children: List[Tuple[int, int, int]] = []  # (worker, pid, read end of its pipe)
+    try:
+        for j in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _run_share(job, indices[j::workers], write_fd)
+            os.close(write_fd)
+            children.append((j, pid, read_fd))
+        shares = [[_replicate(job, rep) for rep in indices[0::workers]]]
+        while children:
+            j, pid, read_fd = children[0]
+            with open(read_fd, "rb", closefd=False) as fh:
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            os.close(read_fd)
+            code = os.waitstatus_to_exitcode(status)
+            if code < 0:
+                raise RuntimeError(f"worker {j} was killed by signal {-code} before its result")
+            if code > 0:
+                raise RuntimeError(f"worker {j} exited with status {code} before its result")
+            share = pickle.loads(data)
+            if isinstance(share, BaseException):
+                raise share
+            shares.append(share)
+    finally:
+        for _, pid, read_fd in children:
+            os.close(read_fd)
+            os.kill(pid, 9)  # SIGKILL: the pool forks only on Linux
+            os.waitpid(pid, 0)
+    return [shares[i % workers][i // workers] for i in range(len(indices))]
+
+
+def _run_share(job: RunJob, share: range, write_fd: int) -> NoReturn:
+    """A forked child's whole life: run ``share``, write one pickle of its
+    outcomes, or of the exception that stopped it, to ``write_fd``, and leave
+    with `os._exit`, so that the child never returns into its parent's code
+    (its ``finally`` blocks, buffered output or exit handlers)."""
+    status = 1
+    try:
+        try:
+            result: object = [_replicate(job, rep) for rep in share]
+        except Exception as exc:
+            result = exc
+        with open(write_fd, "wb") as fh:
+            pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _cmd_run(args) -> int:
@@ -411,7 +460,7 @@ def _cmd_run(args) -> int:
     from datetime import datetime, timezone
 
     from .driver import pac_eps, pac_exact, regret_min, sar_mnl
-    from .env import RNG_ALGORITHM_ID
+    from .env import RNG_ALGORITHM_ID, SamplerLimitError
     from .estimators import C0, C2, est_naive, est_reduced, est_reg
 
     if args.reps < 1:
@@ -472,7 +521,10 @@ def _cmd_run(args) -> int:
     job = RunJob(inst, args.seed, drive, args.eps, args.horizon, curve_rep)
 
     start = time.perf_counter()
-    outcomes, workers = _run_replications(job, args.reps, max_workers)
+    try:
+        outcomes, workers = _run_replications(job, args.reps, max_workers)
+    except SamplerLimitError as exc:
+        raise SamplerLimitError(f"{exc} at {_tuning_flags(args)}") from None
     wall_s = time.perf_counter() - start
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

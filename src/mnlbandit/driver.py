@@ -22,8 +22,10 @@ The loop has three exits:
 * the step budget runs out inside an estimate (`HorizonExhausted`), which
   returns the pinned set so far (`regret_min`).
 
-A run that takes `PHASE_CAP` phases without an exit aborts with the pinned
-set so far.  Under valid intervals at most ``M`` items are ever accepted per
+A batch past the sampler's limit (`SamplerLimitError`) ends the run with the
+phase, or the rough pass, that asked for it named in the message.  A run
+that takes `PHASE_CAP` phases without an exit aborts with the pinned set so
+far.  Under valid intervals at most ``M`` items are ever accepted per
 phase (an accepted item's upper end exceeds ``beta``, placing it in the
 strict top ``M`` of the upper ends), so the pinned set never exceeds the
 capacity — asserted.
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Tuple
 
-from .env import Environment, HorizonExhausted
+from .env import Environment, HorizonExhausted, SamplerLimitError
 from .estimators import (
     EstimateSet,
     PAPER_TUNING,
@@ -176,6 +178,8 @@ def sar_mnl(
         except HorizonExhausted:
             horizon_hit = True
             break
+        except SamplerLimitError as exc:
+            raise SamplerLimitError(f"{exc} in phase {k}") from None
         done = None if complete is None else complete(k, est, m)
         if done is None:
             b_acc, b_rej, alpha, beta = accept_reject(est, m)
@@ -213,7 +217,10 @@ def _pac(
 ) -> RunResult:
     """`pac_exact`'s body; `pac_eps` passes its completion hook."""
     _check_delta(delta, env.n, share=0.5)
-    rough = est_rough(env, delta / 2.0, tuning)
+    try:
+        rough = est_rough(env, delta / 2.0, tuning)
+    except SamplerLimitError as exc:
+        raise SamplerLimitError(f"{exc} in the rough pass") from None
     return sar_mnl(env, delta / 2.0, partial(est_adaptive, rough=rough, tuning=tuning), complete)
 
 

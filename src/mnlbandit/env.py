@@ -55,6 +55,7 @@ __all__ = [
     "RNG_ALGORITHM_ID",
     "fork_stream",
     "HorizonExhausted",
+    "SamplerLimitError",
     "EpochBatch",
     "RegretLedger",
     "Environment",
@@ -83,6 +84,11 @@ _PER_INSTANCE: "weakref.WeakKeyDictionary[Instance, tuple]" = weakref.WeakKeyDic
 
 class HorizonExhausted(RuntimeError):
     """Raised when an operation would exceed the environment's step budget."""
+
+
+class SamplerLimitError(OverflowError):
+    """Raised for a batch past what the sampler draws exactly: more than
+    `_DRAW_LIMIT` epochs, or past numpy's negative-binomial limit."""
 
 
 def fork_stream(master_seed: int, replication_index: int) -> np.random.Generator:
@@ -257,7 +263,7 @@ class Environment:
         disjoint with ``|z ∪ s| <= k``.  A batch that does not fit in the
         remaining step budget consumes the rest of it and returns no
         statistics (``truncated=True``): the run is over.  A batch past
-        ``2**53`` epochs or `_NEGBIN_LAM_MAX` raises `OverflowError`.
+        ``2**53`` epochs or `_NEGBIN_LAM_MAX` raises `SamplerLimitError`.
         """
         try:
             plan = self._offer_cache[(s, z)]
@@ -266,12 +272,12 @@ class Environment:
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
         if epochs > _DRAW_LIMIT:
-            raise OverflowError(
+            raise SamplerLimitError(
                 f"a batch of {epochs} epochs exceeds the sampler's limit of {_DRAW_LIMIT}"
             )
         q = plan.q
         if (1.0 - q) / q * (epochs + 10.0 * math.sqrt(epochs)) > _NEGBIN_LAM_MAX:
-            raise OverflowError(
+            raise SamplerLimitError(
                 f"a batch of T = {epochs} epochs at q = {q!r} exceeds numpy's negative-binomial "
                 f"limit (1 - q) / q * (T + 10 sqrt(T)) <= {_NEGBIN_LAM_MAX:.17g}"
             )

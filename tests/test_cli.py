@@ -5,8 +5,10 @@ import itertools
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -375,7 +377,60 @@ class TestRunValidation:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert err.startswith("error: a batch of ")
-        assert err.endswith(" epochs exceeds the sampler's limit of 9007199254740992\n")
+        assert err.endswith(" epochs exceeds the sampler's limit of 9007199254740992 "
+                            "in phase 15 at --tuning paper\n")
+
+    #: intervals that never shrink keep a run going while tau grows 4x a phase
+    CI_SCALE_PAST_THE_LIMIT = (
+        "error: a batch of 12922570901292468 epochs exceeds the sampler's limit of "
+        "9007199254740992 in phase 15 at --tuning paper --ci-scale 1e+305\n"
+    )
+
+    def ci_scale_run(self, tmp_path, reps):
+        return run_cli(
+            "run", "--family", "uniform", "--n", "8", "--k", "3", "--gen-seed", "5",
+            "--mode", "pac", "--seed", "1", "--reps", str(reps), "--ci-scale", "1e305",
+            "--out", str(tmp_path / "r.csv"),
+        )
+
+    def test_batch_past_the_limit_names_the_phase_and_the_flags(self, tmp_path, capsys,
+                                                                monkeypatch):
+        monkeypatch.setenv("MNL_THREADS", "1")
+        assert self.ci_scale_run(tmp_path, 1) == 2
+        assert capsys.readouterr().err == self.CI_SCALE_PAST_THE_LIMIT
+        assert list(tmp_path.iterdir()) == []
+
+    def test_batch_past_the_limit_in_a_worker_reads_as_in_a_serial_run(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # replications 0 and 1 (this process's share) pass; replication 2
+        # runs in the forked worker and fails there as replication 0 does alone
+        replicate = cli._replicate
+
+        def replicate_from_2(job, rep):
+            return replicate(job, rep) if rep >= 2 else ({}, None)
+
+        monkeypatch.setattr(cli, "_replicate", replicate_from_2)
+        monkeypatch.setattr(cli, "POOL_STARTUP_S", -1.0)
+        monkeypatch.setenv("MNL_THREADS", "2")
+        assert self.ci_scale_run(tmp_path, 3) == 2
+        assert capsys.readouterr().err == self.CI_SCALE_PAST_THE_LIMIT
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_batch_past_the_limit_in_the_rough_pass_names_it(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setenv("MNL_THREADS", "1")
+        assert run_cli(
+            "run", "--family", "uniform", "--n", "8", "--k", "3", "--gen-seed", "5",
+            "--mode", "pac", "--tuning", "desk", "--seed", "1", "--tau-scale", "2",
+            "--rough-tau-scale", "1e290", "--out", str(tmp_path / "r.csv"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a batch of ")
+        assert err.endswith(" epochs exceeds the sampler's limit of 9007199254740992 in the "
+                            "rough pass at --tuning desk --tau-scale 2.0 "
+                            "--rough-tau-scale 1e+290\n")
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -656,6 +711,87 @@ class TestRunPac:
         assert cli.POOL_STARTUP_S == 0.05
         assert cli._pool_size(rep_s, left, workers) == size
 
+    def forced_pool_run(self, tmp_path, monkeypatch, fail_at, failure):
+        """Run 5 replications through a 2-process pool that starts at once, with
+        ``failure`` called in replication ``fail_at``: this process runs 1 and 3,
+        the forked worker 2 and 4.  Return the exit code, and assert that no
+        child process is left."""
+        replicate = cli._replicate
+
+        def failing(job, rep):
+            if rep == fail_at:
+                failure()
+            return replicate(job, rep)
+
+        monkeypatch.setattr(cli, "_replicate", failing)
+        monkeypatch.setattr(cli, "POOL_STARTUP_S", -1.0)
+        monkeypatch.setenv("MNL_THREADS", "2")
+        code = run_cli(*self.pac_args(tmp_path, "r.csv", reps=5))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return code
+
+    def test_worker_failure_reads_as_in_a_serial_run(self, tmp_path, capsys, monkeypatch):
+        def failure():
+            raise ValueError("replication failed")
+
+        assert self.forced_pool_run(tmp_path, monkeypatch, 2, failure) == 2
+        pooled = capsys.readouterr().err
+        monkeypatch.setenv("MNL_THREADS", "1")
+        assert run_cli(*self.pac_args(tmp_path, "r.csv", reps=5)) == 2
+        assert capsys.readouterr().err == pooled == "error: replication failed\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_killed_worker_is_named(self, tmp_path, capsys, monkeypatch):
+        def failure():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        assert self.forced_pool_run(tmp_path, monkeypatch, 2, failure) == 2
+        assert capsys.readouterr().err == (
+            f"error: worker 1 was killed by signal {int(signal.SIGKILL)} before its result\n"
+        )
+
+    @pytest.mark.parametrize("exc", [SystemExit(0), KeyboardInterrupt()],
+                             ids=["SystemExit", "KeyboardInterrupt"])
+    def test_worker_leaves_by_os_exit_whatever_it_raised(self, tmp_path, capsys, monkeypatch,
+                                                        exc):
+        # a worker that let these through would return into this test runner
+        def failure():
+            raise exc
+
+        assert self.forced_pool_run(tmp_path, monkeypatch, 2, failure) == 2
+        assert capsys.readouterr().err == "error: worker 1 exited with status 1 before its result\n"
+
+    def test_failure_in_own_share_kills_the_workers(self, tmp_path, capsys, monkeypatch):
+        # the worker's replications would sleep for a minute; the failing
+        # replication 1 of this process ends the run at once
+        parent = os.getpid()
+        replicate = cli._replicate
+
+        def sleepy(job, rep):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return replicate(job, rep)
+
+        def failure():
+            raise ValueError("replication failed")
+
+        monkeypatch.setattr(cli, "_replicate", sleepy)
+        start = time.monotonic()
+        assert self.forced_pool_run(tmp_path, monkeypatch, 1, failure) == 2
+        assert time.monotonic() - start < 30
+        assert capsys.readouterr().err == "error: replication failed\n"
+
+    def test_pool_runs_serially_off_linux(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MNL_THREADS", "1")
+        assert run_cli(*self.pac_args(tmp_path, "a.csv", reps=6)) == 0
+        monkeypatch.setattr(cli, "POOL_STARTUP_S", -1.0)
+        monkeypatch.setattr(cli.sys, "platform", "darwin")
+        monkeypatch.setenv("MNL_THREADS", "2")
+        assert run_cli(*self.pac_args(tmp_path, "b.csv", reps=6)) == 0
+        assert json.loads((tmp_path / "b.csv.meta.json").read_text())["workers"] == 1
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_short_runs_load_neither_the_pool_nor_openssl(self, tmp_path):
         # importing the CLI leaves numpy.random (where numpy imports it
         # lazily) and concurrent.futures.process unloaded; a short run then
@@ -702,10 +838,32 @@ class TestRunPac:
         )
         run_python(script)
         assert (tmp_path / "g.inst").read_bytes() == (tmp_path / "u.inst").read_bytes()
+        # a run through a pool that starts at once loads no executor, and its
+        # process has one OS thread when it forks the worker
+        script = (
+            "import os, sys\n"
+            "from mnlbandit import cli\n"
+            "lazy = 'numpy.random' not in sys.modules\n"
+            "cli.POOL_STARTUP_S = -1.0\n"
+            "fork, threads = os.fork, []\n"
+            "def counting_fork():\n"
+            "    threads.append(len(os.listdir('/proc/self/task')))\n"
+            "    return fork()\n"
+            "os.fork = counting_fork\n"
+            f"assert cli.main({self.pac_args(tmp_path, 'p.csv', reps=8)!r}) == 0\n"
+            "assert threads == [1], threads\n"
+            "unused = ['concurrent.futures', 'multiprocessing', 'queue'] + ['_hashlib'] * lazy\n"
+            "loaded = [name for name in unused if name in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        run_python(script, MNL_THREADS="2")
+        assert json.loads((tmp_path / "p.csv.meta.json").read_text())["workers"] == 2
+        assert (tmp_path / "p.csv").read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize("shape", sorted(RUN_SHAPES))
     def test_job_survives_pickling(self, tmp_path, monkeypatch, shape):
-        # a spawn-start pool pickles the job to its workers; fork never does
+        # forked workers inherit the job and send back only their outcomes,
+        # but a job stays a plain value: a copy from pickle replicates alike
         jobs = []
 
         def capture(job, reps, workers):
