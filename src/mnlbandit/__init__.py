@@ -38,37 +38,7 @@ _LAYERS = {
     "instances": ("generate_instance", "read_instance", "write_instance"),
 }
 
-__all__ = [
-    "Instance",
-    "revenue",
-    "validate_assortment",
-    "OptimumSolution",
-    "exact_optimum",
-    "lower_bound_instance",
-    "revenue_margin",
-    "suboptimality_gaps",
-    "Environment",
-    "HorizonExhausted",
-    "RNG_ALGORITHM_ID",
-    "fork_stream",
-    "DESK_TUNING",
-    "EstimateSet",
-    "PAPER_TUNING",
-    "Tuning",
-    "est_adaptive",
-    "est_naive",
-    "est_reduced",
-    "est_reg",
-    "est_rough",
-    "RunResult",
-    "pac_eps",
-    "pac_exact",
-    "regret_min",
-    "sar_mnl",
-    "generate_instance",
-    "read_instance",
-    "write_instance",
-]
+__all__ = [name for names in _LAYERS.values() for name in names]
 
 
 def __getattr__(name: str):

@@ -7,6 +7,10 @@ Subcommands
 * ``run``        — run seeded replications of a driver, write CSV + sidecar;
 * ``summarize``  — aggregate one or more results CSVs into a summary table.
 
+Tuning: ``run`` takes its `Tuning` whole from the profile that ``--tuning``
+names, ``paper`` (the default) or ``desk``; other multipliers are set through
+the library.
+
 Determinism: with a fixed ``--seed``, results CSVs are byte-identical across
 runs and across worker counts (rows are computed in independent per-index
 streams and written in replication order).  Timestamps appear only in the
@@ -30,12 +34,11 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import pickle
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
@@ -59,7 +62,6 @@ from .oracle import exact_optimum, suboptimality_gaps
 if TYPE_CHECKING:
     from .driver import RunResult
     from .env import Environment
-    from .estimators import Tuning
 
 __all__ = ["main"]
 
@@ -106,17 +108,6 @@ def _seed(text: str) -> int:
     return value
 
 
-def _scale(text: str) -> float:
-    """A tuning multiplier's value: a finite number above 0, as `Tuning` needs."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number above 0, got {text!r}")
-    return value
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
@@ -157,9 +148,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--seed", type=_seed, required=True, help="master seed")
     run.add_argument("--estimator", choices=ESTIMATORS)
     run.add_argument("--tuning", choices=("paper", "desk"), default="paper")
-    run.add_argument("--tau-scale", type=_scale)
-    run.add_argument("--rough-tau-scale", type=_scale)
-    run.add_argument("--ci-scale", type=_scale)
     run.add_argument("--out", required=True, help="results CSV path")
     run.add_argument("--curve-out", help="regret-curve CSV path (mode=regret)")
     run.add_argument(
@@ -258,27 +246,6 @@ def _cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
-
-
-def _multipliers(args) -> Dict[str, float]:
-    """The `Tuning` multipliers the user set, by field name."""
-    names = ("tau_scale", "rough_tau_scale", "ci_scale")
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-
-
-def _resolve_tuning(args) -> Tuning:
-    from .estimators import DESK_TUNING, PAPER_TUNING
-
-    base = DESK_TUNING if args.tuning == "desk" else PAPER_TUNING
-    return replace(base, **_multipliers(args))
-
-
-def _tuning_flags(args) -> str:
-    """The tuning flags of a run as the user would write them, e.g.
-    ``--tuning paper --ci-scale 1e+305``."""
-    flags = [f"--tuning {args.tuning}"]
-    flags += [f"--{name.replace('_', '-')} {value!r}" for name, value in _multipliers(args).items()]
-    return " ".join(flags)
 
 
 def _resolve_instance(args) -> Tuple[Instance, Dict[str, str]]:
@@ -461,7 +428,7 @@ def _cmd_run(args) -> int:
 
     from .driver import pac_eps, pac_exact, regret_min, sar_mnl
     from .env import RNG_ALGORITHM_ID, SamplerLimitError
-    from .estimators import C0, C2, est_naive, est_reduced, est_reg
+    from .estimators import C0, C2, DESK_TUNING, PAPER_TUNING, est_naive, est_reduced, est_reg
 
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
@@ -497,10 +464,7 @@ def _cmd_run(args) -> int:
             if value is not None:
                 raise UsageError(f"{flag} applies only to an inline instance (--family)")
     estimator = args.estimator or ("reg" if args.mode == "regret" else "adaptive")
-    if args.rough_tau_scale is not None and estimator != "adaptive":
-        raise UsageError("--rough-tau-scale applies only to the adaptive estimator, "
-                         "whose rough pass it scales")
-    tuning = _resolve_tuning(args)
+    tuning = DESK_TUNING if args.tuning == "desk" else PAPER_TUNING
     if args.mode == "regret":
         drive = partial(regret_min, tuning=tuning)
     elif args.mode == "pac-eps":
@@ -524,7 +488,7 @@ def _cmd_run(args) -> int:
     try:
         outcomes, workers = _run_replications(job, args.reps, max_workers)
     except SamplerLimitError as exc:
-        raise SamplerLimitError(f"{exc} at {_tuning_flags(args)}") from None
+        raise SamplerLimitError(f"{exc} at --tuning {args.tuning}") from None
     wall_s = time.perf_counter() - start
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

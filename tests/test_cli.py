@@ -343,29 +343,6 @@ class TestRunValidation:
                            "9223372036854775807\n")
             assert not (tmp_path / "r.csv").exists()
 
-    @pytest.mark.parametrize(
-        "flag, mode",
-        [
-            ("--tau-scale", ("--mode", "pac")),
-            ("--rough-tau-scale", ("--mode", "pac")),
-            ("--rough-tau-scale", ("--mode", "pac-eps", "--eps", "0.1")),
-            ("--tau-scale", ("--mode", "regret", "--horizon", "20000")),
-        ],
-        ids=["pac-tau", "pac-rough-tau", "pac-eps-rough-tau", "regret-tau"],
-    )
-    def test_overflowing_schedule_multiplier_is_named(self, tmp_path, capsys, monkeypatch,
-                                                      flag, mode):
-        # the epoch count of a schedule scaled by 1e305 is past the largest float
-        monkeypatch.setenv("MNL_THREADS", "1")
-        out = tmp_path / "x.csv"
-        assert run_cli(
-            "run", "--family", "uniform", "--n", "8", "--k", "3", "--gen-seed", "5",
-            *mode, "--seed", "1", "--out", str(out), flag, "1e305",
-        ) == 2
-        name = flag[2:].replace("-", "_")
-        assert capsys.readouterr().err == f"error: {name} 1e+305 overflows the epoch count\n"
-        assert list(tmp_path.iterdir()) == []
-
     def test_batch_past_the_draw_limit_names_the_limit(self, tmp_path, capsys, monkeypatch):
         # paper constants at gaps of 1e-9 ask one batch for about 1.3e19 epochs
         monkeypatch.setenv("MNL_THREADS", "1")
@@ -380,24 +357,24 @@ class TestRunValidation:
         assert err.endswith(" epochs exceeds the sampler's limit of 9007199254740992 "
                             "in phase 15 at --tuning paper\n")
 
-    #: intervals that never shrink keep a run going while tau grows 4x a phase
-    CI_SCALE_PAST_THE_LIMIT = (
-        "error: a batch of 12922570901292468 epochs exceeds the sampler's limit of "
-        "9007199254740992 in phase 15 at --tuning paper --ci-scale 1e+305\n"
+    #: gaps of 1e-7 keep both items pending while tau grows 4x a phase
+    PAST_THE_LIMIT = (
+        "error: a batch of 12325066167620392 epochs exceeds the sampler's limit of "
+        "9007199254740992 in phase 15 at --tuning paper\n"
     )
 
-    def ci_scale_run(self, tmp_path, reps):
+    def past_the_limit_run(self, tmp_path, reps):
         return run_cli(
-            "run", "--family", "uniform", "--n", "8", "--k", "3", "--gen-seed", "5",
-            "--mode", "pac", "--seed", "1", "--reps", str(reps), "--ci-scale", "1e305",
+            "run", "--family", "lower-bound", "--n", "4", "--k", "2", "--gaps", "1e-7,1e-7",
+            "--mode", "pac", "--tuning", "paper", "--seed", "1", "--reps", str(reps),
             "--out", str(tmp_path / "r.csv"),
         )
 
-    def test_batch_past_the_limit_names_the_phase_and_the_flags(self, tmp_path, capsys,
-                                                                monkeypatch):
+    def test_batch_past_the_limit_names_the_phase_and_the_profile(self, tmp_path, capsys,
+                                                                  monkeypatch):
         monkeypatch.setenv("MNL_THREADS", "1")
-        assert self.ci_scale_run(tmp_path, 1) == 2
-        assert capsys.readouterr().err == self.CI_SCALE_PAST_THE_LIMIT
+        assert self.past_the_limit_run(tmp_path, 1) == 2
+        assert capsys.readouterr().err == self.PAST_THE_LIMIT
         assert list(tmp_path.iterdir()) == []
 
     def test_batch_past_the_limit_in_a_worker_reads_as_in_a_serial_run(self, tmp_path, capsys,
@@ -412,25 +389,11 @@ class TestRunValidation:
         monkeypatch.setattr(cli, "_replicate", replicate_from_2)
         monkeypatch.setattr(cli, "POOL_STARTUP_S", -1.0)
         monkeypatch.setenv("MNL_THREADS", "2")
-        assert self.ci_scale_run(tmp_path, 3) == 2
-        assert capsys.readouterr().err == self.CI_SCALE_PAST_THE_LIMIT
+        assert self.past_the_limit_run(tmp_path, 3) == 2
+        assert capsys.readouterr().err == self.PAST_THE_LIMIT
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-
-    def test_batch_past_the_limit_in_the_rough_pass_names_it(self, tmp_path, capsys,
-                                                             monkeypatch):
-        monkeypatch.setenv("MNL_THREADS", "1")
-        assert run_cli(
-            "run", "--family", "uniform", "--n", "8", "--k", "3", "--gen-seed", "5",
-            "--mode", "pac", "--tuning", "desk", "--seed", "1", "--tau-scale", "2",
-            "--rough-tau-scale", "1e290", "--out", str(tmp_path / "r.csv"),
-        ) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: a batch of ")
-        assert err.endswith(" epochs exceeds the sampler's limit of 9007199254740992 in the "
-                            "rough pass at --tuning desk --tau-scale 2.0 "
-                            "--rough-tau-scale 1e+290\n")
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -457,9 +420,8 @@ class TestRunValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--tau-scale", "--rough-tau-scale", "--ci-scale"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "oops"])
-    def test_bad_tuning_multiplier_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
-                                                    flag, value):
+    def test_tuning_multiplier_is_not_a_flag(self, tmp_path, capsys, monkeypatch, flag):
+        # --tuning names the whole profile; other multipliers are a library `Tuning`
         def fail(*args, **kwargs):
             raise AssertionError("work started")
 
@@ -467,14 +429,11 @@ class TestRunValidation:
         monkeypatch.setattr(cli, "_replicate", fail)
         out = tmp_path / "r.csv"
         assert run_cli(
-            "run", "--family", "uniform", "--n", "4", "--k", "2", "--gen-seed", "5",
-            "--mode", "pac", "--seed", "1", "--tuning", "desk", f"{flag}={value}",
-            "--out", str(out),
+            "run", "--family", "uniform", "--n", "8", "--k", "3", "--gen-seed", "5",
+            "--mode", "pac", "--seed", "1", flag, "0.5", "--out", str(out),
         ) == 1
-        assert capsys.readouterr().err == (
-            f"usage error: argument {flag}: expected a finite number above 0, got {value!r}\n"
-        )
-        assert not out.exists()
+        assert capsys.readouterr().err == f"usage error: unrecognized arguments: {flag} 0.5\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "mode, flag, value",
@@ -527,20 +486,10 @@ class TestRunValidation:
             (("run", "--instance", "{inst}", "--mode", "regret", "--horizon", "50",
               "--estimator", "adaptive", "--seed", "1"),
              "--estimator adaptive does not apply to mode=regret, which runs the reg estimator"),
-            *[(("run", "--instance", "{inst}", *mode, "--rough-tau-scale", "1e305",
-                "--seed", "1"),
-               "--rough-tau-scale applies only to the adaptive estimator, "
-               "whose rough pass it scales")
-              for mode in (("--mode", "regret", "--horizon", "2000"),
-                           ("--mode", "pac", "--estimator", "naive"),
-                           ("--mode", "pac", "--estimator", "reduced"),
-                           ("--mode", "pac", "--estimator", "reg"))],
         ],
         ids=["gen-uniform-gaps", "gen-lower-bound-seed", "run-uniform-gaps",
              "run-lower-bound-gen-seed", "file-gen-seed", "file-n", "file-gaps",
-             "curve-rep-without-curve-out", "regret-estimator-adaptive",
-             "regret-rough-tau", "pac-naive-rough-tau", "pac-reduced-rough-tau",
-             "pac-reg-rough-tau"],
+             "curve-rep-without-curve-out", "regret-estimator-adaptive"],
     )
     def test_ignored_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, message):
         def fail(*args, **kwargs):
@@ -634,16 +583,15 @@ class TestRunPac:
     def test_sidecar_holds_the_config_and_timestamps(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MNL_THREADS", "1")
         out = tmp_path / "r.csv"
-        assert run_cli(
-            *self.pac_args(tmp_path, "r.csv", ci_scale="0.05")
-        ) == 0
+        assert run_cli(*self.pac_args(tmp_path, "r.csv")) == 0
         meta = json.loads(Path(str(out) + ".meta.json").read_text())
         assert meta["format"] == RESULTS_FORMAT
         assert "created_utc" in meta
         assert meta["config"]["mode"] == "pac"
         assert meta["config"]["master_seed"] == 1234
-        assert meta["config"]["tuning"]["ci_scale"] == 0.05
-        assert meta["config"]["tuning"]["tau_scale"] == 2e-6  # desk base kept
+        assert meta["config"]["tuning"] == {  # the desk profile's multipliers
+            "c0": 196, "c2": 1024, "tau_scale": 2e-6, "rough_tau_scale": 0.02, "ci_scale": 0.02,
+        }
         assert meta["config"]["instance"]["n"] == 4
         # timestamps never contaminate the CSV itself
         assert "created" not in out.read_text()
@@ -714,21 +662,28 @@ class TestRunPac:
     def forced_pool_run(self, tmp_path, monkeypatch, fail_at, failure):
         """Run 5 replications through a 2-process pool that starts at once, with
         ``failure`` called in replication ``fail_at``: this process runs 1 and 3,
-        the forked worker 2 and 4.  Return the exit code, and assert that no
-        child process is left."""
+        the forked worker 2 and 4.  Return the exit code, and assert that this
+        process had one OS thread when it forked and that no child is left."""
         replicate = cli._replicate
+        fork, threads = os.fork, []
 
         def failing(job, rep):
             if rep == fail_at:
                 failure()
             return replicate(job, rep)
 
+        def counting_fork():
+            threads.append(len(os.listdir("/proc/self/task")))
+            return fork()
+
         monkeypatch.setattr(cli, "_replicate", failing)
         monkeypatch.setattr(cli, "POOL_STARTUP_S", -1.0)
+        monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setenv("MNL_THREADS", "2")
         code = run_cli(*self.pac_args(tmp_path, "r.csv", reps=5))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert threads == [1]
         return code
 
     def test_worker_failure_reads_as_in_a_serial_run(self, tmp_path, capsys, monkeypatch):

@@ -19,10 +19,11 @@ from mnlbandit.driver import (
     regret_min,
     sar_mnl,
 )
-from mnlbandit.env import Environment, fork_stream
+from mnlbandit.env import Environment, SamplerLimitError, fork_stream
 from mnlbandit.estimators import (
     DESK_TUNING,
     EstimateSet,
+    Tuning,
     est_adaptive,
     est_naive,
     est_reduced,
@@ -487,6 +488,66 @@ class TestRegretMin:
 def _wide_phase(env, a, b, delta_k, eps, *args, **kwargs):
     """`wide_estimator` taking the adaptive or regret estimator's arguments."""
     return wide_estimator(env, a, b, delta_k, eps)
+
+
+class TestScheduleLimits:
+    """A `Tuning` whose schedule cannot be simulated is refused by the layer
+    that meets it: an epoch count past the largest float by the estimator that
+    computes it, and a batch past the sampler's limit by the driver, which
+    names the pass that asked for it."""
+
+    MODES = ("pac", "pac-eps", "regret")
+    LIMIT = re.compile(r"a batch of \d+ epochs exceeds the sampler's limit of "
+                       r"9007199254740992 in (phase \d+|the rough pass)")
+
+    @staticmethod
+    def run(mode, tuning):
+        """One run of `mode` on uniform n = 8, k = 3 (generator seed 5)."""
+        inst = generate_instance("uniform", 8, 3, seed=5)
+        env = Environment(inst, fork_stream(1, 0), horizon=20_000 if mode == "regret" else None)
+        if mode == "pac":
+            return pac_exact(env, 0.1, tuning)
+        if mode == "pac-eps":
+            return pac_eps(env, 0.1, 0.1, tuning)
+        return regret_min(env, tuning)
+
+    def test_batch_past_the_limit_in_the_rough_pass_names_it(self):
+        with pytest.raises(SamplerLimitError) as info:
+            self.run("pac", Tuning(tau_scale=2, rough_tau_scale=1e290))
+        message = str(info.value)
+        assert message.startswith("a batch of ")
+        assert message.endswith(" epochs exceeds the sampler's limit of 9007199254740992 "
+                                "in the rough pass")
+
+    @pytest.mark.parametrize(
+        "name, mode",
+        [("tau_scale", "pac"), ("tau_scale", "pac-eps"), ("tau_scale", "regret"),
+         ("rough_tau_scale", "pac"), ("rough_tau_scale", "pac-eps")],
+        ids=["pac-tau", "pac-eps-tau", "regret-tau", "pac-rough-tau", "pac-eps-rough-tau"],
+    )
+    def test_overflowing_epoch_count_names_the_multiplier(self, name, mode):
+        with pytest.raises(OverflowError) as info:
+            self.run(mode, Tuning(**{name: 1e305}))
+        assert type(info.value) is OverflowError
+        assert str(info.value) == f"{name} 1e+305 overflows the epoch count"
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("value", [1e-300, 1e305])
+    @pytest.mark.parametrize("name", ["tau_scale", "rough_tau_scale", "ci_scale"])
+    def test_extreme_multiplier_ends_in_a_result_or_a_named_refusal(self, name, value, mode):
+        # Each multiplier at both ends of the floats, on the desk profile: the
+        # run returns the same result twice, or refuses with one line naming
+        # the multiplier or the sampler's limit.
+        tuning = dataclasses.replace(DESK_TUNING, **{name: value})
+        try:
+            result = self.run(mode, tuning)
+        except OverflowError as exc:
+            message = str(exc)
+            assert (message == f"{name} {value!r} overflows the epoch count"
+                    or self.LIMIT.fullmatch(message)), message
+            return
+        assert isinstance(result, RunResult)
+        assert result == self.run(mode, tuning)
 
 
 class TestSharedExits:

@@ -83,15 +83,11 @@ class TestTuningProfiles:
         assert DESK_TUNING.rough_tau_scale == 0.02
         assert DESK_TUNING.ci_scale == 0.02
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Tuning(tau_scale=0.0)
-        with pytest.raises(ValueError):
-            Tuning(ci_scale=-1.0)
-        for bad in (math.nan, math.inf):
-            for name in ("tau_scale", "rough_tau_scale", "ci_scale"):
-                with pytest.raises(ValueError):
-                    Tuning(**{name: bad})
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+    @pytest.mark.parametrize("name", ["tau_scale", "rough_tau_scale", "ci_scale"])
+    def test_validation(self, name, bad):
+        with pytest.raises(ValueError, match="^tuning multipliers must be finite and positive$"):
+            Tuning(**{name: bad})
 
 
 class TestSchedules:

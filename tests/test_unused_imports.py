@@ -48,7 +48,9 @@ def _used_names(tree):
                 used |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
     for node in tree.body:
         targets = node.targets if isinstance(node, ast.Assign) else []
-        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+        exported = any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+        # a computed ``__all__`` reads its sources as names, counted above
+        if exported and isinstance(node.value, (ast.List, ast.Tuple)):
             used |= set(ast.literal_eval(node.value))
     return used
 
@@ -85,3 +87,5 @@ def test_the_check_sees_what_it_should():
         "    x: int\n"
     )
     assert unused_imports(source) == [("os", 2), ("replace", 4)]
+    computed = "from .model import NAMES, Instance\n__all__ = [n for n in NAMES]\n"
+    assert unused_imports(computed) == [("Instance", 1)]
