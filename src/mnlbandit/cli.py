@@ -4,7 +4,7 @@ Subcommands
 -----------
 * ``gen``        — draw an instance from a named family, write a ``.inst`` file;
 * ``oracle``     — print the exact optimum (and per-item gaps) of an instance;
-* ``run``        — run seeded replications of a driver, write CSV + sidecar;
+* ``run``        — run seeded replications on an instance file, write CSV + sidecar;
 * ``summarize``  — aggregate one or more results CSVs into a summary table.
 
 Tuning: ``run`` takes its `Tuning` whole from the profile that ``--tuning``
@@ -133,13 +133,7 @@ def _build_parser() -> _Parser:
     orc.add_argument("--instance", required=True)
 
     run = sub.add_parser("run", help="run seeded replications of a driver")
-    src = run.add_mutually_exclusive_group(required=True)
-    src.add_argument("--instance", help="instance file path")
-    src.add_argument("--family", choices=FAMILIES, help="generate the instance inline")
-    run.add_argument("--n", type=int)
-    run.add_argument("--k", type=int)
-    run.add_argument("--gen-seed", type=_seed, help="inline generator seed")
-    run.add_argument("--gaps", type=str, help="inline lower-bound gap list")
+    run.add_argument("--instance", required=True, help="instance file path (see gen)")
     run.add_argument("--mode", required=True, choices=MODES)
     run.add_argument("--delta", type=float, default=0.1)
     run.add_argument("--eps", type=float)
@@ -197,32 +191,25 @@ def _import_numpy_random() -> None:
             sys.modules.pop(name, None)
 
 
-def _generate(
-    family: str, n: int, k: int, seed: Optional[int], gaps_text: Optional[str], seed_flag: str
-) -> Tuple[Instance, Dict[str, str]]:
-    """Draw an instance from its family's flags; return it and the metadata
-    that records the draw (``gen`` writes it to the file, ``run`` to the
-    sidecar).  ``seed_flag`` names the seed's flag in usage errors."""
-    meta = {"family": family}
-    gaps = _parse_gaps(gaps_text) if gaps_text is not None else None
-    if family == "lower-bound":
+def _cmd_gen(args) -> int:
+    """Draw an instance from its family's flags and write it, with the
+    metadata that records the draw, to ``--out``."""
+    _import_numpy_random()
+    meta = {"family": args.family}
+    gaps = _parse_gaps(args.gaps) if args.gaps is not None else None
+    if args.family == "lower-bound":
         if gaps is None:
             raise UsageError("the lower-bound family requires --gaps")
-        if seed is not None:
-            raise UsageError(f"{seed_flag} does not apply to the lower-bound family")
+        if args.seed is not None:
+            raise UsageError("--seed does not apply to the lower-bound family")
         meta["gaps"] = ", ".join(format(g, ".17g") for g in gaps)
     else:
-        if seed is None:
-            raise UsageError(f"the {family} family requires {seed_flag}")
+        if args.seed is None:
+            raise UsageError(f"the {args.family} family requires --seed")
         if gaps is not None:
             raise UsageError("--gaps applies only to the lower-bound family")
-        meta["seed"] = str(seed)
-    return generate_instance(family, n, k, seed=seed, gaps=gaps), meta
-
-
-def _cmd_gen(args) -> int:
-    _import_numpy_random()
-    inst, meta = _generate(args.family, args.n, args.k, args.seed, args.gaps, "--seed")
+        meta["seed"] = str(args.seed)
+    inst = generate_instance(args.family, args.n, args.k, seed=args.seed, gaps=gaps)
     write_instance(args.out, inst, meta)
     return 0
 
@@ -248,14 +235,6 @@ def _cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_instance(args) -> Tuple[Instance, Dict[str, str]]:
-    if args.instance:
-        return read_instance(args.instance)
-    if args.n is None or args.k is None:
-        raise UsageError("inline generation requires --n and --k")
-    return _generate(args.family, args.n, args.k, args.gen_seed, args.gaps, "--gen-seed")
-
-
 @dataclass(frozen=True)
 class RunJob:
     """Everything a replication needs besides its index: ``drive`` is the
@@ -271,7 +250,7 @@ class RunJob:
 
 
 #: One replication's CSV row and, for ``RunJob.curve_rep``, its regret curve.
-Outcome = Tuple[Dict[str, str], Optional[List[float]]]
+Outcome = Tuple[Dict[str, str], Optional[np.ndarray]]
 
 
 def _replicate(job: RunJob, rep: int) -> Outcome:
@@ -304,7 +283,7 @@ def _replicate(job: RunJob, rep: int) -> Outcome:
         "regret": repr(env.ledger.cum_regret) if job.horizon is not None else "",
         "status": status,
     }
-    curve = env.ledger.curve().tolist() if rep == job.curve_rep else None
+    curve = env.ledger.curve() if rep == job.curve_rep else None
     return row, curve
 
 
@@ -458,11 +437,6 @@ def _cmd_run(args) -> int:
             raise UsageError("--curve-rep must name one of the replications")
     elif args.curve_rep is not None:
         raise UsageError("--curve-rep applies only with --curve-out")
-    if args.instance:
-        inline = {"--n": args.n, "--k": args.k, "--gen-seed": args.gen_seed, "--gaps": args.gaps}
-        for flag, value in inline.items():
-            if value is not None:
-                raise UsageError(f"{flag} applies only to an inline instance (--family)")
     estimator = args.estimator or ("reg" if args.mode == "regret" else "adaptive")
     tuning = DESK_TUNING if args.tuning == "desk" else PAPER_TUNING
     if args.mode == "regret":
@@ -477,7 +451,7 @@ def _cmd_run(args) -> int:
     max_workers = _worker_count(args.reps)
     _import_numpy_random()
 
-    inst, inst_meta = _resolve_instance(args)
+    inst, inst_meta = read_instance(args.instance)
     for path in filter(None, (args.out, args.curve_out)):  # fail before replication 0
         folder = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(folder):
@@ -530,7 +504,7 @@ def _cmd_run(args) -> int:
                 "ci_scale": tuning.ci_scale,
             },
             "instance": {
-                "source": args.instance or "inline",
+                "source": args.instance,
                 "meta": inst_meta,
                 "n": inst.n,
                 "k": inst.k,

@@ -367,12 +367,13 @@ def test_criterion_10_approx_pac():
     )
 
 
-def test_criterion_11_reproducibility(tmp_path, monkeypatch):
+def test_criterion_11_reproducibility(tmp_path, monkeypatch, instance_file):
+    inst = instance_file("--family", "uniform", "--n", "4", "--k", "2", "--seed", "5")
+
     def run_pac(out, threads):
         monkeypatch.setenv("MNL_THREADS", str(threads))
         code = cli_main([
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
-            "--gen-seed", "5", "--mode", "pac", "--seed", "424242",
+            "run", "--instance", inst, "--mode", "pac", "--seed", "424242",
             "--reps", "4", "--tuning", "desk", "--out", str(out),
         ])
         assert code == 0
@@ -381,8 +382,7 @@ def test_criterion_11_reproducibility(tmp_path, monkeypatch):
     def run_regret(out, curve, threads=1, *more):
         monkeypatch.setenv("MNL_THREADS", str(threads))
         code = cli_main([
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
-            "--gen-seed", "5", "--mode", "regret", "--horizon", "20000",
+            "run", "--instance", inst, "--mode", "regret", "--horizon", "20000",
             "--seed", "424242", "--reps", "2", "--tuning", "desk",
             "--out", str(out), "--curve-out", str(curve), *more,
         ])

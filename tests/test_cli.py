@@ -57,6 +57,13 @@ def run_python(script, **env):
     return proc.stdout
 
 
+#: `gen` flags of the small instance most `run` tests read
+UNIFORM_4 = ("--family", "uniform", "--n", "4", "--k", "2", "--seed", "5")
+#: `gen` flags of the instance `shape_argv` runs
+UNIFORM_8 = ("--family", "uniform", "--n", "8", "--k", "3", "--seed", "5")
+#: `gen` flags of the README's regret instance
+UNIFORM_10 = ("--family", "uniform", "--n", "10", "--k", "4", "--seed", "14618")
+
 #: One small instance run four ways: each mode, and the pac loop on a plain
 #: estimator; ``{curve}`` stands for a curve file's path.
 RUN_SHAPES = {
@@ -67,12 +74,12 @@ RUN_SHAPES = {
 }
 
 
-def shape_argv(shape, tmp_path, out_name):
-    """``run`` argv of a `RUN_SHAPES` entry at desk tuning, two replications."""
+def shape_argv(inst, shape, tmp_path, out_name):
+    """``run`` argv of a `RUN_SHAPES` entry on the instance file ``inst`` at
+    desk tuning, two replications."""
     flags = [flag.format(curve=tmp_path / f"{out_name}.curve") for flag in RUN_SHAPES[shape]]
-    return ["run", "--family", "uniform", "--n", "8", "--k", "3", "--gen-seed", "5",
-            "--tuning", "desk", "--seed", "3", "--reps", "2", *flags,
-            "--out", str(tmp_path / out_name)]
+    return ["run", "--instance", inst, "--tuning", "desk", "--seed", "3", "--reps", "2",
+            *flags, "--out", str(tmp_path / out_name)]
 
 
 class TestGen:
@@ -114,6 +121,36 @@ class TestGen:
             "gen", "--family", "uniform", "--n", "4", "--k", "2",
             "--out", str(tmp_path / "x.inst"),
         ) == 1
+
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ("lower-bound", "the lower-bound family requires --gaps"),
+            ("uniform", "the uniform family requires --seed"),
+            ("dense", "the dense family requires --seed"),
+            ("sparse", "the sparse family requires --seed"),
+        ],
+        ids=["lower-bound-gaps", "uniform-seed", "dense-seed", "sparse-seed"],
+    )
+    def test_family_rule_names_the_missing_flag(self, tmp_path, capsys, monkeypatch,
+                                                family, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "generate_instance", fail)
+        out = tmp_path / "x.inst"
+        assert run_cli("gen", "--family", family, "--n", "4", "--k", "2",
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    def test_shape_is_required(self, tmp_path, capsys):
+        out = tmp_path / "x.inst"
+        assert run_cli("gen", "--family", "uniform", "--seed", "1", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "usage error: the following arguments are required: --n, --k\n"
+        )
+        assert not out.exists()
 
     def test_malformed_gaps_list(self, tmp_path):
         assert run_cli(
@@ -188,131 +225,162 @@ class TestOracle:
 
 
 class TestRunValidation:
-    def test_out_required(self, tmp_path):
-        assert run_cli(
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
-            "--gen-seed", "5", "--mode", "pac", "--seed", "1",
-        ) == 1
+    @pytest.fixture(autouse=True)
+    def _instance(self, instance_file):
+        self.inst = instance_file(*UNIFORM_4)
 
-    def test_inline_generation_needs_shape(self, tmp_path):
-        assert run_cli(
-            "run", "--family", "uniform", "--gen-seed", "5", "--mode", "pac",
-            "--seed", "1", "--out", str(tmp_path / "r.csv"),
-        ) == 1
+    def usage_error(self, capsys, *flags):
+        """The standard error of ``run`` on the small instance with ``flags``,
+        which must exit 1."""
+        assert run_cli("run", "--instance", self.inst, *flags) == 1
+        return capsys.readouterr().err
 
-    def test_inline_generation_needs_gen_seed(self, tmp_path):
+    def test_instance_required(self, tmp_path, capsys, monkeypatch):
+        # `run` reads its instance from a file that `gen` wrote; it draws none
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "generate_instance", fail)
+        monkeypatch.setattr(cli, "_replicate", fail)
         assert run_cli(
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
+            "run", "--family", "uniform", "--n", "8", "--k", "3", "--gen-seed", "5",
             "--mode", "pac", "--seed", "1", "--out", str(tmp_path / "r.csv"),
         ) == 1
-
-    def test_inline_lower_bound_needs_gaps(self, tmp_path, capsys):
-        out = tmp_path / "x.csv"
-        assert run_cli(
-            "run", "--family", "lower-bound", "--n", "4", "--k", "2",
-            "--mode", "pac", "--seed", "1", "--out", str(out),
-        ) == 1
         assert capsys.readouterr().err == (
-            "usage error: the lower-bound family requires --gaps\n"
+            "usage error: the following arguments are required: --instance\n"
         )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--family", "uniform"), ("--n", "8"), ("--k", "3"), ("--gen-seed", "5"),
+        ("--gaps", "0.01,0.01"),
+    ])
+    def test_generation_flag_is_not_a_run_flag(self, tmp_path, capsys, monkeypatch,
+                                               flag, value):
+        # an instance's shape and draw belong to the file that `gen` wrote
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "read_instance", fail)
+        monkeypatch.setattr(cli, "_replicate", fail)
+        out = tmp_path / "r.csv"
+        assert self.usage_error(capsys, "--mode", "pac", "--seed", "1", flag, value,
+                                "--out", str(out)) == (
+            f"usage error: unrecognized arguments: {flag} {value}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "error: [Errno 2] No such file or directory: '{path}'\n"),
+        ("garbage\n", "error: line 1: expected 'key = value', got 'garbage'\n"),
+    ], ids=["missing", "malformed"])
+    def test_unreadable_instance_is_a_runtime_error(self, tmp_path, capsys, monkeypatch,
+                                                    content, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "_replicate", fail)
+        path = tmp_path / "x.inst"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        out = tmp_path / "r.csv"
+        assert run_cli("run", "--instance", str(path), "--mode", "pac", "--seed", "1",
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == message.format(path=path)
         assert not out.exists()
 
-    def test_oracle_is_not_a_run_mode(self, tmp_path):
-        assert run_cli(
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
-            "--gen-seed", "5", "--mode", "oracle", "--seed", "1",
-            "--out", str(tmp_path / "r.csv"),
-        ) == 1
-
-    def test_pac_eps_needs_eps_and_adaptive(self, tmp_path):
-        base = (
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
-            "--gen-seed", "5", "--mode", "pac-eps", "--seed", "1",
-            "--out", str(tmp_path / "r.csv"), "--tuning", "desk",
+    def test_out_required(self, capsys):
+        assert self.usage_error(capsys, "--mode", "pac", "--seed", "1") == (
+            "usage error: the following arguments are required: --out\n"
         )
-        assert run_cli(*base) == 1
-        assert run_cli(*base, "--eps", "0.2", "--estimator", "naive") == 1
 
-    def test_regret_needs_horizon_and_reg_estimator(self, tmp_path):
-        base = (
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
-            "--gen-seed", "5", "--mode", "regret", "--seed", "1",
-            "--out", str(tmp_path / "r.csv"), "--tuning", "desk",
+    def test_oracle_is_not_a_run_mode(self, tmp_path, capsys):
+        err = self.usage_error(capsys, "--mode", "oracle", "--seed", "1",
+                               "--out", str(tmp_path / "r.csv"))
+        assert err.startswith("usage error: argument --mode: invalid choice: 'oracle'")
+
+    def test_pac_eps_needs_eps_and_adaptive(self, tmp_path, capsys):
+        base = ("--mode", "pac-eps", "--seed", "1", "--out", str(tmp_path / "r.csv"),
+                "--tuning", "desk")
+        assert self.usage_error(capsys, *base) == (
+            "usage error: --eps is required for mode=pac-eps\n"
         )
-        assert run_cli(*base) == 1
-        assert run_cli(*base, "--horizon", "100", "--estimator", "naive") == 1
+        assert self.usage_error(capsys, *base, "--eps", "0.2", "--estimator", "naive") == (
+            "usage error: mode=pac-eps supports only the adaptive estimator\n"
+        )
 
-    def test_curve_flags(self, tmp_path):
-        assert run_cli(
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
-            "--gen-seed", "5", "--mode", "pac", "--seed", "1",
+    def test_regret_needs_horizon_and_reg_estimator(self, tmp_path, capsys):
+        base = ("--mode", "regret", "--seed", "1", "--out", str(tmp_path / "r.csv"),
+                "--tuning", "desk")
+        assert self.usage_error(capsys, *base) == (
+            "usage error: --horizon is required for mode=regret\n"
+        )
+        assert self.usage_error(capsys, *base, "--horizon", "100", "--estimator", "naive") == (
+            "usage error: --estimator naive does not apply to mode=regret, "
+            "which runs the reg estimator\n"
+        )
+
+    def test_curve_flags(self, tmp_path, capsys):
+        out = ("--out", str(tmp_path / "r.csv"), "--curve-out", str(tmp_path / "c.csv"))
+        assert self.usage_error(capsys, "--mode", "pac", "--seed", "1", *out) == (
+            "usage error: --curve-out applies only to mode=regret\n"
+        )
+        assert self.usage_error(
+            capsys, "--mode", "regret", "--horizon", "100", "--seed", "1", *out,
+            "--curve-rep", "5", "--reps", "2",
+        ) == "usage error: --curve-rep must name one of the replications\n"
+
+    def test_reps_must_be_positive(self, tmp_path, capsys):
+        assert self.usage_error(
+            capsys, "--mode", "pac", "--seed", "1", "--reps", "0",
             "--out", str(tmp_path / "r.csv"),
-            "--curve-out", str(tmp_path / "c.csv"),
-        ) == 1
-        assert run_cli(
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
-            "--gen-seed", "5", "--mode", "regret", "--horizon", "100",
-            "--seed", "1", "--out", str(tmp_path / "r.csv"),
-            "--curve-out", str(tmp_path / "c.csv"), "--curve-rep", "5",
-            "--reps", "2",
-        ) == 1
-
-    def test_reps_must_be_positive(self, tmp_path):
-        assert run_cli(
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
-            "--gen-seed", "5", "--mode", "pac", "--seed", "1",
-            "--reps", "0", "--out", str(tmp_path / "r.csv"),
-        ) == 1
+        ) == "usage error: --reps must be >= 1\n"
 
     def test_bad_thread_env(self, tmp_path, monkeypatch):
+        argv = ("run", "--instance", self.inst, "--mode", "pac", "--seed", "1",
+                "--out", str(tmp_path / "r.csv"), "--tuning", "desk")
         monkeypatch.setenv("MNL_THREADS", "zero")
-        assert run_cli(
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
-            "--gen-seed", "5", "--mode", "pac", "--seed", "1",
-            "--out", str(tmp_path / "r.csv"), "--tuning", "desk",
-        ) == 1
+        assert run_cli(*argv) == 1
         monkeypatch.setenv("MNL_THREADS", "0")
-        assert run_cli(
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
-            "--gen-seed", "5", "--mode", "pac", "--seed", "1",
-            "--out", str(tmp_path / "r.csv"), "--tuning", "desk",
-        ) == 1
+        assert run_cli(*argv) == 1
 
-    @pytest.mark.parametrize("threads", ["zero", "0"])
-    def test_bad_thread_env_fails_before_any_replication(self, tmp_path, monkeypatch, threads):
+    @pytest.mark.parametrize("threads, message", [
+        ("zero", "MNL_THREADS must be an integer, got 'zero'"),
+        ("0", "MNL_THREADS must be >= 1"),
+    ])
+    def test_bad_thread_env_fails_before_any_replication(self, tmp_path, capsys, monkeypatch,
+                                                         threads, message):
         def replicate(job, rep):
             raise AssertionError("a replication ran")
 
         monkeypatch.setattr(cli, "_replicate", replicate)
         monkeypatch.setenv("MNL_THREADS", threads)
         out = tmp_path / "r.csv"
-        assert run_cli(
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
-            "--gen-seed", "5", "--mode", "pac", "--seed", "1", "--reps", "3",
-            "--out", str(out), "--tuning", "desk",
-        ) == 1
+        assert self.usage_error(
+            capsys, "--mode", "pac", "--seed", "1", "--reps", "3", "--out", str(out),
+            "--tuning", "desk",
+        ) == f"usage error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("delta", ["1.5", "1.0"])
     def test_pac_delta_outside_the_unit_interval(self, tmp_path, capsys, monkeypatch, delta):
         monkeypatch.setenv("MNL_THREADS", "1")
         assert run_cli(
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
-            "--gen-seed", "5", "--mode", "pac", "--delta", delta, "--seed", "1",
+            "run", "--instance", self.inst, "--mode", "pac", "--delta", delta, "--seed", "1",
             "--out", str(tmp_path / "r.csv"), "--tuning", "desk",
         ) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: delta must lie in (0, 1)")
 
     @pytest.mark.parametrize("delta", ["5e-324", "1e-304"])
-    def test_pac_delta_too_small_to_split(self, tmp_path, capsys, monkeypatch, delta):
+    def test_pac_delta_too_small_to_split(self, tmp_path, capsys, monkeypatch, instance_file,
+                                          delta):
         # 5e-324 halves to 0; 1e-304 splits below 1e-308 by phase 4, where 2 / delta overflows
         monkeypatch.setenv("MNL_THREADS", "1")
-        out = tmp_path / "r.csv"
+        inst = instance_file("--family", "uniform", "--n", "8", "--k", "3", "--seed", "7")
         assert run_cli(
-            "run", "--family", "uniform", "--n", "8", "--k", "3", "--gen-seed", "7",
-            "--mode", "pac", "--tuning", "desk", "--delta", delta, "--seed", "1",
-            "--out", str(out),
+            "run", "--instance", inst, "--mode", "pac", "--tuning", "desk", "--delta", delta,
+            "--seed", "1", "--out", str(tmp_path / "r.csv"),
         ) == 2
         assert capsys.readouterr().err == (
             f"error: delta {delta} is too small to split for n = 8 items: "
@@ -320,42 +388,19 @@ class TestRunValidation:
         )
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            # a regret horizon above 2^63 is refused before any replication
-            ("--family", "uniform", "--n", "10", "--k", "4", "--gen-seed", "14618",
-             "--mode", "regret", "--horizon", "10000000000000000000"),
-            # paper constants at gaps of 1e-9 overflow a purchase-count draw
-            ("--family", "lower-bound", "--n", "6", "--k", "2",
-             "--gaps", "1e-9,1e-9,1e-9,1e-9", "--mode", "pac", "--tuning", "paper"),
-        ],
-    )
-    def test_overflow_is_a_runtime_error(self, tmp_path, capsys, monkeypatch, args):
-        monkeypatch.setenv("MNL_THREADS", "1")
-        assert run_cli("run", *args, "--seed", "1", "--reps", "1",
-                       "--out", str(tmp_path / "r.csv")) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert "Traceback" not in err
-        if "--horizon" in args:  # refused before any replication, naming both numbers
-            assert err == ("error: --horizon 10000000000000000000 exceeds the limit "
-                           "9223372036854775807\n")
-            assert not (tmp_path / "r.csv").exists()
-
-    def test_batch_past_the_draw_limit_names_the_limit(self, tmp_path, capsys, monkeypatch):
-        # paper constants at gaps of 1e-9 ask one batch for about 1.3e19 epochs
+    def test_horizon_past_the_limit_is_refused(self, tmp_path, capsys, monkeypatch,
+                                               instance_file):
+        # a regret horizon above 2^63 is refused before any replication, naming both numbers
         monkeypatch.setenv("MNL_THREADS", "1")
         assert run_cli(
-            "run", "--family", "lower-bound", "--n", "6", "--k", "2",
-            "--gaps", "1e-9,1e-9,1e-9,1e-9", "--mode", "pac", "--tuning", "paper",
-            "--seed", "1", "--reps", "1", "--out", str(tmp_path / "r.csv"),
+            "run", "--instance", instance_file(*UNIFORM_10), "--mode", "regret",
+            "--horizon", "10000000000000000000", "--seed", "1", "--reps", "1",
+            "--out", str(tmp_path / "r.csv"),
         ) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "Traceback" not in err
-        assert err.startswith("error: a batch of ")
-        assert err.endswith(" epochs exceeds the sampler's limit of 9007199254740992 "
-                            "in phase 15 at --tuning paper\n")
+        assert capsys.readouterr().err == (
+            "error: --horizon 10000000000000000000 exceeds the limit 9223372036854775807\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     #: gaps of 1e-7 keep both items pending while tau grows 4x a phase
     PAST_THE_LIMIT = (
@@ -363,22 +408,23 @@ class TestRunValidation:
         "9007199254740992 in phase 15 at --tuning paper\n"
     )
 
-    def past_the_limit_run(self, tmp_path, reps):
+    def past_the_limit_run(self, instance_file, tmp_path, reps):
+        inst = instance_file("--family", "lower-bound", "--n", "4", "--k", "2",
+                             "--gaps", "1e-7,1e-7")
         return run_cli(
-            "run", "--family", "lower-bound", "--n", "4", "--k", "2", "--gaps", "1e-7,1e-7",
-            "--mode", "pac", "--tuning", "paper", "--seed", "1", "--reps", str(reps),
-            "--out", str(tmp_path / "r.csv"),
+            "run", "--instance", inst, "--mode", "pac", "--tuning", "paper", "--seed", "1",
+            "--reps", str(reps), "--out", str(tmp_path / "r.csv"),
         )
 
     def test_batch_past_the_limit_names_the_phase_and_the_profile(self, tmp_path, capsys,
-                                                                  monkeypatch):
+                                                                  monkeypatch, instance_file):
         monkeypatch.setenv("MNL_THREADS", "1")
-        assert self.past_the_limit_run(tmp_path, 1) == 2
+        assert self.past_the_limit_run(instance_file, tmp_path, 1) == 2
         assert capsys.readouterr().err == self.PAST_THE_LIMIT
         assert list(tmp_path.iterdir()) == []
 
     def test_batch_past_the_limit_in_a_worker_reads_as_in_a_serial_run(self, tmp_path, capsys,
-                                                                      monkeypatch):
+                                                                      monkeypatch, instance_file):
         # replications 0 and 1 (this process's share) pass; replication 2
         # runs in the forked worker and fails there as replication 0 does alone
         replicate = cli._replicate
@@ -389,33 +435,32 @@ class TestRunValidation:
         monkeypatch.setattr(cli, "_replicate", replicate_from_2)
         monkeypatch.setattr(cli, "POOL_STARTUP_S", -1.0)
         monkeypatch.setenv("MNL_THREADS", "2")
-        assert self.past_the_limit_run(tmp_path, 3) == 2
+        assert self.past_the_limit_run(instance_file, tmp_path, 3) == 2
         assert capsys.readouterr().err == self.PAST_THE_LIMIT
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize(
-        "argv, flag",
+        "argv",
         [
-            (("run", "--family", "uniform", "--n", "4", "--k", "2", "--gen-seed", "5",
-              "--mode", "pac", "--seed", "-1"), "--seed"),
-            (("run", "--family", "uniform", "--n", "4", "--k", "2", "--gen-seed", "-1",
-              "--mode", "pac", "--seed", "1"), "--gen-seed"),
-            (("gen", "--family", "uniform", "--n", "4", "--k", "2", "--seed", "-1"),
-             "--seed"),
+            ("run", "--instance", "{inst}", "--mode", "pac", "--seed", "-1"),
+            ("gen", "--family", "uniform", "--n", "4", "--k", "2", "--seed", "-1"),
         ],
+        ids=["run", "gen"],
     )
-    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, flag):
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv):
         def fail(*args, **kwargs):
             raise AssertionError("work started")
 
         monkeypatch.setattr(cli, "generate_instance", fail)
+        monkeypatch.setattr(cli, "read_instance", fail)
         monkeypatch.setattr(cli, "_replicate", fail)
         out = tmp_path / "out"
+        argv = [arg.format(inst=self.inst) for arg in argv]
         assert run_cli(*argv, "--out", str(out)) == 1
         assert capsys.readouterr().err == (
-            f"usage error: argument {flag}: expected a non-negative integer, got -1\n"
+            "usage error: argument --seed: expected a non-negative integer, got -1\n"
         )
         assert not out.exists()
 
@@ -425,14 +470,13 @@ class TestRunValidation:
         def fail(*args, **kwargs):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(cli, "generate_instance", fail)
+        monkeypatch.setattr(cli, "read_instance", fail)
         monkeypatch.setattr(cli, "_replicate", fail)
         out = tmp_path / "r.csv"
-        assert run_cli(
-            "run", "--family", "uniform", "--n", "8", "--k", "3", "--gen-seed", "5",
-            "--mode", "pac", "--seed", "1", flag, "0.5", "--out", str(out),
-        ) == 1
-        assert capsys.readouterr().err == f"usage error: unrecognized arguments: {flag} 0.5\n"
+        assert self.usage_error(capsys, "--mode", "pac", "--seed", "1", flag, "0.5",
+                                "--out", str(out)) == (
+            f"usage error: unrecognized arguments: {flag} 0.5\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -452,11 +496,9 @@ class TestRunValidation:
         monkeypatch.setattr(cli, "_replicate", fail)
         needed = {"pac": (), "pac-eps": ("--eps", "0.3"), "regret": ("--horizon", "50")}[mode]
         out = tmp_path / "r.csv"
-        assert run_cli(
-            "run", "--family", "uniform", "--n", "4", "--k", "2", "--gen-seed", "5",
-            "--mode", mode, *needed, flag, value, "--seed", "1", "--out", str(out),
-        ) == 1
-        assert capsys.readouterr().err == (
+        assert self.usage_error(
+            capsys, "--mode", mode, *needed, flag, value, "--seed", "1", "--out", str(out),
+        ) == (
             f"usage error: {flag} applies only to mode="
             f"{'pac-eps' if flag == '--eps' else 'regret'}\n"
         )
@@ -469,40 +511,24 @@ class TestRunValidation:
               "--gaps", "0.1"), "--gaps applies only to the lower-bound family"),
             (("gen", "--family", "lower-bound", "--n", "4", "--k", "2", "--gaps", "0.1,0.1",
               "--seed", "5"), "--seed does not apply to the lower-bound family"),
-            (("run", "--family", "uniform", "--n", "4", "--k", "2", "--gen-seed", "5",
-              "--gaps", "0.1", "--mode", "pac", "--seed", "1"),
-             "--gaps applies only to the lower-bound family"),
-            (("run", "--family", "lower-bound", "--n", "4", "--k", "2", "--gaps", "0.1,0.1",
-              "--gen-seed", "5", "--mode", "pac", "--seed", "1"),
-             "--gen-seed does not apply to the lower-bound family"),
-            (("run", "--instance", "{inst}", "--gen-seed", "3", "--mode", "pac", "--seed", "1"),
-             "--gen-seed applies only to an inline instance (--family)"),
-            (("run", "--instance", "{inst}", "--n", "99", "--mode", "pac", "--seed", "1"),
-             "--n applies only to an inline instance (--family)"),
-            (("run", "--instance", "{inst}", "--gaps", "0.1", "--mode", "pac", "--seed", "1"),
-             "--gaps applies only to an inline instance (--family)"),
             (("run", "--instance", "{inst}", "--mode", "regret", "--horizon", "50",
               "--curve-rep", "0", "--seed", "1"), "--curve-rep applies only with --curve-out"),
             (("run", "--instance", "{inst}", "--mode", "regret", "--horizon", "50",
               "--estimator", "adaptive", "--seed", "1"),
              "--estimator adaptive does not apply to mode=regret, which runs the reg estimator"),
         ],
-        ids=["gen-uniform-gaps", "gen-lower-bound-seed", "run-uniform-gaps",
-             "run-lower-bound-gen-seed", "file-gen-seed", "file-n", "file-gaps",
+        ids=["gen-uniform-gaps", "gen-lower-bound-seed",
              "curve-rep-without-curve-out", "regret-estimator-adaptive"],
     )
     def test_ignored_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, message):
         def fail(*args, **kwargs):
             raise AssertionError("work started")
 
-        inst = str(tmp_path / "u.inst")
-        assert run_cli("gen", "--family", "uniform", "--n", "4", "--k", "2",
-                       "--seed", "7", "--out", inst) == 0
         monkeypatch.setattr(cli, "generate_instance", fail)
         monkeypatch.setattr(cli, "read_instance", fail)
         monkeypatch.setattr(cli, "_replicate", fail)
         out = tmp_path / "out"
-        argv = [arg.format(inst=inst) for arg in argv]
+        argv = [arg.format(inst=self.inst) for arg in argv]
         assert run_cli(*argv, "--out", str(out)) == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
@@ -519,24 +545,24 @@ class TestRunValidation:
         missing = paths[flag] = str(tmp_path / "no-such-dir" / "x.csv")
         folder = str(tmp_path / "no-such-dir")
         assert run_cli(
-            "run", "--family", "uniform", "--n", "4", "--k", "2", "--gen-seed", "5",
-            "--mode", "regret", "--horizon", "100", "--seed", "1", "--reps", "2",
-            "--out", paths["--out"], "--curve-out", paths["--curve-out"],
+            "run", "--instance", self.inst, "--mode", "regret", "--horizon", "100",
+            "--seed", "1", "--reps", "2", "--out", paths["--out"],
+            "--curve-out", paths["--curve-out"],
         ) == 2
         assert capsys.readouterr().err == (
             f"error: {missing}: no such directory {folder!r}\n"
         )
         assert list(tmp_path.iterdir()) == []
 
-    def test_out_of_memory_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
+    def test_out_of_memory_is_a_runtime_error(self, tmp_path, capsys, monkeypatch,
+                                              instance_file):
         # the regret curve of a 1e15-step horizon asks numpy for petabytes
         monkeypatch.setenv("MNL_THREADS", "1")
         out = tmp_path / "r.csv"
         assert run_cli(
-            "run", "--family", "uniform", "--n", "10", "--k", "4",
-            "--gen-seed", "14618", "--mode", "regret", "--horizon", "1000000000000000",
-            "--tuning", "desk", "--seed", "99", "--out", str(out),
-            "--curve-out", str(tmp_path / "c.csv"),
+            "run", "--instance", instance_file(*UNIFORM_10), "--mode", "regret",
+            "--horizon", "1000000000000000", "--tuning", "desk", "--seed", "99",
+            "--out", str(out), "--curve-out", str(tmp_path / "c.csv"),
         ) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -552,10 +578,14 @@ class TestRunValidation:
 
 
 class TestRunPac:
+    @pytest.fixture(autouse=True)
+    def _fixtures(self, instance_file, fork_threads):
+        self.inst = instance_file(*UNIFORM_4)
+        self.forks = fork_threads
+
     def pac_args(self, tmp_path, out_name, **extra):
         argv = [
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
-            "--gen-seed", "5", "--mode", "pac", "--seed", "1234",
+            "run", "--instance", self.inst, "--mode", "pac", "--seed", "1234",
             "--reps", "3", "--tuning", "desk", "--out", str(tmp_path / out_name),
         ]
         for key, value in extra.items():
@@ -663,27 +693,22 @@ class TestRunPac:
         """Run 5 replications through a 2-process pool that starts at once, with
         ``failure`` called in replication ``fail_at``: this process runs 1 and 3,
         the forked worker 2 and 4.  Return the exit code, and assert that this
-        process had one OS thread when it forked and that no child is left."""
+        process forked once and that no child is left (the suite's fork hook
+        checks that it had one OS thread when it forked)."""
         replicate = cli._replicate
-        fork, threads = os.fork, []
 
         def failing(job, rep):
             if rep == fail_at:
                 failure()
             return replicate(job, rep)
 
-        def counting_fork():
-            threads.append(len(os.listdir("/proc/self/task")))
-            return fork()
-
         monkeypatch.setattr(cli, "_replicate", failing)
         monkeypatch.setattr(cli, "POOL_STARTUP_S", -1.0)
-        monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setenv("MNL_THREADS", "2")
         code = run_cli(*self.pac_args(tmp_path, "r.csv", reps=5))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert threads == [1]
+        assert len(self.forks) == 1
         return code
 
     def test_worker_failure_reads_as_in_a_serial_run(self, tmp_path, capsys, monkeypatch):
@@ -816,7 +841,7 @@ class TestRunPac:
         assert (tmp_path / "p.csv").read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize("shape", sorted(RUN_SHAPES))
-    def test_job_survives_pickling(self, tmp_path, monkeypatch, shape):
+    def test_job_survives_pickling(self, tmp_path, monkeypatch, instance_file, shape):
         # forked workers inherit the job and send back only their outcomes,
         # but a job stays a plain value: a copy from pickle replicates alike
         jobs = []
@@ -826,17 +851,22 @@ class TestRunPac:
             return [cli._replicate(job, rep) for rep in range(reps)], 1
 
         monkeypatch.setattr(cli, "_run_replications", capture)
-        assert run_cli(*shape_argv(shape, tmp_path, "r.csv")) == 0
+        assert run_cli(*shape_argv(instance_file(*UNIFORM_8), shape, tmp_path, "r.csv")) == 0
         (job,) = jobs
         copy = pickle.loads(pickle.dumps(job))
         outcomes = [cli._replicate(job, rep) for rep in (0, 1)]
-        assert [cli._replicate(copy, rep) for rep in (0, 1)] == outcomes
+        copied = [cli._replicate(copy, rep) for rep in (0, 1)]
+        assert [row for row, _ in copied] == [row for row, _ in outcomes]
+        for (_, curve), (_, want) in zip(copied, outcomes):
+            assert (curve is None) == (want is None)
+            assert want is None or np.array_equal(curve, want)
         assert [curve is not None for _, curve in outcomes] == [shape == "regret-curve", False]
 
-    def test_replications_import_no_module(self, tmp_path):
+    def test_replications_import_no_module(self, tmp_path, instance_file):
         # replication 0's time decides whether a pool starts, so a module that
         # a replication imports on first use would tilt that decision
-        runs = [shape_argv(shape, tmp_path, f"{shape}.csv") for shape in sorted(RUN_SHAPES)]
+        inst = instance_file(*UNIFORM_8)
+        runs = [shape_argv(inst, shape, tmp_path, f"{shape}.csv") for shape in sorted(RUN_SHAPES)]
         script = (
             "import sys\n"
             "from mnlbandit import cli\n"
@@ -853,28 +883,30 @@ class TestRunPac:
         )
         run_python(script, MNL_THREADS="1")
 
-    def test_instance_file_source(self, tmp_path, monkeypatch):
+    def test_instance_file_source(self, tmp_path, monkeypatch, instance_file):
+        # the sidecar names the file and records the metadata `gen` wrote to it
         monkeypatch.setenv("MNL_THREADS", "1")
-        inst_path = str(tmp_path / "u.inst")
-        run_cli("gen", "--family", "uniform", "--n", "4", "--k", "2",
-                "--seed", "5", "--out", inst_path)
-        out = str(tmp_path / "r.csv")
-        assert run_cli(
-            "run", "--instance", inst_path, "--mode", "pac", "--seed", "1234",
-            "--tuning", "desk", "--out", out,
-        ) == 0
-        # identical instance => identical replication-0 row as inline generation
-        inline_out = tmp_path / "inline.csv"
-        assert run_cli(*self.pac_args(tmp_path, "inline.csv")) == 0
-        assert read_rows(out)[0] == read_rows(inline_out)[0]
+        lower_bound = ("--family", "lower-bound", "--n", "4", "--k", "2", "--gaps", "0.01,0.02")
+        for gen in (UNIFORM_4, lower_bound):
+            path = instance_file(*gen)
+            out = str(tmp_path / "r.csv")
+            assert run_cli("run", "--instance", path, "--mode", "pac", "--seed", "1",
+                           "--tuning", "desk", "--out", out) == 0
+            inst, meta = read_instance(path)
+            with open(out + ".meta.json") as fh:
+                recorded = json.load(fh)["config"]["instance"]
+            assert recorded == {
+                "source": path, "meta": meta, "n": 4, "k": 2,
+                "r": [format(x, ".17g") for x in inst.r],
+                "v": [format(x, ".17g") for x in inst.v],
+            }
 
     def test_alternative_estimators_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MNL_THREADS", "1")
         for estimator in ("naive", "reduced", "reg"):
             out = tmp_path / f"{estimator}.csv"
             argv = [
-                "run", "--family", "uniform", "--n", "4", "--k", "2",
-                "--gen-seed", "5", "--mode", "pac", "--seed", "7",
+                "run", "--instance", self.inst, "--mode", "pac", "--seed", "7",
                 "--tuning", "desk", "--estimator", estimator, "--out", str(out),
             ]
             assert run_cli(*argv) == 0
@@ -896,40 +928,15 @@ class TestRunPac:
         assert len(rows) == 2
         assert all(row["status"] == "ok" for row in rows)
 
-    def test_inline_instance_matches_gen(self, tmp_path, monkeypatch):
-        # `run` builds an inline instance as `gen` does, and its sidecar
-        # records the metadata `gen` writes to the instance file
-        monkeypatch.setenv("MNL_THREADS", "1")
-        for family, flags in (
-            ("uniform", ("--seed", "5")),
-            ("lower-bound", ("--gaps", "0.01,0.02")),
-        ):
-            inst_path = str(tmp_path / f"{family}.inst")
-            assert run_cli("gen", "--family", family, "--n", "4", "--k", "2",
-                           *flags, "--out", inst_path) == 0
-            inline_flags = ("--gen-seed", "5") if family == "uniform" else flags
-            out = str(tmp_path / f"{family}.csv")
-            assert run_cli(
-                "run", "--family", family, "--n", "4", "--k", "2", *inline_flags,
-                "--mode", "pac", "--seed", "1", "--tuning", "desk", "--out", out,
-            ) == 0
-            inst, meta = read_instance(inst_path)
-            with open(out + ".meta.json") as fh:
-                recorded = json.load(fh)["config"]["instance"]
-            assert recorded["meta"] == meta
-            assert recorded["r"] == [format(x, ".17g") for x in inst.r]
-            assert recorded["v"] == [format(x, ".17g") for x in inst.v]
-
 
 class TestRunRegret:
-    def test_curve_file_matches_the_result_row(self, tmp_path, monkeypatch):
+    def test_curve_file_matches_the_result_row(self, tmp_path, monkeypatch, instance_file):
         monkeypatch.setenv("MNL_THREADS", "1")
         out = str(tmp_path / "r.csv")
         curve_out = str(tmp_path / "curve.csv")
         assert run_cli(
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
-            "--gen-seed", "5", "--mode", "regret", "--horizon", "20000",
-            "--seed", "99", "--reps", "2", "--tuning", "desk",
+            "run", "--instance", instance_file(*UNIFORM_4), "--mode", "regret",
+            "--horizon", "20000", "--seed", "99", "--reps", "2", "--tuning", "desk",
             "--out", out, "--curve-out", curve_out, "--curve-rep", "0",
         ) == 0
         rows = read_rows(out)
@@ -950,12 +957,11 @@ class TestRunRegret:
         np.testing.assert_allclose(float(rows[0]["regret"]), values[-1], rtol=1e-9)
 
 
-    def test_sidecar_records_the_estimator_that_ran(self, tmp_path, monkeypatch):
+    def test_sidecar_records_the_estimator_that_ran(self, tmp_path, monkeypatch, instance_file):
         monkeypatch.setenv("MNL_THREADS", "1")
         out = str(tmp_path / "r.csv")
         assert run_cli(
-            "run", "--family", "uniform", "--n", "4", "--k", "2",
-            "--gen-seed", "5", "--mode", "regret", "--horizon", "2000",
+            "run", "--instance", instance_file(*UNIFORM_4), "--mode", "regret", "--horizon", "2000",
             "--seed", "99", "--tuning", "desk", "--delta", "0.5", "--out", out,
         ) == 0
         with open(out + ".meta.json") as fh:

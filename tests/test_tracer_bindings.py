@@ -63,14 +63,14 @@ TRACED_RUNS = {
 
 
 @pytest.mark.parametrize("mode", sorted(TRACED_RUNS))
-def test_traced_run_records_every_attribute(tmp_path, mode):
+def test_traced_run_records_every_attribute(tmp_path, instance_file, mode):
     flags, driver_spans = TRACED_RUNS[mode]
+    inst = instance_file("--family", "uniform", "--n", "8", "--k", "3", "--seed", "7")
     spans_path = tmp_path / "spans.json"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-B", str(TRACER), str(spans_path), "run", "--family", "uniform",
-         "--n", "8", "--k", "3", "--gen-seed", "7", "--tuning", "desk", "--seed", "1",
-         *flags, "--out", str(tmp_path / "r.csv")],
+        [sys.executable, "-B", str(TRACER), str(spans_path), "run", "--instance", inst,
+         "--tuning", "desk", "--seed", "1", *flags, "--out", str(tmp_path / "r.csv")],
         capture_output=True, text=True, timeout=120, cwd=tmp_path,
         env=dict(os.environ, MNL_THREADS="1", PYTHONPATH=path),
     )
