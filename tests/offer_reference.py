@@ -32,5 +32,5 @@ def offer(env: Environment, s: Iterable[int]) -> int:
     cum = np.cumsum(np.concatenate(([1.0], env._inst.v[np.asarray(t, dtype=int) - 1])))
     u = env._rng.random() * cum[-1]
     j = int(np.searchsorted(cum, u, side="right"))
-    env.ledger.record(env._cached((t, ())).regret, 1)
+    env.ledger.record(env._plan(t, ()).regret, 1)
     return 0 if j == 0 else t[j - 1]

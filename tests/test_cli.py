@@ -336,14 +336,6 @@ class TestRunValidation:
             "--out", str(tmp_path / "r.csv"),
         ) == "usage error: --reps must be >= 1\n"
 
-    def test_bad_thread_env(self, tmp_path, monkeypatch):
-        argv = ("run", "--instance", self.inst, "--mode", "pac", "--seed", "1",
-                "--out", str(tmp_path / "r.csv"), "--tuning", "desk")
-        monkeypatch.setenv("MNL_THREADS", "zero")
-        assert run_cli(*argv) == 1
-        monkeypatch.setenv("MNL_THREADS", "0")
-        assert run_cli(*argv) == 1
-
     @pytest.mark.parametrize("threads, message", [
         ("zero", "MNL_THREADS must be an integer, got 'zero'"),
         ("0", "MNL_THREADS must be >= 1"),
@@ -818,6 +810,19 @@ class TestRunPac:
         )
         run_python(script)
         assert (tmp_path / "g.inst").read_bytes() == (tmp_path / "u.inst").read_bytes()
+        # a lower-bound gen draws nothing, so it loads no generator either
+        gen = ["gen", "--family", "lower-bound", "--n", "4", "--k", "2",
+               "--gaps", "0.01,0.01", "--out", str(tmp_path / "lb.inst")]
+        script = (
+            "import sys\n"
+            "import numpy\n"
+            "lazy = 'numpy.random' not in sys.modules\n"
+            "from mnlbandit import cli\n"
+            f"assert cli.main({gen!r}) == 0\n"
+            "loaded = [name for name in ('numpy.random', '_hashlib') if name in sys.modules]\n"
+            "assert not (lazy and loaded), loaded\n"
+        )
+        run_python(script)
         # a run through a pool that starts at once loads no executor, and its
         # process has one OS thread when it forks the worker
         script = (

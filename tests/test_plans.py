@@ -12,8 +12,9 @@ returns, bit for bit.
 import numpy as np
 import pytest
 
+from mnlbandit import env as env_module
 from mnlbandit.env import Environment, fork_stream
-from mnlbandit.estimators import ci_theta
+from mnlbandit.estimators import ci_theta, est_rough
 from mnlbandit.model import Instance
 from mnlbandit.oracle import fractional_optimum
 from epoch_detail import epoch_detail
@@ -63,7 +64,7 @@ def _assert_same_draws(new_env, old_env, z, s, epochs, detail=False):
         np.testing.assert_array_equal(new.x_sums, np.zeros(len(new.tracked), dtype=np.int64))
         one_draw = np.random.Generator(np.random.PCG64())
         one_draw.bit_generator.state = state
-        one_draw.negative_binomial(epochs, new_env._epoch_plan(z, s).q)
+        one_draw.negative_binomial(epochs, new_env._plan(s, z).q)
         assert new_env._rng.bit_generator.state == one_draw.bit_generator.state
         return new
     assert new.epochs == old.epochs and new.z_sum == old.z_sum
@@ -172,36 +173,54 @@ class TestPlanTable:
     )
     def test_invalid_calls_raise_after_caching(self, z, s, epochs):
         env = self.make_env()
-        before = (env.ledger.steps, env._rng.bit_generator.state, len(env._offer_cache))
+        before = (env.ledger.steps, env._rng.bit_generator.state, len(env._plans))
         with pytest.raises(ValueError):
             env.sample_epochs(z, s, epochs)
-        after = (env.ledger.steps, env._rng.bit_generator.state, len(env._offer_cache))
+        after = (env.ledger.steps, env._rng.bit_generator.state, len(env._plans))
         assert after == before
 
     def test_offer_and_epoch_keys_share_a_plan(self):
         env = self.make_env()
         batch = env.sample_epochs((), (1, 2), 10)  # the key offer(env, (1, 2)) built
-        assert batch.epochs == 10 and len(env._offer_cache) == 3
+        assert batch.epochs == 10 and len(env._plans) == 3
 
     def test_one_table_and_optimum_per_instance(self):
         env = self.make_env()
         inst = env._inst
         other = Environment(inst, fork_stream(9, 1))
-        assert other._offer_cache is env._offer_cache
+        assert other._plans is env._plans
         assert other.oracle_solution() is env.oracle_solution()
         copy = Environment(Instance(n=5, k=3, r=inst.r, v=inst.v), fork_stream(9, 2))
-        assert copy._offer_cache is not env._offer_cache
+        assert copy._plans is not env._plans
 
     def test_table_stays_bounded(self):
         inst = Instance(n=16, k=4, r=np.linspace(0.1, 1.0, 16), v=[0.5] * 16)
         env = Environment(inst, fork_stream(4, 0))
+        bound = 4 * inst.n + 1024
         rng = np.random.default_rng(4)
-        seen = set()
-        while len(seen) <= 4096:
+        seen, sizes = set(), set()
+        while len(seen) <= bound:
             pair = _random_pair(rng, inst)
             seen.add(pair)
             env.sample_epochs(*pair, 1)
-            assert len(env._offer_cache) <= 4096
+            sizes.add(len(env._plans))
+        assert max(sizes) == bound and len(env._plans) < bound
+
+    def test_wide_instance_plans_each_pair_once(self, monkeypatch):
+        # two rough passes, on two environments of one instance, offer each of
+        # 4,500 items alone twice: every plan is built once and then reused
+        n = 4500
+        inst = Instance(n=n, k=2, r=np.linspace(0.1, 1.0, n), v=np.full(n, 0.5))
+        build, builds = env_module._Plan.build, []
+
+        def counted(*args):
+            builds.append(args[2:])  # the (S, Z) pair
+            return build(*args)
+
+        monkeypatch.setattr(env_module._Plan, "build", counted)
+        for replication in range(2):
+            est_rough(Environment(inst, fork_stream(5, replication)), 0.1)
+        assert len(builds) == n
 
 
 class TestCiThetaMatchesFractionalOptimum:
