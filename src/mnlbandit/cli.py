@@ -38,9 +38,10 @@ import os
 import pickle
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple,
+)
 
 # Every vector here holds at most n items, far below the size where BLAS
 # threads pay; OpenBLAS's worker thread would only spin beside the main one.
@@ -236,8 +237,7 @@ def _cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunJob:
+class RunJob(NamedTuple):
     """Everything a replication needs besides its index: ``drive`` is the
     mode's driver with all but the environment bound; ``eps`` grades a
     ``pac-eps`` run, and ``horizon`` budgets a ``regret`` run's environment."""

@@ -33,9 +33,8 @@ capacity — asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .env import Environment, HorizonExhausted, SamplerLimitError
 from .estimators import (
@@ -74,8 +73,7 @@ PhaseEstimator = Callable[[Environment, Assortment, Assortment, float, float], E
 Completion = Callable[[int, EstimateSet, int], Optional[Assortment]]
 
 
-@dataclass(frozen=True)
-class PhaseState:
+class PhaseState(NamedTuple):
     """One accept-reject phase: its inputs, its decisions and its estimate."""
 
     k: int
@@ -92,8 +90,7 @@ class PhaseState:
     est: EstimateSet
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """Decisions of one driver run.
 
     ``aborted`` marks a phase-cap abort (diagnostic, not an exception);

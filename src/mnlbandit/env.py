@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -108,8 +108,7 @@ def generator_digest(rng: np.random.Generator) -> int:
     return int(rng.bit_generator.seed_seq.generate_state(1, dtype=np.uint64)[0])
 
 
-@dataclass
-class EpochBatch:
+class EpochBatch(NamedTuple):
     """Result of a vectorized batch of exploration epochs.
 
     ``steps`` is the exact number of time steps consumed, ``x_sums[j]`` the
@@ -323,8 +322,7 @@ class Environment:
         return plan
 
 
-@dataclass(frozen=True)
-class _Split:
+class _Split(NamedTuple):
     """Multinomial split of a count over fixed category weights.
 
     Zero-weight categories get exactly zero: only positive weights enter the
@@ -364,8 +362,7 @@ class _Split:
         return out
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """What ``advance`` and ``sample_epochs`` need of one offered pair:
     tracked set ``S`` and stopping set ``Z`` (``S`` alone for ``advance``),
     validated by `Environment._plan`.  The step-level reference sampler in

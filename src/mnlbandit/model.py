@@ -84,12 +84,10 @@ class Instance:
         return (Instance, (self.n, self.k, self.r, self.v))
 
 
-def validate_assortment(
-    s: Iterable[int], n: int, k: int | None = None
-) -> Assortment:
+def validate_assortment(s: Iterable[int], n: int) -> Assortment:
     """Check that ``s`` is a strictly increasing tuple of item ids in 1..n.
 
-    The empty assortment is legal.  If ``k`` is given, enforce ``|s| <= k``.
+    The empty assortment is legal; a capacity is the caller's to check.
     Returns the validated tuple.
     """
     t = tuple(int(i) for i in s)
@@ -98,8 +96,6 @@ def validate_assortment(
             raise ValueError(f"assortment must be strictly increasing, got {t}")
     if t and (t[0] < 1 or t[-1] > n):
         raise ValueError(f"assortment items must lie in 1..{n}, got {t}")
-    if k is not None and len(t) > k:
-        raise ValueError(f"assortment size {len(t)} exceeds capacity {k}")
     return t
 
 

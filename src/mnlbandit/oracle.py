@@ -28,9 +28,8 @@ tests compare the kernel against, and is guarded to ``n <= 24``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -51,8 +50,7 @@ __all__ = [
 BRUTE_FORCE_MAX_N = 24
 
 
-@dataclass(frozen=True)
-class OptimumSolution:
+class OptimumSolution(NamedTuple):
     """An optimal assortment together with its revenue.
 
     Invariant: ``theta_star`` is the revenue of ``s_star`` recomputed from the set;
@@ -198,13 +196,15 @@ def suboptimality_gaps(inst: Instance) -> Dict[int, float]:
     theta = _revenue_at(inst, star)
     gaps: Dict[int, float] = {}
     for i in range(inst.n):
-        rest = np.delete(np.arange(inst.n), i)
+        # weight 0 scores 0 at every theta, so _solve leaves i out and selects
+        # the others in the order it would without them
+        v_out = v.copy()
+        v_out[i] = 0.0
         if i in star:
-            s = rest[_solve(v[rest], r[rest], 0.0, k)]
+            s = _solve(v_out, r, 0.0, k)
         else:  # reduced by {i}: zeta = R({i}), nu = v / (1 + v_i)
             w = 1.0 + v[i]
-            s = rest[_solve(v[rest] / w, r[rest], v[i] * r[i] / w, k - 1)]
-            s = np.sort(np.append(s, i))
+            s = np.sort(np.append(_solve(v_out / w, r, v[i] * r[i] / w, k - 1), i))
         gaps[i + 1] = theta - _revenue_at(inst, s)
     return gaps
 

@@ -1,9 +1,14 @@
 """Enumeration references for the per-item gaps and the revenue margin, the
-score selection on item ids, and the dict-interface reduced solve.
+gaps solved on reduced arrays, the score selection on item ids, and the
+dict-interface reduced solve.
 
 Both enumeration references enumerate every assortment of size <= k (keep
 ``n`` small); the tests require ``suboptimality_gaps`` and ``revenue_margin``
 to agree with them bit for bit on instances without tied assortments.
+``deleted_item_gaps`` is the earlier ``suboptimality_gaps`` loop, which
+solves without item ``i`` on arrays that ``np.delete`` shortens, kept
+verbatim; the tests require the zero-weight loop to match it bit for bit at
+any ``n``, ties included.
 ``select_f`` is the oracle's top-positive selection keyed by item id.
 ``fractional_optimum`` is the earlier dict-interface solve of one reduced
 problem, kept verbatim; the tests require the list-interface
@@ -15,7 +20,7 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from mnlbandit.model import Assortment, Instance
+from mnlbandit.model import Assortment, Instance, _revenue_at
 from mnlbandit.oracle import (
     OptimumSolution,
     _revenue_table,
@@ -62,6 +67,25 @@ def enumerated_gaps(inst: Instance) -> Dict[int, float]:
     for i in range(1, inst.n + 1):
         bound = best_without[i - 1] if i in in_opt else best_with[i - 1]
         gaps[i] = float(opt.theta_star - bound)
+    return gaps
+
+
+def deleted_item_gaps(inst: Instance) -> Dict[int, float]:
+    """``suboptimality_gaps`` with item ``i`` deleted from the arrays and the
+    selection mapped back through ``rest``."""
+    v, r, k = inst.v, inst.r, inst.k
+    star = _solve(v, r, 0.0, k)
+    theta = _revenue_at(inst, star)
+    gaps: Dict[int, float] = {}
+    for i in range(inst.n):
+        rest = np.delete(np.arange(inst.n), i)
+        if i in star:
+            s = rest[_solve(v[rest], r[rest], 0.0, k)]
+        else:  # reduced by {i}: zeta = R({i}), nu = v / (1 + v_i)
+            w = 1.0 + v[i]
+            s = rest[_solve(v[rest] / w, r[rest], v[i] * r[i] / w, k - 1)]
+            s = np.sort(np.append(s, i))
+        gaps[i + 1] = theta - _revenue_at(inst, s)
     return gaps
 
 

@@ -726,5 +726,4 @@ class TestRunResult:
 
     def test_holds_only_decisions(self):
         # steps and regret are the ledger's, success the caller's to grade
-        names = [f.name for f in dataclasses.fields(RunResult)]
-        assert names == ["assortment", "phases", "aborted", "horizon_hit"]
+        assert RunResult._fields == ("assortment", "phases", "aborted", "horizon_hit")

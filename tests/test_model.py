@@ -70,11 +70,6 @@ class TestValidateAssortment:
         with pytest.raises(ValueError):
             validate_assortment(s, 5)
 
-    def test_enforces_capacity_when_given(self):
-        assert validate_assortment((1, 2), 5, k=2) == (1, 2)
-        with pytest.raises(ValueError):
-            validate_assortment((1, 2, 3), 5, k=2)
-
 
 class TestChoiceProbabilities:
     def test_two_unit_weights_split_evenly_with_no_purchase(self):

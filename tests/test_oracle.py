@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from mnlbandit.instances import generate_instance
 from mnlbandit.model import Instance, revenue
 from mnlbandit.oracle import (
     BRUTE_FORCE_MAX_N,
@@ -16,7 +17,7 @@ from mnlbandit.oracle import (
     suboptimality_gaps,
 )
 from model_reference import ReducedParams, advantage_scores, reduced_revenue
-from oracle_reference import enumerated_gaps, enumerated_margin, select_f
+from oracle_reference import deleted_item_gaps, enumerated_gaps, enumerated_margin, select_f
 
 
 def random_instance(rng, n_max=8, k_max=None):
@@ -222,6 +223,23 @@ class TestSuboptimalityGaps:
                 if best == -np.inf:  # item in every feasible assortment: n = k = 1
                     best = 0.0
                 np.testing.assert_allclose(gaps[i], opt.theta_star - best, atol=1e-12)
+
+    def test_matches_the_deletion_loop_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        insts = [generate_instance(family, n, k, seed=seed)
+                 for family in ("uniform", "dense", "sparse")
+                 for n, k in ((8, 3), (30, 10)) for seed in range(3)]
+        for _ in range(200):  # zero weights and tied values among them
+            n = int(rng.integers(1, 41))
+            v = rng.choice([0.0, 0.25, 0.5, 1.0], n) if rng.random() < 0.3 else rng.uniform(0, 1, n)
+            r = rng.choice([0.5, 1.0], n) if rng.random() < 0.3 else rng.uniform(0, 1, n)
+            insts.append(Instance(n=n, k=int(rng.integers(1, n + 1)), r=r, v=v * (rng.random(n) > 0.2)))
+        for k, gap in ((1, 0.01), (2, 1e-3), (3, 1e-5)):  # every non-optimal item tied
+            insts.append(lower_bound_instance(3 * k, k, [gap] * (2 * k)))
+        for inst in insts:
+            gaps, want = suboptimality_gaps(inst), deleted_item_gaps(inst)
+            assert list(gaps) == list(want)
+            assert [g.hex() for g in gaps.values()] == [g.hex() for g in want.values()]
 
     def test_every_gap_dominates_the_global_margin(self):
         rng = np.random.default_rng(26)
