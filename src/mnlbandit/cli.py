@@ -14,12 +14,14 @@ the library.
 Determinism: with a fixed ``--seed``, results CSVs are byte-identical across
 runs and across worker counts (rows are computed in independent per-index
 streams and written in replication order).  Timestamps appear only in the
-JSON sidecar, never in the CSV.  Replications run in this process until a
-worker pool's projected saving exceeds its start-up cost; ``MNL_THREADS``
-caps the pool's processes (default: machine parallelism).  The pool is this
-process and children forked from it (on Linux only; elsewhere every
-replication runs here): each process runs a strided share of the remaining
-replications, and each child sends its outcomes back as one pickle.
+JSON sidecar, never in the CSV.  Replication 0 runs in this process, and
+its time sizes, once, the pool that runs the rest: more than this process
+only when the pool's projected saving exceeds its start-up cost.
+``MNL_THREADS`` caps the pool's processes (default: the CPUs this process may
+use).  The pool is this process and children forked from it (on Linux only;
+elsewhere every replication runs here): each process runs a strided share of
+the remaining replications, and each child sends its outcomes back as one
+pickle.
 
 Start-up: a process pays only for its own command.  Importing this module
 sets ``OPENBLAS_NUM_THREADS=1`` unless it is already set, so numpy starts no
@@ -62,7 +64,7 @@ from .oracle import exact_optimum, suboptimality_gaps
 
 if TYPE_CHECKING:
     from .driver import RunResult
-    from .env import Environment
+    from .env import Environment, RegretLedger
 
 __all__ = ["main"]
 
@@ -86,11 +88,12 @@ RESULTS_FORMAT = "mnlbandit-results-v1"
 #: `driver._check_delta`'s floor; exploiting ``S*`` then adds exactly 0 regret.
 MAX_HORIZON = 2**63 - 1
 
-#: Seconds a worker pool costs before it saves any.  Forking a child, reading
-#: its result back and reaping it takes about 2.5 ms, but each child then pays
-#: copy-on-write faults on the pages it touches, and on a 2-vCPU Xeon VM two
-#: processes ran many-small replications at only 0.9-1.8x the speed of one
-#: as the host's load varied; the constant budgets both.
+#: Seconds a worker pool costs before it saves any, weighed once per run
+#: against replication 0's time.  Forking a child, reading its result back and
+#: reaping it takes about 2.5 ms, but each child then pays copy-on-write
+#: faults on the pages it touches, and on a 2-vCPU Xeon VM two processes ran
+#: many-small replications at only 0.9-1.8x the speed of one as the host's
+#: load varied; the constant budgets both.
 POOL_STARTUP_S = 0.05
 
 
@@ -250,8 +253,12 @@ class RunJob(NamedTuple):
     curve_rep: Optional[int]  # the replication whose regret curve is kept
 
 
-#: One replication's CSV row and, for ``RunJob.curve_rep``, its regret curve.
-Outcome = Tuple[Dict[str, str], Optional[np.ndarray]]
+class Outcome(NamedTuple):
+    """One replication's CSV row and, for ``RunJob.curve_rep``, its regret
+    ledger, whose dense curve `_cmd_run` expands outside the timed span."""
+
+    row: Dict[str, str]
+    ledger: Optional[RegretLedger]
 
 
 def _replicate(job: RunJob, rep: int) -> Outcome:
@@ -284,11 +291,12 @@ def _replicate(job: RunJob, rep: int) -> Outcome:
         "regret": repr(env.ledger.cum_regret) if job.horizon is not None else "",
         "status": status,
     }
-    curve = env.ledger.curve() if rep == job.curve_rep else None
-    return row, curve
+    return Outcome(row, env.ledger if rep == job.curve_rep else None)
 
 
-def _worker_count(reps: int) -> int:
+def _worker_count() -> int:
+    """The largest pool ``run`` may start: ``MNL_THREADS``, else the CPUs in
+    this process's affinity mask; 1 off Linux, where the pool does not fork."""
     raw = os.environ.get("MNL_THREADS", "").strip()
     if raw:
         try:
@@ -297,11 +305,9 @@ def _worker_count(reps: int) -> int:
             raise UsageError(f"MNL_THREADS must be an integer, got {raw!r}") from exc
         if cap < 1:
             raise UsageError("MNL_THREADS must be >= 1")
-    else:
-        cap = os.cpu_count() or 1
     if sys.platform != "linux":  # the pool forks, which only Linux supports here
         return 1
-    return max(1, min(cap, reps))
+    return cap if raw else len(os.sched_getaffinity(0))
 
 
 def _pool_size(rep_s: float, left: int, workers: int) -> int:
@@ -310,9 +316,10 @@ def _pool_size(rep_s: float, left: int, workers: int) -> int:
     ``rep_s × left × (1 − 1/w)``, exceeds ``POOL_STARTUP_S``; else this one.
 
     The projection is a best case: it takes ``w`` processes to run ``w``
-    times as fast, which a shared host need not grant.  On a 2-vCPU VM, 16
-    alternating pairs of 400 many-small replications ran 0.82–1.18× as fast
-    at 2 workers as at 1 (median 0.96×).  ``MNL_THREADS=1`` skips the fork.
+    times as fast, which a shared host need not grant.  On a 2-vCPU VM, 2
+    workers ran 16 replications at n = 4000 1.31–1.84× as fast as 1 in 5 of 6
+    alternating pairs, and 400 many-small ones faster in 9 of 12 (README).
+    ``MNL_THREADS=1`` skips the fork.
     """
     w = min(workers, left)
     return w if w > 1 and rep_s * left * (1 - 1 / w) > POOL_STARTUP_S else 1
@@ -325,30 +332,20 @@ def _run_replications(job: RunJob, reps: int, workers: int) -> Tuple[List[Outcom
     Replication 0 runs in this process, which so pays the one-off costs
     (``numpy.random``, the instance's optimum and plan table) once; forked
     workers inherit them.  Its time, an overestimate of a warm replication's,
-    decides whether a pool starts at once; after that the mean time of the
-    warm replications decides (``_pool_size``).
+    sizes once the pool that runs the rest (``_pool_size``).
     """
     start = time.perf_counter()
-    outcomes = [_replicate(job, 0)]
-    warm_start = time.perf_counter()
-    rep_s = warm_start - start
-    while len(outcomes) < reps:
-        done = len(outcomes)
-        if done > 1:
-            rep_s = (time.perf_counter() - warm_start) / (done - 1)
-        pool_size = _pool_size(rep_s, reps - done, workers)
-        if pool_size > 1:
-            return outcomes + _run_in_pool(job, range(done, reps), pool_size), pool_size
-        outcomes.append(_replicate(job, done))
-    return outcomes, 1
+    first = _replicate(job, 0)
+    size = _pool_size(time.perf_counter() - start, reps - 1, workers)
+    return [first] + _run_in_pool(job, range(1, reps), size), size
 
 
 def _run_in_pool(job: RunJob, indices: range, workers: int) -> List[Outcome]:
     """Run ``indices`` in ``workers`` processes: this one and ``workers - 1``
     children forked from it, which inherit its warm state.  Process ``j``
     runs the strided share ``indices[j::workers]``; replications on one
-    instance cost alike, so the shares balance.  Returns the outcomes in the
-    order of ``indices``.
+    instance cost alike, so the shares balance; a pool of one forks nothing.
+    Returns the outcomes in the order of ``indices``.
 
     A child's exception is raised here unchanged; a child that ends without a
     result raises `RuntimeError`.  However this ends, no child outlives it.
@@ -455,7 +452,7 @@ def _cmd_run(args) -> int:
     else:
         phase = {"naive": est_naive, "reduced": est_reduced, "reg": est_reg}[estimator]
         drive = partial(sar_mnl, delta=args.delta, estimator=partial(phase, tuning=tuning))
-    max_workers = _worker_count(args.reps)
+    max_workers = _worker_count()
     _import_numpy_random()
 
     inst, inst_meta = read_instance(args.instance)
@@ -471,6 +468,8 @@ def _cmd_run(args) -> int:
     except SamplerLimitError as exc:
         raise SamplerLimitError(f"{exc} at --tuning {args.tuning}") from None
     wall_s = time.perf_counter() - start
+    # before any file is written, so that a curve too large to expand leaves none
+    curve = None if curve_rep is None else outcomes[curve_rep].ledger.curve()
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS), lineterminator="\n")
@@ -482,7 +481,7 @@ def _cmd_run(args) -> int:
         with open(args.curve_out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["step", "cum_regret"])
-            for t, value in enumerate(outcomes[job.curve_rep][1], start=1):
+            for t, value in enumerate(curve, start=1):
                 writer.writerow([t, repr(float(value))])
 
     sidecar = {

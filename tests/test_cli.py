@@ -17,6 +17,7 @@ import pytest
 
 from mnlbandit import cli
 from mnlbandit.cli import CSV_COLUMNS, RESULTS_FORMAT, SUMMARY_COLUMNS, main
+from mnlbandit.env import RegretLedger
 from mnlbandit.instances import read_instance
 from mnlbandit.oracle import brute_force_optimum, exact_optimum
 from stream_reference import stream_digest
@@ -640,10 +641,8 @@ class TestRunPac:
         assert d.startswith(a)
 
     def test_short_run_starts_no_pool(self, tmp_path, monkeypatch):
-        def run_in_pool(job, indices, workers):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(cli, "_run_in_pool", run_in_pool)
+        # 7 replications left at 1 ms save less than the pool costs to start,
+        # so this process runs them all and forks nothing
         monkeypatch.setattr(cli, "time", tick_clock(0.001))
         monkeypatch.setenv("MNL_THREADS", "2")
         assert run_cli(*self.pac_args(tmp_path, "r.csv", reps=8)) == 0
@@ -651,6 +650,44 @@ class TestRunPac:
         assert meta["workers"] == 1
         assert meta["wall_s"] > 0
         assert len(read_rows(tmp_path / "r.csv")) == 8
+        assert self.forks == []
+
+    @pytest.mark.parametrize("cpus, workers", [({0}, 1), ({0, 1}, 2)])
+    def test_default_pool_fits_the_affinity_mask(self, tmp_path, monkeypatch, cpus, workers):
+        # with MNL_THREADS unset, the pool takes the CPUs this process may
+        # run on, not every CPU of the machine
+        monkeypatch.delenv("MNL_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(cli, "POOL_STARTUP_S", -1.0)
+        assert run_cli(*self.pac_args(tmp_path, "r.csv")) == 0
+        assert json.loads((tmp_path / "r.csv.meta.json").read_text())["workers"] == workers
+        assert len(self.forks) == workers - 1
+
+    def test_curve_expansion_is_not_timed(self, tmp_path, monkeypatch, instance_file):
+        # replication 0's time sizes the pool, and expanding its dense regret
+        # curve is output work: a slow expansion starts no pool (3 replications,
+        # so that 2 are left to share)
+        curve = RegretLedger.curve
+
+        def slow_curve(ledger):
+            time.sleep(0.2)
+            return curve(ledger)
+
+        monkeypatch.setattr(RegretLedger, "curve", slow_curve)
+        inst = instance_file(*UNIFORM_10)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MNL_THREADS", threads)
+            assert run_cli(
+                "run", "--instance", inst, "--mode", "regret", "--horizon", "1000",
+                "--tuning", "desk", "--seed", "7", "--reps", "3",
+                "--out", str(tmp_path / f"r{threads}.csv"),
+                "--curve-out", str(tmp_path / f"c{threads}.csv"),
+            ) == 0
+        assert json.loads((tmp_path / "r2.csv.meta.json").read_text())["workers"] == 1
+        assert self.forks == []
+        for name in ("r", "c"):
+            serial, pooled = (tmp_path / f"{name}{threads}.csv" for threads in "12")
+            assert serial.read_bytes() == pooled.read_bytes()
 
     def test_long_first_replication_starts_the_pool_at_once(self, tmp_path, monkeypatch):
         calls = []
@@ -862,10 +899,10 @@ class TestRunPac:
         outcomes = [cli._replicate(job, rep) for rep in (0, 1)]
         copied = [cli._replicate(copy, rep) for rep in (0, 1)]
         assert [row for row, _ in copied] == [row for row, _ in outcomes]
-        for (_, curve), (_, want) in zip(copied, outcomes):
-            assert (curve is None) == (want is None)
-            assert want is None or np.array_equal(curve, want)
-        assert [curve is not None for _, curve in outcomes] == [shape == "regret-curve", False]
+        for (_, ledger), (_, want) in zip(copied, outcomes):
+            assert (ledger is None) == (want is None)
+            assert want is None or np.array_equal(ledger.curve(), want.curve())
+        assert [ledger is not None for _, ledger in outcomes] == [shape == "regret-curve", False]
 
     def test_replications_import_no_module(self, tmp_path, instance_file):
         # replication 0's time decides whether a pool starts, so a module that
