@@ -69,6 +69,8 @@ if TYPE_CHECKING:
 __all__ = ["main"]
 
 MODES = ("pac", "pac-eps", "regret")
+#: The phase estimators `driver.pac_exact` runs by name, spelled out here
+#: because building the parser loads no simulator layer.
 ESTIMATORS = ("naive", "reduced", "adaptive", "reg")
 
 #: Results CSV schema, bumped together with the sidecar ``format`` tag.
@@ -409,9 +411,9 @@ def _cmd_run(args) -> int:
     import json
     from datetime import datetime, timezone
 
-    from .driver import pac_eps, pac_exact, regret_min, sar_mnl
+    from .driver import pac_eps, pac_exact, regret_min
     from .env import RNG_ALGORITHM_ID, SamplerLimitError
-    from .estimators import C0, C2, DESK_TUNING, PAPER_TUNING, est_naive, est_reduced, est_reg
+    from .estimators import C0, C2, DESK_TUNING, PAPER_TUNING
 
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
@@ -447,11 +449,8 @@ def _cmd_run(args) -> int:
         drive = partial(regret_min, tuning=tuning)
     elif args.mode == "pac-eps":
         drive = partial(pac_eps, delta=args.delta, eps=args.eps, tuning=tuning)
-    elif estimator == "adaptive":
-        drive = partial(pac_exact, delta=args.delta, tuning=tuning)
     else:
-        phase = {"naive": est_naive, "reduced": est_reduced, "reg": est_reg}[estimator]
-        drive = partial(sar_mnl, delta=args.delta, estimator=partial(phase, tuning=tuning))
+        drive = partial(pac_exact, delta=args.delta, tuning=tuning, estimator=estimator)
     max_workers = _worker_count()
     _import_numpy_random()
 

@@ -17,8 +17,9 @@ all phases), then
 The loop has three exits:
 
 * the capacity is filled or nothing is pending;
-* a completion hook returns the pending items to accept after a phase's
-  estimate (`pac_eps`'s optimistic completion);
+* the ε stop: the first phase whose predecessor's accuracy is at most
+  ``eps / 3`` accepts the best pending assortment under its upper estimates
+  (`pac_eps`'s optimistic completion);
 * the step budget runs out inside an estimate (`HorizonExhausted`), which
   returns the pinned set so far (`regret_min`).
 
@@ -43,6 +44,8 @@ from .estimators import (
     Tuning,
     _split_delta,
     est_adaptive,
+    est_naive,
+    est_reduced,
     est_reg,
     est_rough,
 )
@@ -67,11 +70,6 @@ PHASE_CAP = 60
 #: An estimator suitable for the accept-reject loop:
 #: (env, pinned, pending, delta_k, eps) -> EstimateSet.
 PhaseEstimator = Callable[[Environment, Assortment, Assortment, float, float], EstimateSet]
-
-#: A completion hook: (k, phase estimate, residual capacity) -> the pending
-#: items (``est.items``) to accept, ending the run, or None to go on.
-Completion = Callable[[int, EstimateSet, int], Optional[Assortment]]
-
 
 class PhaseState(NamedTuple):
     """One accept-reject phase: its inputs, its decisions and its estimate."""
@@ -145,15 +143,17 @@ def sar_mnl(
     env: Environment,
     delta: float,
     estimator: PhaseEstimator,
-    complete: Optional[Completion] = None,
+    eps: Optional[float] = None,
 ) -> RunResult:
     """Successive accept-reject until the capacity is filled.
 
     Phase ``k`` uses ``delta_k = delta / (3 k^2)`` and accuracy target
     ``eps_k / 2`` with ``eps_k = 2^-k``.  Returns the pinned set when the
     residual capacity hits zero or nothing is pending; an empty answer is
-    legal (every item can be harmful).  When ``complete`` returns a set, the
-    phase accepts it (no rejections, no rank thresholds) and the run ends.
+    legal (every item can be harmful).  Given ``eps``, the first phase with
+    ``2^-(k-1) <= eps / 3`` accepts the best pending assortment under its
+    upper estimates ``nu_hi`` and ``zeta_hi`` (no rejections, no rank
+    thresholds) and the run ends.
     A step budget spent mid-phase ends the run with ``horizon_hit=True`` and
     the pinned set so far; the cut-off phase is not recorded.  Exceeding
     `PHASE_CAP` aborts with ``aborted=True`` and the pinned set so far.
@@ -177,11 +177,13 @@ def sar_mnl(
             break
         except SamplerLimitError as exc:
             raise SamplerLimitError(f"{exc} in phase {k}") from None
-        done = None if complete is None else complete(k, est, m)
-        if done is None:
-            b_acc, b_rej, alpha, beta = accept_reject(est, m)
+        done = eps is not None and 2.0 ** (-(k - 1)) <= eps / 3.0
+        if done:
+            r = [float(env.rewards[i - 1]) for i in est.items]
+            s, _ = fractional_optimum([est.nu_hi[i] for i in est.items], r, est.zeta_hi, m)
+            b_acc, b_rej, alpha, beta = tuple(est.items[j] for j in s), (), None, None
         else:
-            b_acc, b_rej, alpha, beta = done, (), None, None
+            b_acc, b_rej, alpha, beta = accept_reject(est, m)
         phases.append(
             PhaseState(
                 k=k,
@@ -202,7 +204,7 @@ def sar_mnl(
         dropped = set(b_acc) | set(b_rej)
         b = tuple(i for i in b if i not in dropped)
         assert len(a) <= env.k
-        if done is not None or not b:
+        if done or not b:
             break
     else:
         aborted = True
@@ -210,27 +212,34 @@ def sar_mnl(
 
 
 def _pac(
-    env: Environment, delta: float, tuning: Tuning, complete: Optional[Completion] = None
+    env: Environment, delta: float, tuning: Tuning, estimator: str, eps: Optional[float]
 ) -> RunResult:
-    """`pac_exact`'s body; `pac_eps` passes its completion hook."""
+    """Every PAC run: `sar_mnl` at ``delta / 2`` with the named phase estimator;
+    only ``adaptive`` runs the rough pass its layers read, at the other half."""
+    # read at each call, so that a rebound module attribute is the one that runs
+    phases = {"naive": est_naive, "reduced": est_reduced, "adaptive": est_adaptive, "reg": est_reg}
+    if estimator not in phases:
+        raise ValueError(f"unknown estimator {estimator!r}: choose one of {', '.join(phases)}")
     _check_delta(delta, env.n, share=0.5)
-    try:
-        rough = est_rough(env, delta / 2.0, tuning)
-    except SamplerLimitError as exc:
-        raise SamplerLimitError(f"{exc} in the rough pass") from None
-    return sar_mnl(env, delta / 2.0, partial(est_adaptive, rough=rough, tuning=tuning), complete)
+    phase = partial(phases[estimator], tuning=tuning)
+    if estimator == "adaptive":
+        try:
+            phase = partial(phase, rough=est_rough(env, delta / 2.0, tuning))
+        except SamplerLimitError as exc:
+            raise SamplerLimitError(f"{exc} in the rough pass") from None
+    return sar_mnl(env, delta / 2.0, phase, eps)
 
 
 def pac_exact(
-    env: Environment, delta: float, tuning: Tuning = PAPER_TUNING
+    env: Environment, delta: float, tuning: Tuning = PAPER_TUNING, estimator: str = "adaptive"
 ) -> RunResult:
     """Identify the exactly optimal assortment with confidence ``1 - delta``.
 
-    Spends ``delta / 2`` on one rough pass (upper weight estimates feeding
-    the adaptive estimator's layer assignment) and ``delta / 2`` on the
-    accept-reject loop with the adaptive estimator.
+    Spends ``delta / 2`` on the accept-reject loop with the phase estimator
+    ``naive``, ``reduced``, ``adaptive`` or ``reg``; only ``adaptive`` spends
+    the other half, on one rough pass feeding its layer assignment.
     """
-    return _pac(env, delta, tuning)
+    return _pac(env, delta, tuning, estimator, None)
 
 
 def pac_eps(
@@ -238,23 +247,15 @@ def pac_eps(
 ) -> RunResult:
     """Identify an ``eps``-optimal assortment with confidence ``1 - delta``.
 
-    Runs the exact-PAC loop but stops early: at the first phase ``k`` whose
-    predecessor's accuracy ``eps_{k-1} = 2^-(k-1)`` is at most ``eps / 3``,
-    the answer is the pinned set plus the best pending assortment under the
-    phase's *upper* parameter estimates (optimistic completion).
+    Runs the exact-PAC loop with the adaptive estimator but stops early: at
+    the first phase ``k`` whose predecessor's accuracy ``eps_{k-1} =
+    2^-(k-1)`` is at most ``eps / 3``, the answer is the pinned set plus the
+    best pending assortment under the phase's *upper* parameter estimates
+    (optimistic completion).
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-
-    def complete(k: int, est: EstimateSet, m: int) -> Optional[Assortment]:
-        if 2.0 ** (-(k - 1)) > eps / 3.0:
-            return None
-        b = est.items
-        r = [float(env.rewards[i - 1]) for i in b]
-        s, _ = fractional_optimum([est.nu_hi[i] for i in b], r, est.zeta_hi, m)
-        return tuple(b[j] for j in s)
-
-    return _pac(env, delta, tuning, complete)
+    return _pac(env, delta, tuning, "adaptive", eps)
 
 
 def regret_min(env: Environment, tuning: Tuning = PAPER_TUNING) -> RunResult:

@@ -33,6 +33,7 @@ from mnlbandit.instances import generate_instance
 from mnlbandit.model import Instance, revenue
 from mnlbandit.oracle import (
     brute_force_optimum,
+    exact_optimum,
     fractional_optimum,
     lower_bound_instance,
     suboptimality_gaps,
@@ -415,4 +416,31 @@ def test_criterion_11_reproducibility(tmp_path, monkeypatch, instance_file):
         "reproducibility",
         ok,
         "byte-identical CSVs across reruns and worker counts",
+    )
+
+
+def test_criterion_12_adaptive_beats_naive_end_to_end():
+    # Both estimators run the same PAC body at the paper's constants: the
+    # accept-reject loop at delta / 2, adaptive's rough pass counted in its steps.
+    ratios, misses = [], 0
+    for n, k in ((16, 4), (32, 8), (64, 8)):
+        inst = generate_instance("uniform", n, k, seed=3)
+        s_star = exact_optimum(inst).s_star
+        medians = {}
+        for estimator in ("adaptive", "naive"):
+            steps = []
+            for rep in range(20):
+                env = Environment(inst, fork_stream(1, rep))
+                res = pac_exact(env, 0.1, PAPER_TUNING, estimator=estimator)
+                misses += res.assortment != s_star
+                steps.append(env.ledger.steps)
+            medians[estimator] = float(np.median(steps))
+        ratios.append(medians["naive"] / medians["adaptive"])
+    ok = misses == 0 and min(ratios) >= 2.0
+    _report(
+        12,
+        "adaptive-beats-naive",
+        ok,
+        f"{misses} runs missed S*, median naive/adaptive steps "
+        + " / ".join(f"{r:.2f}" for r in ratios) + " at n = 16 / 32 / 64",
     )

@@ -17,7 +17,9 @@ import pytest
 
 from mnlbandit import cli
 from mnlbandit.cli import CSV_COLUMNS, RESULTS_FORMAT, SUMMARY_COLUMNS, main
-from mnlbandit.env import RegretLedger
+from mnlbandit.driver import pac_exact
+from mnlbandit.env import Environment, RegretLedger, fork_stream
+from mnlbandit.estimators import DESK_TUNING
 from mnlbandit.instances import read_instance
 from mnlbandit.oracle import brute_force_optimum, exact_optimum
 from stream_reference import stream_digest
@@ -943,16 +945,29 @@ class TestRunPac:
                 "v": [format(x, ".17g") for x in inst.v],
             }
 
-    def test_alternative_estimators_run(self, tmp_path, monkeypatch):
+    def test_estimator_choices_are_the_drivers(self):
+        # spelled out in the CLI, whose parser loads no simulator layer
+        env = Environment(read_instance(self.inst)[0], fork_stream(1, 0))
+        with pytest.raises(ValueError) as info:
+            pac_exact(env, 0.1, DESK_TUNING, estimator="bogus")
+        assert str(info.value).endswith(f"choose one of {', '.join(cli.ESTIMATORS)}")
+
+    @pytest.mark.parametrize("estimator", ["naive", "reduced", "reg"])
+    def test_estimator_rows_are_the_drivers(self, tmp_path, monkeypatch, estimator):
+        # every --estimator runs driver.pac_exact's one body, at the same delta split
         monkeypatch.setenv("MNL_THREADS", "1")
-        for estimator in ("naive", "reduced", "reg"):
-            out = tmp_path / f"{estimator}.csv"
-            argv = [
-                "run", "--instance", self.inst, "--mode", "pac", "--seed", "7",
-                "--tuning", "desk", "--estimator", estimator, "--out", str(out),
-            ]
-            assert run_cli(*argv) == 0
-            assert len(read_rows(out)) == 1
+        out = tmp_path / f"{estimator}.csv"
+        assert run_cli(*self.pac_args(tmp_path, out.name, estimator=estimator)) == 0
+        inst, _ = read_instance(self.inst)
+        s_star = exact_optimum(inst).s_star
+        want = []
+        for rep in range(3):
+            env = Environment(inst, fork_stream(1234, rep))
+            res = pac_exact(env, 0.1, DESK_TUNING, estimator=estimator)
+            want.append((str(env.ledger.steps), str(len(res.phases)),
+                         "1" if res.assortment == s_star else "0"))
+        got = [(row["steps"], row["phases"], row["success"]) for row in read_rows(out)]
+        assert got == want
 
     def test_paper_tuning_runs_to_completion(self, tmp_path, monkeypatch):
         # the README instance at the paper's own constants (about 4e8 steps

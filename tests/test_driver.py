@@ -266,6 +266,24 @@ class TestPacExact:
             res.phases[0].delta_k, 0.05 / 3.0, rtol=1e-15
         )
 
+    def test_unknown_estimator_is_refused_before_any_step(self):
+        env = Environment(generate_instance("uniform", 5, 2, seed=11), fork_stream(78, 1))
+        with pytest.raises(ValueError, match=r"^unknown estimator 'bogus': "
+                           r"choose one of naive, reduced, adaptive, reg$"):
+            pac_exact(env, 0.1, DESK_TUNING, estimator="bogus")
+        assert env.ledger.steps == 0
+
+    @pytest.mark.parametrize("estimator", ["naive", "reduced", "reg"])
+    def test_every_estimator_loops_at_half_delta_without_a_rough_pass(self, estimator):
+        # the same split as adaptive's loop; the other half stays unspent
+        inst = generate_instance("uniform", 5, 2, seed=11)
+        env = Environment(inst, fork_stream(78, 2))
+        res = pac_exact(env, 0.1, DESK_TUNING, estimator=estimator)
+        direct = Environment(inst, fork_stream(78, 2))
+        phase = {"naive": est_naive, "reduced": est_reduced, "reg": est_reg}[estimator]
+        assert res == sar_mnl(direct, 0.05, partial(phase, tuning=DESK_TUNING))
+        assert env.ledger.steps == direct.ledger.steps == sum(p.steps for p in res.phases)
+
     @pytest.mark.parametrize("delta", [1.5, 1.0, 0.0, -0.1])
     def test_delta_validated_before_any_step(self, delta):
         env = Environment(generate_instance("uniform", 5, 2, seed=11), fork_stream(78, 1))
@@ -672,7 +690,7 @@ class TestMatchesReferenceLoops:
                         completed_oversubscribed += len(last.b_set) > last.m
                     else:
                         exact += 1
-        # Loose eps ends in the completion hook, with the rank thresholds reset;
+        # Loose eps ends at the ε stop, with the rank thresholds reset;
         # tight eps never reaches it.
         assert completed_oversubscribed >= 6 and exact >= 12
 
