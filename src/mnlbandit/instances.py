@@ -15,7 +15,7 @@ benchmarking) and redraw deterministically from the same seeded stream.
 File format (``*.inst``): plain ``key = value`` text with ``#`` comments.
 Float lists are comma-separated and written with 17 significant digits, so a
 write/read roundtrip reproduces every bit.  Keys: ``n``, ``k``, ``r``,
-``v``, and free-form ``meta.<name>`` strings.
+``v``, and free-form ``meta.<name>`` strings, each at most once.
 """
 
 from __future__ import annotations
@@ -115,7 +115,6 @@ def format_instance(inst: Instance, meta: Optional[Dict[str, str]] = None) -> st
 def parse_instance(text: str) -> Tuple[Instance, Dict[str, str]]:
     """Parse the text format; raises ``ValueError`` naming the bad line."""
     fields: Dict[str, str] = {}
-    meta: Dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -125,14 +124,11 @@ def parse_instance(text: str) -> Tuple[Instance, Dict[str, str]]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key.startswith("meta."):
-            meta[key[5:]] = value
-        elif key in ("n", "k", "r", "v"):
-            if key in fields:
-                raise ValueError(f"line {lineno}: duplicate key {key!r}")
-            fields[key] = value
-        else:
+        if not key.startswith("meta.") and key not in ("n", "k", "r", "v"):
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in fields:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        fields[key] = value
     for key in ("n", "k", "r", "v"):
         if key not in fields:
             raise ValueError(f"missing required key {key!r}")
@@ -143,6 +139,7 @@ def parse_instance(text: str) -> Tuple[Instance, Dict[str, str]]:
         v = np.array([float(x) for x in fields["v"].split(",")])
     except ValueError as exc:
         raise ValueError(f"malformed numeric field: {exc}") from exc
+    meta = {key[5:]: value for key, value in fields.items() if key.startswith("meta.")}
     return Instance(n=n, k=k, r=r, v=v), meta
 
 

@@ -117,6 +117,11 @@ class TestFormat:
         with pytest.raises(ValueError, match="duplicate"):
             parse_instance(text)
 
+    def test_duplicate_meta_key_rejected(self):
+        text = "n = 2\nk = 1\nr = 0.5, 1\nv = 0.2, 0.1\nmeta.seed = 1\nmeta.seed = 2\n"
+        with pytest.raises(ValueError, match=r"^line 6: duplicate key 'meta.seed'$"):
+            parse_instance(text)
+
     def test_unknown_key_rejected(self):
         text = "n = 2\nk = 1\nr = 0.5, 1\nv = 0.2, 0.1\nq = 7\n"
         with pytest.raises(ValueError, match="unknown key"):

@@ -9,6 +9,7 @@ from mnlbandit.instances import generate_instance
 from mnlbandit.model import Instance, revenue
 from mnlbandit.oracle import (
     BRUTE_FORCE_MAX_N,
+    _solve,
     brute_force_optimum,
     exact_optimum,
     fractional_optimum,
@@ -127,6 +128,42 @@ class TestFractionalOptimum:
             nu2[j] = min(1.0, nu2[j] + 0.1)
             bumped_nu = fractional_optimum(nu2, r, zeta, m)[1]
             assert bumped_nu >= base - 1e-10
+
+    def test_matches_the_array_kernel_bit_for_bit(self):
+        # The float loop against _solve on arrays: the same positions, and the
+        # revenue summed over them in ascending position order.
+        def check(nu, r, zeta, m):
+            s, theta = fractional_optimum(nu, r, zeta, m)
+            assert s == _solve(np.array(nu), np.array(r), zeta, m).tolist()
+            num, den = zeta, 1.0
+            for j in s:
+                num += nu[j] * r[j]
+                den += nu[j]
+            assert theta.hex() == (num / den).hex()
+            return s
+
+        rng = np.random.default_rng(32)
+        for _ in range(2400):
+            n = int(rng.integers(1, 65))
+            if rng.random() < 0.3:  # coarse grids: tied scores, r at theta*
+                nu = rng.choice([0.0, 0.25, 0.5, 1.0], n)
+                r = rng.choice([0.25, 0.5, 0.75, 1.0], n)
+            else:  # repeated (nu, r) pairs tie exactly; some weights zero
+                pick = rng.integers(0, int(rng.integers(1, n + 1)), n)
+                nu = (rng.uniform(0, 1, n) * (rng.random(n) > 0.2))[pick]
+                r = rng.uniform(0, 1, n)[pick]
+            zeta = float(rng.choice([rng.uniform(), 0.0, 0.5, 1.0]))
+            check(nu.tolist(), r.tolist(), zeta, int(rng.integers(0, n + 2)))
+            zeta = float(r.max() + (1.0 - r.max()) * rng.uniform())  # >= every reward
+            assert check(nu.tolist(), r.tolist(), zeta, int(rng.integers(0, n + 2))) == []
+        for _ in range(4):  # wide problems, as in a 4000-item run's phase 1
+            nu = rng.uniform(0, 1, 4000) * (rng.random(4000) > 0.1)
+            r = rng.uniform(0, 1, 4000)
+            m = int(rng.choice([1, 100, 4000]))
+            check(nu.tolist(), r.tolist(), float(rng.uniform(0, 0.5)), m)
+        tied = [0.5] * 6  # six equal scores, capacities through every cut
+        for m in range(8):
+            assert check(tied, [1.0] * 6, 0.0, m) == list(range(min(m, 6)))
 
 
 class TestBruteForceOptimum:
