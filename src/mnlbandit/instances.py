@@ -8,9 +8,9 @@ Families
                      capped at 1), so full assortments stay lightweight;
 * ``lower-bound``  — the prescribed-gap hard family (`lower_bound_instance`).
 
-The random families reject candidates whose top two assortment revenues are
-within 1e-6 of each other (near-ties make "the" optimum ill-defined for
-benchmarking) and redraw deterministically from the same seeded stream.
+A random family keeps the first draw of its seeded stream, at any ``n``, and
+runs no oracle solve: a near-tied draw is a hard instance, not a refused one.
+``mnlbandit oracle`` prints every item's gap; the smallest is the margin.
 
 File format (``*.inst``): plain ``key = value`` text with ``#`` comments.
 Float lists are comma-separated and written with 17 significant digits, so a
@@ -26,7 +26,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import Instance, _check_shape
-from .oracle import lower_bound_instance, revenue_margin
+from .oracle import lower_bound_instance
 
 __all__ = [
     "FAMILIES",
@@ -39,12 +39,6 @@ __all__ = [
 
 FAMILIES = ("uniform", "dense", "sparse", "lower-bound")
 
-#: Minimum separation between the best and second-best assortment revenue.
-UNIQUENESS_MARGIN = 1e-6
-
-#: Give up after this many rejected draws (a pathological configuration).
-_MAX_REDRAWS = 10_000
-
 
 def generate_instance(
     family: str,
@@ -55,10 +49,10 @@ def generate_instance(
 ) -> Instance:
     """Draw one instance from a named family, deterministically in ``seed``.
 
-    ``uniform``/``dense``/``sparse`` require ``seed`` and redraw until the
-    optimum is unique by at least `UNIQUENESS_MARGIN`; ``lower-bound``
-    requires ``gaps`` (one per item beyond the capacity) and ignores
-    ``seed``.
+    ``uniform``/``dense``/``sparse`` require ``seed`` and return the first
+    draw of ``Generator(PCG64(SeedSequence(seed)))``: ``r``, then ``v``, in
+    the family's ranges.  ``lower-bound`` requires ``gaps`` (one per item
+    beyond the capacity) and ignores ``seed``.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; pick one of {FAMILIES}")
@@ -70,21 +64,14 @@ def generate_instance(
         raise ValueError(f"the {family} family needs a seed")
     _check_shape(n, k)  # before any draw: the sparse family divides by k
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    for _ in range(_MAX_REDRAWS):
-        r = rng.uniform(0.0, 1.0, size=n)
-        if family == "uniform":
-            v = rng.uniform(0.0, 1.0, size=n)
-        elif family == "dense":
-            v = rng.uniform(0.5, 1.0, size=n)
-        else:  # sparse
-            v = np.minimum(1.0, rng.uniform(0.5 / k, 1.5 / k, size=n))
-        inst = Instance(n=n, k=k, r=r, v=v)
-        if revenue_margin(inst) >= UNIQUENESS_MARGIN:
-            return inst
-    raise RuntimeError(
-        f"could not draw a {family} instance with a unique optimum "
-        f"in {_MAX_REDRAWS} attempts"
-    )
+    r = rng.uniform(0.0, 1.0, size=n)
+    if family == "uniform":
+        v = rng.uniform(0.0, 1.0, size=n)
+    elif family == "dense":
+        v = rng.uniform(0.5, 1.0, size=n)
+    else:  # sparse
+        v = np.minimum(1.0, rng.uniform(0.5 / k, 1.5 / k, size=n))
+    return Instance(n=n, k=k, r=r, v=v)
 
 
 # ---------------------------------------------------------------------------

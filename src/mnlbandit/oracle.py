@@ -21,9 +21,10 @@ revenue.
 The iteration runs in two element types, split by caller:
 
 * ``_solve`` on numpy arrays, for whole instances: ``exact_optimum``,
-  ``suboptimality_gaps`` and ``revenue_margin``.  ``gen`` runs ``n + 1`` of
-  these per draw, and at ``n = 4000`` the arrays win: a solve took 0.8 ms
-  on them against 2 ms on Python floats (2-vCPU VM, numpy 2.4.6).
+  ``suboptimality_gaps`` and ``revenue_margin``.  The ``oracle`` command
+  runs ``n + 1`` of these to print an instance's gaps, and at ``n = 4000``
+  the arrays win: a solve took 0.8 ms on them against 2 ms on Python floats
+  (2-vCPU VM, numpy 2.4.6).
 * ``fractional_optimum`` on Python floats, for one reduced problem over a
   phase's pending items: the estimators' revenue bounds (``ci_theta``, two
   solves a phase) and ``pac_eps``'s completion.  These hold a handful of
@@ -249,9 +250,9 @@ def revenue_margin(inst: Instance) -> float:
 
     Returns ``theta* - max{R(S) : S != S*}``, the smallest suboptimality gap:
     every ``S != S*`` differs from ``S*`` in some item ``i``, so its revenue
-    is bounded by the maximum behind ``gap_i``.  Tied optima give 0.  A
-    healthy margin makes "the" optimum well defined for benchmarking;
-    generators reject near-tied draws.
+    is bounded by the maximum behind ``gap_i``.  Tied optima give 0.  It
+    costs ``n + 1`` solves, and no generator filters on it: a near-tied
+    draw is a hard instance, not a refused one.
     """
     return min(suboptimality_gaps(inst).values())
 

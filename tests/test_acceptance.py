@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy import stats
 
 from mnlbandit import cli
 from mnlbandit.cli import main as cli_main
@@ -444,3 +445,99 @@ def test_criterion_12_adaptive_beats_naive_end_to_end():
         f"{misses} runs missed S*, median naive/adaptive steps "
         + " / ".join(f"{r:.2f}" for r in ratios) + " at n = 16 / 32 / 64",
     )
+
+
+def _step_residuals(inst, master_seed, reps, monkeypatch):
+    """Standardized step residuals of paper-constant `pac_exact` runs.
+
+    Every `(Z, S, T)` batch is recorded: its steps are ``T + M`` with ``M``
+    negative binomial, so they have mean ``T (1 + m)`` and variance
+    ``T m (1 + m)``, ``m = sum_{i in S} v_i / (1 + sum_{j in Z} v_j)``.  A
+    run's residual is its steps minus the sum of its batch means, over the
+    root of the sum of its batch variances.  Also returns the runs whose
+    ledger is not the sum of their batches' steps.
+    """
+    batches = []
+    sample = Environment.sample_epochs
+
+    def recording(self, z, s, epochs):
+        batch = sample(self, z, s, epochs)
+        assert not batch.truncated  # the runs have no step budget
+        batches.append((z, s, epochs, batch.steps))
+        return batch
+
+    monkeypatch.setattr(Environment, "sample_epochs", recording)
+    v = inst.v.tolist()
+    residuals, unbalanced = [], 0
+    for rep in range(reps):
+        batches.clear()
+        env = Environment(inst, fork_stream(master_seed, rep))
+        pac_exact(env, 0.1, PAPER_TUNING)
+        mean = var = 0.0
+        for z, s, epochs, _ in batches:
+            m = sum(v[i - 1] for i in s) / (1.0 + sum(v[j - 1] for j in z))
+            mean += epochs * (1.0 + m)
+            var += epochs * m * (1.0 + m)
+        steps = sum(batch_steps for *_, batch_steps in batches)
+        unbalanced += env.ledger.steps != steps
+        residuals.append((steps - mean) / math.sqrt(var))
+    return residuals, unbalanced
+
+
+def test_criterion_13_steps_follow_the_batch_plan(monkeypatch):
+    # At fixed tuning and delta the schedule fixes every batch's epoch count,
+    # so a run's steps follow from its batches; this checks the sampler and
+    # the ledger end to end, at 2e13 steps a run on the lower-bound instance.
+    # Each case fails with probability 1e-3 when the law holds.
+    cases = {
+        "lower-bound n6 k2 gaps 1e-5": lower_bound_instance(6, 2, [1e-5] * 4),
+        "uniform n64 k8 seed 3": generate_instance("uniform", 64, 8, seed=3),
+    }
+    details, ok = [], True
+    for label, inst in cases.items():
+        residuals, unbalanced = _step_residuals(inst, 1013, 200, monkeypatch)
+        p = stats.kstest(residuals, "norm").pvalue
+        ok = ok and unbalanced == 0 and p >= 1e-3
+        details.append(f"{label}: KS p = {p:.3g}, {unbalanced} unbalanced ledgers")
+    _report(13, "steps-follow-the-batch-plan", ok, "; ".join(details))
+
+
+def _phases_with_a_miss(inst, tuning, master_seed, reps):
+    """Phases of `pac_exact` runs in which any zeta, nu, theta or xi interval
+    misses the truth, and the phases' summed confidence budgets ``delta_k``."""
+    r = inst.r.tolist()
+    missed = phases = 0
+    budget = 0.0
+    for rep in range(reps):
+        res = pac_exact(Environment(inst, fork_stream(master_seed, rep)), 0.1, tuning)
+        for p in res.phases:
+            est = p.est
+            truth = reduce_params(inst, p.a_set)
+            nu = truth.nu
+            _, theta = fractional_optimum([nu[i] for i in p.b_set], [r[i - 1] for i in p.b_set],
+                                          truth.zeta, p.m)
+            miss = not (est.zeta_lo <= truth.zeta <= est.zeta_hi)
+            miss |= not (est.theta_lo <= theta <= est.theta_hi)
+            miss |= any(not (est.nu_lo[i] <= nu[i] <= est.nu_hi[i]) for i in p.b_set)
+            miss |= any(not (est.xi_lo[i] <= nu[i] * (r[i - 1] - theta) <= est.xi_hi[i])
+                        for i in est.items)
+            missed += miss
+            phases += 1
+            budget += p.delta_k
+    return missed, phases, budget
+
+
+def test_criterion_14_intervals_hold_end_to_end():
+    # Phase k's intervals all hold with probability at least 1 - delta_k, so
+    # the phases with a miss stay within the 1 - 1e-3 Poisson quantile of
+    # their summed budgets.  Gaps of 1e-4 and 1e-5 take 5 and 9 phases and pin
+    # items, so every interval kind is exercised.
+    details, ok = [], True
+    for gap in (1e-4, 1e-5):
+        inst = lower_bound_instance(6, 2, [gap] * 4)
+        missed, phases, budget = _phases_with_a_miss(inst, PAPER_TUNING, 1014, 200)
+        bound = stats.poisson.ppf(1.0 - 1e-3, budget)
+        ok = ok and missed <= bound
+        details.append(f"gap {gap:g}: {missed} of {phases} phases missed, "
+                       f"budget {budget:.2f}, bound {bound:.0f}")
+    _report(14, "intervals-hold-end-to-end", ok, "; ".join(details))
