@@ -5,7 +5,7 @@ Layers, bottom to top:
 * `mnlbandit.model`      — instances, assortments and revenue;
 * `mnlbandit.oracle`     — the exact optimization oracle and the hard family;
 * `mnlbandit.env`        — seeded simulator, step accounting, regret ledger;
-* `mnlbandit.estimators` — one epoch-exploration kernel and the estimation
+* `mnlbandit.estimators` — one exploration loop and the five estimation
   procedures built on it;
 * `mnlbandit.driver`     — accept-reject drivers (exact PAC, eps-PAC, regret);
 * `mnlbandit.instances`  — instance families and the text file format;

@@ -318,9 +318,10 @@ def _pool_size(rep_s: float, left: int, workers: int) -> int:
     ``rep_s × left × (1 − 1/w)``, exceeds ``POOL_STARTUP_S``; else this one.
 
     The projection is a best case: it takes ``w`` processes to run ``w``
-    times as fast, which a shared host need not grant.  On a 2-vCPU VM, 2
-    workers ran 16 replications at n = 4000 1.31–1.84× as fast as 1 in 5 of 6
-    alternating pairs, and 400 many-small ones faster in 9 of 12 (README).
+    times as fast, which a shared host need not grant (README measures it).
+    ``rep_s`` is one timing, so runs of a command whose saving sits near
+    ``POOL_STARTUP_S`` may size their pools differently: their sidecars'
+    ``workers`` and ``wall_s`` differ, their CSV bytes do not.
     ``MNL_THREADS=1`` skips the fork.
     """
     w = min(workers, left)

@@ -41,6 +41,7 @@ from .env import Environment, HorizonExhausted, SamplerLimitError
 from .estimators import (
     EstimateSet,
     PAPER_TUNING,
+    ROUGH_DIVISOR,
     Tuning,
     _split_delta,
     est_adaptive,
@@ -135,8 +136,9 @@ def accept_reject(
 
 def _check_delta(delta: float, n: int, share: float = 1.0) -> None:
     """Refuse a ``delta`` whose smallest split `_split_delta` refuses: `sar_mnl` gets
-    ``share * delta``, phase ``k`` divides it by ``3 k^2`` and an estimator by ``<= 17 n``."""
-    _split_delta(delta, 3 * PHASE_CAP**2 * 17 / share, n)
+    ``share * delta``, phase ``k`` divides it by ``3 k^2`` and an estimator by at most
+    ``ROUGH_DIVISOR n``."""
+    _split_delta(delta, 3 * PHASE_CAP**2 * ROUGH_DIVISOR / share, n)
 
 
 def sar_mnl(

@@ -8,14 +8,15 @@ each tracked item's purchase count ``x_i`` has mean
 mean ``sum_{i in S} nu_i`` — so empirical epoch averages estimate the
 *reduced* parameters relative to ``Z`` directly, without knowing ``v``.
 
-One epoch-exploration kernel, ``_estimate``, serves the four refinement
-procedures.  Each is a group plan over it: a list of tracked sets, each
-explored for a number of ``tau``-epoch units, plus the confidence divisor
-and whether the estimate is *reduced* (stopping at the pinned set) or *raw*
-(no stopping set, stop-reward term pinned to 0).  The naive and reduced
-procedures explore items one at a time, the adaptive one in weight layers,
-and the regret one in full assortments.  The rough procedure offers each
-item alone and keeps only the upper weight ends.
+One exploration loop, ``_explore``, serves all five procedures.  Each is a
+group plan over it: a stopping set and a list of tracked sets, each explored
+for a number of ``tau``-epoch units.  The rough procedure offers each item
+alone for one unit and keeps only the upper weight ends.  The four
+refinement procedures bound theirs in ``_estimate``, given a confidence
+divisor and whether the estimate is *reduced* (stopping at the pinned set)
+or *raw* (no stopping set, stop-reward term pinned to 0): the naive and
+reduced ones explore items one at a time, the adaptive one in weight layers,
+and the regret one in full assortments.
 
 Confidence intervals:
 
@@ -60,27 +61,18 @@ from .model import Assortment, validate_assortment
 from .oracle import fractional_optimum
 
 __all__ = [
-    "Tuning",
-    "PAPER_TUNING",
-    "DESK_TUNING",
-    "ExploreState",
-    "explore_epochs",
-    "ci_zeta",
-    "ci_nu",
-    "ci_theta",
-    "ci_xi",
-    "EstimateSet",
-    "est_naive",
-    "est_rough",
-    "est_adaptive",
-    "est_reduced",
-    "est_reg",
+    "Tuning", "PAPER_TUNING", "DESK_TUNING", "ExploreState", "explore_epochs",
+    "ci_zeta", "ci_nu", "ci_theta", "ci_xi", "EstimateSet",
+    "est_naive", "est_rough", "est_adaptive", "est_reduced", "est_reg",
 ]
 
 
 #: The paper's schedule constants (see the module docstring).
 C0 = 196
 C2 = 1024
+
+#: The rough pass's ``delta = delta0 / (17 n)``: the largest of the estimators' divisors.
+ROUGH_DIVISOR = 17.0
 
 
 @dataclass(frozen=True)
@@ -346,6 +338,17 @@ def _residual(env: Environment, ta: Assortment, tb: Assortment) -> int:
     return m_cap
 
 
+def _explore(env: Environment, stop: Assortment, groups: Sequence[Tuple[Assortment, int]],
+             tau: int) -> ExploreState:
+    """The one exploration loop of all five procedures: from a fresh state that
+    stops at ``stop``, explore each group ``(s, units)`` of the plan in turn for
+    ``units * tau`` epochs.  A spent step budget raises `HorizonExhausted`."""
+    state = ExploreState(z_stop=stop)
+    for s, units in groups:
+        explore_epochs(env, state, s, units * tau)
+    return state
+
+
 def _estimate(
     env: Environment,
     ta: Assortment,
@@ -357,11 +360,10 @@ def _estimate(
     groups: Sequence[Tuple[Assortment, int]],
     reduced: bool,
 ) -> EstimateSet:
-    """The kernel of the refinement procedures: explore, then bound.
+    """The refinement procedures: `_explore` the group plan, then bound.
 
-    With ``delta = delta0 / (divisor n)`` and ``tau = ceil(C2 C0
-    log(2/delta) / eps^2)``, each group ``(s, units)`` is explored in turn
-    for ``units * tau`` epochs.  A *reduced* estimate stops at the pinned set
+    It takes ``delta = delta0 / (divisor n)`` and ``tau = ceil(C2 C0
+    log(2/delta) / eps^2)``.  A *reduced* estimate stops at the pinned set
     ``ta``, estimates the stop reward and the reduced weights of ``tb``, and
     bounds the revenue at capacity ``min(k - |a|, |b|)``; a *raw* one stops
     at nothing, pins the stop-reward term to 0, estimates the raw weights of
@@ -376,8 +378,7 @@ def _estimate(
     else:
         stop, weighed = (), tuple(sorted(ta + tb))
         capacity = min(env.k, len(weighed))
-    state = ExploreState(z_stop=stop)
-    epochs = sum(explore_epochs(env, state, s, u * tau).epochs for s, u in groups)
+    state = _explore(env, stop, groups, tau)
     big_l = _confidence(delta, tuning)
     zeta_lo, zeta_hi = ci_zeta(state, big_l) if reduced else (0.0, 0.0)
     nu_lo: Dict[int, float] = {}
@@ -387,15 +388,11 @@ def _estimate(
     for i in weighed:
         nu_lo[i], nu_hi[i] = ci_nu(state.n.get(i, 0), state.t.get(i, 0), big_l)
         rewards[i] = all_rewards[i - 1]
-    theta_lo, theta_hi = ci_theta(
-        rewards, weighed, nu_lo, nu_hi, zeta_lo, zeta_hi, capacity
-    )
+    theta_lo, theta_hi = ci_theta(rewards, weighed, nu_lo, nu_hi, zeta_lo, zeta_hi, capacity)
     xi_lo: Dict[int, float] = {}
     xi_hi: Dict[int, float] = {}
     for i in tb:
-        xi_lo[i], xi_hi[i] = ci_xi(
-            rewards[i], (nu_lo[i], nu_hi[i]), (theta_lo, theta_hi)
-        )
+        xi_lo[i], xi_hi[i] = ci_xi(rewards[i], (nu_lo[i], nu_hi[i]), (theta_lo, theta_hi))
     return EstimateSet(
         items=tb,
         zeta_lo=zeta_lo,
@@ -406,7 +403,7 @@ def _estimate(
         theta_hi=theta_hi,
         xi_lo=xi_lo,
         xi_hi=xi_hi,
-        epochs=epochs,
+        epochs=state.t_z,
     )
 
 
@@ -443,15 +440,12 @@ def est_rough(
     ``[v_i, max(2 v_i, 1/k)]`` — exactly the quality the adaptive
     estimator's layer assignment needs.
     """
-    delta = _split_delta(delta0, 17.0, env.n)
+    delta = _split_delta(delta0, ROUGH_DIVISOR, env.n)
     tau = _rough_tau(delta, env.k, tuning)
+    items = range(1, env.n + 1)
+    state = _explore(env, (), [((i,), 1) for i in items], tau)  # per-item counters keep items apart
     big_l = _confidence(delta, tuning)
-    state = ExploreState(z_stop=())  # its per-item counters keep items apart
-    rough: Dict[int, float] = {}
-    for i in range(1, env.n + 1):
-        explore_epochs(env, state, (i,), tau)
-        rough[i] = ci_nu(state.n[i], state.t[i], big_l)[1]
-    return rough
+    return {i: ci_nu(state.n[i], state.t[i], big_l)[1] for i in items}
 
 
 def est_adaptive(

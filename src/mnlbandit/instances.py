@@ -93,8 +93,9 @@ def format_instance(inst: Instance, meta: Optional[Dict[str, str]] = None) -> st
     buf.write(f"v = {_fmt_floats(inst.v)}\n")
     for key in sorted(meta or {}):
         value = str((meta or {})[key])
-        if "\n" in value:
-            raise ValueError("metadata values must be single-line")
+        # `parse_instance` splits lines, strips both sides and splits at the first '='
+        if "=" in key or any(len(t.splitlines()) > 1 or t != t.strip() for t in (key, value)):
+            raise ValueError(f"metadata {key!r}: {value!r} would not read back the same")
         buf.write(f"meta.{key} = {value}\n")
     return buf.getvalue()
 
@@ -133,9 +134,11 @@ def parse_instance(text: str) -> Tuple[Instance, Dict[str, str]]:
 def write_instance(
     path: str, inst: Instance, meta: Optional[Dict[str, str]] = None
 ) -> None:
-    """Write the text format to ``path`` (LF newlines, UTF-8)."""
+    """Write the text format to ``path`` (LF newlines, UTF-8); refused metadata
+    leaves no file."""
+    text = format_instance(inst, meta)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_instance(inst, meta))
+        fh.write(text)
 
 
 def read_instance(path: str) -> Tuple[Instance, Dict[str, str]]:

@@ -1,14 +1,17 @@
-"""Frozen reference of the four refinement estimators, as they were before
-they shared one estimation kernel.
+"""Frozen reference of the five estimators, as they were before they shared
+one exploration loop.
 
 ``est_naive``, ``est_adaptive``, ``est_reduced`` and ``est_reg`` below are the
 earlier bodies, each with its own validation, schedule, exploration loop and
-call of the twelve-argument ``_finish``.  The tests require the kernel-based
+call of the twelve-argument ``_finish``.  The tests require the loop-based
 estimators to return equal `EstimateSet`s (or raise the same error), to
 spend the same steps and regret, and to leave the generator in the same
 state, so the two draw the same numbers in the same order.  Since the
 estimates stopped carrying their schedule and plan records, these bodies
 pass ``delta`` to ``_finish`` in place of the schedule and build no plan.
+
+``est_rough`` is the rough pass's own loop, which offered each item alone and
+read its upper weight end right after the item's batch.
 """
 
 import math
@@ -22,6 +25,8 @@ from mnlbandit.estimators import (
     Tuning,
     _confidence,
     _refinement_tau,
+    _rough_tau,
+    _split_delta,
     ci_nu,
     ci_theta,
     ci_xi,
@@ -137,6 +142,21 @@ def est_naive(
         scored=tb,
         epochs=epochs,
     )
+
+
+def est_rough(
+    env: Environment, delta0: float, tuning: Tuning = PAPER_TUNING
+) -> Dict[int, float]:
+    """Coarse upper estimates of every raw weight, one item at a time."""
+    delta = _split_delta(delta0, 17.0, env.n)
+    tau = _rough_tau(delta, env.k, tuning)
+    big_l = _confidence(delta, tuning)
+    state = ExploreState(z_stop=())
+    rough: Dict[int, float] = {}
+    for i in range(1, env.n + 1):
+        explore_epochs(env, state, (i,), tau)
+        rough[i] = ci_nu(state.n[i], state.t[i], big_l)[1]
+    return rough
 
 
 def est_adaptive(

@@ -533,6 +533,42 @@ class TestEstRough:
             assert env.ledger.steps <= 24 * inst.n * tau
         assert ok >= (1 - delta0) * reps
 
+    # the benchmark workloads' instances, and the wide one of the CI run
+    INSTANCES = {
+        "hard-pac": ("lower-bound", 4, 2, None, [0.002, 0.002]),
+        "many-small": ("uniform", 8, 3, 7, None),
+        "wide-oracle": ("uniform", 20, 10, 3, None),
+        "wide": ("uniform", 4000, 100, 3, None),
+    }
+
+    @pytest.mark.parametrize(
+        "name, tuning",
+        [(name, tuning) for name in ("hard-pac", "many-small", "wide-oracle")
+         for tuning in (DESK_TUNING, PAPER_TUNING)] + [("wide", PAPER_TUNING)],
+    )
+    def test_matches_the_reference_loop(self, name, tuning):
+        # The rough pass through the shared exploration loop against its own
+        # earlier loop: the same upper ends bit for bit, the same ledger and
+        # the same generator state, in full and cut off halfway by the budget.
+        inst = generate_instance(*self.INSTANCES[name])
+
+        def outcome(fn, horizon):
+            env = make_env(inst, seed=1, horizon=horizon)
+            try:
+                out = [(i, x.hex()) for i, x in fn(env, 0.05, tuning).items()]
+            except HorizonExhausted as exc:
+                out = str(exc)
+            ledger = (env.ledger.steps, env.ledger.cum_regret, env.ledger._segments)
+            return out, ledger, env._rng.bit_generator.state
+
+        got = outcome(est_rough, None)
+        assert got == outcome(estimator_reference.est_rough, None)
+        assert [i for i, _ in got[0]] == list(range(1, inst.n + 1))
+        horizon = got[1][0] // 2
+        cut = outcome(est_rough, horizon)
+        assert cut == outcome(estimator_reference.est_rough, horizon)
+        assert isinstance(cut[0], str) and cut[1][0] == horizon
+
 
 class TestEstAdaptive:
     def test_layer_plan_is_deterministic(self):

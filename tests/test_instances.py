@@ -155,10 +155,33 @@ class TestFormat:
         with pytest.raises(ValueError):
             parse_instance(text)
 
-    def test_meta_values_must_be_single_line(self):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("a = b", "x"),  # would read back as key 'a', value 'b = x'
+            ("a=b", "x"),
+            ("note", "two\nlines"),
+            ("note", "two\rlines"),  # str.splitlines splits these too
+            ("note", "two\u2028lines"),
+            ("two\nlines", "x"),
+            ("k ", "x"),  # edge whitespace is stripped on reading
+            (" k", "x"),
+            ("note", " padded "),
+            ("note", "x\t"),
+        ],
+    )
+    def test_meta_that_would_not_read_back_is_refused(self, tmp_path, key, value):
         inst = Instance(n=2, k=1, r=[0.5, 0.25], v=[0.5, 0.5])
-        with pytest.raises(ValueError):
-            format_instance(inst, {"note": "two\nlines"})
+        with pytest.raises(ValueError, match="would not read back the same"):
+            write_instance(str(tmp_path / "x.inst"), inst, {key: value})
+        assert not (tmp_path / "x.inst").exists()
+
+    def test_accepted_meta_reads_back_the_same(self, tmp_path):
+        inst = Instance(n=2, k=1, r=[0.5, 0.25], v=[0.5, 0.5])
+        meta = {"a.b-c d": "x = y, # z", "gaps": "0.002,0.002", "empty": ""}
+        path = str(tmp_path / "x.inst")
+        write_instance(path, inst, meta)
+        assert read_instance(path)[1] == meta
 
     def test_meta_keys_sorted_in_output(self):
         inst = Instance(n=2, k=1, r=[0.5, 0.25], v=[0.5, 0.5])
