@@ -474,8 +474,7 @@ def _cmd_run(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS), lineterminator="\n")
         writer.writeheader()
-        for row, _ in outcomes:
-            writer.writerow(row)
+        writer.writerows(row for row, _ in outcomes)
 
     if args.curve_out is not None:
         with open(args.curve_out, "w", encoding="utf-8", newline="") as fh:
@@ -565,7 +564,7 @@ def _summarize_file(path: str) -> Optional[Dict[str, str]]:
     if not steps:
         return None
     arr = np.array(steps)
-    out = {
+    return {
         "file": os.path.basename(path),
         "rows": str(len(steps)),
         "success_rate": format(float(np.mean(success)), ".6g"),
@@ -576,23 +575,17 @@ def _summarize_file(path: str) -> Optional[Dict[str, str]]:
         "phases_median": format(float(np.median(phases)), ".6g"),
         "regret_median": format(float(np.median(regret)), ".6g") if regret else "",
     }
-    return out
 
 
 def _cmd_summarize(args) -> int:
     import csv
 
-    rows = []
-    for path in args.results:
-        row = _summarize_file(path)
-        if row is not None:
-            rows.append(row)
+    rows = [row for row in map(_summarize_file, args.results) if row is not None]
     target = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
         writer = csv.DictWriter(target, fieldnames=list(SUMMARY_COLUMNS), lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     finally:
         if args.out:
             target.close()

@@ -18,7 +18,7 @@ The loop has three exits:
 
 * the capacity is filled or nothing is pending;
 * the ε stop: the first phase whose predecessor's accuracy is at most
-  ``eps / 3`` accepts the best pending assortment under its upper estimates
+  ``eps / 3`` accepts the set its estimate's upper revenue solve selected
   (`pac_eps`'s optimistic completion);
 * the step budget runs out inside an estimate (`HorizonExhausted`), which
   returns the pinned set so far (`regret_min`).
@@ -51,7 +51,6 @@ from .estimators import (
     est_rough,
 )
 from .model import Assortment
-from .oracle import fractional_optimum
 
 __all__ = [
     "PhaseState",
@@ -153,9 +152,10 @@ def sar_mnl(
     ``eps_k / 2`` with ``eps_k = 2^-k``.  Returns the pinned set when the
     residual capacity hits zero or nothing is pending; an empty answer is
     legal (every item can be harmful).  Given ``eps``, the first phase with
-    ``2^-(k-1) <= eps / 3`` accepts the best pending assortment under its
-    upper estimates ``nu_hi`` and ``zeta_hi`` (no rejections, no rank
-    thresholds) and the run ends.
+    ``2^-(k-1) <= eps / 3`` accepts its estimate's ``s_hi`` and the run ends:
+    the best pending assortment under the upper estimates for a reduced
+    estimator; for a raw one (``naive``, ``reg``), the pending part of the
+    best assortment of ``a ∪ b`` under the upper raw weights.
     A step budget spent mid-phase ends the run with ``horizon_hit=True`` and
     the pinned set so far; the cut-off phase is not recorded.  Exceeding
     `PHASE_CAP` aborts with ``aborted=True`` and the pinned set so far.
@@ -180,10 +180,8 @@ def sar_mnl(
         except SamplerLimitError as exc:
             raise SamplerLimitError(f"{exc} in phase {k}") from None
         done = eps is not None and 2.0 ** (-(k - 1)) <= eps / 3.0
-        if done:
-            r = [float(env.rewards[i - 1]) for i in est.items]
-            s, _ = fractional_optimum([est.nu_hi[i] for i in est.items], r, est.zeta_hi, m)
-            b_acc, b_rej, alpha, beta = tuple(est.items[j] for j in s), (), None, None
+        if done:  # the optimistic completion: the set of the phase's upper revenue solve
+            b_acc, b_rej, alpha, beta = est.s_hi, (), None, None
         else:
             b_acc, b_rej, alpha, beta = accept_reject(est, m)
         phases.append(

@@ -30,9 +30,10 @@ as if both were drawn.  Under a step budget, a batch whose ``T + M`` steps
 overrun the budget ends the run: it is charged exactly the remaining steps and
 draws nothing after ``M``, as no statistic of it is ever read.  One batch is at
 most ``2**53`` epochs, as numpy reads the epoch count as a double, and within
-numpy's limit on the draw of ``M`` (`_NEGBIN_LAM_MAX`).  The tests check the
-batch law against a step-level reference that offers one step per draw
-(``tests/offer_reference.py``).
+numpy's limit on the draw of ``M`` (`_NEGBIN_LAM_MAX`).  A batch past either is
+refused, unless its ``T`` epochs alone overrun the budget: it then ends the run
+as above, drawing nothing.  The tests check the batch law against a step-level
+reference that offers one step per draw (``tests/offer_reference.py``).
 
 Determinism: a replication's entire outcome sequence is a pure function of
 ``(master_seed, replication_index)`` via `fork_stream`.  The RNG algorithm
@@ -252,25 +253,26 @@ class Environment:
         disjoint with ``|z ∪ s| <= k``.  A batch that does not fit in the
         remaining step budget consumes the rest of it and returns no
         statistics (``truncated=True``): the run is over.  A batch past
-        ``2**53`` epochs or `_NEGBIN_LAM_MAX` raises `SamplerLimitError`.
+        ``2**53`` epochs or `_NEGBIN_LAM_MAX` raises `SamplerLimitError`,
+        unless its epochs alone overrun the budget: then it is cut undrawn.
         """
         plan = self._plan(s, z)
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if epochs > _DRAW_LIMIT:
-            raise SamplerLimitError(
-                f"a batch of {epochs} epochs exceeds the sampler's limit of {_DRAW_LIMIT}"
-            )
         q = plan.q
-        if (1.0 - q) / q * (epochs + 10.0 * math.sqrt(epochs)) > _NEGBIN_LAM_MAX:
-            raise SamplerLimitError(
-                f"a batch of T = {epochs} epochs at q = {q!r} exceeds numpy's negative-binomial "
-                f"limit (1 - q) / q * (T + 10 sqrt(T)) <= {_NEGBIN_LAM_MAX:.17g}"
-            )
-        rng = self._rng
-        bought = int(rng.negative_binomial(epochs, q))  # purchases
-        steps = epochs + bought
+        limit = None
+        if epochs > _DRAW_LIMIT:
+            limit = f"a batch of {epochs} epochs exceeds the sampler's limit of {_DRAW_LIMIT}"
+        elif (1.0 - q) / q * (epochs + 10.0 * math.sqrt(epochs)) > _NEGBIN_LAM_MAX:
+            limit = (f"a batch of T = {epochs} epochs at q = {q!r} exceeds numpy's negative-"
+                     f"binomial limit (1 - q) / q * (T + 10 sqrt(T)) <= {_NEGBIN_LAM_MAX:.17g}")
         budget = self.steps_remaining  # None = unlimited
+        if limit is not None and (budget is None or epochs <= budget):
+            raise SamplerLimitError(limit)
+        rng = self._rng
+        # past a limit, the epochs alone overrun the budget: the batch is cut undrawn
+        bought = 0 if limit else int(rng.negative_binomial(epochs, q))  # purchases
+        steps = epochs + bought
         if budget is not None and steps > budget:
             self.ledger.record(plan.regret, budget)
             return EpochBatch(

@@ -229,8 +229,9 @@ def ci_theta(
     zeta_lo: float,
     zeta_hi: float,
     capacity: int,
-) -> Tuple[float, float]:
-    """Interval for the optimal reduced revenue via plug-in fractional solves.
+) -> Tuple[float, float, Assortment]:
+    """``(theta_lo, theta_hi, s_hi)``: the optimal reduced revenue's interval via
+    plug-in fractional solves, and the ascending ids the upper one selects.
 
     The reduced optimum is nondecreasing in ``zeta`` and in every ``nu_i``
     whose reward side can only help (formally: raising any parameter never
@@ -241,8 +242,8 @@ def ci_theta(
     items = sorted(items)
     r = [rewards[i] for i in items]
     _, lo = fractional_optimum([nu_lo[i] for i in items], r, zeta_lo, capacity)
-    _, hi = fractional_optimum([nu_hi[i] for i in items], r, zeta_hi, capacity)
-    return (lo, hi)
+    s, hi = fractional_optimum([nu_hi[i] for i in items], r, zeta_hi, capacity)
+    return (lo, hi, tuple(items[j] for j in s))
 
 
 def ci_xi(
@@ -275,7 +276,8 @@ def ci_xi(
 class EstimateSet:
     """One estimator invocation's output: intervals plus bookkeeping.
 
-    ``items`` are the pending items scored; ``nu_lo/nu_hi`` may cover more
+    ``items`` are the pending items scored, and ``s_hi`` the ones among them
+    that `ci_theta`'s upper solve selects; ``nu_lo/nu_hi`` may cover more
     items than ``items`` (procedures that also estimate pinned items).  All
     interval pairs are ordered; weights and revenues lie in [0, 1]; scores
     lie in [-1, 1].  A run keeps each phase's estimate as ``PhaseState.est``,
@@ -289,11 +291,14 @@ class EstimateSet:
     nu_hi: Dict[int, float]
     theta_lo: float
     theta_hi: float
+    s_hi: Assortment
     xi_lo: Dict[int, float]
     xi_hi: Dict[int, float]
     epochs: int
 
     def __post_init__(self) -> None:
+        if not set(self.s_hi) <= set(self.items):
+            raise ValueError("the upper solve's set must lie in the scored items")
         if not (0.0 <= self.zeta_lo <= self.zeta_hi <= 1.0):
             raise ValueError("stop-reward interval out of order or range")
         if not (0.0 <= self.theta_lo <= self.theta_hi <= 1.0):
@@ -388,7 +393,7 @@ def _estimate(
     for i in weighed:
         nu_lo[i], nu_hi[i] = ci_nu(state.n.get(i, 0), state.t.get(i, 0), big_l)
         rewards[i] = all_rewards[i - 1]
-    theta_lo, theta_hi = ci_theta(rewards, weighed, nu_lo, nu_hi, zeta_lo, zeta_hi, capacity)
+    theta_lo, theta_hi, s_hi = ci_theta(rewards, weighed, nu_lo, nu_hi, zeta_lo, zeta_hi, capacity)
     xi_lo: Dict[int, float] = {}
     xi_hi: Dict[int, float] = {}
     for i in tb:
@@ -401,6 +406,7 @@ def _estimate(
         nu_hi=nu_hi,
         theta_lo=theta_lo,
         theta_hi=theta_hi,
+        s_hi=tuple(i for i in s_hi if i in xi_lo),  # a raw solve's pending part
         xi_lo=xi_lo,
         xi_hi=xi_hi,
         epochs=state.t_z,

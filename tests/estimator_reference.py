@@ -34,6 +34,8 @@ from mnlbandit.estimators import (
     explore_epochs,
 )
 from mnlbandit.model import validate_assortment
+from model_reference import ReducedParams
+from oracle_reference import fractional_optimum
 
 
 def _rewards_map(env: Environment, items: Sequence[int]) -> Dict[int, float]:
@@ -63,7 +65,7 @@ def _finish(
     for i in list(items) + list(extra_nu_items):
         nu_lo[i], nu_hi[i] = ci_nu(state.n.get(i, 0), state.t.get(i, 0), big_l)
     rewards = _rewards_map(env, list(items) + list(extra_nu_items))
-    theta_lo, theta_hi = ci_theta(
+    theta_lo, theta_hi, _ = ci_theta(
         rewards,
         sorted(nu_lo),
         nu_lo,
@@ -72,6 +74,7 @@ def _finish(
         zeta_hi,
         capacity,
     )
+    upper = fractional_optimum(rewards, ReducedParams(zeta_hi, nu_hi), capacity)
     xi_lo: Dict[int, float] = {}
     xi_hi: Dict[int, float] = {}
     for i in scored:
@@ -86,6 +89,7 @@ def _finish(
         nu_hi=nu_hi,
         theta_lo=theta_lo,
         theta_hi=theta_hi,
+        s_hi=tuple(i for i in upper.s_star if i in scored),
         xi_lo=xi_lo,
         xi_hi=xi_hi,
         epochs=epochs,

@@ -502,23 +502,34 @@ def test_criterion_13_steps_follow_the_batch_plan(monkeypatch):
     _report(13, "steps-follow-the-batch-plan", ok, "; ".join(details))
 
 
-def _phases_with_a_miss(inst, tuning, master_seed, reps):
-    """Phases of `pac_exact` runs in which any zeta, nu, theta or xi interval
-    misses the truth, and the phases' summed confidence budgets ``delta_k``."""
+def _phases_with_a_miss(inst, estimator, master_seed, reps):
+    """Phases of paper-constant `pac_exact` runs with the named estimator in
+    which any interval misses the truth, and the phases' summed confidence
+    budgets ``delta_k``.  A reduced estimate's truth is the reduced weights and
+    stop reward relative to the pinned set, θ solved at the residual capacity;
+    a raw one's (naive, reg) is the raw weights over ``a ∪ b``, θ solved at
+    ``min(k, |a| + |b|)`` with the stop reward pinned to 0, which is not checked."""
     r = inst.r.tolist()
+    raw = estimator in ("naive", "reg")
     missed = phases = 0
     budget = 0.0
     for rep in range(reps):
-        res = pac_exact(Environment(inst, fork_stream(master_seed, rep)), 0.1, tuning)
+        env = Environment(inst, fork_stream(master_seed, rep))
+        res = pac_exact(env, 0.1, PAPER_TUNING, estimator=estimator)
         for p in res.phases:
             est = p.est
-            truth = reduce_params(inst, p.a_set)
-            nu = truth.nu
-            _, theta = fractional_optimum([nu[i] for i in p.b_set], [r[i - 1] for i in p.b_set],
-                                          truth.zeta, p.m)
-            miss = not (est.zeta_lo <= truth.zeta <= est.zeta_hi)
+            if raw:
+                items = tuple(sorted(p.a_set + p.b_set))
+                zeta, capacity = 0.0, min(inst.k, len(items))
+                nu = {i: float(inst.v[i - 1]) for i in items}
+            else:
+                truth = reduce_params(inst, p.a_set)
+                items, zeta, nu, capacity = p.b_set, truth.zeta, truth.nu, p.m
+            _, theta = fractional_optimum([nu[i] for i in items], [r[i - 1] for i in items],
+                                          zeta, capacity)
+            miss = not raw and not (est.zeta_lo <= zeta <= est.zeta_hi)
             miss |= not (est.theta_lo <= theta <= est.theta_hi)
-            miss |= any(not (est.nu_lo[i] <= nu[i] <= est.nu_hi[i]) for i in p.b_set)
+            miss |= any(not (est.nu_lo[i] <= nu[i] <= est.nu_hi[i]) for i in items)
             miss |= any(not (est.xi_lo[i] <= nu[i] * (r[i - 1] - theta) <= est.xi_hi[i])
                         for i in est.items)
             missed += miss
@@ -530,14 +541,16 @@ def _phases_with_a_miss(inst, tuning, master_seed, reps):
 def test_criterion_14_intervals_hold_end_to_end():
     # Phase k's intervals all hold with probability at least 1 - delta_k, so
     # the phases with a miss stay within the 1 - 1e-3 Poisson quantile of
-    # their summed budgets.  Gaps of 1e-4 and 1e-5 take 5 and 9 phases and pin
-    # items, so every interval kind is exercised.
+    # their summed budgets, for each of the four phase estimators.  Gaps of
+    # 1e-4 and 1e-5 take 5 and 8-9 phases and pin items, so every interval
+    # kind is exercised, raw weights of pinned items included.
     details, ok = [], True
-    for gap in (1e-4, 1e-5):
-        inst = lower_bound_instance(6, 2, [gap] * 4)
-        missed, phases, budget = _phases_with_a_miss(inst, PAPER_TUNING, 1014, 200)
-        bound = stats.poisson.ppf(1.0 - 1e-3, budget)
-        ok = ok and missed <= bound
-        details.append(f"gap {gap:g}: {missed} of {phases} phases missed, "
-                       f"budget {budget:.2f}, bound {bound:.0f}")
+    for estimator in ("adaptive", "reduced", "naive", "reg"):
+        for gap in (1e-4, 1e-5):
+            inst = lower_bound_instance(6, 2, [gap] * 4)
+            missed, phases, budget = _phases_with_a_miss(inst, estimator, 1014, 200)
+            bound = stats.poisson.ppf(1.0 - 1e-3, budget)
+            ok = ok and missed <= bound
+            details.append(f"{estimator} gap {gap:g}: {missed} of {phases} phases missed, "
+                           f"budget {budget:.2f}, bound {bound:.0f}")
     _report(14, "intervals-hold-end-to-end", ok, "; ".join(details))

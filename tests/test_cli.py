@@ -436,6 +436,23 @@ class TestRunValidation:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_regret_batch_past_the_limit_and_the_budget_ends_at_the_horizon(
+            self, tmp_path, monkeypatch):
+        # on a tied instance phase 14 asks for 2.1e16 epochs, past the sampler's
+        # limit and past the 2.1e15 steps left: the budget ends the run
+        monkeypatch.setenv("MNL_THREADS", "1")
+        inst = tmp_path / "tied.txt"
+        inst.write_text("# mnlbandit instance v1\nn = 3\nk = 2\nr = 1, 1, 1\nv = 0.5, 0.5, 0.5\n")
+        horizon = 30_000_000_000_000_000
+        out = tmp_path / "r.csv"
+        assert run_cli(
+            "run", "--instance", str(inst), "--mode", "regret", "--horizon", str(horizon),
+            "--seed", "1", "--reps", "1", "--out", str(out),
+        ) == 0
+        with open(out, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["status"], int(row["steps"])) == ("horizon", horizon)
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -55,6 +55,7 @@ def make_est(items, xi):
         nu_hi={i: 1.0 for i in items},
         theta_lo=0.0,
         theta_hi=1.0,
+        s_hi=(),  # at zeta_hi = 1 no item beats the empty set
         xi_lo={i: xi[i][0] for i in items},
         xi_hi={i: xi[i][1] for i in items},
         epochs=0,
@@ -654,6 +655,52 @@ class TestNoScaffolding:
         assert pac_eps(env, 0.1, 0.1, DESK_TUNING).phases
         env = Environment(self.INST, fork_stream(92, 3), horizon=20_000)
         assert regret_min(env, DESK_TUNING).phases
+
+
+class TestUpperSolveSet:
+    """Each phase's ``est.s_hi`` against an independent solve: the reference
+    optimum at the phase's upper ends, kept to the scored items.  A reduced
+    estimate solves over the pending items at the residual capacity, a raw
+    one (naive, reg) over pinned and pending items at ``min(k, |a| + |b|)``."""
+
+    EPS = 0.5  # the ε stop at phase 4
+
+    RUNS = {
+        **{name: partial(pac_exact, delta=0.1, tuning=DESK_TUNING, estimator=name)
+           for name in ("naive", "reduced", "adaptive", "reg")},
+        "pac-eps": partial(pac_eps, delta=0.1, eps=EPS, tuning=DESK_TUNING),
+        # the ε stop of a raw estimator takes the pending part of its raw set
+        "naive-eps": partial(sar_mnl, delta=0.05, estimator=partial(est_naive, tuning=DESK_TUNING),
+                             eps=EPS),
+        "reg-eps": partial(sar_mnl, delta=0.05, estimator=partial(est_reg, tuning=DESK_TUNING),
+                           eps=EPS),
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_every_phase_keeps_its_upper_solves_set(self, name):
+        raw = name.startswith(("naive", "reg"))
+        chosen = pinned_dropped = completed = 0
+        for inst in _reference_instances():
+            rewards = {i: float(inst.r[i - 1]) for i in range(1, inst.n + 1)}
+            for rep in range(3):
+                res = self.RUNS[name](Environment(inst, fork_stream(93, rep)))
+                for p in res.phases:
+                    est = p.est
+                    capacity = min(inst.k, len(est.nu_hi)) if raw else p.m
+                    want = fractional_optimum(
+                        rewards, ReducedParams(est.zeta_hi, est.nu_hi), capacity
+                    ).s_star
+                    assert est.s_hi == tuple(i for i in want if i in p.b_set)
+                    chosen += bool(est.s_hi)
+                    pinned_dropped += len(want) > len(est.s_hi)
+                last = res.phases[-1]
+                if name.endswith("eps") and 2.0 ** (1 - last.k) <= self.EPS / 3.0:  # the ε stop
+                    assert last.b_acc == last.est.s_hi and last.b_rej == ()
+                    assert res.assortment == tuple(sorted(last.a_set + last.b_acc))
+                    completed += 1
+        assert chosen > 0
+        assert (pinned_dropped > 0) == raw
+        assert (completed > 0) == name.endswith("eps")
 
 
 def _reference_instances():

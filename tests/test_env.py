@@ -12,6 +12,7 @@ from mnlbandit.env import (
     HorizonExhausted,
     RegretLedger,
     RNG_ALGORITHM_ID,
+    SamplerLimitError,
     fork_stream,
 )
 from mnlbandit.estimators import ExploreState
@@ -296,6 +297,42 @@ class TestSampleEpochs:
         before = (env.ledger.steps, env._rng.bit_generator.state)
         with pytest.raises(OverflowError, match=r"\b9007199254740992$"):
             env.sample_epochs((1,), (2,), 2**53 + 1)
+        assert (env.ledger.steps, env._rng.bit_generator.state) == before
+
+    #: (instance, stopping set, tracked set, epochs) of a batch past each limit:
+    #: 2**53 + 1 epochs, and 9e15 epochs at q = 1/1101, past numpy's draw of M
+    PAST_A_LIMIT = {
+        "draw-limit": (None, (), (1,), 2**53 + 1),
+        "negative-binomial": (Instance(n=1200, k=1100, r=[0.5] * 1100 + [1.0] * 100,
+                                       v=np.ones(1200)), (), tuple(range(1, 1101)), 9 * 10**15),
+    }
+
+    @pytest.mark.parametrize("limit", list(PAST_A_LIMIT))
+    def test_a_batch_past_a_limit_and_the_budget_is_cut_undrawn(self, limit):
+        # its epochs alone overrun the budget: it ends the run as a cut batch
+        # does, charged the rest of the budget, without refusing or drawing
+        inst, z, s, epochs = self.PAST_A_LIMIT[limit]
+        env = make_env(seed=19, inst=inst, horizon=epochs - 1)
+        env.sample_epochs(z, s, 10)
+        steps, regret = env.ledger.steps, env.ledger.cum_regret
+        state, remaining = env._rng.bit_generator.state, env.steps_remaining
+        batch = env.sample_epochs(z, s, epochs)
+        assert (batch.requested, batch.epochs, batch.steps) == (epochs, 0, remaining)
+        assert batch.truncated and batch.z_sum == 0.0 and not batch.x_sums.any()
+        assert env._rng.bit_generator.state == state
+        assert env.ledger.steps == steps + remaining == epochs - 1
+        per_step = env.oracle_solution().theta_star - env.true_revenue(z + s)
+        assert per_step > 0
+        assert env.ledger.cum_regret == pytest.approx(regret + per_step * remaining, rel=1e-12)
+
+    @pytest.mark.parametrize("limit", list(PAST_A_LIMIT))
+    def test_a_batch_past_a_limit_within_the_budget_is_refused(self, limit):
+        # a budget of exactly its epochs may hold the batch: no purchase at all
+        inst, z, s, epochs = self.PAST_A_LIMIT[limit]
+        env = make_env(seed=19, inst=inst, horizon=epochs)
+        before = (env.ledger.steps, env._rng.bit_generator.state)
+        with pytest.raises(SamplerLimitError):
+            env.sample_epochs(z, s, epochs)
         assert (env.ledger.steps, env._rng.bit_generator.state) == before
 
     def test_a_batch_at_the_draw_limit_draws(self):

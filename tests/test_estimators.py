@@ -239,7 +239,7 @@ class TestCiTheta:
             rewards = {i: float(rng.uniform(0, 1)) for i in range(1, n + 1)}
             m = int(rng.integers(0, n + 1))
             truth = fractional_optimum(rewards, params, m).theta_star
-            lo, hi = ci_theta(
+            lo, hi, _ = ci_theta(
                 rewards, sorted(params.nu), params.nu, params.nu,
                 params.zeta, params.zeta, m,
             )
@@ -261,7 +261,7 @@ class TestCiTheta:
             nu_hi = {i: min(1.0, v + rng.uniform(0, 0.2)) for i, v in params.nu.items()}
             z_lo = max(0.0, params.zeta - rng.uniform(0, 0.2))
             z_hi = min(1.0, params.zeta + rng.uniform(0, 0.2))
-            lo, hi = ci_theta(rewards, sorted(nu_lo), nu_lo, nu_hi, z_lo, z_hi, m)
+            lo, hi, _ = ci_theta(rewards, sorted(nu_lo), nu_lo, nu_hi, z_lo, z_hi, m)
             assert lo - 1e-10 <= truth <= hi + 1e-10
             assert lo <= hi + 1e-12
 
@@ -785,27 +785,33 @@ class TestEstimateSet:
         with pytest.raises(ValueError):
             EstimateSet(
                 items=(1,), zeta_lo=0.5, zeta_hi=0.4, nu_lo={1: 0.1},
-                nu_hi={1: 0.2}, theta_lo=0.0, theta_hi=1.0, xi_lo={1: 0.0},
+                nu_hi={1: 0.2}, theta_lo=0.0, theta_hi=1.0, s_hi=(), xi_lo={1: 0.0},
                 xi_hi={1: 0.1}, epochs=0,
             )
         with pytest.raises(ValueError):
             EstimateSet(
                 items=(1,), zeta_lo=0.0, zeta_hi=1.0, nu_lo={1: 0.3},
-                nu_hi={1: 0.2}, theta_lo=0.0, theta_hi=1.0, xi_lo={1: 0.0},
+                nu_hi={1: 0.2}, theta_lo=0.0, theta_hi=1.0, s_hi=(), xi_lo={1: 0.0},
                 xi_hi={1: 0.1}, epochs=0,
             )
         with pytest.raises(ValueError):
             EstimateSet(
                 items=(1,), zeta_lo=0.0, zeta_hi=1.0, nu_lo={1: 0.1},
-                nu_hi={1: 0.2}, theta_lo=0.0, theta_hi=1.0, xi_lo={1: 0.2},
+                nu_hi={1: 0.2}, theta_lo=0.0, theta_hi=1.0, s_hi=(), xi_lo={1: 0.2},
                 xi_hi={1: 0.1}, epochs=0,
+            )
+        with pytest.raises(ValueError, match="scored items"):
+            EstimateSet(
+                items=(1,), zeta_lo=0.0, zeta_hi=1.0, nu_lo={1: 0.1, 2: 0.1},
+                nu_hi={1: 0.2, 2: 0.2}, theta_lo=0.0, theta_hi=1.0, s_hi=(2,),
+                xi_lo={1: 0.0}, xi_hi={1: 0.1}, epochs=0,
             )
 
     def test_width_helpers(self):
         est = EstimateSet(
             items=(1, 2), zeta_lo=0.0, zeta_hi=1.0,
             nu_lo={1: 0.1, 2: 0.2}, nu_hi={1: 0.2, 2: 0.6},
-            theta_lo=0.0, theta_hi=1.0,
+            theta_lo=0.0, theta_hi=1.0, s_hi=(),
             xi_lo={1: -0.1, 2: 0.0}, xi_hi={1: 0.1, 2: 0.5},
             epochs=0,
         )

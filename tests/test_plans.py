@@ -225,22 +225,24 @@ class TestPlanTable:
 
 class TestCiThetaMatchesFractionalOptimum:
     """The list-interface ``fractional_optimum`` and ``ci_theta`` against the
-    dict-interface reference solve, bit for bit: positions, revenue, ends."""
+    dict-interface reference solve, bit for bit: positions, revenue, ends and
+    the upper end's set."""
 
     @staticmethod
     def _check(rewards, items, nu_lo, nu_hi, zeta_lo, zeta_hi, capacity):
         ids = sorted(items)
         r = [rewards[i] for i in ids]
-        ends = []
+        wants = []
         for nu, zeta in ((nu_lo, zeta_lo), (nu_hi, zeta_hi)):
             want = reference_fractional_optimum(
                 rewards, ReducedParams(zeta, {i: nu[i] for i in ids}), capacity
             )
             s, theta = fractional_optimum([nu[i] for i in ids], r, zeta, capacity)
             assert (tuple(ids[j] for j in s), theta) == (want.s_star, want.theta_star)
-            ends.append(want.theta_star)
+            wants.append(want)
         got = ci_theta(rewards, items, nu_lo, nu_hi, zeta_lo, zeta_hi, capacity)
-        assert got == tuple(ends)
+        lo, hi = wants
+        assert got == (lo.theta_star, hi.theta_star, hi.s_star)
 
     def test_random_inputs(self):
         rng = np.random.default_rng(31)

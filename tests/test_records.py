@@ -22,7 +22,7 @@ from mnlbandit.oracle import OptimumSolution
 _SPLIT = _Split(size=2, mask=None, probs=np.array([0.25, 0.75]), only=None)
 _EST = EstimateSet(
     items=(2,), zeta_lo=0.1, zeta_hi=0.2, nu_lo={2: 0.3}, nu_hi={2: 0.4},
-    theta_lo=0.3, theta_hi=0.5, xi_lo={2: -0.1}, xi_hi={2: 0.2}, epochs=8,
+    theta_lo=0.3, theta_hi=0.5, s_hi=(2,), xi_lo={2: -0.1}, xi_hi={2: 0.2}, epochs=8,
 )
 
 #: record -> (its required fields' values, its defaults), each in field order
