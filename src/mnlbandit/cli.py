@@ -278,11 +278,6 @@ def _replicate(job: RunJob, rep: int) -> Outcome:
         success = opt.theta_star - env.true_revenue(result.assortment) <= job.eps
     else:
         success = result.assortment == opt.s_star
-    status = "ok"
-    if result.aborted:
-        status = "phase-cap"
-    elif result.horizon_hit:
-        status = "horizon"
     row = {
         "replication": str(rep),
         "seed": str(generator_digest(rng)),
@@ -291,7 +286,7 @@ def _replicate(job: RunJob, rep: int) -> Outcome:
         "set_size": str(len(result.assortment)),
         "phases": str(len(result.phases)),
         "regret": repr(env.ledger.cum_regret) if job.horizon is not None else "",
-        "status": status,
+        "status": result.status,
     }
     return Outcome(row, env.ledger if rep == job.curve_rep else None)
 

@@ -91,16 +91,17 @@ class PhaseState(NamedTuple):
 class RunResult(NamedTuple):
     """Decisions of one driver run.
 
-    ``aborted`` marks a phase-cap abort (diagnostic, not an exception);
-    ``horizon_hit`` marks a run cut off by the step budget.  A run's steps
-    and regret are its environment's ledger; grading the assortment against
-    the optimum is the caller's job (the CLI's ``run``).
+    ``status`` names how the run ended: ``"ok"`` (the capacity filled, nothing
+    pending or the ε stop), ``"horizon"`` (cut off by the step budget) or
+    ``"phase-cap"`` (a `PHASE_CAP` abort, diagnostic, not an exception); the
+    CLI's ``run`` writes it to its ``status`` column.  A run's steps and
+    regret are its environment's ledger; grading the assortment against the
+    optimum is the caller's job (the CLI's ``run``).
     """
 
     assortment: Assortment
     phases: Tuple[PhaseState, ...]
-    aborted: bool = False
-    horizon_hit: bool = False
+    status: str = "ok"
 
 
 def accept_reject(
@@ -156,15 +157,15 @@ def sar_mnl(
     the best pending assortment under the upper estimates for a reduced
     estimator; for a raw one (``naive``, ``reg``), the pending part of the
     best assortment of ``a ∪ b`` under the upper raw weights.
-    A step budget spent mid-phase ends the run with ``horizon_hit=True`` and
+    A step budget spent mid-phase ends the run with status ``"horizon"`` and
     the pinned set so far; the cut-off phase is not recorded.  Exceeding
-    `PHASE_CAP` aborts with ``aborted=True`` and the pinned set so far.
+    `PHASE_CAP` aborts with status ``"phase-cap"`` and the pinned set so far.
     """
     _check_delta(delta, env.n)
     a: Tuple[int, ...] = ()
     b: Tuple[int, ...] = tuple(range(1, env.n + 1))
     phases: List[PhaseState] = []
-    aborted = horizon_hit = False
+    status = "ok"
     for k in range(1, PHASE_CAP + 1):
         m = min(env.k - len(a), len(b))
         if m == 0:
@@ -175,7 +176,7 @@ def sar_mnl(
         try:
             est = estimator(env, a, b, delta_k, eps_k / 2.0)
         except HorizonExhausted:
-            horizon_hit = True
+            status = "horizon"
             break
         except SamplerLimitError as exc:
             raise SamplerLimitError(f"{exc} in phase {k}") from None
@@ -207,8 +208,8 @@ def sar_mnl(
         if done or not b:
             break
     else:
-        aborted = True
-    return RunResult(assortment=a, phases=tuple(phases), aborted=aborted, horizon_hit=horizon_hit)
+        status = "phase-cap"
+    return RunResult(assortment=a, phases=tuple(phases), status=status)
 
 
 def _pac(

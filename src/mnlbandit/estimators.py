@@ -42,8 +42,9 @@ so `Tuning` carries three multipliers, all 1.0 by default (exact constants):
 counts) and ``ci_scale`` (the ``log(2/delta)`` factor inside both confidence
 radii).  `PAPER_TUNING` is the exact profile; `DESK_TUNING` is a calibrated
 profile that keeps the width-vs-phase race and the relative estimator costs
-at interactive runtimes, and is what the statistical acceptance checks run
-under.  It does not keep every interval valid at one confidence level:
+at interactive runtimes.  Acceptance checks 06-10 run at desk, and so do
+check 11's reproducibility runs; checks 05, 12, 13 and 14 run at the paper's
+constants.  Desk does not keep every interval valid at one confidence level:
 ``ci_scale`` shrinks both radii's ``log(2/delta)``, but only the weight
 radius carries the factor 48, so at ``ci_scale = 0.02`` the weight radius is
 about 3 sigma and the stop-reward radius about 0.6 sigma.
@@ -56,13 +57,13 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .env import Environment, EpochBatch, HorizonExhausted
+from .env import Environment, HorizonExhausted
 from .model import Assortment, validate_assortment
 from .oracle import fractional_optimum
 
 __all__ = [
-    "Tuning", "PAPER_TUNING", "DESK_TUNING", "ExploreState", "explore_epochs",
-    "ci_zeta", "ci_nu", "ci_theta", "ci_xi", "EstimateSet",
+    "Tuning", "PAPER_TUNING", "DESK_TUNING", "ExploreState", "ci_zeta",
+    "ci_nu", "ci_theta", "ci_xi", "EstimateSet",
     "est_naive", "est_rough", "est_adaptive", "est_reduced", "est_reg",
 ]
 
@@ -92,10 +93,11 @@ class Tuning:
 #: Exact constants — guarantee-faithful, impractically expensive to simulate.
 PAPER_TUNING = Tuning()
 
-#: Desk-scale profile used by the statistical acceptance checks; see module
-#: docstring.  Calibrated so that interval widths cross the phase targets
-#: around phases 4-7 for gaps in [0.0125, 0.05] (the same regime the exact
-#: constants produce, at ~10^-5 of the cost).  In `pac_exact` runs at
+#: Desk-scale profile of acceptance checks 06-11 (05 and 12-14 run at
+#: `PAPER_TUNING`); see module docstring.  Calibrated so that interval
+#: widths cross the phase targets around phases 4-7 for gaps in
+#: [0.0125, 0.05] (the same regime the exact constants produce, at ~10^-5 of
+#: the cost).  In `pac_exact` runs at
 #: ``delta = 0.1`` on uniform n = 8, k = 3 instances (generator seeds 0-19, 25
 #: replications each), its stop-reward interval missed the truth in 293 of the
 #: 728 phases with a pinned set.
@@ -163,27 +165,6 @@ class ExploreState:
     def bar_zeta(self) -> float:
         """Empirical stop-reward mean (0 before any epoch)."""
         return self.n_z / self.t_z if self.t_z else 0.0
-
-
-def explore_epochs(
-    env: Environment, state: ExploreState, s: Sequence[int], epochs: int
-) -> EpochBatch:
-    """Run ``epochs`` exploration epochs in a vectorized batch.
-
-    Commits the batch's statistics to ``state`` and returns the batch.
-    Raises `HorizonExhausted`, committing nothing, if the step budget ran out
-    within the batch.
-    """
-    batch = env.sample_epochs(state.z_stop, s, epochs)
-    if batch.truncated:
-        raise HorizonExhausted(f"step budget exhausted within a batch of {epochs} epochs")
-    state.n_z += batch.z_sum
-    state.t_z += epochs
-    n, t = state.n, state.t
-    for i, x in zip(batch.tracked, batch.x_sums.tolist()):
-        n[i] = n.get(i, 0) + x
-        t[i] = t.get(i, 0) + epochs
-    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +306,19 @@ class EstimateSet:
 def _sets(
     env: Environment, a: Sequence[int], b: Sequence[int]
 ) -> Tuple[Assortment, Assortment]:
-    """The validated pinned and pending sets, which must be disjoint."""
+    """The validated pinned and pending sets, which must be disjoint, and the
+    pending one nonempty."""
     ta = validate_assortment(a, env.n)
     tb = validate_assortment(b, env.n)
     if set(ta) & set(tb):
         raise ValueError("pinned and pending sets must be disjoint")
+    if not tb:
+        raise ValueError("pending set must be nonempty")
     return ta, tb
 
 
 def _residual(env: Environment, ta: Assortment, tb: Assortment) -> int:
-    """``M = min(k - |a|, |b|)`` for a nonempty pending set; at least 1."""
-    if not tb:
-        raise ValueError("pending set must be nonempty")
+    """``M = min(k - |a|, |b|)``; at least 1."""
     m_cap = min(env.k - len(ta), len(tb))
     if m_cap < 1:
         raise ValueError("pinned set already fills the capacity")
@@ -347,10 +329,21 @@ def _explore(env: Environment, stop: Assortment, groups: Sequence[Tuple[Assortme
              tau: int) -> ExploreState:
     """The one exploration loop of all five procedures: from a fresh state that
     stops at ``stop``, explore each group ``(s, units)`` of the plan in turn for
-    ``units * tau`` epochs.  A spent step budget raises `HorizonExhausted`."""
+    ``units * tau`` epochs, one `Environment.sample_epochs` batch each, and add
+    its stop reward, epochs and per-item counts to the state.  A step budget
+    spent within a batch raises `HorizonExhausted`."""
     state = ExploreState(z_stop=stop)
+    n, t = state.n, state.t
     for s, units in groups:
-        explore_epochs(env, state, s, units * tau)
+        epochs = units * tau
+        batch = env.sample_epochs(stop, s, epochs)
+        if batch.truncated:
+            raise HorizonExhausted(f"step budget exhausted within a batch of {epochs} epochs")
+        state.n_z += batch.z_sum
+        state.t_z += epochs
+        for i, x in zip(batch.tracked, batch.x_sums.tolist()):
+            n[i] = n.get(i, 0) + x
+            t[i] = t.get(i, 0) + epochs
     return state
 
 
@@ -379,7 +372,7 @@ def _estimate(
     tau = _refinement_tau(delta, eps, tuning)
     if reduced:
         stop, weighed = ta, tb
-        capacity = _residual(env, ta, tb) if tb else 0
+        capacity = _residual(env, ta, tb)
     else:
         stop, weighed = (), tuple(sorted(ta + tb))
         capacity = min(env.k, len(weighed))
@@ -513,9 +506,6 @@ def est_reduced(
     Like the adaptive estimator but without layering: every pending item is
     explored alone (stopping set = pinned set) for ``k * tau`` epochs.
     Simpler, and costlier by roughly the capacity factor on dense instances.
-
-    An empty pending set is legal and consumes nothing: the result scores no
-    items and carries only the trivial intervals.
     """
     ta, tb = _sets(env, a, b)
     groups = [((i,), env.k) for i in tb]

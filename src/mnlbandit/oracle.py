@@ -27,11 +27,15 @@ The iteration runs in two element types, split by caller:
   (2-vCPU VM, numpy 2.4.6).
 * ``fractional_optimum`` on Python floats, for one reduced problem over a
   phase's pending items: the estimators' revenue bounds (``ci_theta``, two
-  solves a phase) and ``pac_eps``'s completion.  These hold a handful of
-  items, where numpy's per-call cost is most of a solve: on the
-  ``many-small`` benchmark's 4-8 items a traced solve took 44 us through
-  ``_solve`` and 14 us on floats, and 400 replications ran about 18%
-  faster end to end.
+  solves a phase) and ``pac_eps``'s completion.  On most instances these
+  hold a handful of items, where numpy's per-call cost is most of a solve:
+  on the ``many-small`` benchmark's 4-8 items a traced solve took 44 us
+  through ``_solve`` and 14 us on floats, and 400 replications ran about
+  18% faster end to end.  The trade goes the other way on a wide instance,
+  whose first phase solves over every item: at ``n = 4000, k = 100`` the
+  float solves of 16 paper-constant replications took 61-67 ms against
+  26-28 ms through ``_solve``, 2.4 times as long and about 2% of the
+  replications' time.  No benchmark workload measures that width.
 
 The two make the same selections and share no code; the tests hold
 ``fractional_optimum``'s positions to ``_solve``'s bit for bit.
@@ -120,8 +124,9 @@ def fractional_optimum(
     admissible, so the revenue is >= ``zeta``.
 
     Dinkelbach's iteration on the caller's Python floats, without numpy:
-    the phase loop's problems hold a handful of items, where copying them
-    into arrays and the array calls of ``_solve`` cost more than the solve
+    the phase loop's problems mostly hold a handful of items, where copying
+    them into arrays and the array calls of ``_solve`` cost more than the
+    solve; over thousands of items it costs about 2.4 times ``_solve``
     (module docstring).  Each step selects as ``_top_positive`` does -- the
     top ``capacity`` strictly positive ``nu_j (r_j - theta)``, ties to the
     smaller position -- and sets ``theta`` to the selection's revenue; the

@@ -36,13 +36,13 @@ def pac_eps(
     a: Tuple[int, ...] = ()
     b: Tuple[int, ...] = tuple(range(1, env.n + 1))
     phases: List[PhaseState] = []
-    aborted = True
+    status = "phase-cap"
     returned: Tuple[int, ...] = ()
     for k in range(1, PHASE_CAP + 1):
         m = min(env.k - len(a), len(b))
         if m == 0:
             returned = a
-            aborted = False
+            status = "ok"
             break
         eps_k = 2.0 ** (-k)
         delta_k = sar_delta / (3.0 * k * k)
@@ -73,7 +73,7 @@ def pac_eps(
                     est=est,
                 )
             )
-            aborted = False
+            status = "ok"
             break
         est = est_adaptive(env, a, b, delta_k, eps_k / 2.0, rough, tuning)
         b_acc, b_rej, alpha, beta = accept_reject(est, m)
@@ -99,9 +99,9 @@ def pac_eps(
         assert len(a) <= env.k
         if not b:
             returned = a
-            aborted = False
+            status = "ok"
             break
-    return RunResult(assortment=returned, phases=tuple(phases), aborted=aborted)
+    return RunResult(assortment=returned, phases=tuple(phases), status=status)
 
 
 def regret_min(
@@ -127,8 +127,7 @@ def regret_min(
     a: Tuple[int, ...] = ()
     b: Tuple[int, ...] = tuple(range(1, env.n + 1))
     phases: List[PhaseState] = []
-    aborted = False
-    horizon_hit = False
+    status = "ok"
     try:
         for k in range(1, PHASE_CAP + 1):
             m = min(env.k - len(a), len(b))
@@ -162,14 +161,12 @@ def regret_min(
             if not b:
                 break
         else:
-            aborted = True
+            status = "phase-cap"
     except HorizonExhausted:
-        horizon_hit = True
+        status = "horizon"
 
     exploit = env.steps_remaining or 0
     if exploit:
         env.advance(a, exploit)
     assert env.ledger.steps == horizon, "regret run must consume the budget exactly"
-    return RunResult(
-        assortment=a, phases=tuple(phases), aborted=aborted, horizon_hit=horizon_hit
-    )
+    return RunResult(assortment=a, phases=tuple(phases), status=status)

@@ -12,12 +12,15 @@ pass ``delta`` to ``_finish`` in place of the schedule and build no plan.
 
 ``est_rough`` is the rough pass's own loop, which offered each item alone and
 read its upper weight end right after the item's batch.
+
+``_explore_epochs`` is the batch helper these bodies called, kept verbatim
+after the estimators' exploration loop absorbed it.
 """
 
 import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from mnlbandit.env import Environment
+from mnlbandit.env import Environment, EpochBatch, HorizonExhausted
 from mnlbandit.estimators import (
     PAPER_TUNING,
     EstimateSet,
@@ -31,11 +34,31 @@ from mnlbandit.estimators import (
     ci_theta,
     ci_xi,
     ci_zeta,
-    explore_epochs,
 )
 from mnlbandit.model import validate_assortment
 from model_reference import ReducedParams
 from oracle_reference import fractional_optimum
+
+
+def _explore_epochs(
+    env: Environment, state: ExploreState, s: Sequence[int], epochs: int
+) -> EpochBatch:
+    """Run ``epochs`` exploration epochs in a vectorized batch.
+
+    Commits the batch's statistics to ``state`` and returns the batch.
+    Raises `HorizonExhausted`, committing nothing, if the step budget ran out
+    within the batch.
+    """
+    batch = env.sample_epochs(state.z_stop, s, epochs)
+    if batch.truncated:
+        raise HorizonExhausted(f"step budget exhausted within a batch of {epochs} epochs")
+    state.n_z += batch.z_sum
+    state.t_z += epochs
+    n, t = state.n, state.t
+    for i, x in zip(batch.tracked, batch.x_sums.tolist()):
+        n[i] = n.get(i, 0) + x
+        t[i] = t.get(i, 0) + epochs
+    return batch
 
 
 def _rewards_map(env: Environment, items: Sequence[int]) -> Dict[int, float]:
@@ -132,7 +155,7 @@ def est_naive(
     state = ExploreState(z_stop=())
     epochs = 0
     for i in items:
-        batch = explore_epochs(env, state, (i,), env.k * tau)
+        batch = _explore_epochs(env, state, (i,), env.k * tau)
         epochs += batch.epochs
     capacity = min(env.k, len(items))
     return _finish(
@@ -158,7 +181,7 @@ def est_rough(
     state = ExploreState(z_stop=())
     rough: Dict[int, float] = {}
     for i in range(1, env.n + 1):
-        explore_epochs(env, state, (i,), tau)
+        _explore_epochs(env, state, (i,), tau)
         rough[i] = ci_nu(state.n[i], state.t[i], big_l)[1]
     return rough
 
@@ -224,7 +247,7 @@ def est_adaptive(
     epochs = 0
     for lv, group in groups:
         assert len(ta) + len(group) <= env.k
-        batch = explore_epochs(env, state, group, widths[lv] * tau)
+        batch = _explore_epochs(env, state, group, widths[lv] * tau)
         epochs += batch.epochs
     return _finish(
         env,
@@ -271,7 +294,7 @@ def est_reduced(
         raise ValueError("pinned set already fills the capacity")
     epochs = 0
     for i in tb:
-        batch = explore_epochs(env, state, (i,), env.k * tau)
+        batch = _explore_epochs(env, state, (i,), env.k * tau)
         epochs += batch.epochs
     return _finish(
         env,
@@ -332,7 +355,7 @@ def est_reg(
     for group in groups:
         offered = tuple(sorted(ta + group))
         assert len(offered) == min(env.k, len(ta) + len(tb))
-        batch = explore_epochs(env, state, offered, env.k * tau)
+        batch = _explore_epochs(env, state, offered, env.k * tau)
         epochs += batch.epochs
     capacity = min(env.k, len(ta) + len(tb))
     return _finish(

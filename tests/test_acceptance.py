@@ -28,7 +28,6 @@ from mnlbandit.estimators import (
     est_naive,
     est_reduced,
     est_rough,
-    explore_epochs,
 )
 from mnlbandit.instances import generate_instance
 from mnlbandit.model import Instance, revenue
@@ -150,8 +149,8 @@ def test_criterion_04_epoch_moments():
     bad = []
     for idx, (z_set, tracked) in enumerate(configs):
         env = Environment(inst, fork_stream(1004, idx))
-        state = ExploreState(z_stop=z_set)
-        _, lengths = epoch_detail(env, explore_epochs(env, state, tracked, epochs))
+        batch = env.sample_epochs(z_set, tracked, epochs)
+        _, lengths = epoch_detail(env, batch)
         params = reduce_params(inst, z_set)
 
         # stop-reward mean: exact variance of the categorical stop outcome
@@ -160,14 +159,14 @@ def test_criterion_04_epoch_moments():
             float(inst.v[c - 1]) * float(inst.r[c - 1]) ** 2 for c in z_set
         ) / (1.0 + vz)
         se_z = math.sqrt(max(second - params.zeta**2, 0.0) / epochs)
-        if abs(state.bar_zeta() - params.zeta) > 3 * se_z:
+        if abs(batch.z_sum / epochs - params.zeta) > 3 * se_z:
             bad.append(f"config {idx}: stop-reward mean")
 
         # per-item counts: exact geometric variance nu (1 + nu)
-        for i in tracked:
+        for i, count in zip(batch.tracked, batch.x_sums.tolist()):
             nu = params.nu[i]
             se = math.sqrt(nu * (1.0 + nu) / epochs)
-            if abs(state.n[i] / state.t[i] - nu) > 3 * se:
+            if abs(count / epochs - nu) > 3 * se:
                 bad.append(f"config {idx}: weight of item {i}")
 
         # epoch length minus one: the total purchase count, geometric with

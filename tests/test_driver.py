@@ -22,6 +22,7 @@ from mnlbandit.driver import (
 from mnlbandit.env import Environment, SamplerLimitError, fork_stream
 from mnlbandit.estimators import (
     DESK_TUNING,
+    PAPER_TUNING,
     EstimateSet,
     Tuning,
     est_adaptive,
@@ -131,7 +132,7 @@ class TestSarMnl:
         inst = generate_instance("uniform", 6, 3, seed=8)
         env = Environment(inst, fork_stream(1, 0))
         res = sar_mnl(env, 0.1, oracle_estimator(inst))
-        assert not res.aborted
+        assert res.status == "ok"
         assert res.assortment == brute_force_optimum(inst).s_star
         assert len(res.phases) == 1
         assert env.ledger.steps == 0  # the stub consumes nothing
@@ -153,7 +154,7 @@ class TestSarMnl:
 
         env = Environment(inst, fork_stream(1, 0))
         res = sar_mnl(env, 0.2, staged)
-        assert res.assortment == brute_force_optimum(inst).s_star and not res.aborted
+        assert res.assortment == brute_force_optimum(inst).s_star and res.status == "ok"
         assert len(res.phases) == 4
         for idx, p in enumerate(res.phases, start=1):
             assert p.k == idx
@@ -206,7 +207,7 @@ class TestSarMnl:
         inst = generate_instance("uniform", 5, 2, seed=3)
         env = Environment(inst, fork_stream(1, 0))
         res = sar_mnl(env, 0.1, wide_estimator)
-        assert res.aborted
+        assert res.status == "phase-cap"
         assert res.assortment == ()
         assert len(res.phases) == 5
 
@@ -296,7 +297,7 @@ class TestPacExact:
         inst = generate_instance("uniform", 6, 3, seed=8)
         env = Environment(inst, fork_stream(79, 0))
         res = pac_exact(env, 0.1, DESK_TUNING)
-        assert not res.aborted
+        assert res.status == "ok"
         assert res.assortment == brute_force_optimum(inst).s_star
         # the ledger counts the rough pass, which the phase trace does not cover.
         assert env.ledger.steps > sum(p.steps for p in res.phases) > 0
@@ -315,6 +316,25 @@ class TestPacExact:
             assert s_star <= pinned_after | pending_after
             assert all(gaps[i] <= p.eps_k for i in pending_after)
 
+    @pytest.mark.parametrize("gap", [1e-3, 1e-5])
+    def test_layered_extra_phase_stays_cheap_on_the_lower_bound_family(self, gap):
+        # On this family the layered estimator can need one phase more than
+        # naive; it read 1.13 and 1.55 times naive's median steps at master
+        # seed 1 (1.13-1.50 and 1.55 over seeds 1-8).  Not a numbered
+        # acceptance check: it guards a regime, at the paper's constants.
+        inst = lower_bound_instance(8, 2, [gap] * 6)
+        s_star = brute_force_optimum(inst).s_star
+        median_steps = {}
+        for estimator in ("naive", "adaptive"):
+            steps = []
+            for rep in range(20):
+                env = Environment(inst, fork_stream(1, rep))
+                res = pac_exact(env, 0.1, PAPER_TUNING, estimator=estimator)
+                assert res.assortment == s_star and res.status == "ok"
+                steps.append(env.ledger.steps)
+            median_steps[estimator] = float(np.median(steps))
+        assert median_steps["adaptive"] <= 2.0 * median_steps["naive"], median_steps
+
 
 class TestPacEps:
     def test_validations(self):
@@ -331,7 +351,7 @@ class TestPacEps:
         inst = lower_bound_instance(4, 2, [0.005, 0.005])
         env = Environment(inst, fork_stream(81, 0))
         res = pac_eps(env, 0.1, 0.99, DESK_TUNING)
-        assert not res.aborted
+        assert res.status == "ok"
         assert res.phases[-1].k == 3
         terminal = res.phases[-1]
         assert terminal.alpha is None and terminal.beta is None
@@ -375,7 +395,7 @@ class TestPacEps:
         exact_steps = []
         for rep in range(6):
             env = Environment(inst, fork_stream(83, rep))
-            assert not pac_eps(env, 0.1, 0.1, DESK_TUNING).aborted
+            assert pac_eps(env, 0.1, 0.1, DESK_TUNING).status == "ok"
             eps_steps.append(env.ledger.steps)
             env2 = Environment(inst, fork_stream(84, rep))
             pac_exact(env2, 0.1, DESK_TUNING)
@@ -458,7 +478,7 @@ class TestRegretMin:
         env = Environment(inst, fork_stream(85, 0), horizon=horizon)
         res = regret_min(env, DESK_TUNING)
         assert env.ledger.steps == horizon
-        assert not res.horizon_hit and not res.aborted
+        assert res.status == "ok"
         assert res.assortment == brute_force_optimum(inst).s_star
         identified_at = sum(p.steps for p in res.phases)
         assert identified_at < horizon  # the rest exploits
@@ -483,7 +503,7 @@ class TestRegretMin:
         inst = generate_instance("uniform", 4, 2, seed=5)
         env = Environment(inst, fork_stream(86, 0), horizon=10)
         res = regret_min(env, DESK_TUNING)
-        assert res.horizon_hit and not res.aborted
+        assert res.status == "horizon"
         assert env.ledger.steps == 10
         assert res.phases == ()
         assert res.assortment == ()
@@ -576,7 +596,7 @@ class TestSharedExits:
         monkeypatch.setattr("mnlbandit.driver.est_adaptive", _wide_phase)
         env = Environment(generate_instance("uniform", 5, 2, seed=3), fork_stream(1, 0))
         res = pac_exact(env, 0.1, DESK_TUNING)
-        assert res.aborted and not res.horizon_hit
+        assert res.status == "phase-cap"
         assert len(res.phases) == PHASE_CAP == 60
         assert res.assortment == ()
         assert env.ledger.steps > 0  # the rough pass
@@ -586,7 +606,7 @@ class TestSharedExits:
         env = Environment(generate_instance("uniform", 5, 2, seed=3), fork_stream(1, 0))
         # 2^-(k-1) <= eps/3 first at k = 66: no completion within the cap.
         res = pac_eps(env, 0.1, 1e-19, DESK_TUNING)
-        assert res.aborted and not res.horizon_hit
+        assert res.status == "phase-cap"
         assert len(res.phases) == PHASE_CAP
         assert all(p.alpha is not None for p in res.phases)  # no completion
         assert res.assortment == ()
@@ -601,7 +621,7 @@ class TestSharedExits:
         horizon = 1000
         env = Environment(inst, fork_stream(1, 0), horizon=horizon)
         res = regret_min(env, DESK_TUNING)
-        assert res.aborted and not res.horizon_hit
+        assert res.status == "phase-cap"
         assert len(res.phases) == PHASE_CAP
         assert res.phases[0].b_acc == (1,) and res.assortment == (1,)
         assert env.ledger.steps == horizon
@@ -618,7 +638,7 @@ class TestSharedExits:
         # A budget that ends one step into the second phase's estimate.
         env = Environment(inst, fork_stream(91, 0), horizon=first.steps + 1)
         res = sar_mnl(env, 0.01, estimator)
-        assert res.horizon_hit and not res.aborted
+        assert res.status == "horizon"
         assert res.phases == (first,)
         assert res.assortment == first.b_acc
         assert env.ledger.steps == first.steps + 1
@@ -753,7 +773,7 @@ class TestMatchesReferenceLoops:
                     new = regret_min(envs[0], DESK_TUNING)
                     old = driver_reference.regret_min(envs[1], horizon, DESK_TUNING)
                     _assert_same_run(new, old, *envs)
-                    if new.horizon_hit:
+                    if new.status == "horizon":
                         outcomes.add("cut, pinned" if new.assortment else "cut, empty")
                     else:
                         explored = sum(p.steps for p in new.phases)
@@ -787,8 +807,8 @@ class TestUniformRandomRegret:
 class TestRunResult:
     def test_defaults(self):
         res = RunResult(assortment=(1,), phases=())
-        assert not res.aborted and not res.horizon_hit
+        assert res.status == "ok"
 
     def test_holds_only_decisions(self):
         # steps and regret are the ledger's, success the caller's to grade
-        assert RunResult._fields == ("assortment", "phases", "aborted", "horizon_hit")
+        assert RunResult._fields == ("assortment", "phases", "status")

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mnlbandit.estimators import (
     ExploreState,
     PAPER_TUNING,
     Tuning,
+    _explore,
     _refinement_tau,
     _rough_tau,
     ci_nu,
@@ -30,7 +32,6 @@ from mnlbandit.estimators import (
     est_reduced,
     est_reg,
     est_rough,
-    explore_epochs,
 )
 from mnlbandit.model import Instance
 from epoch_detail import epoch_detail
@@ -379,9 +380,8 @@ class TestExplore:
         for _ in range(epochs):
             explore(env_a, step_state, (2, 3))
 
-        batch_state = ExploreState(z_stop=(1,))
         env_b = make_env(inst, seed=53, rep=1)
-        explore_epochs(env_b, batch_state, (2, 3), epochs)
+        batch_state = _explore(env_b, (1,), [((2, 3), 1)], epochs)
 
         for state in (step_state, batch_state):
             assert state.t_z == epochs
@@ -394,19 +394,15 @@ class TestExplore:
     def test_batch_route_commits_nothing_on_truncation(self):
         inst = Instance(n=1, k=1, r=[1.0], v=[0.9])
         env = make_env(inst, seed=54, horizon=60)
-        state = ExploreState()
-        explore_epochs(env, state, (1,), 5)
-        committed = ExploreState(n_z=state.n_z, t_z=state.t_z, n=dict(state.n), t=dict(state.t))
-        with pytest.raises(HorizonExhausted):
-            explore_epochs(env, state, (1,), 10_000)
-        assert state == committed and state.t_z == 5
+        assert _explore(env, (), [((1,), 1)], 5).t_z == 5
+        with pytest.raises(HorizonExhausted, match="within a batch of 10000 epochs"):
+            _explore(env, (), [((1,), 1)], 10_000)
         assert env.ledger.steps == 60
 
     def test_batch_route_records_lengths_when_asked(self):
         inst = Instance(n=2, k=2, r=[1.0, 0.5], v=[0.5, 0.3])
         env = make_env(inst, seed=55)
-        state = ExploreState()
-        _, lengths = epoch_detail(env, explore_epochs(env, state, (1, 2), 300))
+        _, lengths = epoch_detail(env, env.sample_epochs((), (1, 2), 300))
         assert len(lengths) == 300
         assert sum(lengths) == env.ledger.steps
 
@@ -415,8 +411,7 @@ class TestExplore:
         runs = []
         for s in ((2, 3), [2, 3], np.array([2, 3]), (np.int64(2), np.int64(3))):
             env = make_env(inst, seed=56)
-            state = ExploreState(z_stop=(1,))
-            explore_epochs(env, state, s, 500)
+            state = _explore(env, (1,), [(s, 1)], 500)
             runs.append((state, env.ledger.steps))
         assert all(run == runs[0] for run in runs[1:])
         assert all(type(i) is int for state, _ in runs for i in state.n)
@@ -424,27 +419,16 @@ class TestExplore:
     def test_batch_route_rejects_invalid_sets_before_any_step(self):
         inst = Instance(n=3, k=2, r=[1.0] * 3, v=[0.5] * 3)
         env = make_env(inst, seed=57)
-        explore_epochs(env, ExploreState(z_stop=(1,)), (2,), 10)  # a cached key
+        _explore(env, (1,), [((2,), 1)], 10)  # a cached key
         steps, rng_state = env.ledger.steps, env._rng.bit_generator.state
         for bad in ((3, 2), [3, 2], (2, 2), (0,), (4,), (1, 2), (2, 3)):
-            state = ExploreState(z_stop=(1,))
             with pytest.raises(ValueError):
-                explore_epochs(env, state, bad, 10)
-            assert state == ExploreState(z_stop=(1,))
+                _explore(env, (1,), [(bad, 1)], 10)
         assert env.ledger.steps == steps
         assert env._rng.bit_generator.state == rng_state
 
 
 class TestEstNaive:
-    def test_empty_sets_consume_nothing(self):
-        env = make_env(fixed_instance(), seed=60)
-        est = est_naive(env, (), (), 0.1, 0.5, DESK_TUNING)
-        assert est.items == ()
-        assert est.epochs == 0
-        assert env.ledger.steps == 0
-        assert (est.zeta_lo, est.zeta_hi) == (0.0, 0.0)
-        assert est.max_width() == 0.0
-
     def test_bookkeeping(self):
         inst = fixed_instance()
         env = make_env(inst, seed=61)
@@ -655,15 +639,6 @@ class TestEstAdaptive:
 
 
 class TestEstReduced:
-    def test_empty_pending_set_consumes_nothing(self):
-        env = make_env(fixed_instance(), seed=72)
-        est = est_reduced(env, (1, 2), (), 0.1, 0.5, DESK_TUNING)
-        assert est.items == ()
-        assert est.epochs == 0
-        assert env.ledger.steps == 0
-        assert (est.zeta_lo, est.zeta_hi) == (0.0, 1.0)
-        assert (est.theta_lo, est.theta_hi) == (0.0, 1.0)
-
     def test_bookkeeping(self):
         inst = fixed_instance()
         env = make_env(inst, seed=73)
@@ -780,6 +755,24 @@ class TestEstReg:
         assert covered >= (1 - delta0) * reps
 
 
+@pytest.mark.parametrize("name", ["naive", "reduced", "adaptive", "reg"])
+@pytest.mark.parametrize("a", [(), (1, 2)])
+def test_empty_pending_set_refused_before_any_draw(name, a):
+    inst = generate_instance("uniform", 8, 3, seed=7)
+    env = make_env(inst, seed=60)
+    rng_state = env._rng.bit_generator.state
+    estimator = {
+        "naive": est_naive,
+        "reduced": est_reduced,
+        "adaptive": partial(est_adaptive, rough={i: 0.5 for i in range(1, 9)}),
+        "reg": est_reg,
+    }[name]
+    with pytest.raises(ValueError, match="^pending set must be nonempty$"):
+        estimator(env, a, (), 0.01, 0.25, tuning=DESK_TUNING)
+    assert env.ledger.steps == 0
+    assert env._rng.bit_generator.state == rng_state
+
+
 class TestEstimateSet:
     def test_ordering_validation(self):
         with pytest.raises(ValueError):
@@ -875,9 +868,9 @@ class TestMatchesReferenceEstimators:
                 k = int(rng.integers(1, n + 1))
                 inst = generate_instance("uniform", n, k, seed=case)
             items = [int(i) for i in rng.permutation(np.arange(1, n + 1))]
-            cut = int(rng.integers(0, k + 1))
+            cut = int(rng.integers(0, min(k, n - 1) + 1))  # something is left to pend
             a = tuple(sorted(items[:cut]))
-            b = tuple(sorted(items[cut : cut + int(rng.integers(0, n - cut + 1))]))
+            b = tuple(sorted(items[cut : cut + int(rng.integers(1, n - cut + 1))]))
             name = ("naive", "reduced", "reg", "adaptive")[case % 4]
             tuning = self.CUSTOM if case % 3 == 0 else DESK_TUNING
             horizon = int(rng.integers(50, 20000)) if case % 5 == 0 else None
@@ -891,8 +884,6 @@ class TestMatchesReferenceEstimators:
                     seen.add("multi-layer")
                 if name == "reg" and len(b) % min(k - len(a), len(b)):
                     seen.add("padded")
-                if not b:
-                    seen.add(f"empty-{name}")
             elif out[0] is HorizonExhausted:
                 seen.add("horizon")
             else:
@@ -902,10 +893,6 @@ class TestMatchesReferenceEstimators:
     def test_named_cases(self):
         inst = generate_instance("uniform", 7, 3, seed=11)
         hard = generate_instance("lower-bound", 6, 2, gaps=[0.01, 0.02, 0.005, 0.03])
-        for name in ("naive", "reduced"):  # an empty pending set
-            for a in ((), (2, 5), (1, 2, 3, 4)):
-                out, _, _ = self._check(name, inst, 1, (a, (), 0.1, 0.25))
-                assert isinstance(out, EstimateSet) and out.items == ()
         # seven pending items in groups of three: the last one is padded
         _, calls, _ = self._check("reg", inst, 2, ((), tuple(range(1, 8)), 0.1, 0.25))
         assert calls[-1][1] == (1, 2, 7)
@@ -935,7 +922,7 @@ class TestMatchesReferenceEstimators:
             ((1,), (1, 2), 0.1, 0.25),  # overlapping sets
             ((2, 1), (3,), 0.1, 0.25),  # unsorted
             ((), (0, 2), 0.1, 0.25),  # out of range
-            ((1,), (), 0.1, 0.25),  # nothing pending
+            ((7,), (2, 3), 0.1, 0.25),  # a pinned item out of range
             ((1, 2, 3), (4,), 0.1, 0.25),  # the pinned set fills the capacity
             ((1, 2, 3), (4,), 0.1, 0.0),  # ... and a bad eps
             ((1,), (2, 3), 0.1, 1.5),  # eps out of range

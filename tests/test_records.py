@@ -51,7 +51,7 @@ RECORDS = {
     "RunResult": (
         RunResult,
         {"assortment": (1, 2), "phases": ()},
-        {"aborted": False, "horizon_hit": False},
+        {"status": "ok"},
     ),
     "RunJob": (
         RunJob,
