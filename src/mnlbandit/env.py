@@ -49,7 +49,7 @@ from typing import Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
-from .model import Assortment, Instance, _idx, _revenue_at, revenue, validate_assortment
+from .model import Assortment, Instance, _as_int, _idx, _revenue_at, revenue, validate_assortment
 from .oracle import OptimumSolution, exact_optimum
 
 __all__ = [
@@ -177,6 +177,8 @@ class Environment:
 
     An environment must be driven by a single owner at a time: interleaving
     two algorithms on one environment corrupts both runs' step accounting.
+    The horizon and every count of steps or epochs must be an integer (see
+    `model._as_int`), so ``ledger.steps`` stays an exact Python int.
     """
 
     def __init__(
@@ -187,8 +189,10 @@ class Environment:
     ) -> None:
         self._inst = inst
         self._rng = rng
-        if horizon is not None and horizon < 1:
-            raise ValueError("horizon must be >= 1 when given")
+        if horizon is not None:
+            horizon = _as_int(horizon, "horizon")
+            if horizon < 1:
+                raise ValueError("horizon must be >= 1 when given")
         self._horizon = horizon
         self.n = inst.n
         self.k = inst.k
@@ -232,6 +236,7 @@ class Environment:
         set), and no RNG is consumed: use only where outcomes feed nothing.
         """
         plan = self._plan(s, ())
+        steps = _as_int(steps, "steps")
         if steps < 0:
             raise ValueError("steps must be >= 0")
         remaining = self.steps_remaining
@@ -257,6 +262,7 @@ class Environment:
         unless its epochs alone overrun the budget: then it is cut undrawn.
         """
         plan = self._plan(s, z)
+        epochs = _as_int(epochs, "epochs")
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
         q = plan.q

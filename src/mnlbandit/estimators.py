@@ -305,24 +305,19 @@ class EstimateSet:
 
 def _sets(
     env: Environment, a: Sequence[int], b: Sequence[int]
-) -> Tuple[Assortment, Assortment]:
+) -> Tuple[Assortment, Assortment, int]:
     """The validated pinned and pending sets, which must be disjoint, and the
-    pending one nonempty."""
+    residual capacity ``M = min(k - |a|, |b|)``, which must be at least 1: the
+    pending set is nonempty and the pinned one leaves room."""
     ta = validate_assortment(a, env.n)
     tb = validate_assortment(b, env.n)
     if set(ta) & set(tb):
         raise ValueError("pinned and pending sets must be disjoint")
     if not tb:
         raise ValueError("pending set must be nonempty")
-    return ta, tb
-
-
-def _residual(env: Environment, ta: Assortment, tb: Assortment) -> int:
-    """``M = min(k - |a|, |b|)``; at least 1."""
-    m_cap = min(env.k - len(ta), len(tb))
-    if m_cap < 1:
+    if len(ta) >= env.k:
         raise ValueError("pinned set already fills the capacity")
-    return m_cap
+    return ta, tb, min(env.k - len(ta), len(tb))
 
 
 def _explore(env: Environment, stop: Assortment, groups: Sequence[Tuple[Assortment, int]],
@@ -351,6 +346,7 @@ def _estimate(
     env: Environment,
     ta: Assortment,
     tb: Assortment,
+    m: int,
     delta0: float,
     eps: float,
     tuning: Tuning,
@@ -363,19 +359,17 @@ def _estimate(
     It takes ``delta = delta0 / (divisor n)`` and ``tau = ceil(C2 C0
     log(2/delta) / eps^2)``.  A *reduced* estimate stops at the pinned set
     ``ta``, estimates the stop reward and the reduced weights of ``tb``, and
-    bounds the revenue at capacity ``min(k - |a|, |b|)``; a *raw* one stops
-    at nothing, pins the stop-reward term to 0, estimates the raw weights of
-    ``ta ∪ tb`` and bounds the revenue at capacity ``min(k, |a| + |b|)``.
-    Scores are returned for the pending items ``tb``.
+    bounds the revenue at the residual capacity ``m`` from `_sets`; a *raw*
+    one stops at nothing, pins the stop-reward term to 0, estimates the raw
+    weights of ``ta ∪ tb`` and bounds the revenue at capacity ``|a| + m =
+    min(k, |a| + |b|)``.  Scores are returned for the pending items ``tb``.
     """
     delta = _split_delta(delta0, divisor, env.n)
     tau = _refinement_tau(delta, eps, tuning)
     if reduced:
-        stop, weighed = ta, tb
-        capacity = _residual(env, ta, tb)
+        stop, weighed, capacity = ta, tb, m
     else:
-        stop, weighed = (), tuple(sorted(ta + tb))
-        capacity = min(env.k, len(weighed))
+        stop, weighed, capacity = (), tuple(sorted(ta + tb)), len(ta) + m
     state = _explore(env, stop, groups, tau)
     big_l = _confidence(delta, tuning)
     zeta_lo, zeta_hi = ci_zeta(state, big_l) if reduced else (0.0, 0.0)
@@ -423,9 +417,9 @@ def est_naive(
     true capacity ``k``, with the stop-reward term pinned to 0 (nothing is
     reduced away).  Scores are returned for the pending items ``b``.
     """
-    ta, tb = _sets(env, a, b)
+    ta, tb, m = _sets(env, a, b)
     groups = [((i,), env.k) for i in sorted(ta + tb)]
-    return _estimate(env, ta, tb, delta0, eps, tuning, 15.0, groups, reduced=False)
+    return _estimate(env, ta, tb, m, delta0, eps, tuning, 15.0, groups, reduced=False)
 
 
 def est_rough(
@@ -467,14 +461,13 @@ def est_adaptive(
     min(k - |a|, |b|)`` is the residual capacity and the revenue interval's
     assortment bound.
     """
-    ta, tb = _sets(env, a, b)
-    m_cap = _residual(env, ta, tb)
+    ta, tb, m = _sets(env, a, b)
     for i in ta + tb:
         if i not in rough:
             raise ValueError(f"missing rough estimate for item {i}")
 
     denom = 1.0 + sum(rough[j] for j in ta)
-    depth = max(0, math.ceil(math.log2(m_cap)))
+    depth = max(0, math.ceil(math.log2(m)))
     floors = [2.0 ** (-(lv + 1)) for lv in range(depth)]  # layers' lower ends
     layer_items: List[List[int]] = [[] for _ in range(depth + 1)]
     for i in tb:  # ascending, so every layer is too
@@ -487,10 +480,10 @@ def est_adaptive(
         layer_items[layer].append(i)
     groups: List[Tuple[Assortment, int]] = []
     for lv, members in enumerate(layer_items):
-        d = min(2 ** lv, m_cap)
+        d = min(2 ** lv, m)
         for pos in range(0, len(members), d):
             groups.append((tuple(members[pos : pos + d]), d))
-    return _estimate(env, ta, tb, delta0, eps, tuning, 15.0, groups, reduced=True)
+    return _estimate(env, ta, tb, m, delta0, eps, tuning, 15.0, groups, reduced=True)
 
 
 def est_reduced(
@@ -507,9 +500,9 @@ def est_reduced(
     explored alone (stopping set = pinned set) for ``k * tau`` epochs.
     Simpler, and costlier by roughly the capacity factor on dense instances.
     """
-    ta, tb = _sets(env, a, b)
+    ta, tb, m = _sets(env, a, b)
     groups = [((i,), env.k) for i in tb]
-    return _estimate(env, ta, tb, delta0, eps, tuning, 15.0, groups, reduced=True)
+    return _estimate(env, ta, tb, m, delta0, eps, tuning, 15.0, groups, reduced=True)
 
 
 def est_reg(
@@ -533,14 +526,13 @@ def est_reg(
 
     ``delta = delta0 / (13 n)``; ``tau = ceil(C2 C0 log(2/delta) / eps^2)``.
     """
-    ta, tb = _sets(env, a, b)
-    m_cap = _residual(env, ta, tb)
+    ta, tb, m = _sets(env, a, b)
     groups: List[Tuple[int, ...]] = []
-    for pos in range(0, len(tb), m_cap):
-        chunk = list(tb[pos : pos + m_cap])
-        if len(chunk) < m_cap:
-            pad = [i for i in tb if i not in chunk][: m_cap - len(chunk)]
+    for pos in range(0, len(tb), m):
+        chunk = list(tb[pos : pos + m])
+        if len(chunk) < m:
+            pad = [i for i in tb if i not in chunk][: m - len(chunk)]
             chunk = sorted(chunk + pad)
         groups.append(tuple(chunk))
     offered = [(tuple(sorted(ta + group)), env.k) for group in groups]
-    return _estimate(env, ta, tb, delta0, eps, tuning, 13.0, offered, reduced=False)
+    return _estimate(env, ta, tb, m, delta0, eps, tuning, 13.0, offered, reduced=False)

@@ -19,6 +19,7 @@ arrays are 0-indexed, so item ``i`` lives at array slot ``i - 1``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Tuple
 
@@ -84,13 +85,23 @@ class Instance:
         return (Instance, (self.n, self.k, self.r, self.v))
 
 
+def _as_int(x: object, name: str) -> int:
+    """``x`` as a Python int through `operator.index`: numpy integers pass, and a
+    float or a string is refused with a `ValueError`, never truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+
+
 def validate_assortment(s: Iterable[int], n: int) -> Assortment:
-    """Check that ``s`` is a strictly increasing tuple of item ids in 1..n.
+    """Check that ``s`` is a strictly increasing tuple of integer item ids in
+    1..n (see `_as_int`).
 
     The empty assortment is legal; a capacity is the caller's to check.
-    Returns the validated tuple.
+    Returns the validated tuple of Python ints.
     """
-    t = tuple(int(i) for i in s)
+    t = tuple(_as_int(i, "assortment item") for i in s)
     for a, b in zip(t, t[1:]):
         if not a < b:
             raise ValueError(f"assortment must be strictly increasing, got {t}")

@@ -96,6 +96,26 @@ class TestEnvironmentSurface:
         with pytest.raises(ValueError):
             make_env(horizon=0)
 
+    def test_counts_must_be_integers(self):
+        # a fractional horizon, step count or epoch count is refused before
+        # any draw or charge, so ``ledger.steps`` stays an exact int
+        with pytest.raises(ValueError, match="^horizon must be an integer, got 10.5$"):
+            make_env(horizon=10.5)
+        env = make_env(seed=3, horizon=np.int64(100))
+        assert type(env.horizon) is int
+        rng_state = env._rng.bit_generator.state
+        with pytest.raises(ValueError, match="^steps must be an integer, got 2.5$"):
+            env.advance((1,), 2.5)
+        for epochs in (2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match="^epochs must be an integer, got "):
+                env.sample_epochs((1,), (2,), epochs)
+        with pytest.raises(ValueError, match="^assortment item must be an integer, got 1.5$"):
+            env.sample_epochs((), (1.5,), 10)
+        assert env.ledger.steps == 0 and env._rng.bit_generator.state == rng_state
+        env.advance((1,), np.int64(2))
+        env.sample_epochs((1,), (2,), np.int32(3))
+        assert type(env.ledger.steps) is int and env.ledger.steps >= 5
+
 
 class TestOffer:
     def test_outcome_sequences_are_reproducible(self):

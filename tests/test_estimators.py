@@ -756,8 +756,19 @@ class TestEstReg:
 
 
 @pytest.mark.parametrize("name", ["naive", "reduced", "adaptive", "reg"])
-@pytest.mark.parametrize("a", [(), (1, 2)])
-def test_empty_pending_set_refused_before_any_draw(name, a):
+@pytest.mark.parametrize(
+    "a, b, delta0, eps, message",
+    [
+        ((), (), 0.01, 0.25, "pending set must be nonempty"),
+        ((1, 2), (), 0.01, 0.25, "pending set must be nonempty"),
+        # M = min(k - |a|, |b|) = 0, refused before delta and eps are read; the
+        # frozen naive body explored, the reduced one checked delta and eps first
+        ((1, 2, 3), (4, 5), 0.01, 0.25, "pinned set already fills the capacity"),
+        ((1, 2, 3), (4, 5), 0.01, 0.0, "pinned set already fills the capacity"),
+        ((1, 2, 3), (4, 5), 500.0, 0.25, "pinned set already fills the capacity"),
+    ],
+)
+def test_phase_inputs_refused_before_any_draw(name, a, b, delta0, eps, message):
     inst = generate_instance("uniform", 8, 3, seed=7)
     env = make_env(inst, seed=60)
     rng_state = env._rng.bit_generator.state
@@ -767,8 +778,8 @@ def test_empty_pending_set_refused_before_any_draw(name, a):
         "adaptive": partial(est_adaptive, rough={i: 0.5 for i in range(1, 9)}),
         "reg": est_reg,
     }[name]
-    with pytest.raises(ValueError, match="^pending set must be nonempty$"):
-        estimator(env, a, (), 0.01, 0.25, tuning=DESK_TUNING)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        estimator(env, a, b, delta0, eps, tuning=DESK_TUNING)
     assert env.ledger.steps == 0
     assert env._rng.bit_generator.state == rng_state
 
@@ -876,6 +887,8 @@ class TestMatchesReferenceEstimators:
             horizon = int(rng.integers(50, 20000)) if case % 5 == 0 else None
             delta0 = float(rng.uniform(0.01, 0.5))
             eps = float(rng.choice([0.5, 0.25, 0.125, 0.0625]))
+            if name == "naive" and len(a) == k:  # a full pinned set: refused now, explored
+                continue  # by the frozen body (test_phase_inputs_refused_before_any_draw)
             out, calls, _ = self._check(name, inst, case, (a, b, delta0, eps), tuning, horizon)
             if isinstance(out, EstimateSet):
                 seen.add("estimate")
@@ -923,8 +936,6 @@ class TestMatchesReferenceEstimators:
             ((2, 1), (3,), 0.1, 0.25),  # unsorted
             ((), (0, 2), 0.1, 0.25),  # out of range
             ((7,), (2, 3), 0.1, 0.25),  # a pinned item out of range
-            ((1, 2, 3), (4,), 0.1, 0.25),  # the pinned set fills the capacity
-            ((1, 2, 3), (4,), 0.1, 0.0),  # ... and a bad eps
             ((1,), (2, 3), 0.1, 1.5),  # eps out of range
             ((1,), (2, 3), 500.0, 0.25),  # delta above 1
             ((), (2, 3), -0.1, 0.25),  # delta below 0

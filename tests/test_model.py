@@ -64,11 +64,21 @@ class TestValidateAssortment:
         assert validate_assortment((1, 3, 5), 5) == (1, 3, 5)
         assert validate_assortment([], 5) == ()
         assert validate_assortment(range(1, 4), 5) == (1, 2, 3)
+        for s in (np.array([2, 4]), (np.int64(2), np.uint8(4))):  # as Python ints
+            assert [type(i) for i in validate_assortment(s, 5)] == [int, int]
 
     @pytest.mark.parametrize("s", [(2, 1), (1, 1), (0, 1), (1, 6)])
     def test_rejects_unsorted_duplicate_or_out_of_range(self, s):
         with pytest.raises(ValueError):
             validate_assortment(s, 5)
+
+    @pytest.mark.parametrize(
+        "s", [(1.9, 2.2), (1.0, 2.0), ("1", "2"), (np.float64(2.0),), (1, None)]
+    )
+    def test_rejects_ids_that_are_not_integers(self, s):
+        # never truncated: (1.9, 2.2) is not (1, 2)
+        with pytest.raises(ValueError, match="^assortment item must be an integer, got "):
+            validate_assortment(s, 6)
 
 
 class TestChoiceProbabilities:
