@@ -307,16 +307,22 @@ class Environment:
 
     def _plan(self, s: Iterable[int], z: Iterable[int]) -> "_Plan":
         """The plan of tracked set ``s`` under stopping set ``z``: looked up as
-        given, else validated (ids in ``1..n``, ascending, disjoint sets,
-        ``|s ∪ z| <= k``), then built and stored.  The table empties at
+        given when every id is exactly an ``int``, else validated (ids in
+        ``1..n``, ascending, disjoint sets, ``|s ∪ z| <= k``), then built and
+        stored.  A key that only compares equal to a stored one (``4.0 ==
+        4``) is validated, so whether a call is refused does not depend on
+        what the table holds.  The table empties at
         ``4 n + 1024`` plans, past what replications offer: at ``n = 4000``
         about ``1.3 n`` pairs each, 8,943 in all after 160 at ``desk``; at
         ``n = 20``, 139 after 100 pac-eps ones.  At ``0.5 + 0.06 k`` kB a plan,
         it holds at most 110 MB at ``n = 4000``, ``k = 100``."""
         try:
-            return self._plans[(s, z)]
+            plan = self._plans[(s, z)]
         except (KeyError, TypeError):  # a pair not seen yet, or no key
             pass
+        else:
+            if all(type(i) is int for i in s + z):
+                return plan
         tz, ts = validate_assortment(z, self.n), validate_assortment(s, self.n)
         if set(tz) & set(ts):
             raise ValueError("stopping set and tracked set must be disjoint")

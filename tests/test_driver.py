@@ -42,7 +42,6 @@ from baselines import uniform_random_regret
 from model_reference import ReducedParams, reduce_params
 from offer_reference import offer
 from oracle_reference import fractional_optimum
-import driver_reference
 
 
 def make_est(items, xi):
@@ -121,6 +120,23 @@ class TestAcceptReject:
         acc, rej, _, _ = accept_reject(est, 2)
         assert acc == () and rej == ()
 
+    @pytest.mark.parametrize(
+        "xi, accepted, rejected",
+        [
+            # 2's lower end equals beta = 0.3: not accepted (and rejected by
+            # rank, as its upper end falls below alpha = 0.5)
+            ({1: (0.5, 0.6), 2: (0.3, 0.3)}, (1,), (2,)),
+            # 2's upper end equals alpha = 0.5: not rejected (beta = 0.7)
+            ({1: (0.5, 0.9), 2: (0.1, 0.5), 3: (0.2, 0.7)}, (), ()),
+            ({1: (0.0, 0.2)}, (), ()),  # a lower end of exactly 0: not accepted
+            ({1: (-0.2, 0.0)}, (), ()),  # an upper end of exactly 0: not rejected
+        ],
+        ids=["lower-end-at-beta", "upper-end-at-alpha", "lower-end-at-0", "upper-end-at-0"],
+    )
+    def test_ties_decide_nothing(self, xi, accepted, rejected):
+        acc, rej, _, _ = accept_reject(make_est(xi, xi), 1)
+        assert (acc, rej) == (accepted, rejected)
+
     def test_capacity_below_one_rejected(self):
         est = make_est((1,), {1: (0.1, 0.2)})
         with pytest.raises(ValueError):
@@ -141,6 +157,19 @@ class TestSarMnl:
         np.testing.assert_allclose(p.delta_k, 0.1 / 3.0, rtol=1e-15)
         assert p.m == 3 and p.a_set == () and p.b_set == (1, 2, 3, 4, 5, 6)
         assert p.est.max_width() == 0.0
+
+    def test_residual_capacity_counts_the_pending_items(self):
+        # M = min(k - |A|, |B|): phase 1 rejects three of five items, so phase
+        # 2 scores two pending items against a free capacity of four.
+        inst = generate_instance("uniform", 5, 4, seed=3)
+
+        def staged(env, a, b, delta_k, eps):
+            if len(b) == 5:
+                return make_est(b, {i: (-0.2, -0.1) if i <= 3 else (-1.0, 1.0) for i in b})
+            return wide_estimator(env, a, b, delta_k, eps)
+
+        res = sar_mnl(Environment(inst, fork_stream(1, 0)), 0.1, staged)
+        assert [(p.b_set, p.m) for p in res.phases[:2]] == [((1, 2, 3, 4, 5), 4), ((4, 5), 2)]
 
     def test_phase_trace_schedule_and_monotone_sets(self):
         inst = generate_instance("uniform", 5, 2, seed=3)
@@ -346,11 +375,13 @@ class TestPacEps:
         with pytest.raises(ValueError):
             pac_eps(env, 0.0, 0.5, DESK_TUNING)
 
-    def test_terminal_phase_index_for_loose_eps(self):
-        # eps = 0.99 makes phase 3 terminal: 2^-(k-1) <= eps/3 first at k = 3.
+    # eps = 0.99 makes phase 3 terminal: 2^-(k-1) <= eps/3 first at k = 3;
+    # at eps = 0.75, eps/3 = 2^-2 exactly, and the stop still comes in phase 3.
+    @pytest.mark.parametrize("eps", [0.99, 0.75])
+    def test_terminal_phase_index_for_loose_eps(self, eps):
         inst = lower_bound_instance(4, 2, [0.005, 0.005])
         env = Environment(inst, fork_stream(81, 0))
-        res = pac_eps(env, 0.1, 0.99, DESK_TUNING)
+        res = pac_eps(env, 0.1, eps, DESK_TUNING)
         assert res.status == "ok"
         assert res.phases[-1].k == 3
         terminal = res.phases[-1]
@@ -359,8 +390,8 @@ class TestPacEps:
         assert set(terminal.b_acc) <= set(terminal.b_set)
         assert res.assortment == tuple(sorted(set(res.assortment)))
         assert len(res.assortment) <= inst.k
-        # any assortment is within 0.99 of optimal
-        assert env.oracle_solution().theta_star - revenue(inst, res.assortment) <= 0.99
+        # any assortment is within eps of optimal: theta* = 1/2 here
+        assert env.oracle_solution().theta_star - revenue(inst, res.assortment) <= eps
 
     def test_completion_phase_keeps_the_estimators_own_object(self, monkeypatch):
         returned = []
@@ -479,6 +510,9 @@ class TestRegretMin:
         res = regret_min(env, DESK_TUNING)
         assert env.ledger.steps == horizon
         assert res.status == "ok"
+        # the loop runs at delta = 1 / horizon
+        assert [p.delta_k for p in res.phases] == [
+            1.0 / horizon / (3.0 * p.k * p.k) for p in res.phases]
         assert res.assortment == brute_force_optimum(inst).s_star
         identified_at = sum(p.steps for p in res.phases)
         assert identified_at < horizon  # the rest exploits
@@ -730,55 +764,6 @@ def _reference_instances():
         generate_instance("uniform", 10, 4, seed=14618),
         lower_bound_instance(4, 2, [0.01, 0.01]),
     )
-
-
-def _assert_same_run(new, old, env_new, env_old):
-    assert new == old
-    assert env_new.ledger.steps == env_old.ledger.steps
-    assert env_new.ledger.cum_regret == env_old.ledger.cum_regret
-    assert env_new.ledger._segments == env_old.ledger._segments
-    assert env_new._rng.bit_generator.state == env_old._rng.bit_generator.state
-
-
-class TestMatchesReferenceLoops:
-    """The drivers on `sar_mnl` against their own-loop bodies (`driver_reference`)."""
-
-    def test_pac_eps(self):
-        completed_oversubscribed = exact = 0
-        for eps in (0.99, 0.1, 0.04):
-            for inst in _reference_instances():
-                for rep in range(3):
-                    envs = [Environment(inst, fork_stream(90, rep)) for _ in range(2)]
-                    new = pac_eps(envs[0], 0.1, eps, DESK_TUNING)
-                    old = driver_reference.pac_eps(envs[1], 0.1, eps, DESK_TUNING)
-                    _assert_same_run(new, old, *envs)
-                    last = new.phases[-1]
-                    if 2.0 ** (1 - last.k) <= eps / 3.0:
-                        completed_oversubscribed += len(last.b_set) > last.m
-                    else:
-                        exact += 1
-        # Loose eps ends at the ε stop, with the rank thresholds reset;
-        # tight eps never reaches it.
-        assert completed_oversubscribed >= 6 and exact >= 12
-
-    def test_regret_min(self):
-        outcomes = set()
-        for horizon in (50, 3000, 30000, 200000):
-            for inst in _reference_instances():
-                for rep in range(2):
-                    envs = [
-                        Environment(inst, fork_stream(91, rep), horizon=horizon)
-                        for _ in range(2)
-                    ]
-                    new = regret_min(envs[0], DESK_TUNING)
-                    old = driver_reference.regret_min(envs[1], horizon, DESK_TUNING)
-                    _assert_same_run(new, old, *envs)
-                    if new.status == "horizon":
-                        outcomes.add("cut, pinned" if new.assortment else "cut, empty")
-                    else:
-                        explored = sum(p.steps for p in new.phases)
-                        outcomes.add("exploited" if explored < horizon else "no room")
-        assert {"cut, pinned", "cut, empty", "exploited"} <= outcomes
 
 
 class TestUniformRandomRegret:

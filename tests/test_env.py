@@ -1,6 +1,7 @@
 """Tests for the seeded simulator, step accounting, and the regret ledger."""
 
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -226,7 +227,7 @@ class TestAdvance:
     def test_zero_steps_is_a_no_op(self):
         env = make_env(seed=5)
         env.advance((1,), 0)
-        assert env.ledger.steps == 0
+        assert (env.ledger.steps, env.ledger.cum_regret, env.ledger._segments) == (0, 0.0, [])
 
     def test_negative_steps_rejected(self):
         env = make_env(seed=5)
@@ -297,8 +298,8 @@ class TestSampleEpochs:
         env2 = Environment(inst, fork_stream(10, 0))
         with pytest.raises(ValueError):
             env2.sample_epochs((1, 2), (3,), 10)  # capacity
-        with pytest.raises(ValueError):
-            env2.sample_epochs((), (1,), 0)  # epochs < 1
+        with pytest.raises(ValueError, match="^epochs must be >= 1$"):
+            env2.sample_epochs((), (1,), 0)  # refused here, not by numpy's draw
 
     def test_a_batch_past_int64_is_refused_naming_the_limit(self):
         env = make_env(seed=19)
@@ -460,14 +461,24 @@ class TestSampleEpochs:
         assert batch.steps >= 300  # every epoch costs at least one step
 
     def test_step_accounting_matches_ledger_and_regret(self):
-        inst = Instance(n=3, k=3, r=[1.0, 0.5, 0.2], v=[0.5, 0.3, 0.8])
+        # Each step of a batch costs theta* - R(Z ∪ S) bit for bit, R summed in
+        # ascending id order: on three or more offered items another order
+        # rounds differently for some of these pairs.
+        rng = np.random.default_rng(0)
+        inst = Instance(n=5, k=4, r=rng.uniform(0, 1, 5), v=rng.uniform(0, 1, 5))
         env = Environment(inst, fork_stream(16, 0))
         theta = env.oracle_solution().theta_star
-        batch = env.sample_epochs((1,), (2,), 400)
-        per_step = theta - revenue(inst, (1, 2))
-        np.testing.assert_allclose(
-            env.ledger.cum_regret, per_step * batch.steps, rtol=1e-12
-        )
+        for size in (3, 4):
+            for offered in combinations(range(1, inst.n + 1), size):
+                for cut in range(size + 1):
+                    for z in combinations(offered, cut):
+                        s = tuple(i for i in offered if i not in z)
+                        steps, cum_regret = env.ledger.steps, env.ledger.cum_regret
+                        batch = env.sample_epochs(z, s, 40)
+                        per_step = theta - revenue(inst, sorted(z + s))
+                        assert env.ledger._segments[-1][0] == per_step
+                        assert env.ledger.steps == steps + batch.steps
+                        assert env.ledger.cum_regret == cum_regret + per_step * batch.steps
 
     def test_paper_scale_batch_is_exact_and_fast(self):
         inst = Instance(n=3, k=3, r=[1.0, 0.5, 0.2], v=[0.5, 0.3, 0.8])
@@ -482,12 +493,14 @@ class TestSampleEpochs:
         np.testing.assert_allclose(
             env.ledger.cum_regret, per_step * batch.steps, rtol=1e-12
         )
-        # Under a budget it fits, the batch draws what it draws without one;
-        # under one it overruns, it spends the budget and reports nothing.
-        env = Environment(inst, fork_stream(17, 0), horizon=2 * 10**11)
-        fits = env.sample_epochs((1,), (2, 3), 10**11)
-        assert (fits.epochs, fits.steps, fits.z_sum) == (batch.epochs, batch.steps, batch.z_sum)
-        np.testing.assert_array_equal(fits.x_sums, batch.x_sums)
+        # Under a budget it fits, loosely or exactly, the batch draws what it
+        # draws without one; under one it overruns, it spends the budget and
+        # reports nothing.
+        for horizon in (2 * 10**11, batch.steps):
+            env = Environment(inst, fork_stream(17, 0), horizon=horizon)
+            fits = env.sample_epochs((1,), (2, 3), 10**11)
+            assert (fits.epochs, fits.steps, fits.z_sum) == (batch.epochs, batch.steps, batch.z_sum)
+            np.testing.assert_array_equal(fits.x_sums, batch.x_sums)
         horizon = 15 * 10**10  # the batch needs about 1.7e11 steps
         env = Environment(inst, fork_stream(17, 1), horizon=horizon)
         start = time.perf_counter()

@@ -38,7 +38,6 @@ from epoch_detail import epoch_detail
 from explore_reference import explore
 from model_reference import ReducedParams, reduce_params
 from oracle_reference import fractional_optimum
-import estimator_reference
 
 # Fast-but-valid profile for coverage runs: tiny epoch budgets, exact
 # confidence radii (ci_scale=1), so the intervals keep their guarantees
@@ -395,8 +394,9 @@ class TestExplore:
         inst = Instance(n=1, k=1, r=[1.0], v=[0.9])
         env = make_env(inst, seed=54, horizon=60)
         assert _explore(env, (), [((1,), 1)], 5).t_z == 5
+        # the second group overruns the budget, after a first one that fits
         with pytest.raises(HorizonExhausted, match="within a batch of 10000 epochs"):
-            _explore(env, (), [((1,), 1)], 10_000)
+            _explore(env, (), [((1,), 1), ((1,), 2000)], 5)
         assert env.ledger.steps == 60
 
     def test_batch_route_records_lengths_when_asked(self):
@@ -517,41 +517,33 @@ class TestEstRough:
             assert env.ledger.steps <= 24 * inst.n * tau
         assert ok >= (1 - delta0) * reps
 
-    # the benchmark workloads' instances, and the wide one of the CI run
-    INSTANCES = {
-        "hard-pac": ("lower-bound", 4, 2, None, [0.002, 0.002]),
-        "many-small": ("uniform", 8, 3, 7, None),
-        "wide-oracle": ("uniform", 20, 10, 3, None),
-        "wide": ("uniform", 4000, 100, 3, None),
-    }
-
     @pytest.mark.parametrize(
-        "name, tuning",
-        [(name, tuning) for name in ("hard-pac", "many-small", "wide-oracle")
-         for tuning in (DESK_TUNING, PAPER_TUNING)] + [("wide", PAPER_TUNING)],
+        "family, n, k, seed, gaps",
+        [
+            ("lower-bound", 4, 2, None, [0.002, 0.002]),
+            ("uniform", 8, 3, 7, None),
+            ("uniform", 20, 10, 3, None),
+        ],
+        ids=["hard-pac", "many-small", "wide-oracle"],
     )
-    def test_matches_the_reference_loop(self, name, tuning):
-        # The rough pass through the shared exploration loop against its own
-        # earlier loop: the same upper ends bit for bit, the same ledger and
-        # the same generator state, in full and cut off halfway by the budget.
-        inst = generate_instance(*self.INSTANCES[name])
+    def test_a_budget_only_decides_whether_the_pass_completes(self, family, n, k, seed, gaps):
+        # Every item gets an upper end, in id order; under a budget the pass
+        # fills exactly it draws the same bytes, and under half of that it
+        # spends the whole budget and returns nothing.
+        inst = generate_instance(family, n, k, seed, gaps)
 
-        def outcome(fn, horizon):
+        def outcome(horizon):
             env = make_env(inst, seed=1, horizon=horizon)
-            try:
-                out = [(i, x.hex()) for i, x in fn(env, 0.05, tuning).items()]
-            except HorizonExhausted as exc:
-                out = str(exc)
-            ledger = (env.ledger.steps, env.ledger.cum_regret, env.ledger._segments)
-            return out, ledger, env._rng.bit_generator.state
+            out = [(i, x.hex()) for i, x in est_rough(env, 0.05, DESK_TUNING).items()]
+            return out, env.ledger.steps, env._rng.bit_generator.state
 
-        got = outcome(est_rough, None)
-        assert got == outcome(estimator_reference.est_rough, None)
-        assert [i for i, _ in got[0]] == list(range(1, inst.n + 1))
-        horizon = got[1][0] // 2
-        cut = outcome(est_rough, horizon)
-        assert cut == outcome(estimator_reference.est_rough, horizon)
-        assert isinstance(cut[0], str) and cut[1][0] == horizon
+        full = outcome(None)
+        assert [i for i, _ in full[0]] == list(range(1, n + 1))
+        assert outcome(full[1]) == full
+        env = make_env(inst, seed=1, horizon=full[1] // 2)
+        with pytest.raises(HorizonExhausted):
+            est_rough(env, 0.05, DESK_TUNING)
+        assert env.ledger.steps == full[1] // 2
 
 
 class TestEstAdaptive:
@@ -588,7 +580,7 @@ class TestEstAdaptive:
             est_adaptive(env, (1,), (), 0.1, 0.5, rough, DESK_TUNING)
         with pytest.raises(ValueError):
             est_adaptive(env, (1, 2), (3,), 0.1, 0.5, rough, DESK_TUNING)  # k = 2
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^missing rough estimate for item 3$"):
             est_adaptive(env, (), (2, 3), 0.1, 0.5, {2: 0.5}, DESK_TUNING)
 
     def test_exact_constants_deliver_the_requested_width(self):
@@ -761,11 +753,17 @@ class TestEstReg:
     [
         ((), (), 0.01, 0.25, "pending set must be nonempty"),
         ((1, 2), (), 0.01, 0.25, "pending set must be nonempty"),
-        # M = min(k - |a|, |b|) = 0, refused before delta and eps are read; the
-        # frozen naive body explored, the reduced one checked delta and eps first
+        # M = min(k - |a|, |b|) = 0, refused before delta and eps are read
         ((1, 2, 3), (4, 5), 0.01, 0.25, "pinned set already fills the capacity"),
         ((1, 2, 3), (4, 5), 0.01, 0.0, "pinned set already fills the capacity"),
         ((1, 2, 3), (4, 5), 500.0, 0.25, "pinned set already fills the capacity"),
+        ((1,), (1, 2), 0.1, 0.25, "pinned and pending sets must be disjoint"),
+        ((2, 1), (3,), 0.1, 0.25, "assortment must be strictly increasing, got (2, 1)"),
+        ((), (0, 2), 0.1, 0.25, "assortment items must lie in 1..8, got (0, 2)"),
+        ((9,), (2, 3), 0.1, 0.25, "assortment items must lie in 1..8, got (9,)"),
+        ((1,), (2, 3), 0.1, 1.5, "eps must lie in (0, 1]"),
+        ((1,), (2, 3), 500.0, 0.25, "delta must lie in (0, 1)"),
+        ((), (2, 3), -0.1, 0.25, "delta must lie in (0, 1)"),
     ],
 )
 def test_phase_inputs_refused_before_any_draw(name, a, b, delta0, eps, message):
@@ -778,10 +776,38 @@ def test_phase_inputs_refused_before_any_draw(name, a, b, delta0, eps, message):
         "adaptive": partial(est_adaptive, rough={i: 0.5 for i in range(1, 9)}),
         "reg": est_reg,
     }[name]
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         estimator(env, a, b, delta0, eps, tuning=DESK_TUNING)
     assert env.ledger.steps == 0
     assert env._rng.bit_generator.state == rng_state
+
+
+@pytest.mark.parametrize("name", ["naive", "reduced", "adaptive", "reg"])
+def test_a_budget_only_decides_whether_the_estimate_completes(name):
+    # Under a budget the estimate fills exactly, it is the one drawn without a
+    # budget, to the bit; under one that runs out halfway through, it spends
+    # the whole budget and returns nothing.
+    inst = generate_instance("uniform", 7, 3, seed=11)
+    estimator = {
+        "naive": est_naive,
+        "reduced": est_reduced,
+        "adaptive": partial(est_adaptive, rough={i: 0.5 for i in range(1, 8)}),
+        "reg": est_reg,
+    }[name]
+
+    def outcome(horizon):
+        env = make_env(inst, seed=5, horizon=horizon)
+        est = estimator(env, (1,), (2, 3, 4, 5), 0.1, 0.25, tuning=DESK_TUNING)
+        ledger = (env.ledger.steps, env.ledger.cum_regret, env.ledger._segments)
+        return est, ledger, env._rng.bit_generator.state
+
+    full = outcome(None)
+    assert outcome(full[1][0]) == full
+    horizon = full[1][0] // 2
+    env = make_env(inst, seed=5, horizon=horizon)
+    with pytest.raises(HorizonExhausted):
+        estimator(env, (1,), (2, 3, 4, 5), 0.1, 0.25, tuning=DESK_TUNING)
+    assert env.ledger.steps == horizon
 
 
 class TestEstimateSet:
@@ -821,131 +847,3 @@ class TestEstimateSet:
         )
         np.testing.assert_allclose(est.max_width(), 0.5, rtol=1e-15)
         assert dataclasses.replace(est, items=()).max_width() == 0.0
-
-
-class TestMatchesReferenceEstimators:
-    """The kernel-based estimators against their earlier, separate bodies
-    (``estimator_reference``): same result or error, same explored batches,
-    same steps and regret, same generator state afterwards."""
-
-    PAIRS = {
-        "naive": (est_naive, estimator_reference.est_naive),
-        "reduced": (est_reduced, estimator_reference.est_reduced),
-        "reg": (est_reg, estimator_reference.est_reg),
-        "adaptive": (est_adaptive, estimator_reference.est_adaptive),
-    }
-    # the schedules of C0 = 50 and C2 = 300, through the scales
-    CUSTOM = Tuning(
-        tau_scale=3e-5 * 50 * 300 / (C0 * C2), rough_tau_scale=0.05 * 50 / C0, ci_scale=0.1
-    )
-
-    def _outcome(self, name, which, inst, seed, horizon, args, tuning, rough):
-        env = Environment(inst, fork_stream(seed, 0), horizon=horizon)
-        fn = self.PAIRS[name][which]
-        calls = record_batches(env)
-        try:
-            if name == "adaptive":
-                if rough is None:
-                    rough = est_rough(env, 0.2, tuning)
-                out = fn(env, *args, rough=rough, tuning=tuning)
-            else:
-                out = fn(env, *args, tuning=tuning)
-        except (ValueError, HorizonExhausted) as exc:
-            out = (type(exc), str(exc))
-        ledger = (env.ledger.steps, env.ledger.cum_regret, env.ledger._segments)
-        return out, calls, ledger, env._rng.bit_generator.state
-
-    def _check(self, name, inst, seed, args, tuning=DESK_TUNING, horizon=None, rough=None):
-        """Run both bodies; return the outcome, the refinement batches
-        ``(Z, S, epochs)`` (after any rough pass) and the steps spent."""
-        got = self._outcome(name, 0, inst, seed, horizon, args, tuning, rough)
-        want = self._outcome(name, 1, inst, seed, horizon, args, tuning, rough)
-        assert got == want, (name, args)
-        out, calls, ledger, _ = got
-        if name == "adaptive" and rough is None:
-            calls = calls[inst.n :]  # the rough pass offers each item once
-        return out, calls, ledger[0]
-
-    def test_random_cases(self):
-        rng = np.random.default_rng(606)
-        seen = set()
-        for case in range(240):
-            n = int(rng.integers(2, 9))
-            if case % 2:
-                k = int(rng.integers(1, n // 2 + 1))
-                gaps = rng.uniform(1e-3, 1.0 / (16 * k), n - k)
-                inst = generate_instance("lower-bound", n, k, gaps=gaps)
-            else:
-                k = int(rng.integers(1, n + 1))
-                inst = generate_instance("uniform", n, k, seed=case)
-            items = [int(i) for i in rng.permutation(np.arange(1, n + 1))]
-            cut = int(rng.integers(0, min(k, n - 1) + 1))  # something is left to pend
-            a = tuple(sorted(items[:cut]))
-            b = tuple(sorted(items[cut : cut + int(rng.integers(1, n - cut + 1))]))
-            name = ("naive", "reduced", "reg", "adaptive")[case % 4]
-            tuning = self.CUSTOM if case % 3 == 0 else DESK_TUNING
-            horizon = int(rng.integers(50, 20000)) if case % 5 == 0 else None
-            delta0 = float(rng.uniform(0.01, 0.5))
-            eps = float(rng.choice([0.5, 0.25, 0.125, 0.0625]))
-            if name == "naive" and len(a) == k:  # a full pinned set: refused now, explored
-                continue  # by the frozen body (test_phase_inputs_refused_before_any_draw)
-            out, calls, _ = self._check(name, inst, case, (a, b, delta0, eps), tuning, horizon)
-            if isinstance(out, EstimateSet):
-                seen.add("estimate")
-                # groups of one layer share a width, hence an epoch count
-                if name == "adaptive" and len({u for _, _, u in calls}) > 1:
-                    seen.add("multi-layer")
-                if name == "reg" and len(b) % min(k - len(a), len(b)):
-                    seen.add("padded")
-            elif out[0] is HorizonExhausted:
-                seen.add("horizon")
-            else:
-                seen.add("error")
-        assert seen >= {"estimate", "multi-layer", "padded", "horizon", "error"}
-
-    def test_named_cases(self):
-        inst = generate_instance("uniform", 7, 3, seed=11)
-        hard = generate_instance("lower-bound", 6, 2, gaps=[0.01, 0.02, 0.005, 0.03])
-        # seven pending items in groups of three: the last one is padded
-        _, calls, _ = self._check("reg", inst, 2, ((), tuple(range(1, 8)), 0.1, 0.25))
-        assert calls[-1][1] == (1, 2, 7)
-        _, calls, _ = self._check("reg", hard, 3, ((1,), (2, 3, 4), 0.1, 0.125), self.CUSTOM)
-        assert [s for _, s, _ in calls] == [(1, 2), (1, 3), (1, 4)]
-        # several dyadic layers, from the rough pass of the same stream
-        big = generate_instance("lower-bound", 8, 4, gaps=[0.015, 0.001, 0.01, 0.002])
-        _, calls, _ = self._check("adaptive", big, 4, ((), tuple(range(1, 9)), 0.1, 0.25))
-        assert len({u for _, _, u in calls}) > 1
-        # a step budget that runs out halfway through the estimate
-        args = ((1,), (2, 3, 4), 0.1, 0.25)
-        for name in self.PAIRS:
-            out, _, steps = self._check(name, inst, 5, args)
-            rough_steps = 0
-            if name == "adaptive":  # the rough pass runs first, on the same stream
-                env = Environment(inst, fork_stream(5, 0))
-                est_rough(env, 0.2, DESK_TUNING)
-                rough_steps = env.ledger.steps
-            horizon = steps - (steps - rough_steps) // 2
-            out, _, steps = self._check(name, inst, 5, args, horizon=horizon)
-            assert out[0] is HorizonExhausted and steps == horizon
-
-    @pytest.mark.parametrize("name", ["naive", "reduced", "reg", "adaptive"])
-    @pytest.mark.parametrize(
-        "a, b, delta0, eps",
-        [
-            ((1,), (1, 2), 0.1, 0.25),  # overlapping sets
-            ((2, 1), (3,), 0.1, 0.25),  # unsorted
-            ((), (0, 2), 0.1, 0.25),  # out of range
-            ((7,), (2, 3), 0.1, 0.25),  # a pinned item out of range
-            ((1,), (2, 3), 0.1, 1.5),  # eps out of range
-            ((1,), (2, 3), 500.0, 0.25),  # delta above 1
-            ((), (2, 3), -0.1, 0.25),  # delta below 0
-        ],
-    )
-    def test_precondition_errors(self, name, a, b, delta0, eps):
-        inst = generate_instance("uniform", 6, 3, seed=8)
-        self._check(name, inst, 6, (a, b, delta0, eps))
-
-    def test_missing_rough_estimate(self):
-        inst = generate_instance("uniform", 6, 3, seed=8)
-        out, _, _ = self._check("adaptive", inst, 7, ((1,), (2, 3), 0.1, 0.25), rough={2: 0.5})
-        assert out == (ValueError, "missing rough estimate for item 1")

@@ -169,6 +169,7 @@ class TestPlanTable:
             ((), (0,), 10),  # out of range
             ((6,), (), 10),
             ((), (1, 1), 10),  # repeated id
+            ((), (4.0,), 10),  # a float id equal to a cached int one
         ],
     )
     def test_invalid_calls_raise_after_caching(self, z, s, epochs):

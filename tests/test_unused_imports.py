@@ -1,9 +1,12 @@
-"""No module of the package or of its tests binds an import it never uses.
+"""No module of the package or of its tests binds an import it never uses,
+and every helper module in ``tests/`` is imported by a test module.
 
 No linter is a test dependency, so this walks each module's syntax tree with
 the standard library's `ast`.  An imported name counts as used when the
 module reads it, lists it in ``__all__``, or names it inside a string
 annotation; an import marked ``# noqa: F401`` is kept for its side effect.
+A helper module is a file of ``tests/`` not named ``test_*.py`` or
+``conftest.py``; one that no ``test_*.py`` imports is left over.
 """
 
 import ast
@@ -63,6 +66,17 @@ def unused_imports(source):
             if name not in used]
 
 
+def imported_modules(source):
+    """Top-level names of the modules ``source`` imports by absolute name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
 @pytest.mark.parametrize(
     "path",
     sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
@@ -70,6 +84,15 @@ def unused_imports(source):
 )
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_helper_module_is_imported_by_a_test():
+    imported = set()
+    for path in TESTS.glob("test_*.py"):
+        imported |= imported_modules(path.read_text(encoding="utf-8"))
+    helpers = {p.stem for p in TESTS.glob("*.py")
+               if not p.name.startswith("test_") and p.name != "conftest.py"}
+    assert sorted(helpers - imported) == []
 
 
 def test_the_check_sees_what_it_should():
@@ -89,3 +112,5 @@ def test_the_check_sees_what_it_should():
     assert unused_imports(source) == [("os", 2), ("replace", 4)]
     computed = "from .model import NAMES, Instance\n__all__ = [n for n in NAMES]\n"
     assert unused_imports(computed) == [("Instance", 1)]
+    assert imported_modules("import a.b, c\nfrom d.e import f\nfrom .g import h\n") == {
+        "a", "c", "d"}
