@@ -87,8 +87,10 @@ class Instance:
 
 def _as_int(x: object, name: str) -> int:
     """``x`` as a Python int through `operator.index`: numpy integers pass, and a
-    float or a string is refused with a `ValueError`, never truncated."""
+    float, a string or a bool is refused with a `ValueError`, never truncated."""
     try:
+        if isinstance(x, bool):  # operator.index reads True as 1 (np.True_ it refuses)
+            raise TypeError
         return operator.index(x)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {x!r}") from None

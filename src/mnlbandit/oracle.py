@@ -18,27 +18,34 @@ and the iteration ends after finitely many selections (a handful in
 practice) with the selection at ``theta*``, an optimal set, and its exact
 revenue.
 
-The iteration runs in two element types, split by caller:
+One loop, ``fractional_optimum``, runs the iteration on Python floats for
+every caller: ``exact_optimum``, ``suboptimality_gaps`` (and through them
+``revenue_margin``), and the estimators' reduced problems over a phase's
+pending items (``ci_theta``, two solves a phase, and ``pac_eps``'s
+completion).  Those mostly hold a handful of items, where numpy's per-call
+cost is most of a solve.  A whole instance costs more on floats: 1.4 ms at
+``n = 4000`` and 49 ms at ``n = 100,000``, against 0.4 and 13 ms on arrays
+(2-vCPU VM, numpy 2.4.6), paid once per process for each ``Environment``'s
+``S*``.  The gaps' ``n`` solves are warm-started and filtered instead, and
+at ``n = 4000`` took 0.38 s, against 1.32 s cold on arrays:
 
-* ``_solve`` on numpy arrays, for whole instances: ``exact_optimum``,
-  ``suboptimality_gaps`` and ``revenue_margin``.  The ``oracle`` command
-  runs ``n + 1`` of these to print an instance's gaps, and at ``n = 4000``
-  the arrays win: a solve took 0.8 ms on them against 2 ms on Python floats
-  (2-vCPU VM, numpy 2.4.6).
-* ``fractional_optimum`` on Python floats, for one reduced problem over a
-  phase's pending items: the estimators' revenue bounds (``ci_theta``, two
-  solves a phase) and ``pac_eps``'s completion.  On most instances these
-  hold a handful of items, where numpy's per-call cost is most of a solve:
-  on the ``many-small`` benchmark's 4-8 items a traced solve took 44 us
-  through ``_solve`` and 14 us on floats, and 400 replications ran about
-  18% faster end to end.  The trade goes the other way on a wide instance,
-  whose first phase solves over every item: at ``n = 4000, k = 100`` the
-  float solves of 16 paper-constant replications took 61-67 ms against
-  26-28 ms through ``_solve``, 2.4 times as long and about 2% of the
-  replications' time.  No benchmark workload measures that width.
+* Warm start.  ``F(theta) = max_{|S0| <= K} (1 + sum_{S0} nu_j) (R(S0) -
+  theta)`` decreases in ``theta`` and is positive exactly below
+  ``theta*``.  From ``theta < theta*`` the selection ``S`` at ``theta``
+  maximizes that product, so ``theta < R(S) <= theta*``; at ``theta*`` the
+  selection is returned.  So any start in ``[zeta, theta*]`` -- such as a
+  feasible set's revenue -- ends at ``theta*`` with the selection there,
+  the cold start's set: the start changes the path, never the result.
+* Filter.  ``theta`` only rises from the start ``theta0``, so an item with
+  ``nu_j = 0`` or ``r_j <= theta0`` scores ``nu_j (r_j - theta) <= 0`` at
+  every step (in floats too: the rounded difference and product are
+  monotone) and is never selected.  Leaving it out changes no selection,
+  and the kept items stay in ascending order, so ties still break toward
+  the smaller id.
 
-The two make the same selections and share no code; the tests hold
-``fractional_optimum``'s positions to ``_solve``'s bit for bit.
+The tests hold warm and cold solves to the same positions and revenue bits,
+and the loop's positions to the array kernel it replaced
+(``tests/oracle_reference.py``), on tied and zero-weight problems.
 
 ``brute_force_optimum`` enumerates every assortment; it is the reference the
 tests compare the oracle against, and is guarded to ``n <= 24``.
@@ -47,7 +54,7 @@ tests compare the oracle against, and is guarded to ``n <= 24``.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,38 +86,19 @@ class OptimumSolution(NamedTuple):
     theta_star: float
 
 
-def _top_positive(scores: np.ndarray, capacity: int) -> np.ndarray:
-    """Ascending positions of the top-``capacity`` strictly positive scores,
-    breaking score ties toward the smaller position."""
-    pos = (scores > 0.0).nonzero()[0]
-    if pos.size > capacity:
-        pos = pos[(-scores[pos]).argsort(kind="stable")[:capacity]]
-        pos.sort()
-    return pos
-
-
-def _solve(
-    nu: np.ndarray, r: np.ndarray, zeta: float, capacity: int
-) -> np.ndarray:
-    """Optimal pending set of the reduced problem, as ascending positions.
-
-    Dinkelbach's iteration (module docstring) on arrays, for whole
-    instances: the result is the ``_top_positive`` selection at the optimal
-    revenue ``theta*``.  ``fractional_optimum`` is the same iteration on
-    Python floats, and this is its reference.
-    """
-    theta = zeta
-    nu_r = nu * r
-    while True:
-        s = _top_positive(nu * (r - theta), capacity)
-        value = (zeta + nu_r[s].sum()) / (1.0 + nu[s].sum())
-        if not value > theta:
-            return s
-        theta = value
+def _value(nu: Sequence[float] | Dict[int, float], r: Sequence[float], zeta: float,
+           s: Iterable[int]) -> float:
+    """Reduced revenue of the pending items ``s``, summed in their order."""
+    num, den = zeta, 1.0
+    for j in s:
+        num += nu[j] * r[j]
+        den += nu[j]
+    return num / den
 
 
 def fractional_optimum(
-    nu: Sequence[float], r: Sequence[float], zeta: float, capacity: int
+    nu: Sequence[float], r: Sequence[float], zeta: float, capacity: int,
+    start: Optional[float] = None,
 ) -> Tuple[List[int], float]:
     """Exact optimum of the reduced revenue over pending assortments.
 
@@ -123,20 +111,17 @@ def fractional_optimum(
     ascending position order; the empty set (revenue ``zeta``) is
     admissible, so the revenue is >= ``zeta``.
 
-    Dinkelbach's iteration on the caller's Python floats, without numpy:
-    the phase loop's problems mostly hold a handful of items, where copying
-    them into arrays and the array calls of ``_solve`` cost more than the
-    solve; over thousands of items it costs about 2.4 times ``_solve``
-    (module docstring).  Each step selects as ``_top_positive`` does -- the
-    top ``capacity`` strictly positive ``nu_j (r_j - theta)``, ties to the
-    smaller position -- and sets ``theta`` to the selection's revenue; the
-    positions equal ``_solve``'s.
+    Dinkelbach's iteration (module docstring) on the caller's Python floats:
+    each step selects the top ``capacity`` strictly positive scores
+    ``nu_j (r_j - theta)``, ties to the smaller position.  ``theta`` starts
+    at ``start`` (default ``zeta``); any start in ``[zeta, theta*]``, such as
+    a feasible pending set's revenue, gives the same result.
     """
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
     if len(nu) != len(r):
         raise ValueError("nu and r must hold one entry per pending item")
-    theta = zeta
+    theta = zeta if start is None else start
     live = range(len(nu))
     while True:
         # theta only rises, so with nu >= 0 an item scoring <= 0 never scores > 0 again
@@ -146,11 +131,7 @@ def fractional_optimum(
             # a stable sort: equal scores keep ascending positions
             s = sorted(live, key=lambda j: nu[j] * (r[j] - theta), reverse=True)[:capacity]
             s.sort()
-        num, den = zeta, 1.0
-        for j in s:
-            num += nu[j] * r[j]
-            den += nu[j]
-        value = num / den
+        value = _value(nu, r, zeta, s)
         if not value > theta:
             return s, value
         theta = value
@@ -203,22 +184,21 @@ def brute_force_optimum(inst: Instance) -> OptimumSolution:
 
 
 def exact_optimum(inst: Instance) -> OptimumSolution:
-    """The instance's optimum, for any ``n``, by ``_solve``.
+    """The instance's optimum, for any ``n``, by a cold `fractional_optimum`.
 
-    Tie-break rule: ``s_star`` is the ``_top_positive`` selection at
-    ``theta*`` -- the items with strictly positive score
-    ``v_i (r_i - theta*)``, the top ``k`` of them, and among equal scores the
-    smaller id.  An item with
+    Tie-break rule: ``s_star`` is the top-positive selection at ``theta*``
+    -- the items with strictly positive score ``v_i (r_i - theta*)``, the
+    top ``k`` of them, and among equal scores the smaller id.  An item with
     ``r_i = theta*`` scores 0 and is left out even where adding it keeps the
     revenue at ``theta*``; ``brute_force_optimum``'s lexicographic rule can
     pick such a set instead, at the same revenue.
     """
-    s = _solve(inst.v, inst.r, 0.0, inst.k)
-    return OptimumSolution(s_star=tuple(int(j) + 1 for j in s), theta_star=_revenue_at(inst, s))
+    s, _ = fractional_optimum(inst.v.tolist(), inst.r.tolist(), 0.0, inst.k)
+    return OptimumSolution(s_star=tuple(j + 1 for j in s), theta_star=_revenue_at(inst, s))
 
 
 def suboptimality_gaps(inst: Instance) -> Dict[int, float]:
-    """Per-item suboptimality gaps, one ``_solve`` per item.
+    """Per-item suboptimality gaps, one warm `fractional_optimum` per item.
 
     With ``theta*`` the optimal revenue and ``S*`` the optimal assortment:
 
@@ -231,22 +211,37 @@ def suboptimality_gaps(inst: Instance) -> Dict[int, float]:
 
     The empty assortment is admissible in the exclusion maxima.  Gaps are
     >= 0, and equal 0 only in degenerate tied instances.
+
+    Each solve starts at the best revenue, summed as the solve sums it, of a
+    feasible neighbour of ``S*``: ``S* \\ {i}`` for a member; for an
+    outsider, ``S*`` with its lowest-scoring member swapped for ``i``, and
+    ``S* + i`` when ``S*`` has room.  It runs over only the items with
+    ``v_j > 0`` and ``r_j`` above that start (module docstring).
     """
     v, r, k = inst.v, inst.r, inst.k
-    star = _solve(v, r, 0.0, k)
-    theta = _revenue_at(inst, star)
+    opt = exact_optimum(inst)
+    star = [j - 1 for j in opt.s_star]
+    members = set(star)
+    vl, rl = v.tolist(), r.tolist()
+    low = min(star, key=lambda j: vl[j] * (rl[j] - opt.theta_star), default=None)
+    weighted = v > 0.0
     gaps: Dict[int, float] = {}
     for i in range(inst.n):
-        # weight 0 scores 0 at every theta, so _solve leaves i out and selects
-        # the others in the order it would without them
-        v_out = v.copy()
-        v_out[i] = 0.0
-        if i in star:
-            s = _solve(v_out, r, 0.0, k)
-        else:  # reduced by {i}: zeta = R({i}), nu = v / (1 + v_i)
-            w = 1.0 + v[i]
-            s = np.sort(np.append(_solve(v_out / w, r, v[i] * r[i] / w, k - 1), i))
-        gaps[i + 1] = theta - _revenue_at(inst, s)
+        if i in members:  # forced out: drop i, capacity k
+            w, zeta, capacity = 1.0, 0.0, k
+            near = [[j for j in star if j != i]]
+        else:  # forced in: reduced by {i}, zeta = R({i}), nu = v / (1 + v_i)
+            w = 1.0 + vl[i]
+            zeta, capacity = vl[i] * rl[i] / w, k - 1
+            near = [[j for j in star if j != low]] + ([star] if len(star) < k else [])
+        nu = {j: vl[j] / w for j in star}
+        start = max(zeta, *(_value(nu, rl, zeta, s) for s in near))
+        keep = weighted & (r > start)
+        keep[i] = False
+        ids = keep.nonzero()[0]
+        s, _ = fractional_optimum((v[ids] / w).tolist(), r[ids].tolist(), zeta, capacity, start)
+        s = ids[s] if i in members else np.sort(np.append(ids[s], i))
+        gaps[i + 1] = opt.theta_star - _revenue_at(inst, s)
     return gaps
 
 

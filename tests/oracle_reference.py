@@ -1,14 +1,17 @@
 """Enumeration references for the per-item gaps and the revenue margin, the
-gaps solved on reduced arrays, the score selection on item ids, and the
-dict-interface reduced solve.
+array kernel and the gaps solved with it on reduced arrays, the score
+selection on item ids, and the dict-interface reduced solve.
 
 Both enumeration references enumerate every assortment of size <= k (keep
 ``n`` small); the tests require ``suboptimality_gaps`` and ``revenue_margin``
 to agree with them bit for bit on instances without tied assortments.
-``deleted_item_gaps`` is the earlier ``suboptimality_gaps`` loop, which
-solves without item ``i`` on arrays that ``np.delete`` shortens, kept
-verbatim; the tests require the zero-weight loop to match it bit for bit at
-any ``n``, ties included.
+``_solve`` (with its selection ``_top_positive``) is the oracle's earlier
+Dinkelbach loop on numpy arrays, kept verbatim; the tests require
+``oracle.fractional_optimum``'s positions to equal its own.
+``deleted_item_gaps`` is an earlier ``suboptimality_gaps`` loop, which
+solves cold without item ``i`` on arrays that ``np.delete`` shortens, kept
+verbatim; the tests require the warm-started, filtered loop to match it bit
+for bit at any ``n``, ties included.
 ``select_f`` is the oracle's top-positive selection keyed by item id.
 ``fractional_optimum`` is the earlier dict-interface solve of one reduced
 problem, kept verbatim; the tests require the list-interface
@@ -21,14 +24,38 @@ from typing import Dict, Mapping
 import numpy as np
 
 from mnlbandit.model import Assortment, Instance, _revenue_at
-from mnlbandit.oracle import (
-    OptimumSolution,
-    _revenue_table,
-    _solve,
-    _top_positive,
-    brute_force_optimum,
-)
+from mnlbandit.oracle import OptimumSolution, _revenue_table, brute_force_optimum
 from model_reference import ReducedParams, reduced_revenue
+
+
+def _top_positive(scores: np.ndarray, capacity: int) -> np.ndarray:
+    """Ascending positions of the top-``capacity`` strictly positive scores,
+    breaking score ties toward the smaller position."""
+    pos = (scores > 0.0).nonzero()[0]
+    if pos.size > capacity:
+        pos = pos[(-scores[pos]).argsort(kind="stable")[:capacity]]
+        pos.sort()
+    return pos
+
+
+def _solve(
+    nu: np.ndarray, r: np.ndarray, zeta: float, capacity: int
+) -> np.ndarray:
+    """Optimal pending set of the reduced problem, as ascending positions.
+
+    Dinkelbach's iteration (``mnlbandit.oracle``'s docstring) on arrays:
+    the result is the ``_top_positive`` selection at the optimal revenue
+    ``theta*``.  ``oracle.fractional_optimum`` is the same iteration on
+    Python floats, and this is its reference.
+    """
+    theta = zeta
+    nu_r = nu * r
+    while True:
+        s = _top_positive(nu * (r - theta), capacity)
+        value = (zeta + nu_r[s].sum()) / (1.0 + nu[s].sum())
+        if not value > theta:
+            return s
+        theta = value
 
 
 def select_f(

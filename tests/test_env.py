@@ -102,6 +102,8 @@ class TestEnvironmentSurface:
         # any draw or charge, so ``ledger.steps`` stays an exact int
         with pytest.raises(ValueError, match="^horizon must be an integer, got 10.5$"):
             make_env(horizon=10.5)
+        with pytest.raises(ValueError, match="^horizon must be an integer, got True$"):
+            make_env(horizon=True)  # not a budget of one step
         env = make_env(seed=3, horizon=np.int64(100))
         assert type(env.horizon) is int
         rng_state = env._rng.bit_generator.state
@@ -112,6 +114,8 @@ class TestEnvironmentSurface:
                 env.sample_epochs((1,), (2,), epochs)
         with pytest.raises(ValueError, match="^assortment item must be an integer, got 1.5$"):
             env.sample_epochs((), (1.5,), 10)
+        with pytest.raises(ValueError, match="^assortment item must be an integer, got True$"):
+            env.sample_epochs((), (True,), 10)  # not item 1
         assert env.ledger.steps == 0 and env._rng.bit_generator.state == rng_state
         env.advance((1,), np.int64(2))
         env.sample_epochs((1,), (2,), np.int32(3))

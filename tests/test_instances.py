@@ -79,8 +79,9 @@ class TestGenerate:
         def solve(*args):
             raise AssertionError("generate_instance ran an oracle solve")
 
-        monkeypatch.setattr(oracle, "_solve", solve)
-        monkeypatch.setattr(oracle, "fractional_optimum", solve)
+        monkeypatch.setattr(oracle, "fractional_optimum", solve)  # the oracle's one loop
+        with pytest.raises(AssertionError, match="ran an oracle solve"):
+            oracle.exact_optimum(generate_instance(family, 4, 2, seed=0))  # the patch holds
         for n, k, seed in [(4, 2, 0), (20, 10, 92), (50, 5, 54), (4000, 100, 3),
                            (100_000, 1_000, 3)]:
             inst = generate_instance(family, n, k, seed=seed)

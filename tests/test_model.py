@@ -73,10 +73,11 @@ class TestValidateAssortment:
             validate_assortment(s, 5)
 
     @pytest.mark.parametrize(
-        "s", [(1.9, 2.2), (1.0, 2.0), ("1", "2"), (np.float64(2.0),), (1, None)]
+        "s", [(1.9, 2.2), (1.0, 2.0), ("1", "2"), (np.float64(2.0),), (1, None), (True, 2),
+              (np.True_,)]
     )
     def test_rejects_ids_that_are_not_integers(self, s):
-        # never truncated: (1.9, 2.2) is not (1, 2)
+        # never truncated: (1.9, 2.2) is not (1, 2), and (True, 2) is not (1, 2)
         with pytest.raises(ValueError, match="^assortment item must be an integer, got "):
             validate_assortment(s, 6)
 

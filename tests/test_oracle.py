@@ -9,7 +9,6 @@ from mnlbandit.instances import generate_instance
 from mnlbandit.model import Instance, revenue
 from mnlbandit.oracle import (
     BRUTE_FORCE_MAX_N,
-    _solve,
     brute_force_optimum,
     exact_optimum,
     fractional_optimum,
@@ -18,7 +17,7 @@ from mnlbandit.oracle import (
     suboptimality_gaps,
 )
 from model_reference import ReducedParams, advantage_scores, reduced_revenue
-from oracle_reference import deleted_item_gaps, enumerated_gaps, enumerated_margin, select_f
+from oracle_reference import _solve, deleted_item_gaps, enumerated_gaps, enumerated_margin, select_f
 
 
 def random_instance(rng, n_max=8, k_max=None):
@@ -164,6 +163,43 @@ class TestFractionalOptimum:
         tied = [0.5] * 6  # six equal scores, capacities through every cut
         for m in range(8):
             assert check(tied, [1.0] * 6, 0.0, m) == list(range(min(m, 6)))
+
+    def test_a_warm_start_returns_the_cold_solve(self):
+        # Started from the revenue of any feasible pending set (at least zeta,
+        # summed as the solve sums it), the loop returns the cold start's
+        # positions and revenue bits, and so does the solve over only the
+        # items that can score above that start: weight > 0 and r > start.
+        def revenue_of(nu, r, zeta, s):
+            num, den = zeta, 1.0
+            for j in s:
+                num += nu[j] * r[j]
+                den += nu[j]
+            return num / den
+
+        rng = np.random.default_rng(33)
+        for _ in range(1500):
+            n = int(rng.integers(1, 25))
+            if rng.random() < 0.4:  # coarse grids: tied scores, r at theta*
+                nu = rng.choice([0.0, 0.25, 0.5, 1.0], n).tolist()
+                r = rng.choice([0.25, 0.5, 0.75, 1.0], n).tolist()
+            else:  # repeated (nu, r) pairs tie exactly; some weights zero
+                pick = rng.integers(0, int(rng.integers(1, n + 1)), n)
+                nu = (rng.uniform(0, 1, n) * (rng.random(n) > 0.2))[pick].tolist()
+                r = rng.uniform(0, 1, n)[pick].tolist()
+            zeta = float(rng.choice([rng.uniform(), 0.0, 0.5]))
+            m = int(rng.integers(0, n + 1))
+            cold, theta = fractional_optimum(nu, r, zeta, m)
+            sets = [cold, []] + [sorted(rng.choice(n, int(rng.integers(0, m + 1)), replace=False))
+                                 for _ in range(4)]
+            for s in sets:
+                start = max(zeta, revenue_of(nu, r, zeta, s))
+                assert start <= theta
+                warm, warm_theta = fractional_optimum(nu, r, zeta, m, start)
+                assert warm == cold and warm_theta.hex() == theta.hex()
+                keep = [j for j in range(n) if nu[j] > 0.0 and r[j] > start]
+                sub, sub_theta = fractional_optimum(
+                    [nu[j] for j in keep], [r[j] for j in keep], zeta, m, start)
+                assert [keep[q] for q in sub] == cold and sub_theta.hex() == theta.hex()
 
 
 class TestBruteForceOptimum:
