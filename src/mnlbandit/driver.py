@@ -16,7 +16,7 @@ all phases), then
 
 The loop has three exits:
 
-* the capacity is filled or nothing is pending;
+* nothing is pending, which a phase that fills the capacity ensures;
 * the ε stop: the first phase whose predecessor's accuracy is at most
   ``eps / 3`` accepts the set its estimate's upper revenue solve selected
   (`pac_eps`'s optimistic completion);
@@ -26,10 +26,7 @@ The loop has three exits:
 A batch past the sampler's limit (`SamplerLimitError`) ends the run with the
 phase, or the rough pass, that asked for it named in the message.  A run
 that takes `PHASE_CAP` phases without an exit aborts with the pinned set so
-far.  Under valid intervals at most ``M`` items are ever accepted per
-phase (an accepted item's upper end exceeds ``beta``, placing it in the
-strict top ``M`` of the upper ends), so the pinned set never exceeds the
-capacity — asserted.
+far.
 """
 
 from __future__ import annotations
@@ -68,7 +65,8 @@ __all__ = [
 PHASE_CAP = 60
 
 #: An estimator suitable for the accept-reject loop:
-#: (env, pinned, pending, delta_k, eps) -> EstimateSet.
+#: (env, pinned, pending, delta_k, eps) -> EstimateSet, which scores the whole
+#: pending set (``est.items == pending``) and carries its residual capacity.
 PhaseEstimator = Callable[[Environment, Assortment, Assortment, float, float], EstimateSet]
 
 class PhaseState(NamedTuple):
@@ -79,7 +77,6 @@ class PhaseState(NamedTuple):
     b_set: Assortment
     eps_k: float
     delta_k: float
-    m: int
     alpha: Optional[float]
     beta: Optional[float]
     b_acc: Assortment
@@ -105,19 +102,21 @@ class RunResult(NamedTuple):
 
 
 def accept_reject(
-    est: EstimateSet, m: int
+    est: EstimateSet,
 ) -> Tuple[Assortment, Assortment, Optional[float], Optional[float]]:
     """Apply one phase's accept/reject rules to the items its estimate scored,
-    the pending set ``b = est.items``.
+    the pending set ``b = est.items``, at its residual capacity ``m = est.m``.
 
     Returns ``(accepted, rejected, alpha, beta)``; the rank thresholds are
     ``None`` when ``|b| <= m`` (no over-subscription, plain sign rules).
-    Accepted and rejected sets are disjoint and accepted never exceeds ``m``
-    (both asserted — see module docstring for why they cannot fire).
+    The two sets are disjoint, at most ``m`` items are accepted (both
+    asserted) and accepting ``m`` decides all of ``b``: if ``|b| > m``, an
+    accepted item's upper end exceeds ``beta``, the (m+1)-th largest, so
+    ``m`` accepted items are all those whose upper end exceeds ``beta``;
+    their lower ends are the ``m`` largest, so ``alpha > beta``, and the
+    rank rule rejects every other item (upper end at most ``beta``).
     """
-    if m < 1:
-        raise ValueError("residual capacity must be >= 1")
-    b, xi_lo, xi_hi = est.items, est.xi_lo, est.xi_hi
+    b, m, xi_lo, xi_hi = est.items, est.m, est.xi_lo, est.xi_hi
     acc = {i for i in b if xi_lo[i] > 0.0}
     rej = {i for i in b if xi_hi[i] < 0.0}
     alpha: Optional[float] = None
@@ -150,15 +149,15 @@ def sar_mnl(
     """Successive accept-reject until the capacity is filled.
 
     Phase ``k`` uses ``delta_k = delta / (3 k^2)`` and accuracy target
-    ``eps_k / 2`` with ``eps_k = 2^-k``.  Returns the pinned set when the
-    residual capacity hits zero or nothing is pending; an empty answer is
-    legal (every item can be harmful).  Given ``eps``, the first phase with
-    ``2^-(k-1) <= eps / 3`` accepts its estimate's ``s_hi`` and the run ends:
-    the best pending assortment under the upper estimates for a reduced
-    estimator; for a raw one (``naive``, ``reg``), the pending part of the
-    best assortment of ``a ∪ b`` under the upper raw weights.
-    A step budget spent mid-phase ends the run with status ``"horizon"`` and
-    the pinned set so far; the cut-off phase is not recorded.  Exceeding
+    ``eps_k / 2`` with ``eps_k = 2^-k``.  Returns the pinned set once nothing
+    is pending, which a filled capacity implies (`accept_reject`); an empty
+    answer is legal (every item can be harmful).  Given ``eps``, the first
+    phase with ``2^-(k-1) <= eps / 3`` accepts its estimate's ``s_hi`` and
+    the run ends: the best pending assortment under the upper estimates for
+    a reduced estimator; for a raw one (``naive``, ``reg``), the pending part
+    of the best assortment of ``a ∪ b`` under the upper raw weights.  A step
+    budget spent mid-phase ends the run with status ``"horizon"`` and the
+    pinned set so far; the cut-off phase is not recorded.  Exceeding
     `PHASE_CAP` aborts with status ``"phase-cap"`` and the pinned set so far.
     """
     _check_delta(delta, env.n)
@@ -167,9 +166,6 @@ def sar_mnl(
     phases: List[PhaseState] = []
     status = "ok"
     for k in range(1, PHASE_CAP + 1):
-        m = min(env.k - len(a), len(b))
-        if m == 0:
-            break
         eps_k = 2.0 ** (-k)
         delta_k = delta / (3.0 * k * k)
         phase_start = env.ledger.steps
@@ -184,7 +180,7 @@ def sar_mnl(
         if done:  # the optimistic completion: the set of the phase's upper revenue solve
             b_acc, b_rej, alpha, beta = est.s_hi, (), None, None
         else:
-            b_acc, b_rej, alpha, beta = accept_reject(est, m)
+            b_acc, b_rej, alpha, beta = accept_reject(est)
         phases.append(
             PhaseState(
                 k=k,
@@ -192,7 +188,6 @@ def sar_mnl(
                 b_set=b,
                 eps_k=eps_k,
                 delta_k=delta_k,
-                m=m,
                 alpha=alpha,
                 beta=beta,
                 b_acc=b_acc,

@@ -257,15 +257,16 @@ def ci_xi(
 class EstimateSet:
     """One estimator invocation's output: intervals plus bookkeeping.
 
-    ``items`` are the pending items scored, and ``s_hi`` the ones among them
-    that `ci_theta`'s upper solve selects; ``nu_lo/nu_hi`` may cover more
-    items than ``items`` (procedures that also estimate pinned items).  All
-    interval pairs are ordered; weights and revenues lie in [0, 1]; scores
-    lie in [-1, 1].  A run keeps each phase's estimate as ``PhaseState.est``,
-    so ``epochs`` and every interval end are read through ``res.phases``.
+    ``items`` are the pending items scored, ``m >= 1`` their residual capacity
+    from `_sets`, and ``s_hi`` the items of the upper `ci_theta` solve;
+    ``nu_lo/nu_hi`` may also cover pinned items.  All interval pairs are
+    ordered; weights and revenues lie in [0, 1]; scores lie in [-1, 1].  A
+    run keeps each phase's estimate as ``PhaseState.est``, so ``m``,
+    ``epochs`` and every interval end are read through ``res.phases``.
     """
 
     items: Assortment
+    m: int
     zeta_lo: float
     zeta_hi: float
     nu_lo: Dict[int, float]
@@ -278,6 +279,8 @@ class EstimateSet:
     epochs: int
 
     def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError("residual capacity must be >= 1")
         if not set(self.s_hi) <= set(self.items):
             raise ValueError("the upper solve's set must lie in the scored items")
         if not (0.0 <= self.zeta_lo <= self.zeta_hi <= 1.0):
@@ -387,6 +390,7 @@ def _estimate(
         xi_lo[i], xi_hi[i] = ci_xi(rewards[i], (nu_lo[i], nu_hi[i]), (theta_lo, theta_hi))
     return EstimateSet(
         items=tb,
+        m=m,
         zeta_lo=zeta_lo,
         zeta_hi=zeta_hi,
         nu_lo=nu_lo,

@@ -523,7 +523,7 @@ def _phases_with_a_miss(inst, estimator, master_seed, reps):
                 nu = {i: float(inst.v[i - 1]) for i in items}
             else:
                 truth = reduce_params(inst, p.a_set)
-                items, zeta, nu, capacity = p.b_set, truth.zeta, truth.nu, p.m
+                items, zeta, nu, capacity = p.b_set, truth.zeta, truth.nu, est.m
             _, theta = fractional_optimum([nu[i] for i in items], [r[i - 1] for i in items],
                                           zeta, capacity)
             miss = not raw and not (est.zeta_lo <= zeta <= est.zeta_hi)

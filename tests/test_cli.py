@@ -454,14 +454,21 @@ class TestRunValidation:
         assert (row["status"], int(row["steps"])) == ("horizon", horizon)
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ("run", "--instance", "{inst}", "--mode", "pac", "--seed", "-1"),
-            ("gen", "--family", "uniform", "--n", "4", "--k", "2", "--seed", "-1"),
+            (("run", "--instance", "{inst}", "--mode", "pac", "--seed", "-1"),
+             "expected a non-negative integer, got -1"),
+            (("gen", "--family", "uniform", "--n", "4", "--k", "2", "--seed", "-1"),
+             "expected a non-negative integer, got -1"),
+            (("run", "--instance", "{inst}", "--mode", "pac", "--seed", "1.5"),
+             "invalid int value: '1.5'"),
+            (("gen", "--family", "uniform", "--n", "4", "--k", "2", "--seed", "abc"),
+             "invalid int value: 'abc'"),
         ],
-        ids=["run", "gen"],
+        ids=["run-negative", "gen-negative", "run-fraction", "gen-word"],
     )
-    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+    def test_negative_or_non_integer_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                           argv, message):
         def fail(*args, **kwargs):
             raise AssertionError("work started")
 
@@ -471,9 +478,7 @@ class TestRunValidation:
         out = tmp_path / "out"
         argv = [arg.format(inst=self.inst) for arg in argv]
         assert run_cli(*argv, "--out", str(out)) == 1
-        assert capsys.readouterr().err == (
-            "usage error: argument --seed: expected a non-negative integer, got -1\n"
-        )
+        assert capsys.readouterr().err == f"usage error: argument --seed: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--tau-scale", "--rough-tau-scale", "--ci-scale"])

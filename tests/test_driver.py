@@ -30,6 +30,7 @@ from mnlbandit.estimators import (
     est_reduced,
     est_reg,
     est_rough,
+    _sets,
 )
 from mnlbandit.instances import generate_instance
 from mnlbandit.model import Instance, revenue
@@ -44,11 +45,13 @@ from offer_reference import offer
 from oracle_reference import fractional_optimum
 
 
-def make_est(items, xi):
-    """EstimateSet with prescribed score intervals and trivial everything else."""
+def make_est(items, xi, m):
+    """EstimateSet with prescribed score intervals and residual capacity ``m``,
+    and trivial everything else."""
     items = tuple(sorted(items))
     return EstimateSet(
         items=items,
+        m=m,
         zeta_lo=0.0,
         zeta_hi=1.0,
         nu_lo={i: 0.0 for i in items},
@@ -62,32 +65,37 @@ def make_est(items, xi):
     )
 
 
+def phase_est(env, a, b, xi):
+    """`make_est` for a phase estimator stub, at the residual capacity of `_sets`."""
+    return make_est(b, xi, _sets(env, a, b)[2])
+
+
 def oracle_estimator(inst):
     """Phase estimator returning point intervals at the true scores."""
 
     def estimator(env, a, b, delta_k, eps):
         params = reduce_params(inst, a)
         rewards = {i: float(inst.r[i - 1]) for i in b}
-        m = min(inst.k - len(a), len(b))
+        m = _sets(env, a, b)[2]
         theta = fractional_optimum(
             rewards, ReducedParams(params.zeta, {i: params.nu[i] for i in b}), m
         ).theta_star
         xi = {i: params.nu[i] * (rewards[i] - theta) for i in b}
-        return make_est(b, {i: (xi[i], xi[i]) for i in b})
+        return make_est(b, {i: (xi[i], xi[i]) for i in b}, m)
 
     return estimator
 
 
 def wide_estimator(env, a, b, delta_k, eps):
-    return make_est(b, {i: (-1.0, 1.0) for i in b})
+    return phase_est(env, a, b, {i: (-1.0, 1.0) for i in b})
 
 
 class TestAcceptReject:
     def test_sign_rules_without_oversubscription(self):
         est = make_est(
-            (1, 2, 3), {1: (0.1, 0.2), 2: (-0.2, -0.1), 3: (-0.1, 0.1)}
+            (1, 2, 3), {1: (0.1, 0.2), 2: (-0.2, -0.1), 3: (-0.1, 0.1)}, 3
         )
-        acc, rej, alpha, beta = accept_reject(est, 3)
+        acc, rej, alpha, beta = accept_reject(est)
         assert acc == (1,) and rej == (2,)
         assert alpha is None and beta is None
 
@@ -95,8 +103,9 @@ class TestAcceptReject:
         est = make_est(
             (1, 2, 3, 4),
             {1: (0.5, 0.6), 2: (0.3, 0.4), 3: (0.1, 0.2), 4: (-0.3, -0.2)},
+            2,
         )
-        acc, rej, alpha, beta = accept_reject(est, 2)
+        acc, rej, alpha, beta = accept_reject(est)
         # alpha = 2nd largest lower end, beta = 3rd largest upper end.
         assert alpha == 0.3 and beta == 0.2
         assert acc == (1, 2)
@@ -104,20 +113,20 @@ class TestAcceptReject:
         assert rej == (3, 4)
 
     def test_rank_rule_caps_acceptance_at_capacity(self):
-        est = make_est((1, 2), {1: (0.5, 0.6), 2: (0.4, 0.45)})
-        acc, rej, alpha, beta = accept_reject(est, 1)
+        est = make_est((1, 2), {1: (0.5, 0.6), 2: (0.4, 0.45)}, 1)
+        acc, rej, alpha, beta = accept_reject(est)
         assert acc == (1,)
         assert rej == (2,)  # its upper end 0.45 < alpha = 0.5
         assert alpha == 0.5 and beta == 0.45
 
     def test_all_negative_rejects_everything(self):
-        est = make_est((1, 2), {1: (-0.6, -0.5), 2: (-0.4, -0.3)})
-        acc, rej, alpha, beta = accept_reject(est, 2)
+        est = make_est((1, 2), {1: (-0.6, -0.5), 2: (-0.4, -0.3)}, 2)
+        acc, rej, alpha, beta = accept_reject(est)
         assert acc == () and rej == (1, 2)
 
     def test_wide_intervals_leave_everything_pending(self):
-        est = make_est((1, 2, 3), {i: (-1.0, 1.0) for i in (1, 2, 3)})
-        acc, rej, _, _ = accept_reject(est, 2)
+        est = make_est((1, 2, 3), {i: (-1.0, 1.0) for i in (1, 2, 3)}, 2)
+        acc, rej, _, _ = accept_reject(est)
         assert acc == () and rej == ()
 
     @pytest.mark.parametrize(
@@ -134,13 +143,51 @@ class TestAcceptReject:
         ids=["lower-end-at-beta", "upper-end-at-alpha", "lower-end-at-0", "upper-end-at-0"],
     )
     def test_ties_decide_nothing(self, xi, accepted, rejected):
-        acc, rej, _, _ = accept_reject(make_est(xi, xi), 1)
+        acc, rej, _, _ = accept_reject(make_est(xi, xi, 1))
         assert (acc, rej) == (accepted, rejected)
 
+    def test_filling_the_capacity_decides_every_pending_item(self):
+        # Random estimates of 1-8 pending items at capacities 1..|b|, their
+        # score ends drawn continuous or on a 1/4 grid (ties): whenever the
+        # rules accept m items, none is left pending (`accept_reject`'s proof).
+        rng = np.random.default_rng(38)
+        fills = 0
+        for trial in range(20_000):
+            size = int(rng.integers(1, 9))
+            ends = np.sort(rng.uniform(-1.0, 1.0, size=(size, 2)), axis=1)
+            if trial % 2:
+                ends = np.round(ends * 4.0) / 4.0
+            items = tuple(range(1, size + 1))
+            xi = dict(zip(items, map(tuple, ends.tolist())))
+            est = make_est(items, xi, int(rng.integers(1, size + 1)))
+            acc, rej, _, _ = accept_reject(est)
+            if len(acc) == est.m:
+                fills += 1
+                assert sorted(acc + rej) == list(items), (xi, est.m)
+        assert fills > 1000
+
+    @pytest.mark.parametrize("name", ["naive", "reduced", "adaptive", "reg"])
+    def test_no_item_pending_once_the_pinned_set_is_full(self, name):
+        # so `sar_mnl` needs no exit of its own for a full pinned set
+        instances = [generate_instance(family, 8, 3, seed=seed)
+                     for family in ("uniform", "dense", "sparse") for seed in range(3)]
+        instances.append(lower_bound_instance(5, 2, [0.02, 0.02, 0.02]))
+        rank_decided = 0
+        for inst in instances:
+            for rep in range(3):
+                res = pac_exact(Environment(inst, fork_stream(38, rep)), 0.1, DESK_TUNING,
+                                estimator=name)
+                for p in res.phases:
+                    if len(p.a_set) + len(p.b_acc) == inst.k:
+                        assert sorted(p.b_acc + p.b_rej) == list(p.b_set)
+                        assert p is res.phases[-1] and res.status == "ok"
+                        rank_decided += len(p.b_rej) > 0
+        assert rank_decided > 0
+
     def test_capacity_below_one_rejected(self):
-        est = make_est((1,), {1: (0.1, 0.2)})
-        with pytest.raises(ValueError):
-            accept_reject(est, 0)
+        # the estimate refuses it, so no capacity below one reaches the rules
+        with pytest.raises(ValueError, match=r"^residual capacity must be >= 1$"):
+            make_est((1,), {1: (0.1, 0.2)}, 0)
 
 
 class TestSarMnl:
@@ -155,7 +202,7 @@ class TestSarMnl:
         p = res.phases[0]
         assert p.k == 1 and p.eps_k == 0.5
         np.testing.assert_allclose(p.delta_k, 0.1 / 3.0, rtol=1e-15)
-        assert p.m == 3 and p.a_set == () and p.b_set == (1, 2, 3, 4, 5, 6)
+        assert p.est.m == 3 and p.a_set == () and p.b_set == (1, 2, 3, 4, 5, 6)
         assert p.est.max_width() == 0.0
 
     def test_residual_capacity_counts_the_pending_items(self):
@@ -165,11 +212,11 @@ class TestSarMnl:
 
         def staged(env, a, b, delta_k, eps):
             if len(b) == 5:
-                return make_est(b, {i: (-0.2, -0.1) if i <= 3 else (-1.0, 1.0) for i in b})
+                return phase_est(env, a, b, {i: (-0.2, -0.1) if i <= 3 else (-1.0, 1.0) for i in b})
             return wide_estimator(env, a, b, delta_k, eps)
 
         res = sar_mnl(Environment(inst, fork_stream(1, 0)), 0.1, staged)
-        assert [(p.b_set, p.m) for p in res.phases[:2]] == [((1, 2, 3, 4, 5), 4), ((4, 5), 2)]
+        assert [(p.b_set, p.est.m) for p in res.phases[:2]] == [((1, 2, 3, 4, 5), 4), ((4, 5), 2)]
 
     def test_phase_trace_schedule_and_monotone_sets(self):
         inst = generate_instance("uniform", 5, 2, seed=3)
@@ -205,7 +252,7 @@ class TestSarMnl:
         returned = []
 
         def scripted(env, a, b, delta_k, eps):
-            returned.append(make_est(b, scores[len(returned)]))
+            returned.append(phase_est(env, a, b, scores[len(returned)]))
             return returned[-1]
 
         env = Environment(generate_instance("uniform", 4, 2, seed=5), fork_stream(1, 0))
@@ -223,7 +270,7 @@ class TestSarMnl:
         inst = Instance(n=3, k=2, r=[0.0, 0.0, 0.0], v=[0.5, 0.5, 0.5])
 
         def all_bad(env, a, b, delta_k, eps):
-            return make_est(b, {i: (-0.5, -0.1) for i in b})
+            return phase_est(env, a, b, {i: (-0.5, -0.1) for i in b})
 
         env = Environment(inst, fork_stream(1, 0))
         res = sar_mnl(env, 0.1, all_bad)
@@ -397,7 +444,7 @@ class TestPacEps:
         returned = []
 
         def wide(env, a, b, delta_k, eps, rough, tuning):
-            returned.append(make_est(b, {i: (-1.0, 1.0) for i in b}))
+            returned.append(phase_est(env, a, b, {i: (-1.0, 1.0) for i in b}))
             return returned[-1]
 
         monkeypatch.setattr(driver, "est_adaptive", wide)
@@ -648,7 +695,7 @@ class TestSharedExits:
 
     def test_regret_aborts_then_exploits_the_pinned_set(self, monkeypatch):
         def pin_item_one(env, a, b, delta_k, eps, tuning):
-            return make_est(b, {i: (0.5, 1.0) if i == 1 else (-1.0, 0.4) for i in b})
+            return phase_est(env, a, b, {i: (0.5, 1.0) if i == 1 else (-1.0, 0.4) for i in b})
 
         monkeypatch.setattr("mnlbandit.driver.est_reg", pin_item_one)
         inst = generate_instance("uniform", 5, 2, seed=3)
@@ -740,7 +787,7 @@ class TestUpperSolveSet:
                 res = self.RUNS[name](Environment(inst, fork_stream(93, rep)))
                 for p in res.phases:
                     est = p.est
-                    capacity = min(inst.k, len(est.nu_hi)) if raw else p.m
+                    capacity = min(inst.k, len(est.nu_hi)) if raw else est.m
                     want = fractional_optimum(
                         rewards, ReducedParams(est.zeta_hi, est.nu_hi), capacity
                     ).s_star

@@ -812,34 +812,27 @@ def test_a_budget_only_decides_whether_the_estimate_completes(name):
 
 class TestEstimateSet:
     def test_ordering_validation(self):
-        with pytest.raises(ValueError):
-            EstimateSet(
-                items=(1,), zeta_lo=0.5, zeta_hi=0.4, nu_lo={1: 0.1},
-                nu_hi={1: 0.2}, theta_lo=0.0, theta_hi=1.0, s_hi=(), xi_lo={1: 0.0},
-                xi_hi={1: 0.1}, epochs=0,
-            )
-        with pytest.raises(ValueError):
-            EstimateSet(
-                items=(1,), zeta_lo=0.0, zeta_hi=1.0, nu_lo={1: 0.3},
-                nu_hi={1: 0.2}, theta_lo=0.0, theta_hi=1.0, s_hi=(), xi_lo={1: 0.0},
-                xi_hi={1: 0.1}, epochs=0,
-            )
-        with pytest.raises(ValueError):
-            EstimateSet(
-                items=(1,), zeta_lo=0.0, zeta_hi=1.0, nu_lo={1: 0.1},
-                nu_hi={1: 0.2}, theta_lo=0.0, theta_hi=1.0, s_hi=(), xi_lo={1: 0.2},
-                xi_hi={1: 0.1}, epochs=0,
-            )
-        with pytest.raises(ValueError, match="scored items"):
-            EstimateSet(
-                items=(1,), zeta_lo=0.0, zeta_hi=1.0, nu_lo={1: 0.1, 2: 0.1},
-                nu_hi={1: 0.2, 2: 0.2}, theta_lo=0.0, theta_hi=1.0, s_hi=(2,),
-                xi_lo={1: 0.0}, xi_hi={1: 0.1}, epochs=0,
-            )
+        valid = dict(
+            items=(1,), m=1, zeta_lo=0.0, zeta_hi=1.0, nu_lo={1: 0.1}, nu_hi={1: 0.2},
+            theta_lo=0.0, theta_hi=1.0, s_hi=(), xi_lo={1: 0.0}, xi_hi={1: 0.1}, epochs=0,
+        )
+        EstimateSet(**valid)
+        for change, message in [
+            ({"m": 0}, "residual capacity must be >= 1"),
+            ({"zeta_lo": 0.5, "zeta_hi": 0.4}, "stop-reward interval out of order or range"),
+            ({"theta_lo": 0.6, "theta_hi": 0.5}, "revenue interval out of order or range"),
+            ({"theta_hi": 1.5}, "revenue interval out of order or range"),
+            ({"nu_lo": {1: 0.3}}, "weight interval for item 1 out of order"),
+            ({"xi_lo": {1: 0.2}}, "score interval for item 1 out of order"),
+            ({"nu_lo": {1: 0.1, 2: 0.1}, "nu_hi": {1: 0.2, 2: 0.2}, "s_hi": (2,)},
+             "the upper solve's set must lie in the scored items"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                EstimateSet(**{**valid, **change})
 
     def test_width_helpers(self):
         est = EstimateSet(
-            items=(1, 2), zeta_lo=0.0, zeta_hi=1.0,
+            items=(1, 2), m=2, zeta_lo=0.0, zeta_hi=1.0,
             nu_lo={1: 0.1, 2: 0.2}, nu_hi={1: 0.2, 2: 0.6},
             theta_lo=0.0, theta_hi=1.0, s_hi=(),
             xi_lo={1: -0.1, 2: 0.0}, xi_hi={1: 0.1, 2: 0.5},

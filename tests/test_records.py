@@ -21,7 +21,7 @@ from mnlbandit.oracle import OptimumSolution
 
 _SPLIT = _Split(size=2, mask=None, probs=np.array([0.25, 0.75]), only=None)
 _EST = EstimateSet(
-    items=(2,), zeta_lo=0.1, zeta_hi=0.2, nu_lo={2: 0.3}, nu_hi={2: 0.4},
+    items=(2,), m=1, zeta_lo=0.1, zeta_hi=0.2, nu_lo={2: 0.3}, nu_hi={2: 0.4},
     theta_lo=0.3, theta_hi=0.5, s_hi=(2,), xi_lo={2: -0.1}, xi_hi={2: 0.2}, epochs=8,
 )
 
@@ -44,8 +44,8 @@ RECORDS = {
     ),
     "PhaseState": (
         PhaseState,
-        {"k": 1, "a_set": (1,), "b_set": (2, 3), "eps_k": 0.5, "delta_k": 0.01, "m": 1,
-         "alpha": 0.1, "beta": 0.2, "b_acc": (), "b_rej": (3,), "steps": 40, "est": _EST},
+        {"k": 1, "a_set": (1,), "b_set": (2, 3), "eps_k": 0.5, "delta_k": 0.01, "alpha": 0.1,
+         "beta": 0.2, "b_acc": (), "b_rej": (3,), "steps": 40, "est": _EST},
         {},
     ),
     "RunResult": (
