@@ -114,6 +114,20 @@ def _seed(text: str) -> int:
     return value
 
 
+def _refuse_overwrites(inputs, outputs) -> None:
+    """Refuse, as a usage error, an output that names an input or an earlier
+    output once both paths are resolved (`os.path.realpath`); inputs may repeat.
+    Each entry is ``(label, path)``; a ``None`` path is skipped."""
+    taken = {os.path.realpath(path): f"{label} {path}" for label, path in inputs}
+    for label, path in outputs:
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in taken:
+            raise UsageError(f"{label} {path} names the same file as {taken[real]}")
+        taken[real] = f"{label} {path}"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
@@ -450,6 +464,11 @@ def _cmd_run(args) -> int:
     max_workers = _worker_count()
     _import_numpy_random()
 
+    _refuse_overwrites(
+        [("--instance", args.instance)],
+        [("--out", args.out), ("the sidecar", args.out + ".meta.json"),
+         ("--curve-out", args.curve_out)],
+    )
     inst, inst_meta = read_instance(args.instance)
     for path in filter(None, (args.out, args.curve_out)):  # fail before replication 0
         folder = os.path.dirname(os.path.abspath(path))
@@ -575,6 +594,7 @@ def _summarize_file(path: str) -> Optional[Dict[str, str]]:
 def _cmd_summarize(args) -> int:
     import csv
 
+    _refuse_overwrites([("--results", path) for path in args.results], [("--out", args.out)])
     rows = [row for row in map(_summarize_file, args.results) if row is not None]
     target = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:

@@ -1,11 +1,14 @@
-"""Frozen reference of the epoch sampler, as it was before per-key plans.
+"""Law reference of the epoch sampler: the v3 stream, stated from its definition.
 
-``sample_epochs`` below is the earlier ``Environment.sample_epochs`` body,
-written as a function of the environment: it re-validates both sets and
-rebuilds every weight vector and probability on each call.  The tests
-require the planned sampler to match it field for field and to leave the
-generator in the same state, so the two draw the same numbers in the same
-order.
+``sample_epochs`` below draws what ``Environment.sample_epochs`` draws under
+``RNG_ALGORITHM_ID`` v3, written as a function of the environment and computed
+from the instance on every call: it re-validates both sets and rebuilds every
+weight vector and probability, with no plan, table or cached split.  It draws
+the purchase total ``M ~ NegBin(T, q)``; a batch whose ``T + M`` steps
+overrun the budget is cut there, charged the rest of the budget and draws
+nothing more; any other batch then draws the item split and the stop split.
+The tests require the sampler to match it field for field, ledger and
+generator state included, for every batch below the sampler's limits.
 """
 
 import numpy as np
@@ -13,12 +16,9 @@ import numpy as np
 from mnlbandit.env import EpochBatch
 from mnlbandit.model import revenue, validate_assortment
 
-#: numpy's hypergeometric sampler requires both of its counts below this.
-_HYPERGEOM_LIMIT = 10**9
-
 
 def sample_epochs(env, z, s, epochs):
-    """``env.sample_epochs(z, s, epochs)``, the earlier way."""
+    """``env.sample_epochs(z, s, epochs)``, by the v3 law."""
     tz = validate_assortment(z, env.n)
     ts = validate_assortment(s, env.n)
     if set(tz) & set(ts):
@@ -43,42 +43,27 @@ def sample_epochs(env, z, s, epochs):
     q = stop_weights.sum() / (stop_weights.sum() + v_s.sum())
 
     budget = env.steps_remaining  # None = unlimited
-    chunk = epochs if budget is None else max(1, int(q * _HYPERGEOM_LIMIT) // 10)
-    done = 0  # completed epochs
-    bought = 0  # purchases within completed epochs
-    used = 0
-    truncated = False
-    while done < epochs:
-        t = min(epochs - done, chunk)
-        m = int(env._rng.negative_binomial(t, q))
-        if budget is None or used + t + m <= budget:
-            done += t
-            bought += m
-            used += t + m
-            continue
-        room = budget - used
-        k = int(env._rng.hypergeometric(t - 1, m, room))
-        tail = (
-            int(env._rng.binomial(room - k, 1.0 - env._rng.beta(k, 1.0)))
-            if k
-            else room
+    bought = int(env._rng.negative_binomial(epochs, q))  # purchases
+    if budget is not None and epochs + bought > budget:
+        env.ledger.record(regret, budget)
+        return EpochBatch(
+            requested=epochs,
+            epochs=0,
+            steps=budget,
+            x_sums=np.zeros(len(ts), dtype=np.int64),
+            z_sum=0.0,
+            truncated=True,
         )
-        done += k
-        bought += room - k - tail
-        used = budget
-        truncated = True
-        break
-
     x_sums = _multinomial(env._rng, bought, v_s)
-    stop_counts = _multinomial(env._rng, done, stop_weights)
-    env.ledger.record(regret, used)
+    stop_counts = _multinomial(env._rng, epochs, stop_weights)
+    env.ledger.record(regret, epochs + bought)
     return EpochBatch(
         requested=epochs,
-        epochs=done,
-        steps=used,
+        epochs=epochs,
+        steps=epochs + bought,
         x_sums=x_sums,
         z_sum=float(stop_counts @ stop_rewards),
-        truncated=truncated,
+        truncated=False,
     )
 
 

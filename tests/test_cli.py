@@ -571,6 +571,35 @@ class TestRunValidation:
         )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--out", "same.csv", "--curve-out", "{d}/same.csv"),
+         "--curve-out {d}/same.csv names the same file as --out same.csv"),
+        (("--out", "s2.txt"), "--out s2.txt names the same file as --instance {d}/s2.txt"),
+        (("--out", "a.csv", "--curve-out", "a.csv.meta.json"),
+         "--curve-out a.csv.meta.json names the same file as the sidecar a.csv.meta.json"),
+    ], ids=["curve-is-out", "out-is-instance", "curve-is-sidecar"])
+    def test_output_naming_another_file_fails_before_any_replication(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        # paths compare resolved: a relative --out names the file an absolute
+        # --curve-out does
+        def fail(*args, **kwargs):
+            raise AssertionError("replications started")
+
+        monkeypatch.setattr(cli, "_run_replications", fail)
+        monkeypatch.chdir(tmp_path)
+        inst = tmp_path / "s2.txt"
+        inst.write_bytes(Path(self.inst).read_bytes())
+        argv = [flag.format(d=tmp_path) for flag in flags]
+        for path in map(Path, argv[1::2]):
+            if not path.exists():
+                path.write_text(f"earlier {path.name}\n", encoding="utf-8")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert run_cli("run", "--instance", str(inst), "--mode", "regret", "--horizon", "100",
+                       "--seed", "1", "--reps", "2", *argv) == 1
+        assert capsys.readouterr().err == f"usage error: {message.format(d=tmp_path)}\n"
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_out_of_memory_is_a_runtime_error(self, tmp_path, capsys, monkeypatch,
                                               instance_file):
         # the regret curve of a 1e15-step horizon asks numpy for petabytes
@@ -1128,6 +1157,22 @@ class TestSummarize:
 
     def test_missing_file_is_a_runtime_error(self, tmp_path):
         assert run_cli("summarize", "--results", str(tmp_path / "nope.csv")) == 2
+
+    def test_out_naming_a_results_file_fails_before_any_summary(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("summary started")
+
+        monkeypatch.setattr(cli, "_summarize_file", fail)
+        a, res = str(tmp_path / "a.csv"), str(tmp_path / "res.csv")
+        self.write_results(a, [self.row(0, 10, 1, 1)])
+        self.write_results(res, [self.row(0, 40, 0, 2)])
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert run_cli("summarize", "--results", a, res, "--out", res) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --out {res} names the same file as --results {res}\n"
+        )
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 class TestProcessStartUp:

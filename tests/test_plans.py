@@ -1,12 +1,11 @@
-"""Differential tests of the per-key sampling plans and the array ``ci_theta``.
+"""Differential tests of the per-key sampling plans and of ``ci_theta``.
 
-The planned sampler must draw exactly what the earlier one drew
-(``sampler_reference``), call for call, for every batch that fits its step
-budget, also when per-epoch detail (``epoch_detail``) is drawn after a batch;
-a batch the budget cuts must spend what the earlier one spent.  The
-array-native ``ci_theta`` and its list-interface ``fractional_optimum`` must
-return what the dict-interface reference solve (``oracle_reference``)
-returns, bit for bit.
+The planned sampler must draw exactly what the v3 law reference
+(``sampler_reference``) draws, call for call, for every batch, cut by the step
+budget or not, also when per-epoch detail (``epoch_detail``) is drawn after a
+batch.  ``ci_theta`` and its list-interface ``fractional_optimum`` must return
+what the dict-interface reference solve (``oracle_reference``) returns, bit for
+bit.
 """
 
 import numpy as np
@@ -24,8 +23,8 @@ from oracle_reference import fractional_optimum as reference_fractional_optimum
 from sampler_reference import sample_epochs as reference_sample_epochs
 
 
-def _random_instance(rng):
-    n = int(rng.integers(2, 9))
+def _random_instance(rng, n_max=8):
+    n = int(rng.integers(2, n_max + 1))
     k = int(rng.integers(1, n + 1))
     v = rng.uniform(0.0, 1.0, n)
     v[rng.random(n) < 0.25] = 0.0  # zero-weight items
@@ -43,31 +42,16 @@ def _random_pair(rng, inst):
 
 def _assert_same_draws(new_env, old_env, z, s, epochs, detail=False):
     """Sample one batch in each environment (and its per-epoch detail when
-    asked) and require equal results and generator states; return the new
-    batch.
-
-    A batch the step budget cuts is the end of the run: the sampler draws its
-    purchase total and nothing more, where the reference went on to refine
-    the cut.  Such a batch must agree with the reference on the request, the
-    steps spent and the ledger, report no statistics, and leave the
-    generator exactly one negative-binomial draw on.
-    """
-    state = new_env._rng.bit_generator.state
+    asked) and require equal results, ledgers and generator states, whether
+    or not the step budget cuts the batch; return the new batch."""
     new = new_env.sample_epochs(z, s, epochs)
     old = reference_sample_epochs(old_env, z, s, epochs)
-    assert (new.requested, new.steps, new.truncated) == (old.requested, old.steps, old.truncated)
+    assert (new.requested, new.epochs, new.steps, new.z_sum, new.truncated) == (
+        old.requested, old.epochs, old.steps, old.z_sum, old.truncated,
+    )
     assert (new_env.ledger.steps, new_env.ledger.cum_regret, new_env.ledger._segments) == (
         old_env.ledger.steps, old_env.ledger.cum_regret, old_env.ledger._segments,
     )
-    if new.truncated:
-        assert new.epochs == 0 and new.z_sum == 0.0
-        np.testing.assert_array_equal(new.x_sums, np.zeros(len(new.tracked), dtype=np.int64))
-        one_draw = np.random.Generator(np.random.PCG64())
-        one_draw.bit_generator.state = state
-        one_draw.negative_binomial(epochs, new_env._plan(s, z).q)
-        assert new_env._rng.bit_generator.state == one_draw.bit_generator.state
-        return new
-    assert new.epochs == old.epochs and new.z_sum == old.z_sum
     arrays = [(new.x_sums, old.x_sums)]
     if detail:
         arrays += zip(epoch_detail(new_env, new), epoch_detail(old_env, old))
@@ -83,8 +67,11 @@ class TestSamplerMatchesReference:
     def test_random_cases(self, budgeted):
         rng = np.random.default_rng(20 + budgeted)
         cuts = fits = 0
+        widths = set()
         for case in range(150):
-            inst = _random_instance(rng)
+            # every third instance is wide enough for numpy's pairwise sums:
+            # eight accumulators past 8 items, recursion past 128
+            inst = _random_instance(rng, 300 if case % 3 == 0 else 8)
             horizon = int(rng.integers(1, 5000)) if budgeted else None
             new = Environment(inst, fork_stream(case, 0), horizon=horizon)
             old = Environment(inst, fork_stream(case, 0), horizon=horizon)
@@ -96,7 +83,9 @@ class TestSamplerMatchesReference:
                 cut = _assert_same_draws(new, old, z, s, epochs, detail).truncated
                 cuts += cut
                 fits += not cut
+                widths.update((len(z) + 1, len(s)))  # the weight vectors summed
         assert fits > 0 and (cuts > 0) == budgeted
+        assert max(widths) > 128 and any(8 < w <= 128 for w in widths)
 
     @pytest.mark.parametrize("horizon", [None, 30_000], ids=["unbudgeted", "budgeted"])
     @pytest.mark.parametrize(
@@ -125,16 +114,16 @@ class TestSamplerMatchesReference:
             assert new.ledger.steps == horizon
 
     def test_a_batch_far_past_the_budget_is_cut(self):
-        # A batch that fits a large budget draws as the reference does; one
-        # far beyond what is left is cut with a single draw, however many
-        # epochs it asks for.
+        # Batches that fit a large budget draw as the reference does, also one
+        # of 10**8 epochs; one far beyond what is left is cut with a single
+        # draw, however many epochs it asks for.
         inst = Instance(n=4, k=3, r=[1.0, 0.6, 0.3, 0.8], v=[0.2, 0.0, 0.9, 0.5])
         for seed, (z, s) in enumerate([((1,), (3, 4)), ((), (2, 3)), ((2, 4), (1,))]):
             new = Environment(inst, fork_stream(seed, 1), horizon=3 * 10**8)
             old = Environment(inst, fork_stream(seed, 1), horizon=3 * 10**8)
             cuts = [_assert_same_draws(new, old, z, s, epochs).truncated
-                    for epochs in (10**7, 10**10, 5)]
-            assert cuts == [False, True, True]
+                    for epochs in (10**7, 10**8, 10**10, 5)]
+            assert cuts == [False, False, True, True]
             assert new.ledger.steps == 3 * 10**8
 
     def test_lists_and_numpy_ids_draw_the_same(self):
