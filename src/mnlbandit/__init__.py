@@ -3,13 +3,16 @@
 Layers, bottom to top:
 
 * `mnlbandit.model`      — instances, assortments and revenue;
-* `mnlbandit.oracle`     — the exact optimization oracle and the hard family;
+* `mnlbandit.instances`  — instance families, the hard one included, and the
+  text file format;
+* `mnlbandit.oracle`     — the exact optimization oracle;
 * `mnlbandit.env`        — seeded simulator, step accounting, regret ledger;
 * `mnlbandit.estimators` — one exploration loop and the five estimation
   procedures built on it;
 * `mnlbandit.driver`     — accept-reject drivers (exact PAC, eps-PAC, regret);
-* `mnlbandit.instances`  — instance families and the text file format;
 * `mnlbandit.cli`        — the ``mnlbandit`` benchmark command.
+
+A module imports only the modules listed above it.
 
 The package exports each layer's entry points: instances, the oracle, the
 simulator, the estimators and the drivers.  The building blocks under them
@@ -29,13 +32,13 @@ __version__ = "0.1.0"
 #: The module that defines each exported name.
 _LAYERS = {
     "model": ("Instance", "revenue", "validate_assortment"),
-    "oracle": ("OptimumSolution", "exact_optimum", "lower_bound_instance", "revenue_margin",
-               "suboptimality_gaps"),
+    "oracle": ("OptimumSolution", "exact_optimum", "revenue_margin", "suboptimality_gaps"),
     "env": ("Environment", "HorizonExhausted", "RNG_ALGORITHM_ID", "fork_stream"),
     "estimators": ("DESK_TUNING", "EstimateSet", "PAPER_TUNING", "Tuning", "est_adaptive",
                    "est_naive", "est_reduced", "est_reg", "est_rough"),
     "driver": ("RunResult", "pac_eps", "pac_exact", "regret_min", "sar_mnl"),
-    "instances": ("generate_instance", "read_instance", "write_instance"),
+    "instances": ("generate_instance", "lower_bound_instance", "read_instance",
+                  "write_instance"),
 }
 
 __all__ = [name for names in _LAYERS.values() for name in names]

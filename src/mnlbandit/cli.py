@@ -60,7 +60,6 @@ from .instances import (
     write_instance,
 )
 from .model import Instance
-from .oracle import exact_optimum, suboptimality_gaps
 
 if TYPE_CHECKING:
     from .driver import RunResult
@@ -236,6 +235,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import exact_optimum, suboptimality_gaps
+
     inst, _ = read_instance(args.instance)
     opt = exact_optimum(inst)
     lines = [

@@ -40,7 +40,7 @@ from .estimators import (
     PAPER_TUNING,
     ROUGH_DIVISOR,
     Tuning,
-    _split_delta,
+    _log_term,
     est_adaptive,
     est_naive,
     est_reduced,
@@ -134,10 +134,10 @@ def accept_reject(
 
 
 def _check_delta(delta: float, n: int, share: float = 1.0) -> None:
-    """Refuse a ``delta`` whose smallest split `_split_delta` refuses: `sar_mnl` gets
+    """Refuse a ``delta`` whose smallest split `_log_term` refuses: `sar_mnl` gets
     ``share * delta``, phase ``k`` divides it by ``3 k^2`` and an estimator by at most
     ``ROUGH_DIVISOR n``."""
-    _split_delta(delta, 3 * PHASE_CAP**2 * ROUGH_DIVISOR / share, n)
+    _log_term(delta, 3 * PHASE_CAP**2 * ROUGH_DIVISOR / share, n)
 
 
 def sar_mnl(

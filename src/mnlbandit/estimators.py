@@ -32,7 +32,9 @@ Confidence intervals:
   ``xi_lo = min(nu_lo, nu_hi) * (r_i - theta_hi)`` taken over both weight
   ends, and symmetrically for ``xi_hi`` with ``theta_lo``.
 
-Schedules and tuning.  The refinement procedures use
+Schedules and tuning.  `_log_term` turns an estimate's share ``delta0`` into
+``log(2/delta)`` at ``delta = delta0 / (divisor n)``, the one factor that both
+schedules and both radii derive from.  The refinement procedures use
 ``tau = ceil(C2 * C0 * log(2/delta) / eps^2)`` epochs per unit of work and
 the rough procedure uses ``tau = ceil(4 k C0 log(2/delta))``, with the
 paper's ``C0 = 196`` and ``C2 = 1024``.  These constants make the guarantees
@@ -104,42 +106,39 @@ PAPER_TUNING = Tuning()
 DESK_TUNING = Tuning(tau_scale=2e-6, rough_tau_scale=0.02, ci_scale=0.02)
 
 
-def _split_delta(delta0: float, divisor: float, n: int) -> float:
-    """``delta0 / (divisor n)``, refusing a ``delta0`` outside (0, 1) or one
-    that splits below the smallest normal float, where ``log(2 / delta)``
-    overflows."""
+def _log_term(delta0: float, divisor: float, n: int) -> float:
+    """``log(2/delta)`` at ``delta = delta0 / (divisor n)``, refusing a ``delta0``
+    outside (0, 1) or one that splits below the smallest normal float, where the
+    log overflows."""
     if not (0.0 < delta0 < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     smallest = sys.float_info.min * divisor * n
     if delta0 < smallest:
         raise ValueError(f"delta {delta0!r} is too small to split for n = {n} items: "
                          f"the smallest delta accepted is {smallest!r}")
-    return delta0 / (divisor * n)
+    return math.log(2.0 / (delta0 / (divisor * n)))
 
 
-def _log_term(delta: float) -> float:
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    return math.log(2.0 / delta)
+def _epochs(raw: float, multiplier: str, value: float) -> int:
+    """``ceil(raw)``, at least 1; an infinite ``raw`` is refused, naming the
+    ``multiplier`` that overflowed it and its ``value``."""
+    if not math.isfinite(raw):
+        raise OverflowError(f"{multiplier} {value!r} overflows the epoch count")
+    return max(1, math.ceil(raw))
 
 
-def _refinement_tau(delta: float, eps: float, tuning: Tuning) -> int:
+def _refinement_tau(log_term: float, eps: float, tuning: Tuning) -> int:
     """``ceil(tau_scale * C2 * C0 * log(2/delta) / eps^2)``, at least 1."""
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    raw = tuning.tau_scale * C2 * C0 * _log_term(delta) / (eps * eps)
-    if not math.isfinite(raw):
-        raise OverflowError(f"tau_scale {tuning.tau_scale!r} overflows the epoch count")
-    return max(1, math.ceil(raw))
+    raw = tuning.tau_scale * C2 * C0 * log_term / (eps * eps)
+    return _epochs(raw, "tau_scale", tuning.tau_scale)
 
 
-def _rough_tau(delta: float, k: int, tuning: Tuning) -> int:
+def _rough_tau(log_term: float, k: int, tuning: Tuning) -> int:
     """``ceil(rough_tau_scale * 4 k C0 log(2/delta))``, at least 1."""
-    raw = tuning.rough_tau_scale * 4.0 * k * C0 * _log_term(delta)
-    if not math.isfinite(raw):
-        raise OverflowError(
-            f"rough_tau_scale {tuning.rough_tau_scale!r} overflows the epoch count")
-    return max(1, math.ceil(raw))
+    raw = tuning.rough_tau_scale * 4.0 * k * C0 * log_term
+    return _epochs(raw, "rough_tau_scale", tuning.rough_tau_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +171,9 @@ class ExploreState:
 # ---------------------------------------------------------------------------
 
 
-def _confidence(delta: float, tuning: Tuning) -> float:
-    """``L = ci_scale * log(2/delta)``, the log factor of both radii."""
-    return tuning.ci_scale * _log_term(delta)
-
-
 def ci_zeta(state: ExploreState, big_l: float) -> Tuple[float, float]:
     """Hoeffding interval for the stop-reward mean: radius ``sqrt(L / (2 t_z))``
-    at `_confidence`'s ``L``, clamped to [0, 1]; [0, 1] before any epoch."""
+    with ``L = ci_scale log(2/delta)``, clamped to [0, 1]; [0, 1] before any epoch."""
     if state.t_z == 0:
         return (0.0, 1.0)
     rad = math.sqrt(big_l / (2.0 * state.t_z))
@@ -190,8 +184,8 @@ def ci_zeta(state: ExploreState, big_l: float) -> Tuple[float, float]:
 def ci_nu(count: int, t: int, big_l: float) -> Tuple[float, float]:
     """Bernstein-style interval for the reduced weight of an item bought
     ``count`` times in ``t`` epochs: radius ``sqrt(48 nu_bar L / t) + 48 L / t``
-    with ``nu_bar = count / t`` at `_confidence`'s ``L``, clamped to [0, 1];
-    [0, 1] when ``t = 0``."""
+    with ``nu_bar = count / t`` and ``L = ci_scale log(2/delta)``, clamped to
+    [0, 1]; [0, 1] when ``t = 0``."""
     if t == 0:
         return (0.0, 1.0)
     bar = count / t
@@ -359,22 +353,23 @@ def _estimate(
 ) -> EstimateSet:
     """The refinement procedures: `_explore` the group plan, then bound.
 
-    It takes ``delta = delta0 / (divisor n)`` and ``tau = ceil(C2 C0
-    log(2/delta) / eps^2)``.  A *reduced* estimate stops at the pinned set
-    ``ta``, estimates the stop reward and the reduced weights of ``tb``, and
-    bounds the revenue at the residual capacity ``m`` from `_sets`; a *raw*
-    one stops at nothing, pins the stop-reward term to 0, estimates the raw
-    weights of ``ta ∪ tb`` and bounds the revenue at capacity ``|a| + m =
-    min(k, |a| + |b|)``.  Scores are returned for the pending items ``tb``.
+    One `_log_term`, at ``delta = delta0 / (divisor n)``, gives both ``tau =
+    ceil(C2 C0 log(2/delta) / eps^2)`` and the radii's ``L``.  A *reduced*
+    estimate stops at the pinned set ``ta``, estimates the stop reward and the
+    reduced weights of ``tb``, and bounds the revenue at the residual capacity
+    ``m`` from `_sets`; a *raw* one stops at nothing, pins the stop-reward term
+    to 0, estimates the raw weights of ``ta ∪ tb`` and bounds the revenue at
+    capacity ``|a| + m = min(k, |a| + |b|)``.  Scores are returned for the
+    pending items ``tb``.
     """
-    delta = _split_delta(delta0, divisor, env.n)
-    tau = _refinement_tau(delta, eps, tuning)
+    log_term = _log_term(delta0, divisor, env.n)
+    tau = _refinement_tau(log_term, eps, tuning)
     if reduced:
         stop, weighed, capacity = ta, tb, m
     else:
         stop, weighed, capacity = (), tuple(sorted(ta + tb)), len(ta) + m
     state = _explore(env, stop, groups, tau)
-    big_l = _confidence(delta, tuning)
+    big_l = tuning.ci_scale * log_term
     zeta_lo, zeta_hi = ci_zeta(state, big_l) if reduced else (0.0, 0.0)
     nu_lo: Dict[int, float] = {}
     nu_hi: Dict[int, float] = {}
@@ -437,11 +432,11 @@ def est_rough(
     ``[v_i, max(2 v_i, 1/k)]`` — exactly the quality the adaptive
     estimator's layer assignment needs.
     """
-    delta = _split_delta(delta0, ROUGH_DIVISOR, env.n)
-    tau = _rough_tau(delta, env.k, tuning)
+    log_term = _log_term(delta0, ROUGH_DIVISOR, env.n)
+    tau = _rough_tau(log_term, env.k, tuning)
     items = range(1, env.n + 1)
     state = _explore(env, (), [((i,), 1) for i in items], tau)  # per-item counters keep items apart
-    big_l = _confidence(delta, tuning)
+    big_l = tuning.ci_scale * log_term
     return {i: ci_nu(state.n[i], state.t[i], big_l)[1] for i in items}
 
 

@@ -67,7 +67,6 @@ __all__ = [
     "exact_optimum",
     "suboptimality_gaps",
     "revenue_margin",
-    "lower_bound_instance",
 ]
 
 #: Brute-force enumeration guard: refuse instances whose subset lattice would
@@ -255,62 +254,3 @@ def revenue_margin(inst: Instance) -> float:
     draw is a hard instance, not a refused one.
     """
     return min(suboptimality_gaps(inst).values())
-
-
-def lower_bound_instance(
-    n: int, k: int, gaps: Sequence[float]
-) -> Instance:
-    """Hard-instance family with prescribed suboptimality gaps.
-
-    All rewards are 1, so revenue is ``W/(1+W)`` with ``W`` the offered
-    weight sum — maximized by the heaviest ``k`` items.  The first ``k``
-    items form the optimal assortment with total weight exactly 1 (hence
-    ``theta* = 1/2`` and ``R([k]) = 1/2``), and each item ``k + j`` (j >= 1)
-    gets a weight that makes its realized suboptimality gap exactly
-    ``gaps[j-1]``:
-
-        k >= 2:  v_i = 1/k + 1/(2k(k-1))  for i < k,   v_k = 1/(2k);
-        k  = 1:  v_1 = 1  (the singleton optimal set must carry weight 1);
-        both:    v_{k+j} = v_k - g_j,   g_j = 4 d_j / (1 + 2 d_j),
-                 d_j = gaps[j-1].
-
-    Why this realizes the gaps: the best assortment containing item ``k+j``
-    swaps it for the lightest optimal item (weight ``v_k``), dropping the
-    weight sum from 1 to ``1 - g_j`` and the revenue from ``1/2`` to
-    ``(1 - g_j) / (2 - g_j)``; the difference equals ``d_j`` precisely when
-    ``g_j = 4 d_j / (1 + 2 d_j)``.
-
-    Preconditions: ``n >= 2``, ``k <= n/2``, and every gap lies in
-    ``(0, 1/(16k)]``.  The realized gaps of items ``k+1..n`` (via
-    ``suboptimality_gaps``) equal the inputs exactly up to float rounding.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not (1 <= k and 2 * k <= n):
-        raise ValueError("capacity must satisfy 1 <= k <= n/2")
-    gap_arr = np.asarray(gaps, dtype=float)
-    if gap_arr.shape != (n - k,):
-        raise ValueError(
-            f"need exactly n - k = {n - k} gaps for the non-optimal items, "
-            f"got {gap_arr.shape}"
-        )
-    if not np.all((gap_arr > 0.0) & (gap_arr <= 1.0 / (16.0 * k))):  # NaN fails
-        raise ValueError("every gap must lie in (0, 1/(16 k)]")
-
-    v = np.empty(n, dtype=float)
-    r = np.ones(n, dtype=float)
-    if k == 1:
-        # Optimal set {1} must carry total weight 1 on its own.
-        v[0] = 1.0
-    else:
-        v[: k - 1] = 1.0 / k + 1.0 / (2.0 * k * (k - 1))
-        v[k - 1] = 1.0 / (2.0 * k)
-    # Swapping the lightest optimal item (weight w_k = v[k-1]) for item k+j
-    # changes the optimal-set weight sum from 1 to 1 - g_j, which moves the
-    # revenue from 1/2 to (1 - g_j)/(2 - g_j); solving
-    # 1/2 - (1 - g)/(2 - g) = d gives g = 4 d / (1 + 2 d).
-    g = 4.0 * gap_arr / (1.0 + 2.0 * gap_arr)
-    v[k:] = v[k - 1] - g
-    if np.any(v[k:] <= 0.0):  # cannot happen under the gap precondition
-        raise ValueError("gap sequence produced a nonpositive weight")
-    return Instance(n=n, k=k, r=r, v=v)

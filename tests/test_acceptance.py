@@ -21,7 +21,6 @@ from mnlbandit.estimators import (
     DESK_TUNING,
     PAPER_TUNING,
     ExploreState,
-    _confidence,
     ci_nu,
     ci_zeta,
     est_adaptive,
@@ -29,13 +28,12 @@ from mnlbandit.estimators import (
     est_reduced,
     est_rough,
 )
-from mnlbandit.instances import generate_instance
+from mnlbandit.instances import generate_instance, lower_bound_instance
 from mnlbandit.model import Instance, revenue
 from mnlbandit.oracle import (
     brute_force_optimum,
     exact_optimum,
     fractional_optimum,
-    lower_bound_instance,
     suboptimality_gaps,
 )
 from baselines import uniform_random_regret
@@ -191,7 +189,7 @@ def test_criterion_05_interval_coverage():
 
     nu, t_epochs = 0.3, 2000
     sums = rng.negative_binomial(t_epochs, 1.0 / (1.0 + nu), size=trials)
-    big_l = _confidence(delta, PAPER_TUNING)
+    big_l = PAPER_TUNING.ci_scale * math.log(2 / delta)
     covered_nu = 0
     for s in sums:
         lo, hi = ci_nu(int(s), t_epochs, big_l)

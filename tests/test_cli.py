@@ -883,8 +883,9 @@ class TestRunPac:
         )
         run_python(script, MNL_THREADS="2")
         assert len(read_rows(out)) == 8
-        # gen in a fresh process loads neither the simulator layers, nor the
-        # run's output formats, nor OpenSSL (where numpy.random loads lazily)
+        # gen in a fresh process loads neither the solver, nor the simulator
+        # layers, nor the run's output formats, nor OpenSSL (where numpy.random
+        # loads lazily)
         gen = ["gen", "--family", "uniform", "--n", "4", "--k", "2", "--seed", "5",
                "--out", str(tmp_path / "g.inst")]
         script = (
@@ -893,14 +894,15 @@ class TestRunPac:
             "lazy = 'numpy.random' not in sys.modules\n"
             "from mnlbandit import cli\n"
             f"assert cli.main({gen!r}) == 0\n"
-            "unused = ['mnlbandit.env', 'mnlbandit.estimators', 'mnlbandit.driver', 'csv',\n"
-            "          'json'] + ['_hashlib'] * lazy\n"
+            "unused = ['mnlbandit.oracle', 'mnlbandit.env', 'mnlbandit.estimators',\n"
+            "          'mnlbandit.driver', 'csv', 'json'] + ['_hashlib'] * lazy\n"
             "loaded = [name for name in unused if name in sys.modules]\n"
             "assert not loaded, loaded\n"
         )
         run_python(script)
         assert (tmp_path / "g.inst").read_bytes() == (tmp_path / "u.inst").read_bytes()
-        # a lower-bound gen draws nothing, so it loads no generator either
+        # a lower-bound gen draws nothing, so it loads no generator either, and
+        # its hard family solves nothing
         gen = ["gen", "--family", "lower-bound", "--n", "4", "--k", "2",
                "--gaps", "0.01,0.01", "--out", str(tmp_path / "lb.inst")]
         script = (
@@ -911,6 +913,19 @@ class TestRunPac:
             f"assert cli.main({gen!r}) == 0\n"
             "loaded = [name for name in ('numpy.random', '_hashlib') if name in sys.modules]\n"
             "assert not (lazy and loaded), loaded\n"
+            "assert 'mnlbandit.oracle' not in sys.modules\n"
+        )
+        run_python(script)
+        # summarize reads results and loads no layer above the instances
+        summarize = ["summarize", "--results", str(out), "--out", str(tmp_path / "s.csv")]
+        script = (
+            "import sys\n"
+            "from mnlbandit import cli\n"
+            f"assert cli.main({summarize!r}) == 0\n"
+            "unused = ['mnlbandit.oracle', 'mnlbandit.env', 'mnlbandit.estimators',\n"
+            "          'mnlbandit.driver', 'json']\n"
+            "loaded = [name for name in unused if name in sys.modules]\n"
+            "assert not loaded, loaded\n"
         )
         run_python(script)
         # a run through a pool that starts at once loads no executor, and its

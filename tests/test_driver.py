@@ -32,13 +32,9 @@ from mnlbandit.estimators import (
     est_rough,
     _sets,
 )
-from mnlbandit.instances import generate_instance
+from mnlbandit.instances import generate_instance, lower_bound_instance
 from mnlbandit.model import Instance, revenue
-from mnlbandit.oracle import (
-    brute_force_optimum,
-    lower_bound_instance,
-    suboptimality_gaps,
-)
+from mnlbandit.oracle import brute_force_optimum, suboptimality_gaps
 from baselines import uniform_random_regret
 from model_reference import ReducedParams, reduce_params
 from offer_reference import offer

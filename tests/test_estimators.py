@@ -21,6 +21,7 @@ from mnlbandit.estimators import (
     PAPER_TUNING,
     Tuning,
     _explore,
+    _log_term,
     _refinement_tau,
     _rough_tau,
     ci_nu,
@@ -93,26 +94,27 @@ class TestTuningProfiles:
 class TestSchedules:
     def test_refinement_tau_pinned_value(self):
         # ceil(1024 * 196 * log(2/0.01) / 0.5^2) computed independently.
-        assert _refinement_tau(0.01, 0.5, PAPER_TUNING) == 4253574
+        assert _refinement_tau(_log_term(0.01, 1, 1), 0.5, PAPER_TUNING) == 4253574
 
     def test_rough_tau_pinned_value(self):
         # ceil(4 * 3 * 196 * log(2/0.01)) computed independently.
-        assert _rough_tau(0.01, 3, PAPER_TUNING) == 12462
+        assert _rough_tau(_log_term(0.01, 1, 1), 3, PAPER_TUNING) == 12462
 
     def test_tau_rounds_up_and_floors_at_one(self):
         tiny = Tuning(tau_scale=1e-12, rough_tau_scale=1e-12)
-        assert _refinement_tau(0.1, 1.0, tiny) == 1
-        assert _rough_tau(0.1, 2, tiny) == 1
+        assert _refinement_tau(_log_term(0.1, 1, 1), 1.0, tiny) == 1
+        assert _rough_tau(_log_term(0.1, 1, 1), 2, tiny) == 1
         raw = 1024 * 196 * math.log(2 / 0.3) / (0.7**2)
-        assert _refinement_tau(0.3, 0.7, PAPER_TUNING) == math.ceil(raw)
+        assert _refinement_tau(_log_term(0.3, 1, 1), 0.7, PAPER_TUNING) == math.ceil(raw)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            _refinement_tau(0.0, 0.5, PAPER_TUNING)
-        with pytest.raises(ValueError):
-            _refinement_tau(0.1, 0.0, PAPER_TUNING)
-        with pytest.raises(ValueError):
-            _refinement_tau(0.1, 1.5, PAPER_TUNING)
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\)$"):
+            _log_term(0.0, 15, 4)
+        log_term = _log_term(0.1, 15, 4)
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\]$"):
+            _refinement_tau(log_term, 0.0, PAPER_TUNING)
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\]$"):
+            _refinement_tau(log_term, 1.5, PAPER_TUNING)
 
 
 class TestDeltaFloor:
@@ -437,7 +439,7 @@ class TestEstNaive:
         est = est_naive(env, (1,), (2, 3), 0.2, 0.5, tuning)
         assert est.items == (2, 3)
         assert set(est.nu_lo) == {1, 2, 3}
-        units = inst.k * _refinement_tau(0.2 / (15 * inst.n), 0.5, tuning)
+        units = inst.k * _refinement_tau(_log_term(0.2, 15, inst.n), 0.5, tuning)
         assert calls == [((), (i,), units) for i in (1, 2, 3)]
         assert est.epochs == 3 * units
         assert env.ledger.steps >= est.epochs  # an epoch takes at least one step
@@ -478,7 +480,7 @@ class TestEstNaive:
             env = make_env(inst, seed=63, rep=rep)
             est = est_naive(env, (), tuple(range(1, inst.n + 1)), 0.2, 0.5, tuning)
             if expected is None:
-                tau = _refinement_tau(0.2 / (15 * inst.n), 0.5, tuning)
+                tau = _refinement_tau(_log_term(0.2, 15, inst.n), 0.5, tuning)
                 expected = inst.k * tau * float((1.0 + inst.v).sum())
             assert expected / 2 <= env.ledger.steps <= expected * 2
 
@@ -492,9 +494,9 @@ class TestEstRough:
         env = make_env(inst, seed=64)
         delta0 = 0.1
         rough = est_rough(env, delta0, PAPER_TUNING)
-        delta = delta0 / (17 * inst.n)
-        tau = _rough_tau(delta, inst.k, PAPER_TUNING)
-        want = 48 * math.log(2 / delta) / tau
+        log_term = _log_term(delta0, 17, inst.n)
+        tau = _rough_tau(log_term, inst.k, PAPER_TUNING)
+        want = 48 * log_term / tau
         np.testing.assert_allclose(rough[1], want, rtol=1e-15)
         assert 0.0 < rough[1] <= 3.0 / (49 * inst.k) + 1e-12
 
@@ -505,7 +507,7 @@ class TestEstRough:
         delta0 = 0.2
         reps = 100
         ok = 0
-        tau = _rough_tau(delta0 / (17 * inst.n), inst.k, PAPER_TUNING)
+        tau = _rough_tau(_log_term(delta0, 17, inst.n), inst.k, PAPER_TUNING)
         for rep in range(reps):
             env = make_env(inst, seed=65, rep=rep)
             rough = est_rough(env, delta0, PAPER_TUNING)
@@ -566,7 +568,7 @@ class TestEstAdaptive:
         tuning = Tuning(tau_scale=1e-6)
         calls = record_batches(env)
         est = est_adaptive(env, (1,), (2,), 0.1, 0.5, rough, tuning)
-        tau = _refinement_tau(0.1 / (15 * inst.n), 0.5, tuning)
+        tau = _refinement_tau(_log_term(0.1, 15, inst.n), 0.5, tuning)
         assert calls == [((1,), (2,), tau)]
         assert est.epochs == tau
 
@@ -638,7 +640,7 @@ class TestEstReduced:
         calls = record_batches(env)
         est = est_reduced(env, (1,), (2, 3), 0.2, 0.5, tuning)
         assert est.items == (2, 3)
-        units = inst.k * _refinement_tau(0.2 / (15 * inst.n), 0.5, tuning)
+        units = inst.k * _refinement_tau(_log_term(0.2, 15, inst.n), 0.5, tuning)
         assert calls == [((1,), (2,), units), ((1,), (3,), units)]
         assert est.epochs == 2 * units
         assert env.ledger.steps >= est.epochs  # an epoch takes at least one step
@@ -716,7 +718,7 @@ class TestEstReg:
         est = est_reg(env, (1,), (2, 3, 4), 0.2, 0.5, tuning)
         assert (est.zeta_lo, est.zeta_hi) == (0.0, 0.0)
         assert set(est.nu_lo) == {1, 2, 3, 4}  # pinned items estimated too
-        units = inst.k * _refinement_tau(0.2 / (13 * inst.n), 0.5, tuning)
+        units = inst.k * _refinement_tau(_log_term(0.2, 13, inst.n), 0.5, tuning)
         assert calls == [((), (1, 2), units), ((), (1, 3), units), ((), (1, 4), units)]
         assert est.epochs == 3 * units
         assert env.ledger.steps >= est.epochs  # an epoch takes at least one step

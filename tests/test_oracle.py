@@ -5,14 +5,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mnlbandit.instances import generate_instance
+from mnlbandit.instances import generate_instance, lower_bound_instance
 from mnlbandit.model import Instance, revenue
 from mnlbandit.oracle import (
     BRUTE_FORCE_MAX_N,
     brute_force_optimum,
     exact_optimum,
     fractional_optimum,
-    lower_bound_instance,
     revenue_margin,
     suboptimality_gaps,
 )

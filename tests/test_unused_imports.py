@@ -1,15 +1,18 @@
 """No module of the package or of its tests binds an import it never uses,
-and every helper module in ``tests/`` is imported by a test module.
+every helper module in ``tests/`` is imported by a test module, and each
+module of the package imports only the layers below it.
 
 No linter is a test dependency, so this walks each module's syntax tree with
 the standard library's `ast`.  An imported name counts as used when the
 module reads it, lists it in ``__all__``, or names it inside a string
 annotation; an import marked ``# noqa: F401`` is kept for its side effect.
 A helper module is a file of ``tests/`` not named ``test_*.py`` or
-``conftest.py``; one that no ``test_*.py`` imports is left over.
+``conftest.py``; one that no ``test_*.py`` imports is left over.  The layers
+are the modules that the package docstring lists, bottom to top.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -77,6 +80,34 @@ def imported_modules(source):
     return names
 
 
+def relative_imports(source):
+    """Modules of the package that ``source`` imports, at module level or in a
+    function (``from . import x`` names the package itself, no layer)."""
+    return {node.module.split(".")[0] for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module}
+
+
+def layers():
+    """The modules of the package docstring's "Layers, bottom to top" list."""
+    doc = ast.get_docstring(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")))
+    listing = doc.split("Layers, bottom to top:")[1].split("\n\n")[1]
+    return re.findall(r"^\* `mnlbandit\.(\w+)`", listing, re.MULTILINE)
+
+
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def test_every_module_is_a_layer():
+    assert sorted(layers()) == sorted(p.stem for p in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_only_lower_layers(path):
+    order = layers()
+    below = set(order[: order.index(path.stem)])
+    assert sorted(relative_imports(path.read_text(encoding="utf-8")) - below) == []
+
+
 @pytest.mark.parametrize(
     "path",
     sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
@@ -114,3 +145,5 @@ def test_the_check_sees_what_it_should():
     assert unused_imports(computed) == [("Instance", 1)]
     assert imported_modules("import a.b, c\nfrom d.e import f\nfrom .g import h\n") == {
         "a", "c", "d"}
+    nested = "from . import x\nfrom .g.h import i\nimport os\ndef f():\n    from .j import k\n"
+    assert relative_imports(nested) == {"g", "j"}
