@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import pickle
 import sys
@@ -235,17 +236,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .oracle import exact_optimum, suboptimality_gaps
+    from .oracle import suboptimality_gaps
 
     inst, _ = read_instance(args.instance)
-    opt = exact_optimum(inst)
+    opt, gaps = suboptimality_gaps(inst)
     lines = [
         f"n = {inst.n}",
         f"k = {inst.k}",
         f"theta_star = {format(opt.theta_star, '.17g')}",
         "s_star = " + (", ".join(str(i) for i in opt.s_star) if opt.s_star else "(empty)"),
     ]
-    gaps = suboptimality_gaps(inst)
     for i in sorted(gaps):
         lines.append(f"gap.{i} = {format(gaps[i], '.17g')}")
     sys.stdout.write("\n".join(lines) + "\n")
@@ -556,26 +556,51 @@ SUMMARY_COLUMNS = (
 )
 
 
+def _count(text: str) -> int:
+    """A results field that `run` writes as a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative count {text!r}")
+    return value
+
+
 def _summarize_file(path: str) -> Optional[Dict[str, str]]:
+    """One summary row of a results file, or None for a header alone.  Each
+    row must be one `run` writes: ``len(CSV_COLUMNS)`` fields, non-negative
+    integer ``steps`` and ``phases``, a ``success`` of 0 or 1, and an empty or
+    finite ``regret``, which may sit just below 0 (see `RegretLedger`)."""
     import csv
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(CSV_COLUMNS) - set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or set(CSV_COLUMNS) - set(header):
             raise ValueError(f"{path}: missing results columns")
         steps: List[float] = []
         success: List[int] = []
         phases: List[float] = []
         regret: List[float] = []
-        for lineno, row in enumerate(reader, start=2):
+        for fields in reader:
+            if not fields:  # a blank line holds no row
+                continue
             try:
-                steps.append(float(row["steps"]))
+                if len(fields) != len(CSV_COLUMNS):
+                    raise ValueError(f"{len(fields)} fields, not {len(CSV_COLUMNS)}")
+                row = dict(zip(header, fields))
+                if row["success"] not in ("0", "1"):
+                    raise ValueError(f"success {row['success']!r} is not 0 or 1")
+                steps.append(float(_count(row["steps"])))
+                phases.append(float(_count(row["phases"])))
                 success.append(int(row["success"]))
-                phases.append(float(row["phases"]))
                 if row["regret"]:
-                    regret.append(float(row["regret"]))
-            except (TypeError, ValueError, KeyError) as exc:
-                raise ValueError(f"{path}: line {lineno}: malformed row ({exc})") from exc
+                    value = float(row["regret"])
+                    if not math.isfinite(value):
+                        raise ValueError(f"regret {row['regret']!r} is not finite")
+                    regret.append(value)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: malformed row ({exc})"
+                ) from exc
     if not steps:
         return None
     arr = np.array(steps)

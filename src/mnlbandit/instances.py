@@ -97,9 +97,13 @@ def lower_bound_instance(
     ``(1 - g_j) / (2 - g_j)``; the difference equals ``d_j`` precisely when
     ``g_j = 4 d_j / (1 + 2 d_j)``.
 
-    Preconditions: ``n >= 2``, ``k <= n/2``, and every gap lies in
-    ``(0, 1/(16k)]``.  The realized gaps of items ``k+1..n`` (via
-    ``suboptimality_gaps``) equal the inputs exactly up to float rounding.
+    Preconditions: ``n >= 2``, ``k <= n/2``, every gap lies in
+    ``(0, 1/(16k)]``, and every ``v_{k+j}`` rounds strictly below ``v_k``.
+    A gap below ``2^-56 v_k`` to ``2^-55 v_k`` (3.5e-18 at ``k = 2``) moves
+    ``v_k`` by less than half its last place: item ``k+j`` would tie item
+    ``k`` at a realized gap of 0, so such a gap is refused.  The realized
+    gaps of items ``k+1..n`` (via ``suboptimality_gaps``) equal the inputs
+    exactly up to float rounding.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -128,8 +132,13 @@ def lower_bound_instance(
     # 1/2 - (1 - g)/(2 - g) = d gives g = 4 d / (1 + 2 d).
     g = 4.0 * gap_arr / (1.0 + 2.0 * gap_arr)
     v[k:] = v[k - 1] - g
-    if np.any(v[k:] <= 0.0):  # cannot happen under the gap precondition
-        raise ValueError("gap sequence produced a nonpositive weight")
+    tied = np.flatnonzero(v[k:] >= v[k - 1])
+    if tied.size:
+        j = int(tied[0])
+        raise ValueError(
+            f"gap {float(gap_arr[j])!r} is below float resolution: item {k + j + 1}'s "
+            f"weight rounds onto v_{k} = {float(v[k - 1])!r}, a gap of 0"
+        )
     return Instance(n=n, k=k, r=r, v=v)
 
 

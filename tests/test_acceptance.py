@@ -115,7 +115,7 @@ def test_criterion_03_prescribed_gap_family():
         gaps = rng.uniform(0.0, 1.0 / (16.0 * k), size=n - k)
         gaps = np.maximum(gaps, 1e-6)  # keep them strictly positive
         inst = lower_bound_instance(n, k, gaps)
-        realized = suboptimality_gaps(inst)
+        _, realized = suboptimality_gaps(inst)
         for j, want in enumerate(gaps, start=k + 1):
             worst_gap = max(worst_gap, abs(realized[j] - want))
         half = revenue(inst, tuple(range(1, k + 1)))
@@ -224,7 +224,7 @@ def test_criterion_06_exact_pac_success():
     invariant_violations = 0
     for seed in seeds:
         inst = generate_instance("uniform", 6, 3, seed=seed)
-        gaps = suboptimality_gaps(inst)
+        _, gaps = suboptimality_gaps(inst)
         assert min(g for g in gaps.values() if g > 0) >= 0.05
         s_star = set(brute_force_optimum(inst).s_star)
         wins = 0
@@ -306,7 +306,7 @@ def test_criterion_08_gap_scaling():
 
 def test_criterion_09_regret_behavior():
     inst = generate_instance("uniform", 10, 4, seed=14618)
-    gaps = suboptimality_gaps(inst)
+    _, gaps = suboptimality_gaps(inst)
     assert min(g for g in gaps.values() if g > 0) >= 0.05
     horizon = 100_000
     reps = 50

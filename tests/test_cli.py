@@ -15,13 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mnlbandit import cli
+from mnlbandit import cli, oracle
 from mnlbandit.cli import CSV_COLUMNS, RESULTS_FORMAT, SUMMARY_COLUMNS, main
 from mnlbandit.driver import pac_exact
 from mnlbandit.env import Environment, RegretLedger, fork_stream
 from mnlbandit.estimators import DESK_TUNING
 from mnlbandit.instances import read_instance
-from mnlbandit.oracle import brute_force_optimum, exact_optimum
+from mnlbandit.oracle import brute_force_optimum, exact_optimum, fractional_optimum
 from stream_reference import stream_digest
 
 
@@ -161,6 +161,19 @@ class TestGen:
             "--gaps", "0.01,oops", "--out", str(tmp_path / "x.inst"),
         ) == 1
 
+    def test_gaps_below_float_resolution_write_nothing(self, tmp_path, capsys):
+        # 1e-20 moves no weight off v_2 = 1/4: the instance would tie every item
+        out = tmp_path / "x.inst"
+        assert run_cli(
+            "gen", "--family", "lower-bound", "--n", "4", "--k", "2",
+            "--gaps", "1e-20,1e-20", "--out", str(out),
+        ) == 2
+        assert capsys.readouterr().err == (
+            "error: gap 1e-20 is below float resolution: item 3's weight rounds "
+            "onto v_2 = 0.25, a gap of 0\n"
+        )
+        assert not out.exists()
+
     def test_unknown_family_is_a_usage_error(self, tmp_path):
         assert run_cli(
             "gen", "--family", "cauchy", "--n", "4", "--k", "2",
@@ -208,6 +221,27 @@ class TestOracle:
 
     def test_missing_file_is_a_runtime_error(self, tmp_path):
         assert run_cli("oracle", "--instance", str(tmp_path / "nope.inst")) == 2
+
+    def test_report_solves_the_instance_once(self, tmp_path, capsys, monkeypatch):
+        # the many-small benchmark instance: one cold solve for S*, one warm per gap
+        out = str(tmp_path / "u.inst")
+        run_cli("gen", "--family", "uniform", "--n", "8", "--k", "3",
+                "--seed", "7", "--out", out)
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return fractional_optimum(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "fractional_optimum", counted)
+        assert run_cli("oracle", "--instance", out) == 0
+        report = capsys.readouterr().out
+        assert len(solves) == 8 + 1
+        opt = exact_optimum(read_instance(out)[0])
+        assert report.splitlines()[2:4] == [
+            f"theta_star = {format(opt.theta_star, '.17g')}",
+            "s_star = " + ", ".join(str(i) for i in opt.s_star),
+        ]
 
     def test_reports_beyond_the_brute_force_limit(self, tmp_path, capsys):
         out = str(tmp_path / "lb.inst")
@@ -1169,6 +1203,26 @@ class TestSummarize:
             fh.write("1,0,not-a-number,1,2,1,,ok\n")
         assert run_cli("summarize", "--results", path) == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, reason", [
+        ("1,0,10,7,2,1,,ok", "success '7' is not 0 or 1"),
+        ("1,0,nan,1,2,1,,ok", "invalid literal for int() with base 10: 'nan'"),
+        ("1,0,2.5,1,2,1,,ok", "invalid literal for int() with base 10: '2.5'"),
+        ("1,0,-5,1,2,1,,ok", "negative count '-5'"),
+        ("1,0,10,1,2,inf,,ok", "invalid literal for int() with base 10: 'inf'"),
+        ("1,0,10,1,2,1,nan,ok", "regret 'nan' is not finite"),
+        ("1,0,10,1,2,1,-inf,ok", "regret '-inf' is not finite"),
+        ("1,0,10,1,2,1,,ok,extra", "9 fields, not 8"),
+        ("1,0,10,1,2,1,", "7 fields, not 8"),
+    ], ids=["success", "nan-steps", "fractional-steps", "negative-steps", "inf-phases",
+            "nan-regret", "infinite-regret", "extra-field", "short-row"])
+    def test_rows_run_never_writes_are_refused(self, tmp_path, capsys, line, reason):
+        path = str(tmp_path / "bad.csv")
+        self.write_results(path, [self.row(0, 10, 1, 1)])
+        with open(path, "a", newline="") as fh:
+            fh.write(line + "\n")
+        assert run_cli("summarize", "--results", path) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 3: malformed row ({reason})\n"
 
     def test_missing_file_is_a_runtime_error(self, tmp_path):
         assert run_cli("summarize", "--results", str(tmp_path / "nope.csv")) == 2

@@ -376,7 +376,7 @@ class TestPacExact:
 
     def test_invariants_on_pinned_seed(self):
         inst = generate_instance("uniform", 6, 3, seed=13)
-        gaps = suboptimality_gaps(inst)
+        _, gaps = suboptimality_gaps(inst)
         s_star = set(brute_force_optimum(inst).s_star)
         env = Environment(inst, fork_stream(80, 0))
         res = pac_exact(env, 0.1, DESK_TUNING)
@@ -455,7 +455,7 @@ class TestPacEps:
     def test_tight_eps_forces_exact_identification(self):
         # eps below the smallest positive gap: only S* itself can succeed.
         inst = generate_instance("uniform", 6, 3, seed=8)
-        gaps = suboptimality_gaps(inst)
+        _, gaps = suboptimality_gaps(inst)
         assert min(g for g in gaps.values() if g > 0) > 0.04
         env = Environment(inst, fork_stream(82, 0))
         res = pac_eps(env, 0.1, 0.04, DESK_TUNING)

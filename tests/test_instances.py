@@ -1,5 +1,7 @@
 """Tests for instance generators and the instance file format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from mnlbandit.instances import (
     FAMILIES,
     format_instance,
     generate_instance,
+    lower_bound_instance,
     parse_instance,
     read_instance,
     write_instance,
@@ -93,6 +96,18 @@ class TestGenerate:
     def test_lower_bound_passthrough(self):
         inst = generate_instance("lower-bound", 4, 2, gaps=[0.01, 0.02])
         assert inst.n == 4 and inst.k == 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_lower_bound_refuses_gaps_that_round_onto_a_tie(self, k):
+        # 2^-54 v_k moves v_k by at least its last place; 2^-57 v_k by under half of it
+        pivot = 1.0 if k == 1 else 1.0 / (2 * k)
+        fine, tiny = pivot * 2.0**-54, pivot * 2.0**-57
+        inst = lower_bound_instance(2 * k, k, [fine] * k)
+        assert inst.v[k - 1] == pivot and np.all(inst.v[k:] < pivot)
+        message = (f"gap {tiny!r} is below float resolution: item {2 * k}'s weight "
+                   f"rounds onto v_{k} = {pivot!r}, a gap of 0")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lower_bound_instance(2 * k, k, [fine] * (k - 1) + [tiny])
 
 
 class TestFormat:

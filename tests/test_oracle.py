@@ -247,7 +247,7 @@ class TestExactOptimum:
             assert opt == brute_force_optimum(inst)
             assert opt.theta_star == revenue(inst, opt.s_star)
             assert revenue_margin(inst) == enumerated_margin(inst)
-            assert suboptimality_gaps(inst) == enumerated_gaps(inst)
+            assert suboptimality_gaps(inst) == (opt, enumerated_gaps(inst))
 
     def test_equal_items_break_toward_smaller_ids(self):
         inst = Instance(n=5, k=2, r=[0.3, 0.9, 0.9, 0.9, 0.9], v=[0.4, 0.5, 0.5, 0.5, 0.5])
@@ -268,7 +268,8 @@ class TestExactOptimum:
         opt = exact_optimum(inst)
         assert opt.s_star == tuple(range(1, 11))
         np.testing.assert_allclose(opt.theta_star, 0.5, atol=1e-12)
-        gaps = suboptimality_gaps(inst)
+        gap_opt, gaps = suboptimality_gaps(inst)
+        assert gap_opt == opt
         np.testing.assert_allclose([gaps[i] for i in range(11, 61)], 0.001, atol=1e-12)
         np.testing.assert_allclose(revenue_margin(inst), 0.001, atol=1e-12)
 
@@ -276,7 +277,7 @@ class TestExactOptimum:
 class TestSuboptimalityGaps:
     def test_single_item_gap_is_half(self):
         inst = Instance(n=1, k=1, r=[1.0], v=[1.0])
-        gaps = suboptimality_gaps(inst)
+        _, gaps = suboptimality_gaps(inst)
         np.testing.assert_allclose(gaps[1], 0.5, atol=1e-15)
 
     def test_matches_direct_enumeration(self):
@@ -284,7 +285,7 @@ class TestSuboptimalityGaps:
         for _ in range(40):
             inst = random_instance(rng, n_max=7)
             opt = brute_force_optimum(inst)
-            gaps = suboptimality_gaps(inst)
+            _, gaps = suboptimality_gaps(inst)
             for i in range(1, inst.n + 1):
                 want_member = i not in opt.s_star
                 best = 0.0 if not want_member else -np.inf
@@ -309,7 +310,7 @@ class TestSuboptimalityGaps:
         for k, gap in ((1, 0.01), (2, 1e-3), (3, 1e-5)):  # every non-optimal item tied
             insts.append(lower_bound_instance(3 * k, k, [gap] * (2 * k)))
         for inst in insts:
-            gaps, want = suboptimality_gaps(inst), deleted_item_gaps(inst)
+            (_, gaps), want = suboptimality_gaps(inst), deleted_item_gaps(inst)
             assert list(gaps) == list(want)
             assert [g.hex() for g in gaps.values()] == [g.hex() for g in want.values()]
 
@@ -318,7 +319,7 @@ class TestSuboptimalityGaps:
         for _ in range(100):
             inst = random_instance(rng)
             margin = revenue_margin(inst)
-            gaps = suboptimality_gaps(inst)
+            _, gaps = suboptimality_gaps(inst)
             for i in range(1, inst.n + 1):
                 assert gaps[i] >= margin - 1e-12
 
@@ -326,7 +327,7 @@ class TestSuboptimalityGaps:
         rng = np.random.default_rng(27)
         for _ in range(100):
             inst = random_instance(rng)
-            for g in suboptimality_gaps(inst).values():
+            for g in suboptimality_gaps(inst)[1].values():
                 assert g >= -1e-12
 
 
@@ -358,7 +359,7 @@ class TestLowerBoundInstance:
         assert opt.s_star == (1,)
         np.testing.assert_allclose(opt.theta_star, 0.5, atol=1e-15)
         np.testing.assert_allclose(
-            suboptimality_gaps(inst)[2], 1.0 / 32.0, atol=1e-15
+            suboptimality_gaps(inst)[1][2], 1.0 / 32.0, atol=1e-15
         )
 
     def test_capacity_two_weights(self):
@@ -388,7 +389,7 @@ class TestLowerBoundInstance:
             inst = lower_bound_instance(2 * k, k, gaps)
             opt = brute_force_optimum(inst)
             assert opt.s_star == tuple(range(1, k + 1))
-            got = suboptimality_gaps(inst)
+            _, got = suboptimality_gaps(inst)
             for j in range(k):
                 np.testing.assert_allclose(got[k + 1 + j], gaps[j], atol=1e-9)
 
