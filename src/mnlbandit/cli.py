@@ -24,9 +24,11 @@ the remaining replications, and each child sends its outcomes back as one
 pickle.
 
 Start-up: a process pays only for its own command.  Importing this module
-sets ``OPENBLAS_NUM_THREADS=1`` unless it is already set, so numpy starts no
-BLAS worker thread; ``gen``, ``oracle`` and ``summarize`` load neither the
-simulator layers nor OpenSSL; and ``main()`` as the process entry freezes
+loads no numpy, and sets ``OPENBLAS_NUM_THREADS=1`` unless it is already
+set, so that numpy, once a command loads it, starts no BLAS worker thread.
+A lower-bound ``gen`` loads no numpy at all; ``gen``, ``oracle`` and
+``summarize`` load neither the simulator layers nor OpenSSL; and ``main()``
+as the process entry, once the command has imported what it uses, freezes
 the import heap out of the garbage collector's reach.
 
 Exit codes: 0 = success, 1 = usage error, 2 = runtime failure.
@@ -38,7 +40,6 @@ import argparse
 import gc
 import math
 import os
-import pickle
 import sys
 import time
 from functools import partial
@@ -50,8 +51,6 @@ from typing import (
 # threads pay; OpenBLAS's worker thread would only spin beside the main one.
 # Set before numpy loads; a value the user set wins, and pool workers inherit it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
 
 from . import __version__
 from .instances import (
@@ -212,7 +211,7 @@ def _import_numpy_random() -> None:
             sys.modules.pop(name, None)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, loaded: Callable[[], None]) -> int:
     """Draw an instance from its family's flags and write it, with the
     metadata that records the draw, to ``--out``."""
     meta = {"family": args.family}
@@ -230,14 +229,16 @@ def _cmd_gen(args) -> int:
             raise UsageError("--gaps applies only to the lower-bound family")
         meta["seed"] = str(args.seed)
         _import_numpy_random()
+    loaded()
     inst = generate_instance(args.family, args.n, args.k, seed=args.seed, gaps=gaps)
     write_instance(args.out, inst, meta)
     return 0
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args, loaded: Callable[[], None]) -> int:
     from .oracle import suboptimality_gaps
 
+    loaded()
     inst, _ = read_instance(args.instance)
     opt, gaps = suboptimality_gaps(inst)
     lines = [
@@ -363,6 +364,8 @@ def _run_in_pool(job: RunJob, indices: range, workers: int) -> List[Outcome]:
     A child's exception is raised here unchanged; a child that ends without a
     result raises `RuntimeError`.  However this ends, no child outlives it.
     """
+    import pickle
+
     children: List[Tuple[int, int, int]] = []  # (worker, pid, read end of its pipe)
     try:
         for j in range(1, workers):
@@ -403,6 +406,8 @@ def _run_share(job: RunJob, share: range, write_fd: int) -> NoReturn:
     outcomes, or of the exception that stopped it, to ``write_fd``, and leave
     with `os._exit`, so that the child never returns into its parent's code
     (its ``finally`` blocks, buffered output or exit handlers)."""
+    import pickle
+
     status = 1
     try:
         try:
@@ -416,11 +421,13 @@ def _run_share(job: RunJob, share: range, write_fd: int) -> NoReturn:
         os._exit(status)
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, loaded: Callable[[], None]) -> int:
     # the simulator layers and the output formats load only for this command
     import csv
     import json
     from datetime import datetime, timezone
+
+    import numpy as np
 
     from .driver import pac_eps, pac_exact, regret_min
     from .env import RNG_ALGORITHM_ID, SamplerLimitError
@@ -464,6 +471,7 @@ def _cmd_run(args) -> int:
         drive = partial(pac_exact, delta=args.delta, tuning=tuning, estimator=estimator)
     max_workers = _worker_count()
     _import_numpy_random()
+    loaded()
 
     _refuse_overwrites(
         [("--instance", args.instance)],
@@ -571,6 +579,8 @@ def _summarize_file(path: str) -> Optional[Dict[str, str]]:
     finite ``regret``, which may sit just below 0 (see `RegretLedger`)."""
     import csv
 
+    import numpy as np
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -617,9 +627,12 @@ def _summarize_file(path: str) -> Optional[Dict[str, str]]:
     }
 
 
-def _cmd_summarize(args) -> int:
+def _cmd_summarize(args, loaded: Callable[[], None]) -> int:
     import csv
 
+    import numpy  # noqa: F401  (for `_summarize_file`, loaded before the freeze)
+
+    loaded()
     _refuse_overwrites([("--results", path) for path in args.results], [("--out", args.out)])
     rows = [row for row in map(_summarize_file, args.results) if row is not None]
     target = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
@@ -636,13 +649,18 @@ def _cmd_summarize(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _nothing() -> None:
+    """What a command's ``loaded`` does when ``main`` is not the process entry."""
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; return its exit code.  With no ``argv``, ``main`` is the
-    process entry and reads ``sys.argv``: it then freezes the objects that
-    imports left (``gc.freeze``), so that no later collection, forked worker
-    or exit-time collection walks them again."""
-    if argv is None:
-        gc.freeze()
+    process entry and reads ``sys.argv``: once the command has imported what it
+    uses, it then freezes the objects that imports left (``gc.freeze``), so that
+    no later collection, forked worker or exit-time collection walks them again.
+    Frozen before numpy loads, numpy's objects would still be walked at exit,
+    which doubled the exit time of a process that loads numpy."""
+    loaded = gc.freeze if argv is None else _nothing
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -653,12 +671,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "gen":
-            return _cmd_gen(args)
+            return _cmd_gen(args, loaded)
         if args.command == "oracle":
-            return _cmd_oracle(args)
+            return _cmd_oracle(args, loaded)
         if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_summarize(args)
+            return _cmd_run(args, loaded)
+        return _cmd_summarize(args, loaded)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -49,7 +49,9 @@ from typing import Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
-from .model import Assortment, Instance, _as_int, _idx, _revenue_at, revenue, validate_assortment
+from .model import (
+    Assortment, Instance, _arrays, _as_int, _idx, _revenue_at, revenue, validate_assortment,
+)
 from .oracle import OptimumSolution, exact_optimum
 
 __all__ = [
@@ -196,7 +198,7 @@ class Environment:
         self._horizon = horizon
         self.n = inst.n
         self.k = inst.k
-        self.rewards = inst.r  # read-only, as `Instance` makes it
+        self.rewards = inst.r  # immutable: `Instance` holds a tuple
         self.ledger = RegretLedger()
         shared = _PER_INSTANCE.get(inst)
         if shared is None:
@@ -395,9 +397,10 @@ class _Plan(NamedTuple):
     def build(
         cls, inst: Instance, solution: OptimumSolution, ts: Assortment, tz: Assortment
     ) -> "_Plan":
+        r, v = _arrays(inst)
         ix_z, ix_s = _idx(tz), _idx(ts)
-        stop_weights = np.concatenate(([1.0], inst.v[ix_z]))  # no-purchase, then Z
-        v_s = inst.v[ix_s]
+        stop_weights = np.concatenate(([1.0], v[ix_z]))  # no-purchase, then Z
+        v_s = v[ix_s]
         q = float(stop_weights.sum() / (stop_weights.sum() + v_s.sum()))
         stops = _Split.of(stop_weights)
         return cls(
@@ -406,5 +409,5 @@ class _Plan(NamedTuple):
             q=q,
             items=_Split.of(v_s),
             stops=None if stops.only == 0 else stops,
-            stop_rewards=np.concatenate(([0.0], inst.r[ix_z])),
+            stop_rewards=np.concatenate(([0.0], r[ix_z])),
         )

@@ -374,10 +374,9 @@ def _estimate(
     nu_lo: Dict[int, float] = {}
     nu_hi: Dict[int, float] = {}
     rewards: Dict[int, float] = {}
-    all_rewards = env.rewards.tolist()
     for i in weighed:
         nu_lo[i], nu_hi[i] = ci_nu(state.n.get(i, 0), state.t.get(i, 0), big_l)
-        rewards[i] = all_rewards[i - 1]
+        rewards[i] = env.rewards[i - 1]
     theta_lo, theta_hi, s_hi = ci_theta(rewards, weighed, nu_lo, nu_hi, zeta_lo, zeta_hi, capacity)
     xi_lo: Dict[int, float] = {}
     xi_hi: Dict[int, float] = {}

@@ -16,14 +16,15 @@ File format (``*.inst``): plain ``key = value`` text with ``#`` comments.
 Float lists are comma-separated and written with 17 significant digits, so a
 write/read roundtrip reproduces every bit.  Keys: ``n``, ``k``, ``r``,
 ``v``, and free-form ``meta.<name>`` strings, each at most once.
+
+Only a random family's draw loads numpy: the lower-bound family and the file
+format compute on Python floats.
 """
 
 from __future__ import annotations
 
 import io
 from typing import Dict, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .model import Instance, _check_shape
 
@@ -63,6 +64,8 @@ def generate_instance(
     if seed is None:
         raise ValueError(f"the {family} family needs a seed")
     _check_shape(n, k)  # before any draw: the sparse family divides by k
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     r = rng.uniform(0.0, 1.0, size=n)
     if family == "uniform":
@@ -71,7 +74,7 @@ def generate_instance(
         v = rng.uniform(0.5, 1.0, size=n)
     else:  # sparse
         v = np.minimum(1.0, rng.uniform(0.5 / k, 1.5 / k, size=n))
-    return Instance(n=n, k=k, r=r, v=v)
+    return Instance(n=n, k=k, r=r.tolist(), v=v.tolist())
 
 
 def lower_bound_instance(
@@ -109,37 +112,36 @@ def lower_bound_instance(
         raise ValueError("n must be >= 2")
     if not (1 <= k and 2 * k <= n):
         raise ValueError("capacity must satisfy 1 <= k <= n/2")
-    gap_arr = np.asarray(gaps, dtype=float)
-    if gap_arr.shape != (n - k,):
+    try:
+        gaps = tuple(map(float, gaps))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"gaps must be a sequence of numbers: {exc}") from None
+    if len(gaps) != n - k:
         raise ValueError(
-            f"need exactly n - k = {n - k} gaps for the non-optimal items, "
-            f"got {gap_arr.shape}"
+            f"need exactly n - k = {n - k} gaps for the non-optimal items, got {len(gaps)}"
         )
-    if not np.all((gap_arr > 0.0) & (gap_arr <= 1.0 / (16.0 * k))):  # NaN fails
+    if not all(0.0 < d <= 1.0 / (16.0 * k) for d in gaps):  # NaN fails
         raise ValueError("every gap must lie in (0, 1/(16 k)]")
 
-    v = np.empty(n, dtype=float)
-    r = np.ones(n, dtype=float)
     if k == 1:
         # Optimal set {1} must carry total weight 1 on its own.
-        v[0] = 1.0
+        v = [1.0]
     else:
-        v[: k - 1] = 1.0 / k + 1.0 / (2.0 * k * (k - 1))
-        v[k - 1] = 1.0 / (2.0 * k)
-    # Swapping the lightest optimal item (weight w_k = v[k-1]) for item k+j
+        v = [1.0 / k + 1.0 / (2.0 * k * (k - 1))] * (k - 1) + [1.0 / (2.0 * k)]
+    pivot = v[k - 1]
+    # Swapping the lightest optimal item (weight w_k = pivot) for item k+j
     # changes the optimal-set weight sum from 1 to 1 - g_j, which moves the
     # revenue from 1/2 to (1 - g_j)/(2 - g_j); solving
     # 1/2 - (1 - g)/(2 - g) = d gives g = 4 d / (1 + 2 d).
-    g = 4.0 * gap_arr / (1.0 + 2.0 * gap_arr)
-    v[k:] = v[k - 1] - g
-    tied = np.flatnonzero(v[k:] >= v[k - 1])
-    if tied.size:
-        j = int(tied[0])
-        raise ValueError(
-            f"gap {float(gap_arr[j])!r} is below float resolution: item {k + j + 1}'s "
-            f"weight rounds onto v_{k} = {float(v[k - 1])!r}, a gap of 0"
-        )
-    return Instance(n=n, k=k, r=r, v=v)
+    for j, d in enumerate(gaps):
+        w = pivot - 4.0 * d / (1.0 + 2.0 * d)
+        if w >= pivot:
+            raise ValueError(
+                f"gap {d!r} is below float resolution: item {k + j + 1}'s "
+                f"weight rounds onto v_{k} = {pivot!r}, a gap of 0"
+            )
+        v.append(w)
+    return Instance(n=n, k=k, r=[1.0] * n, v=v)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +149,8 @@ def lower_bound_instance(
 # ---------------------------------------------------------------------------
 
 
-def _fmt_floats(values: np.ndarray) -> str:
-    return ", ".join(format(float(x), ".17g") for x in values)
+def _fmt_floats(values: Sequence[float]) -> str:
+    return ", ".join(format(x, ".17g") for x in values)
 
 
 def format_instance(inst: Instance, meta: Optional[Dict[str, str]] = None) -> str:
@@ -191,8 +193,8 @@ def parse_instance(text: str) -> Tuple[Instance, Dict[str, str]]:
     try:
         n = int(fields["n"])
         k = int(fields["k"])
-        r = np.array([float(x) for x in fields["r"].split(",")])
-        v = np.array([float(x) for x in fields["v"].split(",")])
+        r = [float(x) for x in fields["r"].split(",")]
+        v = [float(x) for x in fields["v"].split(",")]
     except ValueError as exc:
         raise ValueError(f"malformed numeric field: {exc}") from exc
     meta = {key[5:]: value for key, value in fields.items() if key.startswith("meta.")}

@@ -13,17 +13,23 @@ The expected revenue of ``S`` is
 
 with ``R({}) = 0``.  The revenue reduced relative to a pinned set is defined,
 and maximized, by ``oracle.fractional_optimum``.  Items are 1-indexed in every
-public interface; the implicit outside option is index 0.  Internally, numpy
-arrays are 0-indexed, so item ``i`` lives at array slot ``i - 1``.
+public interface; the implicit outside option is index 0.  Internally,
+positions are 0-indexed: item ``i``'s reward is ``inst.r[i - 1]``, in the
+instance's float tuples and in the numpy arrays that whole-set pricing sums.
+
+This module loads numpy only when it prices a set (`_arrays`), so that a
+process which builds, reads or writes instances alone never imports it.
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple
+import weakref
+from typing import TYPE_CHECKING, Iterable, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Instance",
@@ -36,15 +42,20 @@ __all__ = [
 Assortment = Tuple[int, ...]
 
 
-def _as_unit_array(x: Sequence[float], name: str, n: int) -> np.ndarray:
-    arr = np.array(x, dtype=float)  # always copy: the instance owns its arrays
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+def _unit_floats(x: Iterable[float], name: str, n: int) -> Tuple[float, ...]:
+    """``x`` as a tuple of ``n`` finite Python floats in [0, 1]; anything else is
+    a `ValueError`."""
+    try:
+        values = tuple(map(float, x))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a sequence of {n} numbers: {exc}") from None
+    if len(values) != n:
+        raise ValueError(f"{name} must hold {n} entries, got {len(values)}")
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} must be finite")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not all(0.0 <= value <= 1.0 for value in values):
         raise ValueError(f"{name} entries must lie in [0, 1]")
-    return arr
+    return values
 
 
 def _check_shape(n: int, k: int) -> None:
@@ -55,7 +66,6 @@ def _check_shape(n: int, k: int) -> None:
         raise ValueError("k must satisfy 1 <= k <= n")
 
 
-@dataclass(frozen=True, eq=False)
 class Instance:
     """A problem instance: item count, capacity, rewards and weights.
 
@@ -63,26 +73,53 @@ class Instance:
     ----------
     n : number of items (>= 1).
     k : assortment capacity, 1 <= k <= n.
-    r : rewards, shape (n,), entries in [0, 1].  ``r[i-1]`` is item i's reward.
-    v : preference weights, shape (n,), entries in [0, 1].
+    r : rewards, a tuple of ``n`` Python floats in [0, 1].  ``r[i-1]`` is item
+        i's reward.
+    v : preference weights, a tuple of ``n`` Python floats in [0, 1].
+
+    An instance is immutable and equal only to itself, so that per-instance
+    caches (`_arrays`, ``env._PER_INSTANCE``) can key on it weakly.  It is not
+    a dataclass, because in a process without numpy ``dataclasses`` loads
+    ``inspect``, about 10 ms; nor a NamedTuple, which cannot be weakly
+    referenced.
     """
 
-    n: int
-    k: int
-    r: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
+    def __init__(self, n: int, k: int, r: Sequence[float], v: Sequence[float]) -> None:
+        _check_shape(n, k)
+        r, v = _unit_floats(r, "r", n), _unit_floats(v, "v", n)
+        self.__dict__.update(n=n, k=k, r=r, v=v)  # past `__setattr__`, which refuses
 
-    def __post_init__(self) -> None:
-        _check_shape(self.n, self.k)
-        object.__setattr__(self, "r", _as_unit_array(self.r, "r", self.n))
-        object.__setattr__(self, "v", _as_unit_array(self.v, "v", self.n))
-        self.r.setflags(write=False)
-        self.v.setflags(write=False)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: an Instance is immutable")
 
-    def __reduce__(self):
-        # Unpickle through the constructor: the copy is validated and its
-        # arrays are read-only, as the original's are.
-        return (Instance, (self.n, self.k, self.r, self.v))
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: an Instance is immutable")
+
+    def __repr__(self) -> str:
+        return f"Instance(n={self.n!r}, k={self.k!r})"
+
+
+#: Instance -> its ``(r, v)`` as read-only float arrays, built by `_arrays` on
+#: first use and shared by every caller; entries go when their instance does.
+_ARRAYS: "weakref.WeakKeyDictionary[Instance, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _arrays(inst: Instance) -> Tuple[np.ndarray, np.ndarray]:
+    """``inst.r`` and ``inst.v`` as read-only numpy arrays, built once per instance.
+
+    Whole-set pricing (`_revenue_at`, ``env._Plan``, the oracle's gaps) sums on
+    these: numpy's pairwise sum, which sets of 8 or more items reach, rounds
+    otherwise than a sum in order, and the golden bytes hold numpy's.
+    """
+    arrays = _ARRAYS.get(inst)
+    if arrays is None:
+        import numpy as np
+
+        arrays = tuple(np.array(x, dtype=float) for x in (inst.r, inst.v))
+        for arr in arrays:
+            arr.setflags(write=False)
+        _ARRAYS[inst] = arrays
+    return arrays
 
 
 def _as_int(x: object, name: str) -> int:
@@ -114,13 +151,16 @@ def validate_assortment(s: Iterable[int], n: int) -> Assortment:
 
 def _idx(s: Assortment) -> np.ndarray:
     """0-based array indices for a 1-indexed assortment."""
+    import numpy as np
+
     return np.asarray(s, dtype=int) - 1
 
 
 def _revenue_at(inst: Instance, ix: np.ndarray) -> float:
     """Revenue of the 0-based ascending positions ``ix``: the one whole-set pricing."""
-    v = inst.v[ix]
-    return float((v * inst.r[ix]).sum() / (1.0 + v.sum()))
+    r, v = _arrays(inst)
+    w = v[ix]
+    return float((w * r[ix]).sum() / (1.0 + w.sum()))
 
 
 def revenue(inst: Instance, s: Iterable[int]) -> float:

@@ -23,11 +23,14 @@ every caller: ``exact_optimum``, ``suboptimality_gaps`` (and through them
 ``revenue_margin``), and the estimators' reduced problems over a phase's
 pending items (``ci_theta``, two solves a phase, and ``pac_eps``'s
 completion).  Those mostly hold a handful of items, where numpy's per-call
-cost is most of a solve.  A whole instance costs more on floats: 1.4 ms at
-``n = 4000`` and 49 ms at ``n = 100,000``, against 0.4 and 13 ms on arrays
-(2-vCPU VM, numpy 2.4.6), paid once per process for each ``Environment``'s
-``S*``.  The gaps' ``n`` solves are warm-started and filtered instead, and
-at ``n = 4000`` took 0.38 s, against 1.32 s cold on arrays:
+cost is most of a solve.  A whole instance costs more on floats: cold, 1.4 ms
+at ``n = 4000`` and 49 ms at ``n = 100,000``, against 0.4 and 13 ms on arrays
+(2-vCPU VM, numpy 2.4.6).  So every whole-instance solve is warm-started and
+filtered: ``exact_optimum``'s, paid once per process for each
+``Environment``'s ``S*``, from the best singleton (0.94 against 1.63 ms
+cold at ``n = 4000`` and 32 against 59 ms at ``n = 100,000``, medians of 15
+fresh processes a side, best of 5 calls each), and the gaps' ``n`` solves from neighbours of ``S*`` (at ``n = 4000``, 0.38 s
+against 1.32 s cold on arrays):
 
 * Warm start.  ``F(theta) = max_{|S0| <= K} (1 + sum_{S0} nu_j) (R(S0) -
   theta)`` decreases in ``theta`` and is positive exactly below
@@ -43,8 +46,8 @@ at ``n = 4000`` took 0.38 s, against 1.32 s cold on arrays:
   and the kept items stay in ascending order, so ties still break toward
   the smaller id.
 
-``suboptimality_gaps`` returns, with the gaps, the cold optimum that its
-starts are built from, so a report of ``S*``, ``theta*`` and every gap costs
+``suboptimality_gaps`` returns, with the gaps, the optimum that its starts
+are built from, so a report of ``S*``, ``theta*`` and every gap costs
 ``n + 1`` solves.
 
 The tests hold warm and cold solves to the same positions and revenue bits,
@@ -62,7 +65,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import Assortment, Instance, _revenue_at
+from .model import Assortment, Instance, _arrays, _revenue_at
 
 __all__ = [
     "OptimumSolution",
@@ -148,14 +151,15 @@ def _revenue_table(inst: Instance):
     indices, rows in lexicographic order) and ``revenues`` the matching
     revenue vector.  The empty assortment (revenue 0) is implicit.
     """
-    vr = inst.v * inst.r
+    r, v = _arrays(inst)
+    vr = v * r
     table = []
     for size in range(1, inst.k + 1):
         idx = np.fromiter(
             (j for comb in combinations(range(inst.n), size) for j in comb),
             dtype=np.int64,
         ).reshape(-1, size)
-        weight = inst.v[idx].sum(axis=1)
+        weight = v[idx].sum(axis=1)
         rev = vr[idx].sum(axis=1) / (1.0 + weight)
         table.append((idx, rev))
     return table
@@ -187,7 +191,7 @@ def brute_force_optimum(inst: Instance) -> OptimumSolution:
 
 
 def exact_optimum(inst: Instance) -> OptimumSolution:
-    """The instance's optimum, for any ``n``, by a cold `fractional_optimum`.
+    """The instance's optimum, for any ``n``, by one warm `fractional_optimum`.
 
     Tie-break rule: ``s_star`` is the top-positive selection at ``theta*``
     -- the items with strictly positive score ``v_i (r_i - theta*)``, the
@@ -195,16 +199,26 @@ def exact_optimum(inst: Instance) -> OptimumSolution:
     ``r_i = theta*`` scores 0 and is left out even where adding it keeps the
     revenue at ``theta*``; ``brute_force_optimum``'s lexicographic rule can
     pick such a set instead, at the same revenue.
+
+    The solve starts at the best singleton's revenue, summed as `_value` sums
+    it (numpy applies the same operations to each item), and runs over only
+    the items with ``v_j > 0`` and ``r_j`` above that start: the cold solve's
+    set and revenue bits (module docstring), without scoring the items that
+    can never be selected.
     """
-    s, _ = fractional_optimum(inst.v.tolist(), inst.r.tolist(), 0.0, inst.k)
-    return OptimumSolution(s_star=tuple(j + 1 for j in s), theta_star=_revenue_at(inst, s))
+    r, v = _arrays(inst)
+    start = float(((0.0 + v * r) / (1.0 + v)).max())
+    ids = ((v > 0.0) & (r > start)).nonzero()[0]
+    s, _ = fractional_optimum(v[ids].tolist(), r[ids].tolist(), 0.0, inst.k, start)
+    star = ids[s]
+    return OptimumSolution(s_star=tuple((star + 1).tolist()), theta_star=_revenue_at(inst, star))
 
 
 def suboptimality_gaps(inst: Instance) -> Tuple[OptimumSolution, Dict[int, float]]:
     """The optimum and the per-item suboptimality gaps measured against it.
 
-    Returns ``exact_optimum(inst)`` (the one cold solve) and the gaps by
-    1-based id, one warm `fractional_optimum` per item.
+    Returns ``exact_optimum(inst)`` (the one whole-instance solve) and the gaps
+    by 1-based id, one warm `fractional_optimum` per item.
 
     With ``theta*`` the optimal revenue and ``S*`` the optimal assortment:
 
@@ -224,11 +238,11 @@ def suboptimality_gaps(inst: Instance) -> Tuple[OptimumSolution, Dict[int, float
     ``S* + i`` when ``S*`` has room.  It runs over only the items with
     ``v_j > 0`` and ``r_j`` above that start (module docstring).
     """
-    v, r, k = inst.v, inst.r, inst.k
+    vl, rl, k = inst.v, inst.r, inst.k
+    r, v = _arrays(inst)
     opt = exact_optimum(inst)
     star = [j - 1 for j in opt.s_star]
     members = set(star)
-    vl, rl = v.tolist(), r.tolist()
     low = min(star, key=lambda j: vl[j] * (rl[j] - opt.theta_star), default=None)
     weighted = v > 0.0
     gaps: Dict[int, float] = {}

@@ -69,7 +69,7 @@ def choice_probabilities(inst: Instance, s: Iterable[int]) -> Dict[int, float]:
     carrying weight 1.  Probabilities sum to 1 exactly up to float rounding.
     """
     t = validate_assortment(s, inst.n)
-    w = inst.v[_idx(t)]
+    w = np.asarray(inst.v)[_idx(t)]
     denom = 1.0 + float(w.sum())
     probs = {0: 1.0 / denom}
     for item, weight in zip(t, w):
@@ -85,7 +85,7 @@ def reduce_params(inst: Instance, a: Iterable[int]) -> ReducedParams:
     """
     ta = validate_assortment(a, inst.n)
     zeta = revenue(inst, ta)
-    denom = 1.0 + float(inst.v[_idx(ta)].sum())
+    denom = 1.0 + float(np.asarray(inst.v)[_idx(ta)].sum())
     pinned = set(ta)
     nu = {
         i: float(inst.v[i - 1]) / denom

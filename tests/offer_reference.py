@@ -29,7 +29,7 @@ def offer(env: Environment, s: Iterable[int]) -> int:
     if env.horizon is not None and env.ledger.steps >= env.horizon:
         raise HorizonExhausted("step budget exhausted")
     # outcome weights, no-purchase first, then the offered items
-    cum = np.cumsum(np.concatenate(([1.0], env._inst.v[np.asarray(t, dtype=int) - 1])))
+    cum = np.cumsum(np.concatenate(([1.0], np.asarray(env._inst.v)[np.asarray(t, dtype=int) - 1])))
     u = env._rng.random() * cum[-1]
     j = int(np.searchsorted(cum, u, side="right"))
     env.ledger.record(env._plan(t, ()).regret, 1)

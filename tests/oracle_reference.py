@@ -100,7 +100,7 @@ def enumerated_gaps(inst: Instance) -> Dict[int, float]:
 def deleted_item_gaps(inst: Instance) -> Dict[int, float]:
     """``suboptimality_gaps`` with item ``i`` deleted from the arrays and the
     selection mapped back through ``rest``."""
-    v, r, k = inst.v, inst.r, inst.k
+    v, r, k = np.asarray(inst.v), np.asarray(inst.r), inst.k
     star = _solve(v, r, 0.0, k)
     theta = _revenue_at(inst, star)
     gaps: Dict[int, float] = {}

@@ -34,11 +34,12 @@ def sample_epochs(env, z, s, epochs):
         env._inst, tuple(sorted(set(ts) | set(tz)))
     )
 
-    v_z = env._inst.v[np.asarray(tz, dtype=int) - 1] if tz else np.zeros(0)
-    v_s = env._inst.v[np.asarray(ts, dtype=int) - 1] if ts else np.zeros(0)
+    v, r = np.asarray(env._inst.v), np.asarray(env._inst.r)
+    v_z = v[np.asarray(tz, dtype=int) - 1] if tz else np.zeros(0)
+    v_s = v[np.asarray(ts, dtype=int) - 1] if ts else np.zeros(0)
     stop_weights = np.concatenate(([1.0], v_z))  # no-purchase, then Z
     stop_rewards = np.concatenate(
-        ([0.0], env._inst.r[np.asarray(tz, dtype=int) - 1] if tz else np.zeros(0))
+        ([0.0], r[np.asarray(tz, dtype=int) - 1] if tz else np.zeros(0))
     )
     q = stop_weights.sum() / (stop_weights.sum() + v_s.sum())
 

@@ -62,7 +62,7 @@ def test_criterion_01_oracle_equivalence():
     for _ in range(1000):
         inst = _random_instance(rng)
         brute = brute_force_optimum(inst)
-        s, theta = fractional_optimum(inst.v.tolist(), inst.r.tolist(), 0.0, inst.k)
+        s, theta = fractional_optimum(inst.v, inst.r, 0.0, inst.k)
         scores = advantage_scores(inst, brute.theta_star)
         score_sum = sum(scores[i] for i in brute.s_star)
         if (
@@ -464,7 +464,7 @@ def _step_residuals(inst, master_seed, reps, monkeypatch):
         return batch
 
     monkeypatch.setattr(Environment, "sample_epochs", recording)
-    v = inst.v.tolist()
+    v = inst.v
     residuals, unbalanced = [], 0
     for rep in range(reps):
         batches.clear()
@@ -506,7 +506,7 @@ def _phases_with_a_miss(inst, estimator, master_seed, reps):
     stop reward relative to the pinned set, θ solved at the residual capacity;
     a raw one's (naive, reg) is the raw weights over ``a ∪ b``, θ solved at
     ``min(k, |a| + |b|)`` with the stop reward pinned to 0, which is not checked."""
-    r = inst.r.tolist()
+    r = inst.r
     raw = estimator in ("naive", "reg")
     missed = phases = 0
     budget = 0.0

@@ -935,18 +935,17 @@ class TestRunPac:
         )
         run_python(script)
         assert (tmp_path / "g.inst").read_bytes() == (tmp_path / "u.inst").read_bytes()
-        # a lower-bound gen draws nothing, so it loads no generator either, and
-        # its hard family solves nothing
+        # a lower-bound gen draws nothing and sums nothing, so it loads neither
+        # numpy nor OpenSSL, and its hard family solves nothing
         gen = ["gen", "--family", "lower-bound", "--n", "4", "--k", "2",
                "--gaps", "0.01,0.01", "--out", str(tmp_path / "lb.inst")]
         script = (
             "import sys\n"
-            "import numpy\n"
-            "lazy = 'numpy.random' not in sys.modules\n"
             "from mnlbandit import cli\n"
             f"assert cli.main({gen!r}) == 0\n"
-            "loaded = [name for name in ('numpy.random', '_hashlib') if name in sys.modules]\n"
-            "assert not (lazy and loaded), loaded\n"
+            "loaded = [name for name in sys.modules if name.split('.')[0] == 'numpy']\n"
+            "assert not loaded, loaded\n"
+            "assert '_hashlib' not in sys.modules\n"
             "assert 'mnlbandit.oracle' not in sys.modules\n"
         )
         run_python(script)
@@ -1315,3 +1314,27 @@ class TestProcessStartUp:
             "assert cli.main() == 0\n"
             "assert gc.get_freeze_count() > 0\n"
         )
+
+    def test_the_process_entry_freezes_after_the_command_imports(self, tmp_path, instance_file):
+        # frozen before numpy and numpy.random load, their objects would be
+        # walked again at exit: the entry must freeze at least what these
+        # imports leave
+        numpy_frozen = int(run_python(
+            "import gc\n"
+            "import numpy, numpy.random\n"
+            "from mnlbandit import cli\n"
+            "gc.freeze()\n"
+            "print(gc.get_freeze_count())\n"
+        ))
+        run = ["run", "--instance", instance_file(*UNIFORM_4), "--mode", "pac",
+               "--tuning", "desk", "--seed", "1", "--out", str(tmp_path / "r.csv")]
+        for argv in ([*self.GEN, "--out", str(tmp_path / "u.inst")], run):
+            frozen = int(run_python(
+                "import gc, sys\n"
+                "from mnlbandit import cli\n"
+                f"sys.argv = ['mnlbandit', *{argv!r}]\n"
+                "assert cli.main() == 0\n"
+                "print(gc.get_freeze_count())\n",
+                MNL_THREADS="1",
+            ))
+            assert frozen >= numpy_frozen, (argv[0], frozen, numpy_frozen)

@@ -82,7 +82,7 @@ class TestEnvironmentSurface:
         assert env.n == 3 and env.k == 2
         np.testing.assert_array_equal(env.rewards, inst.r)
         assert not hasattr(env, "v")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             env.rewards[0] = 0.0
 
     def test_oracle_scaffolding_matches_brute_force(self):

@@ -481,7 +481,7 @@ class TestEstNaive:
             est = est_naive(env, (), tuple(range(1, inst.n + 1)), 0.2, 0.5, tuning)
             if expected is None:
                 tau = _refinement_tau(_log_term(0.2, 15, inst.n), 0.5, tuning)
-                expected = inst.k * tau * float((1.0 + inst.v).sum())
+                expected = inst.k * tau * float((1.0 + np.asarray(inst.v)).sum())
             assert expected / 2 <= env.ledger.steps <= expected * 2
 
 

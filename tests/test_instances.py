@@ -63,17 +63,19 @@ class TestGenerate:
     def test_uniform_ranges(self):
         inst = generate_instance("uniform", 8, 4, seed=7)
         assert inst.n == 8 and inst.k == 4
-        assert np.all((inst.r >= 0) & (inst.r <= 1))
-        assert np.all((inst.v >= 0) & (inst.v <= 1))
+        r, v = np.asarray(inst.r), np.asarray(inst.v)
+        assert np.all((r >= 0) & (r <= 1))
+        assert np.all((v >= 0) & (v <= 1))
 
     def test_dense_weights_are_heavy(self):
         inst = generate_instance("dense", 8, 4, seed=7)
-        assert np.all(inst.v >= 0.5)
+        assert np.all(np.asarray(inst.v) >= 0.5)
 
     def test_sparse_weights_scale_with_capacity(self):
         inst = generate_instance("sparse", 8, 4, seed=7)
-        assert np.all(inst.v >= 0.5 / 4)
-        assert np.all(inst.v <= 1.5 / 4)
+        v = np.asarray(inst.v)
+        assert np.all(v >= 0.5 / 4)
+        assert np.all(v <= 1.5 / 4)
 
     @pytest.mark.parametrize("family", ["uniform", "dense", "sparse"])
     def test_first_draw_at_any_n_and_no_solve(self, family, monkeypatch):
@@ -90,8 +92,8 @@ class TestGenerate:
             inst = generate_instance(family, n, k, seed=seed)
             r, v = first_draw(family, n, k, seed)
             assert inst.n == n and inst.k == k
-            assert inst.r.tobytes() == r.tobytes()
-            assert inst.v.tobytes() == v.tobytes()
+            assert np.array(inst.r).tobytes() == r.tobytes()
+            assert np.array(inst.v).tobytes() == v.tobytes()
 
     def test_lower_bound_passthrough(self):
         inst = generate_instance("lower-bound", 4, 2, gaps=[0.01, 0.02])
@@ -103,7 +105,7 @@ class TestGenerate:
         pivot = 1.0 if k == 1 else 1.0 / (2 * k)
         fine, tiny = pivot * 2.0**-54, pivot * 2.0**-57
         inst = lower_bound_instance(2 * k, k, [fine] * k)
-        assert inst.v[k - 1] == pivot and np.all(inst.v[k:] < pivot)
+        assert inst.v[k - 1] == pivot and np.all(np.asarray(inst.v[k:]) < pivot)
         message = (f"gap {tiny!r} is below float resolution: item {2 * k}'s weight "
                    f"rounds onto v_{k} = {pivot!r}, a gap of 0")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

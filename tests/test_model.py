@@ -30,10 +30,12 @@ class TestInstanceValidation:
 
     def test_arrays_are_read_only(self):
         inst = Instance(n=2, k=1, r=[0.5, 0.5], v=[0.5, 0.5])
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             inst.r[0] = 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             inst.v[0] = 0.0
+        with pytest.raises(AttributeError):
+            inst.v = (0.0, 0.0)
 
     def test_input_arrays_are_copied(self):
         r = np.array([0.5, 0.5])
@@ -144,7 +146,7 @@ class TestRevenue:
             size = int(rng.integers(0, inst.n + 1))
             s = tuple(sorted(rng.choice(inst.n, size=size, replace=False) + 1))
             rev = revenue(inst, s)
-            assert 0.0 <= rev <= float(inst.r.max())
+            assert 0.0 <= rev <= max(inst.r)
 
     def test_matches_monte_carlo_mean_reward(self):
         # Expected per-step reward from sampled purchases equals the revenue

@@ -26,6 +26,21 @@ def random_instance(rng, n_max=8, k_max=None):
     return Instance(n=n, k=k, r=rng.uniform(0, 1, n), v=rng.uniform(0, 1, n))
 
 
+def tied_instances(rng, count):
+    """``count`` random instances of up to 40 items, about a fifth of the
+    weights 0, and a third of the weights and rewards on coarse tied grids;
+    then lower-bound instances whose non-optimal items all tie."""
+    insts = []
+    for _ in range(count):
+        n = int(rng.integers(1, 41))
+        v = rng.choice([0.0, 0.25, 0.5, 1.0], n) if rng.random() < 0.3 else rng.uniform(0, 1, n)
+        r = rng.choice([0.5, 1.0], n) if rng.random() < 0.3 else rng.uniform(0, 1, n)
+        insts.append(Instance(n=n, k=int(rng.integers(1, n + 1)), r=r, v=v * (rng.random(n) > 0.2)))
+    for k, gap in ((1, 0.01), (2, 1e-3), (3, 1e-5)):
+        insts.append(lower_bound_instance(3 * k, k, [gap] * (2 * k)))
+    return insts
+
+
 class TestSelectF:
     def test_nonpositive_scores_select_nothing(self):
         assert select_f({1: 0.0, 2: -0.5, 3: -1e-12}, 3) == ()
@@ -233,7 +248,7 @@ class TestBruteForceOptimum:
         for _ in range(300):
             inst = random_instance(rng)
             bf = brute_force_optimum(inst)
-            s, theta = fractional_optimum(inst.v.tolist(), inst.r.tolist(), 0.0, inst.k)
+            s, theta = fractional_optimum(inst.v, inst.r, 0.0, inst.k)
             np.testing.assert_allclose(bf.theta_star, theta, atol=1e-9)
             assert bf.s_star == tuple(j + 1 for j in s)
 
@@ -248,6 +263,19 @@ class TestExactOptimum:
             assert opt.theta_star == revenue(inst, opt.s_star)
             assert revenue_margin(inst) == enumerated_margin(inst)
             assert suboptimality_gaps(inst) == (opt, enumerated_gaps(inst))
+
+    def test_the_warm_start_returns_the_cold_solve(self):
+        # exact_optimum starts at the best singleton and drops the items at or
+        # below it; the set and the revenue bits are those of a cold solve over
+        # every item, on the family grid and on zero-weight, tied instances
+        insts = [generate_instance(family, n, k, seed=seed)
+                 for family in ("uniform", "dense", "sparse")
+                 for n, k in ((8, 3), (20, 10), (50, 5), (200, 40)) for seed in range(40)]
+        for inst in insts + tied_instances(np.random.default_rng(32), 200):
+            s, _ = fractional_optimum(inst.v, inst.r, 0.0, inst.k)
+            cold = tuple(j + 1 for j in s)
+            opt = exact_optimum(inst)
+            assert (opt.s_star, opt.theta_star.hex()) == (cold, revenue(inst, cold).hex())
 
     def test_equal_items_break_toward_smaller_ids(self):
         inst = Instance(n=5, k=2, r=[0.3, 0.9, 0.9, 0.9, 0.9], v=[0.4, 0.5, 0.5, 0.5, 0.5])
@@ -298,18 +326,10 @@ class TestSuboptimalityGaps:
                 np.testing.assert_allclose(gaps[i], opt.theta_star - best, atol=1e-12)
 
     def test_matches_the_deletion_loop_bit_for_bit(self):
-        rng = np.random.default_rng(31)
         insts = [generate_instance(family, n, k, seed=seed)
                  for family in ("uniform", "dense", "sparse")
                  for n, k in ((8, 3), (30, 10)) for seed in range(3)]
-        for _ in range(200):  # zero weights and tied values among them
-            n = int(rng.integers(1, 41))
-            v = rng.choice([0.0, 0.25, 0.5, 1.0], n) if rng.random() < 0.3 else rng.uniform(0, 1, n)
-            r = rng.choice([0.5, 1.0], n) if rng.random() < 0.3 else rng.uniform(0, 1, n)
-            insts.append(Instance(n=n, k=int(rng.integers(1, n + 1)), r=r, v=v * (rng.random(n) > 0.2)))
-        for k, gap in ((1, 0.01), (2, 1e-3), (3, 1e-5)):  # every non-optimal item tied
-            insts.append(lower_bound_instance(3 * k, k, [gap] * (2 * k)))
-        for inst in insts:
+        for inst in insts + tied_instances(np.random.default_rng(31), 200):
             (_, gaps), want = suboptimality_gaps(inst), deleted_item_gaps(inst)
             assert list(gaps) == list(want)
             assert [g.hex() for g in gaps.values()] == [g.hex() for g in want.values()]
@@ -377,7 +397,7 @@ class TestLowerBoundInstance:
         for k in (1, 2, 4, 8):
             gaps = rng.uniform(1e-4, 1.0 / (16 * k), size=k)
             inst = lower_bound_instance(2 * k, k, gaps)
-            np.testing.assert_allclose(inst.v[:k].sum(), 1.0, atol=1e-12)
+            np.testing.assert_allclose(np.asarray(inst.v[:k]).sum(), 1.0, atol=1e-12)
             np.testing.assert_allclose(
                 revenue(inst, tuple(range(1, k + 1))), 0.5, atol=1e-12
             )
@@ -399,8 +419,9 @@ class TestLowerBoundInstance:
             for _ in range(10):
                 gaps = rng.uniform(1e-6, 1.0 / (16 * k), size=k)
                 inst = lower_bound_instance(2 * k, k, gaps)
-                assert np.all(inst.v >= 1.0 / (4 * k) - 1e-15)
-                assert np.all(inst.v <= 1.0 + 1e-15)
+                v = np.asarray(inst.v)
+                assert np.all(v >= 1.0 / (4 * k) - 1e-15)
+                assert np.all(v <= 1.0 + 1e-15)
 
     @pytest.mark.parametrize(
         "n,k,gaps,message",
