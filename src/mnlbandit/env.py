@@ -237,14 +237,14 @@ class Environment:
         Pseudo-regret accounting is exact (it depends only on the offered
         set), and no RNG is consumed: use only where outcomes feed nothing.
         """
-        plan = self._plan(s, ())
+        ts, _ = self._offered(s, ())
         steps = _as_int(steps, "steps")
         if steps < 0:
             raise ValueError("steps must be >= 0")
         remaining = self.steps_remaining
         if remaining is not None and steps > remaining:
             raise HorizonExhausted("step budget exhausted")
-        self.ledger.record(plan.regret, steps)
+        self.ledger.record(self._solution.theta_star - _revenue_at(self._inst, _idx(ts)), steps)
 
     # -- vectorized epochs ---------------------------------------------------
 
@@ -281,39 +281,32 @@ class Environment:
         # past a limit, the epochs alone overrun the budget: the batch is cut undrawn
         bought = 0 if limit else int(rng.negative_binomial(epochs, q))  # purchases
         steps = epochs + bought
-        if budget is not None and steps > budget:
-            self.ledger.record(plan.regret, budget)
-            return EpochBatch(
-                requested=epochs,
-                epochs=0,
-                steps=budget,
-                x_sums=np.zeros(len(plan.tracked), dtype=np.int64),
-                z_sum=0.0,
-                truncated=True,
-                tracked=plan.tracked,
-            )
+        requested = epochs
+        truncated = budget is not None and steps > budget
+        if truncated:  # the run is over: it is charged the rest of the budget
+            epochs = bought = 0  # and reads counts of zero, as a zero count draws nothing
+            steps = budget
         x_sums = plan.items.draw(rng, bought)
         z_sum = 0.0
         if plan.stops is not None:
             z_sum = float(plan.stops.draw(rng, epochs) @ plan.stop_rewards)
         self.ledger.record(plan.regret, steps)
         return EpochBatch(
-            requested=epochs,
+            requested=requested,
             epochs=epochs,
             steps=steps,
             x_sums=x_sums,
             z_sum=z_sum,
-            truncated=False,
+            truncated=truncated,
             tracked=plan.tracked,
         )
 
     def _plan(self, s: Iterable[int], z: Iterable[int]) -> "_Plan":
         """The plan of tracked set ``s`` under stopping set ``z``: looked up as
-        given when every id is exactly an ``int``, else validated (ids in
-        ``1..n``, ascending, disjoint sets, ``|s ∪ z| <= k``), then built and
-        stored.  A key that only compares equal to a stored one (``4.0 ==
-        4``) is validated, so whether a call is refused does not depend on
-        what the table holds.  The table empties at
+        given when every id is exactly an ``int``, else validated by `_offered`,
+        then built and stored.  A key that only compares equal to a stored one
+        (``4.0 == 4``) is validated, so whether a call is refused does not
+        depend on what the table holds.  The table empties at
         ``4 n + 1024`` plans, past what replications offer: at ``n = 4000``
         about ``1.3 n`` pairs each, 8,943 in all after 160 at ``desk``; at
         ``n = 20``, 139 after 100 pac-eps ones.  At ``0.5 + 0.06 k`` kB a plan,
@@ -325,11 +318,7 @@ class Environment:
         else:
             if all(type(i) is int for i in s + z):
                 return plan
-        tz, ts = validate_assortment(z, self.n), validate_assortment(s, self.n)
-        if set(tz) & set(ts):
-            raise ValueError("stopping set and tracked set must be disjoint")
-        if len(tz) + len(ts) > self.k:
-            raise ValueError(f"offered size {len(tz) + len(ts)} exceeds capacity {self.k}")
+        ts, tz = self._offered(s, z)
         plan = self._plans.get((ts, tz))
         if plan is None:
             if len(self._plans) >= 4 * self.n + 1024:
@@ -337,52 +326,52 @@ class Environment:
             plan = self._plans[(ts, tz)] = _Plan.build(self._inst, self._solution, ts, tz)
         return plan
 
+    def _offered(self, s: Iterable[int], z: Iterable[int]) -> tuple[Assortment, Assortment]:
+        """``(s, z)`` validated as one offered pair: ids in ``1..n``, each set
+        ascending, the sets disjoint and ``|s ∪ z| <= k``."""
+        tz, ts = validate_assortment(z, self.n), validate_assortment(s, self.n)
+        if set(tz) & set(ts):
+            raise ValueError("stopping set and tracked set must be disjoint")
+        if len(tz) + len(ts) > self.k:
+            raise ValueError(f"offered size {len(tz) + len(ts)} exceeds capacity {self.k}")
+        return ts, tz
+
 
 class _Split(NamedTuple):
     """Multinomial split of a count over fixed category weights.
 
-    Zero-weight categories get exactly zero: only positive weights enter the
-    draw, so a zero weight never picks up rounding leftovers.  A split with one
-    positive weight is the count itself, at that weight's position: it draws
-    nothing, as numpy's multinomial draws nothing for one category, so the
-    stream is unchanged.  The mask, the normalised probabilities and the one
-    positive position are computed once, when the plan is built.
+    Only the positive weights enter the draw, at their ascending positions
+    ``at``, so a zero weight gets exactly zero and never picks up rounding
+    leftovers.  With fewer than two positive weights there is nothing to draw
+    (``probs`` is None): the count itself goes to the one position, if there
+    is one, as numpy's multinomial draws nothing for one category, so the
+    stream is unchanged.  A zero count draws nothing either.  The positions
+    and the normalised probabilities are computed once, when the plan is built.
     """
 
     size: int
-    mask: Optional[np.ndarray]  # positive weights; None when all are
-    probs: Optional[np.ndarray]  # None when fewer than two weights are positive
-    only: Optional[int]  # the position of the one positive weight, if one is
+    at: np.ndarray  # ascending positions of the positive weights
+    probs: Optional[np.ndarray]  # their normalised weights; None when fewer than two
 
     @classmethod
     def of(cls, weights: np.ndarray) -> "_Split":
-        positive = weights > 0
-        where = positive.nonzero()[0].tolist()
-        if len(where) < 2:
-            return cls(len(weights), None, None, where[0] if where else None)
-        probs = weights[positive] / weights[positive].sum()
-        return cls(len(weights), None if positive.all() else positive, probs, None)
+        at = (weights > 0).nonzero()[0]
+        return cls(len(weights), at, weights[at] / weights[at].sum() if len(at) > 1 else None)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         out = np.zeros(self.size, dtype=np.int64)
-        if self.probs is None:  # at most one category: nothing to draw
-            if self.only is not None:
-                out[self.only] = count
-            return out
-        if not count:
-            return out
-        drawn = rng.multinomial(count, self.probs)
-        if self.mask is None:
-            return drawn
-        out[self.mask] = drawn
+        if self.probs is None:
+            out[self.at] = count
+        elif count:
+            out[self.at] = rng.multinomial(count, self.probs)
         return out
 
 
 class _Plan(NamedTuple):
-    """What ``advance`` and ``sample_epochs`` need of one offered pair:
-    tracked set ``S`` and stopping set ``Z`` (``S`` alone for ``advance``),
-    validated by `Environment._plan`.  The step-level reference sampler in
-    ``tests/offer_reference.py`` rebuilds its outcome weights itself."""
+    """What ``sample_epochs`` needs of one offered pair: tracked set ``S`` and
+    stopping set ``Z``, validated by `Environment._offered`.  The step-level
+    reference sampler in ``tests/offer_reference.py`` rebuilds its outcome
+    weights itself."""
 
     tracked: Assortment  # S, ascending
     regret: float  # per-step pseudo-regret of offering S ∪ Z
@@ -408,6 +397,6 @@ class _Plan(NamedTuple):
             regret=solution.theta_star - _revenue_at(inst, np.sort(np.concatenate((ix_z, ix_s)))),
             q=q,
             items=_Split.of(v_s),
-            stops=None if stops.only == 0 else stops,
+            stops=None if stops.probs is None else stops,
             stop_rewards=np.concatenate(([0.0], r[ix_z])),
         )

@@ -5,9 +5,11 @@ per-key plans and the estimators see only outcomes.  The tests use them as
 the ground truth that choice frequencies, epoch moments, reductions and
 scores are checked against.
 
-``ReducedParams`` and ``reduced_revenue`` are the reduced problem's earlier
-record and revenue function, kept verbatim as the reference that
-``oracle.fractional_optimum`` and ``estimators.ci_theta`` are pinned to.
+``ReducedParams`` states the reduced problem by its definition (``zeta`` and
+each ``nu_i`` in [0, 1], keyed by 1-indexed item id), and ``reduced_revenue``
+prices a pending set as ``(zeta + sum nu_i r_i) / (1 + sum nu_i)``, each sum
+taken in the set's order.  They are the reduced problem that
+``oracle.fractional_optimum`` and ``estimators.ci_theta`` are checked against.
 """
 
 from dataclasses import dataclass

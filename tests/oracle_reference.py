@@ -5,16 +5,19 @@ selection on item ids, and the dict-interface reduced solve.
 Both enumeration references enumerate every assortment of size <= k (keep
 ``n`` small); the tests require ``suboptimality_gaps`` and ``revenue_margin``
 to agree with them bit for bit on instances without tied assortments.
-``_solve`` (with its selection ``_top_positive``) is the oracle's earlier
-Dinkelbach loop on numpy arrays, kept verbatim; the tests require
-``oracle.fractional_optimum``'s positions to equal its own.
-``deleted_item_gaps`` is an earlier ``suboptimality_gaps`` loop, which
-solves cold without item ``i`` on arrays that ``np.delete`` shortens, kept
-verbatim; the tests require the warm-started, filtered loop to match it bit
-for bit at any ``n``, ties included.
+``_solve`` (with its selection ``_top_positive``) is Dinkelbach's iteration
+on numpy arrays, started cold at ``zeta`` over every position; the tests
+require ``oracle.fractional_optimum``, the same iteration on Python floats,
+to return its positions.
+``deleted_item_gaps`` states each gap by its definition: ``θ*`` less the best
+revenue with item ``i``'s membership flipped, each solved cold by ``_solve``
+on arrays that ``np.delete`` shortens; the tests require
+``suboptimality_gaps``, whose solves start warm and skip items, to match it
+bit for bit at any ``n``, ties included.
 ``select_f`` is the oracle's top-positive selection keyed by item id.
-``fractional_optimum`` is the earlier dict-interface solve of one reduced
-problem, kept verbatim; the tests require the list-interface
+``fractional_optimum`` solves one reduced problem given as a
+``model_reference.ReducedParams`` keyed by item id, with ``_solve``, and prices
+its set with ``reduced_revenue``; the tests require the list-interface
 ``oracle.fractional_optimum`` and ``estimators.ci_theta`` to match it bit for
 bit.
 """

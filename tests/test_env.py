@@ -238,6 +238,42 @@ class TestAdvance:
         with pytest.raises(ValueError):
             env.advance((1,), -1)
 
+    def test_prices_its_set_without_storing_a_plan(self):
+        inst = Instance(n=3, k=3, r=[1.0, 0.5, 0.2], v=[0.5, 0.3, 0.8])
+        env = Environment(inst, fork_stream(5, 0))
+        env.sample_epochs((), (1,), 10)
+        env.advance((2, 3), 10)  # a set no batch has sampled
+        assert len(env._plans) == 1
+
+    def test_records_the_sets_regret_bit_for_bit(self):
+        # sets of 8 or more items reach numpy's pairwise sum
+        rng = np.random.default_rng(43)
+        for rep in range(100):
+            n = int(rng.integers(1, 21))
+            inst = Instance(n=n, k=n, r=rng.uniform(0, 1, n), v=rng.uniform(0, 1, n))
+            env = Environment(inst, fork_stream(5, rep))
+            size = int(rng.integers(0, n + 1))
+            s = tuple(int(i) + 1 for i in np.sort(rng.choice(n, size, replace=False)))
+            steps = int(rng.integers(1, 10**9))
+            env.advance(s, steps)
+            regret = env.oracle_solution().theta_star - revenue(inst, s)
+            ((charged, count),) = env.ledger._segments
+            assert (charged.hex(), count) == (regret.hex(), steps)
+
+    @pytest.mark.parametrize(
+        "s", [(0,), (4,), (2, 1), (1, 1), (1.0,), (1, 2, 3)],
+        ids=["below-range", "above-range", "descending", "repeated", "float-id", "over-capacity"],
+    )
+    def test_refuses_a_bad_set_as_a_batch_does_before_charging(self, s):
+        inst = Instance(n=3, k=2, r=[1.0, 0.5, 0.2], v=[0.5, 0.3, 0.8])
+        env = Environment(inst, fork_stream(5, 0), horizon=100)
+        with pytest.raises(ValueError) as batch:
+            env.sample_epochs((), s, 1)
+        with pytest.raises(ValueError) as advance:
+            env.advance(s, 10)
+        assert str(advance.value) == str(batch.value)
+        assert (env.ledger.steps, env.ledger._segments) == (0, [])
+
 
 class TestHorizon:
     def test_offer_raises_once_spent(self):

@@ -19,7 +19,7 @@ from mnlbandit.estimators import EstimateSet
 from mnlbandit.model import Instance
 from mnlbandit.oracle import OptimumSolution
 
-_SPLIT = _Split(size=2, mask=None, probs=np.array([0.25, 0.75]), only=None)
+_SPLIT = _Split(size=2, at=np.array([0, 1]), probs=np.array([0.25, 0.75]))
 _EST = EstimateSet(
     items=(2,), m=1, zeta_lo=0.1, zeta_hi=0.2, nu_lo={2: 0.3}, nu_hi={2: 0.4},
     theta_lo=0.3, theta_hi=0.5, s_hi=(2,), xi_lo={2: -0.1}, xi_hi={2: 0.2}, epochs=8,
@@ -34,8 +34,7 @@ RECORDS = {
          "z_sum": 1.5, "truncated": False},
         {"tracked": ()},
     ),
-    "_Split": (_Split, {"size": 3, "mask": np.array([True, False, True]),
-                        "probs": np.array([0.5, 0.5]), "only": None}, {}),
+    "_Split": (_Split, {"size": 3, "at": np.array([0, 2]), "probs": np.array([0.5, 0.5])}, {}),
     "_Plan": (
         _Plan,
         {"tracked": (1, 2), "regret": 0.125, "q": 0.5, "items": _SPLIT, "stops": None,
