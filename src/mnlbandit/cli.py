@@ -26,10 +26,11 @@ pickle.
 Start-up: a process pays only for its own command.  Importing this module
 loads no numpy, and sets ``OPENBLAS_NUM_THREADS=1`` unless it is already
 set, so that numpy, once a command loads it, starts no BLAS worker thread.
-A lower-bound ``gen`` loads no numpy at all; ``gen``, ``oracle`` and
-``summarize`` load neither the simulator layers nor OpenSSL; and ``main()``
-as the process entry, once the command has imported what it uses, freezes
-the import heap out of the garbage collector's reach.
+``gen`` loads no numpy at all (a random family draws numpy's stream in
+integer arithmetic); ``gen``, ``oracle`` and ``summarize`` load neither the
+simulator layers nor OpenSSL; and ``main()`` as the process entry, once the
+command has imported what it uses, freezes the import heap out of the
+garbage collector's reach.
 
 Exit codes: 0 = success, 1 = usage error, 2 = runtime failure.
 """
@@ -189,8 +190,8 @@ def _parse_gaps(text: str) -> Tuple[float, ...]:
 
 
 def _import_numpy_random() -> None:
-    """Import ``numpy.random`` for ``run`` and a random family's ``gen``
-    without loading OpenSSL (the lower-bound family draws nothing).
+    """Import ``numpy.random`` for ``run`` without loading OpenSSL (``gen``
+    loads no numpy: every family draws or computes on Python numbers).
 
     ``numpy.random`` imports ``secrets`` (entropy for unseeded generators),
     whose ``hmac`` loads OpenSSL through ``_hashlib``: 3.4 MB resident and
@@ -228,7 +229,6 @@ def _cmd_gen(args, loaded: Callable[[], None]) -> int:
         if gaps is not None:
             raise UsageError("--gaps applies only to the lower-bound family")
         meta["seed"] = str(args.seed)
-        _import_numpy_random()
     loaded()
     inst = generate_instance(args.family, args.n, args.k, seed=args.seed, gaps=gaps)
     write_instance(args.out, inst, meta)

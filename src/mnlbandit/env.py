@@ -259,27 +259,29 @@ class Environment:
         ``z`` (the stopping set) and ``s`` (the tracked set) must be
         disjoint with ``|z ∪ s| <= k``.  A batch that does not fit in the
         remaining step budget consumes the rest of it and returns no
-        statistics (``truncated=True``): the run is over.  A batch past
-        ``2**53`` epochs or `_NEGBIN_LAM_MAX` raises `SamplerLimitError`,
-        unless its epochs alone overrun the budget: then it is cut undrawn.
+        statistics (``truncated=True``): the run is over.  One whose epochs
+        alone overrun the budget, a spent budget included, is cut undrawn;
+        any other batch past ``2**53`` epochs or `_NEGBIN_LAM_MAX` raises
+        `SamplerLimitError`.
         """
         plan = self._plan(s, z)
         epochs = _as_int(epochs, "epochs")
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
         q = plan.q
-        limit = None
-        if epochs > _DRAW_LIMIT:
-            limit = f"a batch of {epochs} epochs exceeds the sampler's limit of {_DRAW_LIMIT}"
-        elif (1.0 - q) / q * (epochs + 10.0 * math.sqrt(epochs)) > _NEGBIN_LAM_MAX:
-            limit = (f"a batch of T = {epochs} epochs at q = {q!r} exceeds numpy's negative-"
-                     f"binomial limit (1 - q) / q * (T + 10 sqrt(T)) <= {_NEGBIN_LAM_MAX:.17g}")
-        budget = self.steps_remaining  # None = unlimited
-        if limit is not None and (budget is None or epochs <= budget):
-            raise SamplerLimitError(limit)
         rng = self._rng
-        # past a limit, the epochs alone overrun the budget: the batch is cut undrawn
-        bought = 0 if limit else int(rng.negative_binomial(epochs, q))  # purchases
+        budget = self.steps_remaining  # None = unlimited
+        if budget is not None and epochs > budget:
+            bought = 0  # cut undrawn: no purchase count can make the batch fit
+        elif epochs > _DRAW_LIMIT:
+            raise SamplerLimitError(
+                f"a batch of {epochs} epochs exceeds the sampler's limit of {_DRAW_LIMIT}")
+        elif (1.0 - q) / q * (epochs + 10.0 * math.sqrt(epochs)) > _NEGBIN_LAM_MAX:
+            raise SamplerLimitError(
+                f"a batch of T = {epochs} epochs at q = {q!r} exceeds numpy's negative-"
+                f"binomial limit (1 - q) / q * (T + 10 sqrt(T)) <= {_NEGBIN_LAM_MAX:.17g}")
+        else:
+            bought = int(rng.negative_binomial(epochs, q))  # purchases
         steps = epochs + bought
         requested = epochs
         truncated = budget is not None and steps > budget

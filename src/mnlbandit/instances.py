@@ -17,16 +17,17 @@ Float lists are comma-separated and written with 17 significant digits, so a
 write/read roundtrip reproduces every bit.  Keys: ``n``, ``k``, ``r``,
 ``v``, and free-form ``meta.<name>`` strings, each at most once.
 
-Only a random family's draw loads numpy: the lower-bound family and the file
-format compute on Python floats.
+No family loads numpy: a random family draws numpy's stream
+(``Generator(PCG64(SeedSequence(seed)))``) in integer arithmetic (`_draws`), and
+the lower-bound family and the file format compute on Python floats.
 """
 
 from __future__ import annotations
 
 import io
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .model import Instance, _check_shape
+from .model import Instance, _as_int, _check_shape
 
 __all__ = [
     "FAMILIES",
@@ -50,10 +51,11 @@ def generate_instance(
 ) -> Instance:
     """Draw one instance from a named family, deterministically in ``seed``.
 
-    ``uniform``/``dense``/``sparse`` require ``seed`` and return the first
-    draw of ``Generator(PCG64(SeedSequence(seed)))``: ``r``, then ``v``, in
-    the family's ranges.  ``lower-bound`` requires ``gaps`` (one per item
-    beyond the capacity) and ignores ``seed``.
+    ``uniform``/``dense``/``sparse`` require ``seed``, a non-negative integer
+    (numpy integers pass, a bool does not), and return the first draw of
+    ``Generator(PCG64(SeedSequence(seed)))``: ``r``, then ``v``, each mapped
+    into the family's range as numpy's ``uniform`` maps it.  ``lower-bound``
+    requires ``gaps`` (one per item beyond the capacity) and ignores ``seed``.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; pick one of {FAMILIES}")
@@ -63,18 +65,99 @@ def generate_instance(
         return lower_bound_instance(n, k, gaps)
     if seed is None:
         raise ValueError(f"the {family} family needs a seed")
+    seed = _as_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     _check_shape(n, k)  # before any draw: the sparse family divides by k
-    import numpy as np
+    low, high = {"uniform": (0.0, 1.0), "dense": (0.5, 1.0), "sparse": (0.5 / k, 1.5 / k)}[family]
+    draws = _draws(seed, 2 * n)
+    r = draws[:n]  # numpy's uniform(0, 1) is 0.0 + 1.0 * u: u itself
+    v = [low + (high - low) * u for u in draws[n:]]  # numpy's uniform(low, high)
+    if family == "sparse":
+        v = [min(1.0, w) for w in v]
+    return Instance(n=n, k=k, r=r, v=v)
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    r = rng.uniform(0.0, 1.0, size=n)
-    if family == "uniform":
-        v = rng.uniform(0.0, 1.0, size=n)
-    elif family == "dense":
-        v = rng.uniform(0.5, 1.0, size=n)
-    else:  # sparse
-        v = np.minimum(1.0, rng.uniform(0.5 / k, 1.5 / k, size=n))
-    return Instance(n=n, k=k, r=r.tolist(), v=v.tolist())
+
+# ---------------------------------------------------------------------------
+# numpy's PCG64 stream in integer arithmetic: PCG64 is O'Neill's XSL-RR
+# 128/64 generator ("PCG: A Family of Simple Fast Space-Efficient Statistically
+# Good Algorithms for Random Number Generation", 2014), seeded as numpy seeds it
+# ---------------------------------------------------------------------------
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+#: PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> List[int]:
+    """``SeedSequence(seed).generate_state(4, uint64)`` as Python ints.
+
+    The seed's 32-bit words, least significant first, are hashed into a pool
+    of four words, every pool word is mixed into every other, and any words
+    beyond four are mixed into each; the pool is then hashed out to eight
+    words, read in pairs as little-endian 64-bit words.  The constants are
+    numpy's (``numpy/random/bit_generator.pyx``).
+    """
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return x ^ x >> 16
+
+    pool = [hashmix(word) for word in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _draws(seed: int, count: int) -> List[float]:
+    """The first ``count`` doubles of ``Generator(PCG64(SeedSequence(seed)))``,
+    each ``(x >> 11) * 2**-53`` of a 64-bit output ``x``, as ``random()`` draws them.
+
+    PCG64 seeds its 128-bit LCG from the four words, high word first, as
+    ``initstate`` and ``initseq``: ``state = 0``, ``inc = initseq << 1 | 1``,
+    a step, ``state += initstate``, a step.  Each output steps the LCG and
+    returns XSL-RR of the new state: its two halves xor-ed, rotated right by
+    the state's top six bits.
+    """
+    state_hi, state_lo, seq_hi, seq_lo = _seed_words(seed)
+    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+    state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
+    mult, mask128, mask64 = _PCG_MULT, _MASK128, _MASK64  # locals, read faster in the loop
+    out = []
+    append = out.append
+    for _ in range(count):
+        state = (state * mult + inc) & mask128
+        x = (state ^ state >> 64) & mask64
+        # x rotated right by the top six bits, less its low 11 bits: the 128-bit
+        # word (x, x) shifted right by rot + 11, cut to 53 bits
+        append(((x * 0x10000000000000001 >> (state >> 122) + 11) & 0x1FFFFFFFFFFFFF) * 2.0**-53)
+    return out
 
 
 def lower_bound_instance(

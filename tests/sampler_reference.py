@@ -3,8 +3,9 @@
 ``sample_epochs`` below draws what ``Environment.sample_epochs`` draws under
 ``RNG_ALGORITHM_ID`` v3, written as a function of the environment and computed
 from the instance on every call: it re-validates both sets and rebuilds every
-weight vector and probability, with no plan, table or cached split.  It draws
-the purchase total ``M ~ NegBin(T, q)``; a batch whose ``T + M`` steps
+weight vector and probability, with no plan, table or cached split.  A batch
+whose ``T`` epochs alone overrun the remaining budget draws nothing; any other
+draws the purchase total ``M ~ NegBin(T, q)``.  A batch whose ``T + M`` steps
 overrun the budget is cut there, charged the rest of the budget and draws
 nothing more; any other batch then draws the item split and the stop split.
 The tests require the sampler to match it field for field, ledger and
@@ -44,7 +45,10 @@ def sample_epochs(env, z, s, epochs):
     q = stop_weights.sum() / (stop_weights.sum() + v_s.sum())
 
     budget = env.steps_remaining  # None = unlimited
-    bought = int(env._rng.negative_binomial(epochs, q))  # purchases
+    if budget is not None and epochs > budget:
+        bought = 0  # no purchase count fits: nothing is drawn
+    else:
+        bought = int(env._rng.negative_binomial(epochs, q))  # purchases
     if budget is not None and epochs + bought > budget:
         env.ledger.record(regret, budget)
         return EpochBatch(

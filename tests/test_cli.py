@@ -917,24 +917,24 @@ class TestRunPac:
         )
         run_python(script, MNL_THREADS="2")
         assert len(read_rows(out)) == 8
-        # gen in a fresh process loads neither the solver, nor the simulator
-        # layers, nor the run's output formats, nor OpenSSL (where numpy.random
-        # loads lazily)
-        gen = ["gen", "--family", "uniform", "--n", "4", "--k", "2", "--seed", "5",
-               "--out", str(tmp_path / "g.inst")]
-        script = (
-            "import sys\n"
-            "import numpy\n"
-            "lazy = 'numpy.random' not in sys.modules\n"
-            "from mnlbandit import cli\n"
-            f"assert cli.main({gen!r}) == 0\n"
-            "unused = ['mnlbandit.oracle', 'mnlbandit.env', 'mnlbandit.estimators',\n"
-            "          'mnlbandit.driver', 'csv', 'json'] + ['_hashlib'] * lazy\n"
-            "loaded = [name for name in unused if name in sys.modules]\n"
-            "assert not loaded, loaded\n"
-        )
-        run_python(script)
-        assert (tmp_path / "g.inst").read_bytes() == (tmp_path / "u.inst").read_bytes()
+        # a random family's gen in a fresh process draws numpy's stream in
+        # Python, so it loads no numpy module, nor the solver, nor the
+        # simulator layers, nor the run's output formats, nor OpenSSL
+        for family in ("uniform", "dense", "sparse"):
+            gen = ["gen", "--family", family, "--n", "4", "--k", "2", "--seed", "5",
+                   "--out", str(tmp_path / f"{family}.inst")]
+            script = (
+                "import sys\n"
+                "from mnlbandit import cli\n"
+                f"assert cli.main({gen!r}) == 0\n"
+                "unused = ['mnlbandit.oracle', 'mnlbandit.env', 'mnlbandit.estimators',\n"
+                "          'mnlbandit.driver', 'csv', 'json', '_hashlib']\n"
+                "loaded = [name for name in sys.modules\n"
+                "          if name in unused or name.split('.')[0] == 'numpy']\n"
+                "assert not loaded, loaded\n"
+            )
+            run_python(script)
+        assert (tmp_path / "uniform.inst").read_bytes() == (tmp_path / "u.inst").read_bytes()
         # a lower-bound gen draws nothing and sums nothing, so it loads neither
         # numpy nor OpenSSL, and its hard family solves nothing
         gen = ["gen", "--family", "lower-bound", "--n", "4", "--k", "2",
@@ -1316,19 +1316,19 @@ class TestProcessStartUp:
         )
 
     def test_the_process_entry_freezes_after_the_command_imports(self, tmp_path, instance_file):
-        # frozen before numpy and numpy.random load, their objects would be
-        # walked again at exit: the entry must freeze at least what these
-        # imports leave
-        numpy_frozen = int(run_python(
-            "import gc\n"
-            "import numpy, numpy.random\n"
-            "from mnlbandit import cli\n"
-            "gc.freeze()\n"
-            "print(gc.get_freeze_count())\n"
-        ))
+        # frozen before a command's imports, their objects would be walked
+        # again at exit: the entry must freeze at least what they leave, numpy
+        # and numpy.random for run, the CLI's own modules for gen (which loads
+        # no numpy)
         run = ["run", "--instance", instance_file(*UNIFORM_4), "--mode", "pac",
                "--tuning", "desk", "--seed", "1", "--out", str(tmp_path / "r.csv")]
-        for argv in ([*self.GEN, "--out", str(tmp_path / "u.inst")], run):
+        for argv, imports in (
+            ([*self.GEN, "--out", str(tmp_path / "u.inst")], "from mnlbandit import cli\n"),
+            (run, "import numpy, numpy.random\nfrom mnlbandit import cli\n"),
+        ):
+            imported = int(run_python(
+                "import gc\n" + imports + "gc.freeze()\nprint(gc.get_freeze_count())\n"
+            ))
             frozen = int(run_python(
                 "import gc, sys\n"
                 "from mnlbandit import cli\n"
@@ -1337,4 +1337,4 @@ class TestProcessStartUp:
                 "print(gc.get_freeze_count())\n",
                 MNL_THREADS="1",
             ))
-            assert frozen >= numpy_frozen, (argv[0], frozen, numpy_frozen)
+            assert frozen >= imported, (argv[0], frozen, imported)

@@ -550,26 +550,44 @@ class TestSampleEpochs:
         assert batch.steps == env.ledger.steps == horizon
 
     def test_a_cut_batch_charges_the_rest_of_the_budget_and_draws_once(self):
+        # its epochs fit what is left, so it draws its purchases, which do not
         inst = Instance(n=3, k=3, r=[1.0, 0.5, 0.2], v=[0.5, 0.3, 0.8])
         env = Environment(inst, fork_stream(20, 0), horizon=1000)
         env.sample_epochs((), (1,), 100)
         steps, regret = env.ledger.steps, env.ledger.cum_regret
         remaining = env.steps_remaining
         state = env._rng.bit_generator.state
-        batch = env.sample_epochs((1,), (2, 3), 10**6)
-        assert (batch.requested, batch.epochs, batch.steps) == (10**6, 0, remaining)
+        batch = env.sample_epochs((1,), (2, 3), remaining)
+        assert (batch.requested, batch.epochs, batch.steps) == (remaining, 0, remaining)
         assert batch.truncated and batch.z_sum == 0.0 and batch.tracked == (2, 3)
         np.testing.assert_array_equal(batch.x_sums, np.zeros(2, dtype=np.int64))
         assert batch.x_sums.dtype == np.int64
         # exactly one negative-binomial draw, at the batch's stop probability
         reference = np.random.Generator(np.random.PCG64())
         reference.bit_generator.state = state
-        reference.negative_binomial(10**6, (1 + 0.5) / (1 + 0.5 + 0.3 + 0.8))
+        reference.negative_binomial(remaining, (1 + 0.5) / (1 + 0.5 + 0.3 + 0.8))
         assert env._rng.bit_generator.state == reference.bit_generator.state
         per_step = env.oracle_solution().theta_star - revenue(inst, (1, 2, 3))
         assert env.ledger.steps == steps + remaining == 1000
         assert env.ledger.cum_regret == regret + per_step * remaining
         assert env.ledger._segments[-1] == [per_step, remaining]
+
+    def test_a_batch_whose_epochs_overrun_the_budget_is_cut_undrawn(self):
+        # no purchase count can make it fit, so it draws nothing: with one
+        # step left, a batch of 2 or 10**6 epochs; on a spent budget, any
+        inst = Instance(n=3, k=3, r=[1.0, 0.5, 0.2], v=[0.5, 0.3, 0.8])
+        spent = Environment(inst, fork_stream(20, 0)).sample_epochs((), (1,), 100).steps
+        for left, epochs in [(1, 2), (1, 10**6), (0, 1), (0, 2), (0, 10**6)]:
+            env = Environment(inst, fork_stream(20, 0), horizon=spent + left)
+            assert not env.sample_epochs((), (1,), 100).truncated
+            per_step = env.oracle_solution().theta_star - revenue(inst, (1, 2, 3))
+            state, regret = env._rng.bit_generator.state, env.ledger.cum_regret
+            batch = env.sample_epochs((1,), (2, 3), epochs)
+            assert env._rng.bit_generator.state == state
+            assert (batch.requested, batch.epochs, batch.steps) == (epochs, 0, left)
+            assert batch.truncated and batch.z_sum == 0.0 and not batch.x_sums.any()
+            assert env.ledger.steps == spent + left and env.steps_remaining == 0
+            assert env.ledger.cum_regret == regret + per_step * left
 
     def test_zero_weight_tracked_items(self):
         inst = Instance(n=3, k=3, r=[1.0, 0.5, 0.2], v=[0.0, 0.4, 0.0])

@@ -95,6 +95,45 @@ class TestGenerate:
             assert np.array(inst.r).tobytes() == r.tobytes()
             assert np.array(inst.v).tobytes() == v.tobytes()
 
+    #: past every 32-bit word boundary of SeedSequence's entropy: one word up
+    #: to 2**32 - 1, two up to 2**64 - 1, then three and four, and seven words,
+    #: past its pool of four
+    SEEDS = [*range(200), 2**32, 2**64 - 1, 2**64, 2**100 + 7, 98765432109876543210,
+             2**200 + 5]
+
+    @pytest.mark.parametrize("family", ["uniform", "dense", "sparse"])
+    def test_the_draw_is_numpys_bit_for_bit(self, family):
+        cases = [(n, k, seed) for seed in self.SEEDS for n in (1, 2, 3, 8, 20, 257)
+                 for k in sorted({1, (n + 1) // 2, n} if family == "sparse" else {1})]
+        cases += [(4000, k, seed) for seed in [*range(5), *self.SEEDS[200:]] for k in (1, 100)]
+        for n, k, seed in cases:
+            inst = generate_instance(family, n, k, seed=seed)
+            r, v = first_draw(family, n, k, seed)
+            assert [x.hex() for x in inst.r] == [x.hex() for x in r.tolist()], (n, k, seed)
+            assert [x.hex() for x in inst.v] == [x.hex() for x in v.tolist()], (n, k, seed)
+
+    def test_a_numpy_integer_seed_draws_as_its_value(self):
+        for seed in (np.int64(7), np.uint64(2**64 - 1), np.uint32(0)):
+            inst, want = (generate_instance("sparse", 5, 1, seed=x) for x in (seed, int(seed)))
+            assert (inst.r, inst.v) == (want.r, want.v)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seed must be a non-negative integer, got -1"),
+         (-(2**64), f"seed must be a non-negative integer, got {-(2**64)}"),
+         (True, "seed must be an integer, got True"),
+         (False, "seed must be an integer, got False"),
+         (np.True_, f"seed must be an integer, got {np.True_!r}"),
+         (5.0, "seed must be an integer, got 5.0"),
+         ("5", "seed must be an integer, got '5'"),
+         ([1, 2], "seed must be an integer, got [1, 2]"),
+         ((5,), "seed must be an integer, got (5,)")],
+    )
+    @pytest.mark.parametrize("family", ["uniform", "dense", "sparse"])
+    def test_the_seed_is_a_non_negative_integer(self, family, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_instance(family, 4, 2, seed=seed)
+
     def test_lower_bound_passthrough(self):
         inst = generate_instance("lower-bound", 4, 2, gaps=[0.01, 0.02])
         assert inst.n == 4 and inst.k == 2

@@ -100,8 +100,8 @@ class TestSamplerMatchesReference:
     )
     def test_draw_free_splits(self, z, s, horizon):
         # One-category splits and weightless stopping sets draw nothing; the
-        # budgeted runs fit their first batches, are cut inside a later one
-        # and then cut on a spent budget.
+        # budgeted runs fit their first batches, are cut undrawn by one whose
+        # epochs alone overrun the budget, and then again on a spent budget.
         inst = Instance(n=5, k=3, r=[0.9, 0.7, 0.5, 0.3, 0.1], v=[0.3, 0.0, 0.8, 0.6, 0.0])
         new = Environment(inst, fork_stream(6, 2), horizon=horizon)
         old = Environment(inst, fork_stream(6, 2), horizon=horizon)
@@ -115,8 +115,8 @@ class TestSamplerMatchesReference:
 
     def test_a_batch_far_past_the_budget_is_cut(self):
         # Batches that fit a large budget draw as the reference does, also one
-        # of 10**8 epochs; one far beyond what is left is cut with a single
-        # draw, however many epochs it asks for.
+        # of 10**8 epochs; one whose epochs alone overrun what is left is cut
+        # undrawn, however many it asks for, and so is any on a spent budget.
         inst = Instance(n=4, k=3, r=[1.0, 0.6, 0.3, 0.8], v=[0.2, 0.0, 0.9, 0.5])
         for seed, (z, s) in enumerate([((1,), (3, 4)), ((), (2, 3)), ((2, 4), (1,))]):
             new = Environment(inst, fork_stream(seed, 1), horizon=3 * 10**8)
