@@ -26,11 +26,12 @@ pickle.
 Start-up: a process pays only for its own command.  Importing this module
 loads no numpy, and sets ``OPENBLAS_NUM_THREADS=1`` unless it is already
 set, so that numpy, once a command loads it, starts no BLAS worker thread.
-``gen`` loads no numpy at all (a random family draws numpy's stream in
-integer arithmetic); ``gen``, ``oracle`` and ``summarize`` load neither the
-simulator layers nor OpenSSL; and ``main()`` as the process entry, once the
-command has imported what it uses, freezes the import heap out of the
-garbage collector's reach.
+``gen`` and ``summarize`` load no numpy at all (a random family draws
+numpy's stream in integer arithmetic, and ``summarize`` takes numpy's means,
+medians and percentiles by numpy's rules on Python numbers); ``gen``,
+``oracle`` and ``summarize`` load neither the simulator layers nor OpenSSL;
+and ``main()`` as the process entry, once the command has imported what it
+uses, freezes the import heap out of the garbage collector's reach.
 
 Exit codes: 0 = success, 1 = usage error, 2 = runtime failure.
 """
@@ -191,7 +192,7 @@ def _parse_gaps(text: str) -> Tuple[float, ...]:
 
 def _import_numpy_random() -> None:
     """Import ``numpy.random`` for ``run`` without loading OpenSSL (``gen``
-    loads no numpy: every family draws or computes on Python numbers).
+    and ``summarize`` load no numpy: they compute on Python numbers).
 
     ``numpy.random`` imports ``secrets`` (entropy for unseeded generators),
     whose ``hmac`` loads OpenSSL through ``_hashlib``: 3.4 MB resident and
@@ -565,21 +566,86 @@ SUMMARY_COLUMNS = (
 
 
 def _count(text: str) -> int:
-    """A results field that `run` writes as a non-negative integer."""
+    """A results field that `run` writes as a non-negative integer, in
+    ``str(int)``'s own spelling: no sign, space, underscore or leading zero."""
     value = int(text)
+    if str(value) != text:
+        raise ValueError(f"count {text!r} is not written as run writes it")
     if value < 0:
         raise ValueError(f"negative count {text!r}")
     return value
 
 
+def _regret(text: str) -> float:
+    """A results ``regret`` that `run` writes, ``repr`` of a finite float."""
+    value = float(text)
+    if repr(value) != text:
+        raise ValueError(f"regret {text!r} is not written as run writes it")
+    if not math.isfinite(value):
+        raise ValueError(f"regret {text!r} is not finite")
+    return value
+
+
+def _summary_numbers(steps: List[float], success: List[int], phases: List[float],
+                     regret: List[float]) -> Dict[str, Optional[float]]:
+    """The numeric summary columns of a results file's rows (at least one),
+    computed on Python numbers by numpy's own rules, so that each is what
+    ``numpy.mean``, ``numpy.median`` or ``numpy.percentile`` returns:
+
+    * a median is numpy's mean of the sorted values' middle one, ``0.0 + m``,
+      or middle two, ``(0.0 + a + b) / 2``: numpy's sums start from +0.0, so a
+      median of -0.0 reads 0.0, and ties of -0.0 and 0.0 cannot change it;
+    * ``steps_p10`` and ``steps_p90`` follow numpy's default ``linear`` rule:
+      with ``h = (n - 1) * (q / 100)`` and ``t = h - floor(h)``, between the
+      sorted value ``a`` at ``floor(h)`` and ``b`` after it (``a`` again past
+      the end), the value is ``a + (b - a) * t``, or ``b - (b - a) * (1 - t)``
+      when ``t >= 0.5``;
+    * a mean is the sum, rounded once (`math.fsum`), over the count.
+
+    Order statistics equal numpy's bit for bit on any finite values; a p10 or
+    p90 of a single -0.0 would read 0.0, but steps are never negative.  A
+    mean equals numpy's whenever numpy's float sum is exact (every partial
+    sum an integer within 2**53); beyond that numpy's pairwise sum can round
+    differently in the last bit, but not in the ``.6g`` summary bytes of
+    ``tests/test_cli.py``'s seeded grid.
+    """
+
+    def median(values: List[float]) -> float:
+        ordered = sorted(values)
+        mid = len(ordered) // 2
+        if len(ordered) % 2:
+            return 0.0 + ordered[mid]
+        return (0.0 + ordered[mid - 1] + ordered[mid]) / 2
+
+    def percentile(ordered: List[float], q: int) -> float:
+        h = (len(ordered) - 1) * (q / 100)
+        i = math.floor(h)
+        t = h - i
+        a, b = ordered[i], ordered[min(i + 1, len(ordered) - 1)]
+        return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+    ordered = sorted(steps)
+    return {
+        "success_rate": sum(success) / len(success),
+        "steps_median": median(ordered),
+        "steps_mean": math.fsum(steps) / len(steps),
+        "steps_p10": percentile(ordered, 10),
+        "steps_p90": percentile(ordered, 90),
+        "phases_median": median(phases),
+        "regret_median": median(regret) if regret else None,
+    }
+
+
 def _summarize_file(path: str) -> Optional[Dict[str, str]]:
     """One summary row of a results file, or None for a header alone.  Each
     row must be one `run` writes: ``len(CSV_COLUMNS)`` fields, non-negative
-    integer ``steps`` and ``phases``, a ``success`` of 0 or 1, and an empty or
-    finite ``regret``, which may sit just below 0 (see `RegretLedger`)."""
+    integer ``steps`` and ``phases`` spelled as ``str(int)`` spells them, a
+    ``success`` of 0 or 1, and an empty or finite ``regret`` spelled as
+    ``repr(float)`` spells it, which may sit just below 0 (see
+    `RegretLedger`).  Its columns are `_summary_numbers` in ``.6g``: numpy's
+    means, medians and percentiles, computed without numpy, equal to numpy's
+    bit for bit but for a mean's last bit once the steps total past 2**53."""
     import csv
-
-    import numpy as np
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -603,34 +669,23 @@ def _summarize_file(path: str) -> Optional[Dict[str, str]]:
                 phases.append(float(_count(row["phases"])))
                 success.append(int(row["success"]))
                 if row["regret"]:
-                    value = float(row["regret"])
-                    if not math.isfinite(value):
-                        raise ValueError(f"regret {row['regret']!r} is not finite")
-                    regret.append(value)
+                    regret.append(_regret(row["regret"]))
             except (ValueError, OverflowError) as exc:
                 raise ValueError(
                     f"{path}: line {reader.line_num}: malformed row ({exc})"
                 ) from exc
     if not steps:
         return None
-    arr = np.array(steps)
+    numbers = _summary_numbers(steps, success, phases, regret)
     return {
         "file": os.path.basename(path),
         "rows": str(len(steps)),
-        "success_rate": format(float(np.mean(success)), ".6g"),
-        "steps_median": format(float(np.median(arr)), ".6g"),
-        "steps_mean": format(float(np.mean(arr)), ".6g"),
-        "steps_p10": format(float(np.percentile(arr, 10)), ".6g"),
-        "steps_p90": format(float(np.percentile(arr, 90)), ".6g"),
-        "phases_median": format(float(np.median(phases)), ".6g"),
-        "regret_median": format(float(np.median(regret)), ".6g") if regret else "",
+        **{name: "" if x is None else format(x, ".6g") for name, x in numbers.items()},
     }
 
 
 def _cmd_summarize(args, loaded: Callable[[], None]) -> int:
     import csv
-
-    import numpy  # noqa: F401  (for `_summarize_file`, loaded before the freeze)
 
     loaded()
     _refuse_overwrites([("--results", path) for path in args.results], [("--out", args.out)])

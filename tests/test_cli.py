@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import pickle
+import random
 import signal
 import subprocess
 import sys
@@ -949,7 +950,8 @@ class TestRunPac:
             "assert 'mnlbandit.oracle' not in sys.modules\n"
         )
         run_python(script)
-        # summarize reads results and loads no layer above the instances
+        # summarize reads results and loads no layer above the instances, and
+        # takes its order statistics on Python numbers, so it loads no numpy
         summarize = ["summarize", "--results", str(out), "--out", str(tmp_path / "s.csv")]
         script = (
             "import sys\n"
@@ -957,7 +959,8 @@ class TestRunPac:
             f"assert cli.main({summarize!r}) == 0\n"
             "unused = ['mnlbandit.oracle', 'mnlbandit.env', 'mnlbandit.estimators',\n"
             "          'mnlbandit.driver', 'json']\n"
-            "loaded = [name for name in unused if name in sys.modules]\n"
+            "loaded = [name for name in sys.modules\n"
+            "          if name in unused or name.split('.')[0] == 'numpy']\n"
             "assert not loaded, loaded\n"
         )
         run_python(script)
@@ -1213,8 +1216,15 @@ class TestSummarize:
         ("1,0,10,1,2,1,-inf,ok", "regret '-inf' is not finite"),
         ("1,0,10,1,2,1,,ok,extra", "9 fields, not 8"),
         ("1,0,10,1,2,1,", "7 fields, not 8"),
+        # int() and float() read these, but run spells its counts as str(int)
+        # and its regrets as repr(float)
+        ("1,0,1_000,1,2,1,,ok", "count '1_000' is not written as run writes it"),
+        ("1,0,10,1,2,+3,,ok", "count '+3' is not written as run writes it"),
+        ("1,0, 20 ,1,2,1,,ok", "count ' 20 ' is not written as run writes it"),
+        ("1,0,10,1,2,1,1_0.5,ok", "regret '1_0.5' is not written as run writes it"),
     ], ids=["success", "nan-steps", "fractional-steps", "negative-steps", "inf-phases",
-            "nan-regret", "infinite-regret", "extra-field", "short-row"])
+            "nan-regret", "infinite-regret", "extra-field", "short-row", "underscored-steps",
+            "signed-phases", "spaced-steps", "underscored-regret"])
     def test_rows_run_never_writes_are_refused(self, tmp_path, capsys, line, reason):
         path = str(tmp_path / "bad.csv")
         self.write_results(path, [self.row(0, 10, 1, 1)])
@@ -1225,6 +1235,50 @@ class TestSummarize:
 
     def test_missing_file_is_a_runtime_error(self, tmp_path):
         assert run_cli("summarize", "--results", str(tmp_path / "nope.csv")) == 2
+
+    def test_columns_are_numpys_bit_for_bit(self, tmp_path):
+        # numpy is the reference: every order statistic must be its float bit
+        # for bit, a mean wherever numpy's float sum is exact (a total within
+        # 2**53), and every column its .6g bytes.  The grid has ties, steps up
+        # to 1e15 with totals past 2**53, steps up to a regret run's largest
+        # horizon, where floats round them, six rows, where a percentile falls
+        # exactly halfway (t = 0.5), and regrets near and at -0.0 (none in a
+        # quarter of the files)
+        rng = random.Random(45)
+        regrets = [-0.0, 0.0, -5e-324, -1e-300, -3.7e-17, 2.5e-16, 880.4600751295272]
+        grid = itertools.product((1, 2, 3, 6, 10, 57, 400),
+                                 (3, 10**6, 10**15, cli.MAX_HORIZON), range(4))
+        for case, (n, top, trial) in enumerate(grid):
+            steps = [rng.randint(0, top) for _ in range(n)]
+            success = [rng.randint(0, 1) for _ in range(n)]
+            phases = [rng.randint(0, 3) for _ in range(n)]
+            regret = [rng.choice(regrets) if rng.random() < 0.7 else rng.uniform(-1e-9, 1e9)
+                      for _ in range(n)] if trial else []
+            path = tmp_path / f"r{case}.csv"
+            self.write_results(path, [
+                self.row(i, steps[i], success[i], phases[i], repr(regret[i]) if regret else "")
+                for i in range(n)])
+            as_floats = np.array(steps, dtype=float)
+            want = {
+                "success_rate": np.mean(success),
+                "steps_median": np.median(as_floats),
+                "steps_mean": np.mean(as_floats),
+                "steps_p10": np.percentile(as_floats, 10),
+                "steps_p90": np.percentile(as_floats, 90),
+                "phases_median": np.median(np.array(phases, dtype=float)),
+                "regret_median": np.median(regret) if regret else None,
+            }
+            got = cli._summary_numbers(as_floats.tolist(), success, list(map(float, phases)),
+                                       regret)
+            assert sorted(got) == sorted(want)
+            row = cli._summarize_file(str(path))
+            for name, value in want.items():
+                if value is None:
+                    assert got[name] is None and row[name] == ""
+                    continue
+                if name != "steps_mean" or sum(steps) <= 2**53:
+                    assert got[name].hex() == float(value).hex(), (path, name)
+                assert row[name] == format(float(value), ".6g"), (path, name)
 
     def test_out_naming_a_results_file_fails_before_any_summary(self, tmp_path, capsys,
                                                                 monkeypatch):
